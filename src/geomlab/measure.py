@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -104,6 +104,18 @@ def _unpack3(keys: np.ndarray) -> np.ndarray:
     j = rest % _PACK_MUL - _PACK_OFF
     i = rest // _PACK_MUL - _PACK_OFF
     return np.column_stack([i, j, k])
+
+
+def _rle_spans(occ: np.ndarray) -> np.ndarray:
+    """k-spans (i, j, k0, klen) of a canonical (sorted, unique) occupied array."""
+    if occ.shape[0] == 0:
+        return np.empty((0, 4), dtype=np.int64)
+    same_col = np.zeros(occ.shape[0], dtype=bool)
+    same_col[1:] = ((occ[1:, 0] == occ[:-1, 0]) & (occ[1:, 1] == occ[:-1, 1])
+                    & (occ[1:, 2] == occ[:-1, 2] + 1))
+    starts = np.nonzero(~same_col)[0]
+    lens = np.diff(np.append(starts, occ.shape[0]))
+    return np.column_stack([occ[starts, 0], occ[starts, 1], occ[starts, 2], lens])
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +285,6 @@ def voxelize(shape: Shape, h: float, ht: Optional[float] = None,
     return VoxelSet(np.vstack(chunks), h, ht)
 
 
-def volume(K: VoxelSet) -> float:
-    return K.volume()
-
-
-def area(R: "PlaneRegion") -> float:
-    return R.area()
-
-
 # ---------------------------------------------------------------------------
 # Plane regions and vertical projections
 
@@ -324,40 +328,63 @@ class PlaneRegion:
         return bool(np.all(ok))
 
 
-def project_voxels(K: VoxelSet, which: str, oversample: int = 2,
-                   max_chunk: int = 2_000_000) -> PlaneRegion:
-    """Rasterized vertical projection: each voxel contributes an s^3 lattice
-    of interior sample points, projected and binned into plane cells."""
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
+def _expand_runs(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Concatenation of the integer ranges [start, end], in order."""
+    lens = end - start + 1
+    before = np.cumsum(lens) - lens
+    return np.repeat(start - before, lens) + np.arange(int(lens.sum()))
+
+
+def project_voxels(K: VoxelSet, which: str, oversample: int = 2) -> PlaneRegion:
+    """Rasterized vertical projection of the s^3 lattice of interior sample
+    points of every voxel, s = oversample >= 2, binned into plane cells.
+
+    The samples are never built.  K is read as k-spans (i, j, k0, klen);
+    for one span and one of the s^2 (x, y) offsets, u and c = x y / 2 are
+    fixed and the sampled t rise in steps of ht / s <= ht / 2.  Each
+    floating-point step from t to the cell floor((t -+ c) / ht) is monotone,
+    and the rounding error is far below half a cell for indices within the
+    +-2^20 packing range, so the cells hit form one run from the cell of
+    the first sample to the cell of the last.  Both ends (and u) use the
+    sampler's exact float expressions; the runs of each u column are merged
+    and expanded, giving the same cells as binning every sample."""
+    if oversample < 2:
+        raise ValueError("oversample must be >= 2")
     plane = Plane.W_X if which == "x" else Plane.W_Y
+    spans = _rle_spans(K.occupied)
+    if spans.shape[0] == 0:
+        return PlaneRegion(plane, np.empty((0, 2), dtype=np.int64), K.h, K.ht)
     s = oversample
     fr = (2.0 * np.arange(s) + 1.0) / (2.0 * s)
-    ox, oy, ot = np.meshgrid(fr, fr, fr, indexing="ij")
-    offs = np.column_stack([ox.ravel(), oy.ravel(), ot.ravel()])
-    scale = np.array([K.h, K.h, K.ht])
-    cells: List[np.ndarray] = []
-    chunk = max(1, max_chunk // offs.shape[0])
-    occ = K.occupied
-    for lo in range(0, occ.shape[0], chunk):
-        part = occ[lo:lo + chunk]
-        pts = (part[:, None, :] + offs[None, :, :]).reshape(-1, 3) * scale[None, :]
-        if plane == Plane.W_X:
-            u = pts[:, 0]
-            t = pts[:, 2] - pts[:, 0] * pts[:, 1] / 2.0
-        else:
-            u = pts[:, 1]
-            t = pts[:, 2] + pts[:, 0] * pts[:, 1] / 2.0
-        iu = np.floor(u / K.h).astype(np.int64)
-        it = np.floor(t / K.ht).astype(np.int64)
-        key = np.unique(_pack2(np.column_stack([iu, it])))
-        cells.append(key)
-    if not cells:
-        return PlaneRegion(plane, np.empty((0, 2), dtype=np.int64), K.h, K.ht)
-    keys = np.unique(np.concatenate(cells))
-    j = keys % _PACK_MUL - _PACK_OFF
-    i = keys // _PACK_MUL - _PACK_OFF
-    return PlaneRegion(plane, np.column_stack([i, j]), K.h, K.ht)
+    i, j, k0, klen = spans.T
+    x = (i[:, None] + fr[None, :]) * K.h                  # (spans, fx)
+    y = (j[:, None] + fr[None, :]) * K.h                  # (spans, fy)
+    c = x[:, :, None] * y[:, None, :] / 2.0               # (spans, fx, fy)
+    t_first = ((k0 + fr[0]) * K.ht)[:, None, None]
+    t_last = ((k0 + klen - 1 + fr[-1]) * K.ht)[:, None, None]
+    if plane == Plane.W_X:
+        iu = np.floor(x / K.h).astype(np.int64)[:, :, None]
+        lo, hi = t_first - c, t_last - c
+    else:
+        iu = np.floor(y / K.h).astype(np.int64)[:, None, :]
+        lo, hi = t_first + c, t_last + c
+    iu = np.broadcast_to(iu, c.shape).ravel()
+    lo = np.floor(lo / K.ht).astype(np.int64).ravel()
+    hi = np.floor(hi / K.ht).astype(np.int64).ravel()
+    # in packed (u, t) keys a run is [key_lo, key_hi] and the keys of a
+    # larger u exceed all keys of a smaller one, so sorting by key_lo and a
+    # running max of key_hi merge the overlapping runs of each column
+    key_lo = _pack2(np.column_stack([iu, lo]))
+    order = np.argsort(key_lo, kind="stable")
+    key_lo = key_lo[order]
+    reach = np.maximum.accumulate(_pack2(np.column_stack([iu, hi]))[order])
+    first = np.ones(key_lo.size, dtype=bool)
+    first[1:] = key_lo[1:] > reach[:-1]
+    starts = np.nonzero(first)[0]
+    keys = _expand_runs(key_lo[starts], reach[np.append(starts[1:], key_lo.size) - 1])
+    cells = np.column_stack([keys // _PACK_MUL - _PACK_OFF,
+                             keys % _PACK_MUL - _PACK_OFF])
+    return PlaneRegion(plane, cells, K.h, K.ht)
 
 
 def lw_ratio(K: VoxelSet, oversample: int = 2) -> float:
@@ -486,24 +513,13 @@ def weak_isoperimetric_ratio(E: VoxelSet) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: run-length-encoded binary plus CSV of occupied triples.
+# Serialization: run-length-encoded binary.
 #
 # Binary layout (little endian): magic b"VXL1", float64 h, float64 ht,
 # uint64 nspans, then per span int64 i, int64 j, int64 k0, int64 klen,
 # spans sorted lexicographically.
 
 _MAGIC = b"VXL1"
-
-
-def _rle_spans(occ: np.ndarray) -> np.ndarray:
-    if occ.shape[0] == 0:
-        return np.empty((0, 4), dtype=np.int64)
-    same_col = np.zeros(occ.shape[0], dtype=bool)
-    same_col[1:] = ((occ[1:, 0] == occ[:-1, 0]) & (occ[1:, 1] == occ[:-1, 1])
-                    & (occ[1:, 2] == occ[:-1, 2] + 1))
-    starts = np.nonzero(~same_col)[0]
-    lens = np.diff(np.append(starts, occ.shape[0]))
-    return np.column_stack([occ[starts, 0], occ[starts, 1], occ[starts, 2], lens])
 
 
 def save_voxelset(K: VoxelSet, path) -> None:
@@ -519,29 +535,21 @@ def load_voxelset(path) -> VoxelSet:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a voxel-set file")
-        h, ht = struct.unpack("<dd", fh.read(16))
-        (nspans,) = struct.unpack("<Q", fh.read(8))
-        spans = np.frombuffer(fh.read(nspans * 32), dtype="<i8").reshape(-1, 4)
-    blocks = []
-    for i, j, k0, klen in spans:
-        ks = np.arange(k0, k0 + klen, dtype=np.int64)
-        blocks.append(np.column_stack([np.full(klen, i), np.full(klen, j), ks]))
-    occ = np.vstack(blocks) if blocks else np.empty((0, 3), dtype=np.int64)
+        header = fh.read(24)
+        payload = fh.read()
+    if len(header) < 24:
+        raise ValueError(f"{path}: truncated voxel-set header")
+    h, ht, nspans = struct.unpack("<ddQ", header)
+    if len(payload) < nspans * 32:
+        raise ValueError(f"{path}: {nspans} spans need {nspans * 32} bytes, "
+                         f"found {len(payload)}")
+    spans = np.frombuffer(payload[:nspans * 32], dtype="<i8").reshape(-1, 4)
+    i, j, k0, klen = spans.astype(np.int64).T
+    if np.any(klen <= 0):
+        raise ValueError(f"{path}: span length must be positive")
+    occ = np.column_stack([np.repeat(i, klen), np.repeat(j, klen),
+                           _expand_runs(k0, k0 + klen - 1)])
     return VoxelSet(occ, h, ht)
-
-
-def save_voxelset_csv(K: VoxelSet, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("i,j,k\n")
-        for i, j, k in K.occupied:
-            fh.write(f"{i},{j},{k}\n")
-
-
-def save_planeregion_csv(R: PlaneRegion, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("i,k\n")
-        for i, k in R.occupied:
-            fh.write(f"{i},{k}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,20 @@
 
 import math
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomlab.heisenberg import Plane, VerticalPlanePoint
 from geomlab.measure import (Box, DifferenceShape, DilatedShape, KoranyiBall,
                              PlaneRegion, ShearedShape, UnionShape, VoxelSet,
-                             boundary, boundary_projection_inclusion,
-                             h3_surrogate, load_voxelset, lw_ratio,
-                             project_voxels, save_voxelset, shape_zoo,
+                             _rle_spans, boundary,
+                             boundary_projection_inclusion, h3_surrogate,
+                             load_voxelset, lw_ratio, project_voxels,
+                             save_voxelset, shape_zoo,
                              tube_intersection_volume, voxelize,
                              weak_isoperimetric_ratio)
 from geomlab.rng import Stream
@@ -67,6 +72,81 @@ def test_projection_single_voxel():
     reg = project_voxels(K, "x")
     assert len(reg) >= 1
     assert reg.plane == Plane.W_X
+
+
+def _sampled_projection(K, which, s=2):
+    """Oracle: bin every point of each voxel's s^3 interior sample lattice."""
+    fr = (2.0 * np.arange(s) + 1.0) / (2.0 * s)
+    ox, oy, ot = np.meshgrid(fr, fr, fr, indexing="ij")
+    offs = np.column_stack([ox.ravel(), oy.ravel(), ot.ravel()])
+    scale = np.array([K.h, K.h, K.ht])
+    pts = (K.occupied[:, None, :] + offs[None, :, :]).reshape(-1, 3) * scale[None, :]
+    if which == "x":
+        u = pts[:, 0]
+        t = pts[:, 2] - pts[:, 0] * pts[:, 1] / 2.0
+    else:
+        u = pts[:, 1]
+        t = pts[:, 2] + pts[:, 0] * pts[:, 1] / 2.0
+    iu = np.floor(u / K.h).astype(np.int64)
+    it = np.floor(t / K.ht).astype(np.int64)
+    return np.unique(np.column_stack([iu, it]), axis=0)
+
+
+def _assert_matches_oracle(K, s=2):
+    for which in ("x", "y"):
+        got = project_voxels(K, which, s)
+        assert got.plane == (Plane.W_X if which == "x" else Plane.W_Y)
+        assert np.array_equal(got.occupied,
+                              _sampled_projection(K, which, s).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("h", [1 / 16, 1 / 24])
+def test_projection_matches_sampled_oracle_zoo(h):
+    for name, sh in shape_zoo().items():
+        _assert_matches_oracle(voxelize(sh, h))
+
+
+def test_projection_matches_sampled_oracle_special_sets():
+    sh = ShearedShape(Box((0.1, -0.2, 0.05), (0.3, 0.2, 0.1)))
+    aniso = voxelize(DilatedShape(sh, 1.7), 1.7 / 24, 1.7 ** 2 / 24)
+    assert aniso.ht != aniso.h
+    _assert_matches_oracle(aniso)
+    # boundary of a ball: most columns hold two spans
+    shell = boundary(voxelize(KoranyiBall((0.2, -0.1, 0.1), 0.6), 1 / 24))
+    assert len(_rle_spans(shell.occupied)) > len(
+        np.unique(shell.occupied[:, :2], axis=0))
+    _assert_matches_oracle(shell)
+    negative = voxelize(Box((-0.6, -0.4, -0.3), (0.2, 0.3, 0.1)), 1 / 24)
+    assert np.all(negative.occupied < 0)
+    _assert_matches_oracle(negative)
+    _assert_matches_oracle(voxelize(Box((-0.1, 0.2, -0.05), (0.3, 0.3, 0.1)), 1 / 24))
+    _assert_matches_oracle(VoxelSet(np.empty((0, 3)), h=0.1))
+    _assert_matches_oracle(VoxelSet([(-3, 5, -7)], h=0.1, ht=0.03))
+    for s in (3, 4):
+        _assert_matches_oracle(shell, s)
+        _assert_matches_oracle(aniso, s)
+
+
+@st.composite
+def _small_voxel_sets(draw):
+    ijk = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8),
+                                  st.integers(-12, 12)), max_size=40))
+    h = draw(st.sampled_from([1 / 16, 0.1, 1 / 3, 0.37, 1.0]))
+    ht = h * draw(st.sampled_from([1.0, 0.25, 0.3, 2.0]))
+    return VoxelSet(np.array(ijk, dtype=np.int64).reshape(-1, 3), h, ht)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_voxel_sets(), st.sampled_from([2, 3]))
+def test_projection_matches_sampled_oracle_random(K, s):
+    _assert_matches_oracle(K, s)
+
+
+def test_projection_needs_oversample_two():
+    K = VoxelSet([(0, 0, 0)], h=0.25)
+    for s in (1, 0):
+        with pytest.raises(ValueError, match="oversample must be >= 2"):
+            project_voxels(K, "x", s)
 
 
 def test_projection_scales_cubically_under_dilation():
@@ -247,6 +327,36 @@ def test_rle_round_trip(tmp_path):
     K2 = load_voxelset(path)
     assert K2.h == K.h and K2.ht == K.ht
     assert np.array_equal(K2.occupied, K.occupied)
+
+
+def _write_vxl(path, spans, nspans=None, cut=0):
+    spans = np.asarray(spans, dtype="<i8").reshape(-1, 4)
+    n = spans.shape[0] if nspans is None else nspans
+    data = b"VXL1" + struct.pack("<ddQ", 0.1, 0.1, n) + spans.tobytes()
+    path.write_bytes(data[:len(data) - cut])
+    return path
+
+
+def test_load_voxelset_rejects_corrupt_files(tmp_path):
+    good = [(0, 0, 0, 3), (0, 1, -2, 1)]
+    K = load_voxelset(_write_vxl(tmp_path / "good.vxl", good))
+    assert len(K) == 4
+    cases = {
+        "truncated.vxl": dict(spans=good, cut=5),
+        "missing.vxl": dict(spans=good, nspans=3),
+        "zero_len.vxl": dict(spans=[(0, 0, 0, 3), (1, 0, 0, 0)]),
+        "negative_len.vxl": dict(spans=[(1, 0, 0, -3)]),
+        "header.vxl": dict(spans=[], cut=4),
+    }
+    for name, kw in cases.items():
+        path = _write_vxl(tmp_path / name, **kw)
+        with pytest.raises(ValueError, match=name):
+            load_voxelset(path)
+
+
+def test_load_voxelset_zero_spans(tmp_path):
+    K = load_voxelset(_write_vxl(tmp_path / "empty.vxl", []))
+    assert len(K) == 0 and K.h == 0.1
 
 
 def test_plane_region_ops():
