@@ -9,7 +9,8 @@ lw-sweep, tube-volume, sobolev-check, isoperimetric, reduce-pipeline,
 verify-all.
 
 Config files are INI-style key = value sections, one section per
-experiment; numbers may be written as plain floats or as powers "2^-7".
+experiment; numbers may be written as plain floats, as powers "2^-7" or
+as fractions "1/64" of either.
 Lists are whitespace separated.  Example:
 
     [incidence-sweep]
@@ -71,11 +72,19 @@ class ConfigError(Exception):
 
 
 def parse_number(tok: str) -> float:
+    """A plain float, a power "2^-7", or a fraction "1/64" of either;
+    raises ValueError for anything else."""
     tok = tok.strip()
-    if "^" in tok:
-        base, exp = tok.split("^")
-        return float(base) ** float(exp)
-    return float(tok)
+    try:
+        if "/" in tok:
+            num, den = tok.split("/")
+            return parse_number(num) / parse_number(den)
+        if "^" in tok:
+            base, exp = tok.split("^")
+            return float(base) ** float(exp)
+        return float(tok)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"not a number: {tok!r}") from None
 
 
 def parse_list(text: str) -> List[float]:
@@ -110,18 +119,20 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.options.get("seed", "12345"))
+        raw = self.options.get("seed", "12345")
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"{self.experiment}: seed must be an integer, "
+                              f"got {raw!r}") from None
 
     def floats(self, key: str) -> List[float]:
         if key not in self.options:
             raise ConfigError(f"{self.experiment}: missing option {key!r}")
-        vals = []
-        for tok in self.options[key].split():
-            if "/" in tok:
-                num, den = tok.split("/")
-                vals.append(float(num) / float(den))
-            else:
-                vals.append(parse_number(tok))
+        try:
+            vals = [parse_number(tok) for tok in self.options[key].split()]
+        except ValueError as exc:
+            raise ConfigError(f"{self.experiment}: option {key!r}: {exc}") from None
         if not vals:
             raise ConfigError(f"{self.experiment}: option {key!r} is empty")
         return vals
@@ -165,6 +176,8 @@ def load_config(experiment: str, path: Optional[str], out_dir: str,
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    cfg.seed  # raises ConfigError unless the seed is an integer
+    _lab_threads()
     if "deltas" in cfg.options and not cfg.floats("deltas"):
         raise ConfigError("empty delta list")
     for key in ("deltas", "epsilons", "ks", "hs"):
@@ -186,8 +199,16 @@ class RunResult:
     report_lines: List[str] = field(default_factory=list)
 
 
+def _lab_threads() -> int:
+    raw = os.environ.get("LAB_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"LAB_THREADS must be an integer, got {raw!r}") from None
+
+
 def _map_rows(fn: Callable, items: Sequence) -> List:
-    threads = int(os.environ.get("LAB_THREADS", "1"))
+    threads = _lab_threads()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
@@ -241,14 +262,17 @@ def _family_for(cfg: ExperimentConfig, delta: float, seed_tag: int):
                               f"point/line pair")
         return ps, lf
     family = cfg.options.get("family", "tube")
-    if family == "tube":
-        return gen_tube_example(delta)
-    if family == "rectangle":
-        return gen_rectangle_example(delta, 1.0, math.sqrt(delta))
-    if family == "random":
-        cells = int(1.0 / delta) ** 2
-        n = min(500, max(1, int(0.8 * cells)))
-        return gen_random(n, n, delta, substream_seed(cfg.seed, seed_tag))
+    try:
+        if family == "tube":
+            return gen_tube_example(delta)
+        if family == "rectangle":
+            return gen_rectangle_example(delta, 1.0, math.sqrt(delta))
+        if family == "random":
+            cells = int(1.0 / delta) ** 2
+            n = min(500, max(1, int(0.8 * cells)))
+            return gen_random(n, n, delta, substream_seed(cfg.seed, seed_tag))
+    except ValueError as exc:
+        raise ConfigError(f"family {family!r} at delta={delta:g}: {exc}") from None
     raise ConfigError(f"unknown family {family!r}")
 
 

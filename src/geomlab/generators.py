@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .incidence import _greedy_separated, _runs
 from .planar import LineFamily, Point2, PointSet
 from .rng import Stream, rank_keys, substream_seed
 
@@ -243,23 +244,19 @@ def gen_greedy_concurrent(epsilon: float, delta: float,
     scanned column-major and kept when >= epsilon from all kept lines."""
     x0, y0 = through.x, through.y
     step = epsilon / 8.0
-    a_grid = _lattice_1d(-1.0, 1.0, step)
-    kept_a: list = []
-    kept_b: list = []
-    thr = epsilon * (1.0 + 1e-9)
-    for a in a_grid:
-        half = delta * math.hypot(1.0, a)
-        bc = y0 - a * x0
-        for b in _lattice_1d(max(-1.0, bc - half), min(1.0, bc + half), step):
-            ok = True
-            for ka, kb in zip(kept_a, kept_b):
-                if math.hypot(a - ka, b - kb) < thr:
-                    ok = False
-                    break
-            if ok:
-                kept_a.append(a)
-                kept_b.append(b)
-    return LineFamily(np.column_stack([kept_a, kept_b]).reshape(-1, 2), epsilon)
+    a = _lattice_1d(-1.0, 1.0, step)
+    half = delta * np.array([math.hypot(1.0, ai) for ai in a])
+    bc = y0 - a * x0
+    lo = np.maximum(-1.0, bc - half)
+    hi = np.minimum(1.0, bc + half)
+    # per column the lattice of _lattice_1d(lo, hi, step)
+    lens = np.where(hi < lo, 0,
+                    np.floor((hi - lo) / step + 1e-9).astype(np.int64) + 1)
+    col = np.repeat(np.arange(a.size), lens)
+    j = _runs(np.zeros_like(lens), lens)  # index within the column
+    cands = np.column_stack([a[col], lo[col] + step * j])
+    kept = _greedy_separated(cands, epsilon * (1.0 + 1e-9))
+    return LineFamily(cands[kept], epsilon)
 
 
 def _jittered_cells(n: int, delta: float, stream: Stream) -> np.ndarray:
@@ -270,7 +267,7 @@ def _jittered_cells(n: int, delta: float, stream: Stream) -> np.ndarray:
     if n > total:
         raise ValueError(f"cannot place {n} points in {total} cells at "
                          f"delta={delta:g}")
-    chosen = rank_keys(int(stream.u64(1)[0]), total)[:n]
+    chosen = rank_keys(int(stream.u64(1)[0]), total, n)
     ci, cj = chosen // ncell, chosen % ncell
     cx = -1.0 + 2.0 * delta * (ci + 0.5)
     cy = -1.0 + 2.0 * delta * (cj + 0.5)

@@ -24,8 +24,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-UNIT_SQUARE = (-1.0, 1.0, -1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class Point2:
@@ -42,12 +40,6 @@ class LineAB:
 
     a: float
     b: float
-
-    def y_at(self, x: float) -> float:
-        return self.a * x + self.b
-
-    def in_parameter_square(self) -> bool:
-        return abs(self.a) <= 1.0 and abs(self.b) <= 1.0
 
 
 @dataclass(frozen=True)

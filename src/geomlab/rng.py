@@ -32,14 +32,22 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 
+# Keys made and selected at a time by rank_keys: 512 kB per uint64 array,
+# so the passes over a chunk stay in a core's L2 cache (per key, 2^16 ran
+# about 3x faster than 2^20 on a 2-core x86 VM with 2 MB of L2 per core).
+_CHUNK = 1 << 16
+
 
 def mix64(z):
     """splitmix64 finalizer on uint64 scalars or arrays (wraps mod 2^64)."""
     z = np.asarray(z, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> _S30)) * _M1
-        z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
+        z = z ^ (z >> _S30)  # a new array: the input is never written
+        z *= _M1
+        z ^= z >> _S27
+        z *= _M2
+        z ^= z >> _S31
+    return z
 
 
 def substream_seed(seed: int, tag: int) -> int:
@@ -70,13 +78,37 @@ class Stream:
         """n integers in [0, bound), as floor(uniform * bound)."""
         return np.minimum((self.uniform(n) * bound).astype(np.int64), bound - 1)
 
-    def spawn(self, tag: int) -> "Stream":
-        return Stream(substream_seed(int(self.seed), tag))
 
+def rank_keys(seed: int, n: int, k: int) -> np.ndarray:
+    """The first k indices of a deterministic pseudorandom ranking of
+    0..n-1 (used to sample cells): the indices of the k smallest keys
+    mix64(seed + (i + 1) * GOLDEN), in key order, ties broken by index
+    (there are none: mix64 is a bijection and GOLDEN is odd).  k above n
+    gives all n.
 
-def rank_keys(seed: int, n: int) -> np.ndarray:
-    """Deterministic pseudorandom ranking of 0..n-1 (used to sample cells)."""
-    with np.errstate(over="ignore"):
-        keys = mix64(np.uint64(seed)
-                     + GOLDEN * (np.arange(n, dtype=np.uint64) + np.uint64(1)))
-    return np.argsort(keys, kind="stable")
+    The keys are made and selected one chunk of at most _CHUNK indices at
+    a time, so memory is O(k + _CHUNK) whatever n is.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    k = min(k, n)
+    best_key = np.empty(0, dtype=np.uint64)
+    best_idx = np.empty(0, dtype=np.int64)
+    if k == 0:
+        return best_idx
+    for lo in range(0, n, _CHUNK):
+        with np.errstate(over="ignore"):
+            keys = mix64(np.uint64(seed) + GOLDEN * np.arange(
+                lo + 1, min(n, lo + _CHUNK) + 1, dtype=np.uint64))
+        if best_key.size == k:  # only keys below the k-th best can enter
+            sel = np.flatnonzero(keys < best_key.max())
+        elif keys.size > k:
+            sel = np.argpartition(keys, k - 1)[:k]
+        else:
+            sel = np.arange(keys.size)
+        best_key = np.concatenate([best_key, keys[sel]])
+        best_idx = np.concatenate([best_idx, sel + lo])
+        if best_key.size > k:
+            keep = np.argpartition(best_key, k - 1)[:k]
+            best_key, best_idx = best_key[keep], best_idx[keep]
+    return best_idx[np.lexsort((best_idx, best_key))]

@@ -39,6 +39,46 @@ def test_empty_sweep_list_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_fractions_parse():
+    assert parse_number("1/64") == 2.0 ** -6
+    assert parse_number(" 3/2^2 ") == 0.75
+    assert parse_list("1/48 2^-3") == [1.0 / 48.0, 0.125]
+    for bad in ("abc", "1/0", "1/2/3", "2^x", "10^400"):
+        with pytest.raises(ValueError):
+            parse_number(bad)
+
+
+def _exits_2_with_one_line(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: ")
+    return err
+
+
+@pytest.mark.parametrize("body, needle", [
+    ("family = tube\ndeltas = 2^-3\n", "delta must be <= 2^-4"),
+    ("deltas = 2^-6 1/0\n", "'deltas'"),
+    ("deltas = 2^-6 abc\n", "'abc'"),
+    ("deltas = 2^-6\nseed = abc\n", "seed must be an integer"),
+])
+def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[incidence-sweep]\n" + body)
+    err = _exits_2_with_one_line(capsys, [
+        "incidence-sweep", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert needle in err
+
+
+@pytest.mark.parametrize("experiment", ["incidence-sweep", "duality-check"])
+def test_bad_lab_threads_exits_2(tmp_path, capsys, monkeypatch, experiment):
+    monkeypatch.setenv("LAB_THREADS", "abc")
+    err = _exits_2_with_one_line(capsys, [
+        experiment, "--out", str(tmp_path / "out")])
+    assert "LAB_THREADS" in err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     rc = main(["incidence-sweep", "--config", str(tmp_path / "nope.ini"),
                "--out", str(tmp_path / "out")])

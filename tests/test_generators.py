@@ -1,14 +1,20 @@
 """Tests for the configuration-family generators."""
 
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from geomlab.generators import (GeneratorSpec, build, gen_concurrent_star,
-                                gen_grid_packing, gen_greedy_concurrent,
-                                gen_kstar, gen_random, gen_rectangle_example,
-                                gen_tube_example)
+from geomlab.generators import (GeneratorSpec, _lattice_1d, build,
+                                gen_concurrent_star, gen_grid_packing,
+                                gen_greedy_concurrent, gen_kstar, gen_random,
+                                gen_rectangle_example, gen_tube_example)
 from geomlab.incidence import count_naive, max_concurrency
-from geomlab.planar import Point2, Scale, save_point_set, validate_separation
+from geomlab.planar import (LineFamily, Point2, Scale, save_point_set,
+                            validate_separation)
+from geomlab.rng import _CHUNK, GOLDEN, mix64, rank_keys
 
 
 def test_grid_packing_counts():
@@ -89,6 +95,76 @@ def test_concurrent_star_and_greedy():
     assert 0.5 / eps <= len(fam) <= 4.0 / eps
     assert validate_separation(fam).ok
     assert max_concurrency(fam, Point2(0, 0), Scale(eps / 4.0, eps)) == len(fam)
+
+
+def _greedy_concurrent_loop(epsilon, delta, through=Point2(0.0, 0.0)):
+    """Reference: the candidate-by-candidate scan against every kept line."""
+    x0, y0 = through.x, through.y
+    step = epsilon / 8.0
+    kept_a, kept_b = [], []
+    thr = epsilon * (1.0 + 1e-9)
+    for a in _lattice_1d(-1.0, 1.0, step):
+        half = delta * math.hypot(1.0, a)
+        bc = y0 - a * x0
+        for b in _lattice_1d(max(-1.0, bc - half), min(1.0, bc + half), step):
+            if all(math.hypot(a - ka, b - kb) >= thr
+                   for ka, kb in zip(kept_a, kept_b)):
+                kept_a.append(a)
+                kept_b.append(b)
+    return LineFamily(np.column_stack([kept_a, kept_b]).reshape(-1, 2), epsilon)
+
+
+@pytest.mark.parametrize("eexp, ratio, through", [
+    (4, 0.25, Point2(0.0, 0.0)), (5, 0.25, Point2(0.0, 0.0)),
+    (6, 0.25, Point2(0.0, 0.0)), (7, 0.25, Point2(0.0, 0.0)),
+    (5, 1.0, Point2(0.0, 0.0)), (6, 0.5, Point2(0.3, -0.2)),
+])
+def test_greedy_concurrent_equals_reference_loop(eexp, ratio, through):
+    eps = 2.0 ** -eexp
+    fam = gen_greedy_concurrent(eps, ratio * eps, through)
+    ref = _greedy_concurrent_loop(eps, ratio * eps, through)
+    assert fam.params.shape == ref.params.shape
+    assert fam.params.tobytes() == ref.params.tobytes()
+    assert fam.epsilon == ref.epsilon
+
+
+@pytest.mark.parametrize("total", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   2 * _CHUNK + 3])
+def test_rank_keys_equals_full_argsort(total):
+    seed = 0xC0FFEE + total
+    with np.errstate(over="ignore"):
+        keys = mix64(np.uint64(seed)
+                     + GOLDEN * (np.arange(total, dtype=np.uint64) + np.uint64(1)))
+    ranking = np.argsort(keys, kind="stable")
+    for k in (0, 1, 7, total, _CHUNK + 5):
+        got = rank_keys(seed, total, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ranking[:k])
+    with pytest.raises(ValueError):
+        rank_keys(seed, total, -1)
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((500, 500, 2.0 ** -10, 12345), "37a5436d7dd07440"),
+    ((2000, 2000, 2.0 ** -11, 7), "dbeb3a4b9dd87e52"),
+    ((1, 1, 2.0 ** -4, 0), "a85213d869975d9b"),
+])
+def test_random_matches_recorded_fingerprints(args, digest):
+    P, L = gen_random(*args)
+    blob = P.coords.tobytes() + L.params.tobytes()
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+
+def test_random_memory_does_not_grow_with_cell_count():
+    # 2^24 lattice cells for 10 points and 10 lines: ranking every cell at
+    # once took a 256 MB peak here
+    tracemalloc.start()
+    try:
+        gen_random(10, 10, 2.0 ** -12, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_random_empty_and_feasibility():
