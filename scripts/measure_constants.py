@@ -7,15 +7,12 @@ of the sharpness families.
 """
 
 import json
-import math
 import sys
 
-from geomlab.generators import gen_rectangle_example, gen_tube_example
+from geomlab import acceptance as A
 from geomlab.heisenberg import (Plane, VerticalPlanePoint,
                                 measure_core_projection_constant,
                                 tube_inclusion_check)
-from geomlab.incidence import count_bucketed
-from geomlab.measure import lw_ratio, shape_zoo, voxelize
 from geomlab.planar import Scale
 from geomlab.sobolev import function_zoo, gns_check
 
@@ -32,20 +29,16 @@ def main() -> int:
     out["A1_tube_neighborhood"] = a1
     out["A_core_projection"] = measure_core_projection_constant(Scale(2.0 ** -6))
 
-    out["lw_ratio_ceiling"] = max(
-        lw_ratio(voxelize(sh, 1 / 48)) for sh in shape_zoo().values())
+    out["lw_ratio_ceiling"] = A.lw_sweep([1 / 48], 0.5).summary[
+        "measured_ceiling"]
     out["gns_ratio_ceiling"] = max(
         gns_check(f).ratio for f in function_zoo(1 / 64).values())
 
-    ratios = []
-    for dexp in range(6, 13):
-        delta = 2.0 ** -dexp
-        P, L = gen_tube_example(delta)
-        ratios.append(count_bucketed(P, L, Scale(delta)).normalized_ratio)
-    for dexp in range(4, 8):
-        delta = 2.0 ** -dexp
-        P, L = gen_rectangle_example(delta, 1.0, math.sqrt(delta))
-        ratios.append(count_bucketed(P, L, Scale(delta)).normalized_ratio)
+    sweeps = [A.incidence_sweep([2.0 ** -d for d in dexps],
+                                A.sweep_family(name))
+              for name, dexps in (("tube", range(6, 13)),
+                                  ("rectangle", range(4, 8)))]
+    ratios = [r["ratio"] for res in sweeps for r in res.rows]
     out["incidence_ratio_min"] = min(ratios)
     out["incidence_ratio_max"] = max(ratios)
 

@@ -1,31 +1,37 @@
-"""The acceptance suite: one callable per criterion, each returning a
-CriterionResult with pinned tolerances.  tests/test_acceptance.py asserts
-them and the CLI's verify-all experiment prints one line per criterion.
+"""The experiments and the acceptance criteria built on them.
+
+An experiment is a function of plain parameters returning a RunResult; the
+CLI runs it at a config's options, a criterion at pinned inputs plus a
+gate.  ALL_CRITERIA is asserted by tests/test_acceptance.py and printed by
+the CLI's verify-all experiment.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import heisenberg as hg
 from .generators import (gen_greedy_concurrent, gen_kstar, gen_random,
                          gen_rectangle_example, gen_tube_example)
-from .incidence import (count_bucketed, count_naive, grid_richness,
-                        k_rich_points, max_concurrency, normalized_ratio)
-from .measure import (Box, DilatedShape, boundary_projection_inclusion,
-                      lw_ratio, project_voxels, shape_zoo, voxelize,
+from .incidence import (count_bucketed, count_incidences, count_naive,
+                        grid_richness, k_rich_points, max_concurrency)
+from .measure import (Box, DilatedShape, UnionShape,
+                      boundary_projection_inclusion, lw_ratio, project_voxels,
+                      shape_zoo, tube_intersection_volume, voxelize,
                       weak_isoperimetric_ratio)
 from .planar import (LineAB, LineFamily, Point2, PointSet, Scale,
                      dual_line_to_point, dual_point_to_line, is_incident,
                      validate_separation)
 from .rng import Stream, substream_seed
-from .sobolev import (bump, dilated_fn, field_X, function_zoo, gns_check,
-                      level_range, levelset_lemma_check, sample_to_grid)
+from .sobolev import (GridFunction, bump, dilated_fn, field_X, function_zoo,
+                      gns_check, level_range, levelset_lemma_check,
+                      sample_to_grid)
 
 LW_BOX_CONSTANT = 8.0 * 5.0 ** (-4.0 / 3.0)
 
@@ -34,6 +40,300 @@ LW_BOX_CONSTANT = 8.0 * 5.0 ** (-4.0 / 3.0)
 RICH_CONSTANT_CEILING = 40.0
 GNS_RATIO_CEILING = 0.75
 
+
+@dataclass
+class RunResult:
+    ok: bool
+    rows: List[dict]
+    summary: dict
+    report_lines: List[str]
+
+
+def _map_rows(fn: Callable, items: Sequence, threads: int) -> List:
+    if threads > 1:
+        # imported here, so that importing this module loads no thread pool
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+# ---------------------------------------------------------------------------
+# Experiments
+
+def sweep_family(name: str, seed: int = 0
+                 ) -> Callable[[int, float], Tuple[PointSet, LineFamily]]:
+    """The tube or rectangle sharpness family, or random sets of up to 500
+    points and lines seeded per row i."""
+    def family(i, delta):
+        if name == "tube":
+            return gen_tube_example(delta)
+        if name == "rectangle":
+            return gen_rectangle_example(delta, 1.0, math.sqrt(delta))
+        n = min(500, max(1, int(0.8 * int(1.0 / delta) ** 2)))
+        return gen_random(n, n, delta, substream_seed(seed, i))
+    return family
+
+
+def incidence_sweep(deltas: Sequence[float],
+                    family: Callable[[int, float], tuple],
+                    engine: str = "bucketed", verify: bool = False,
+                    threads: int = 1) -> RunResult:
+    """Incidences of family(i, delta) at the i-th delta; ratio band <= 100."""
+    def one_row(item):
+        i, delta = item
+        P, L = family(i, delta)
+        rep = count_incidences(P, L, Scale(delta), engine=engine,
+                               verify=verify)
+        return {"delta": delta, "n_points": len(P), "n_lines": len(L),
+                "count": rep.count, "ratio": rep.normalized_ratio}
+
+    rows = _map_rows(one_row, list(enumerate(deltas)), threads)
+    ratios = [r["ratio"] for r in rows if r["ratio"] > 0]
+    band = max(ratios) / min(ratios) if ratios else math.inf
+    return RunResult(band <= 100.0, rows,
+                     {"ratio_band": band, "engine": engine,
+                      "verified_against_naive": verify},
+                     [f"normalized ratio band {band:.3f} (invariant: <= 100)"])
+
+
+def rich_points(deltas: Sequence[float], epsilon_ratios: Sequence[float],
+                ks: Sequence[int], family: str = "rectangle", r: float = 1.0,
+                s: Optional[float] = None) -> RunResult:
+    """k-rich points of the r x s rectangle family (s = sqrt(delta) when
+    None) or of k-stars at epsilon = ratio * delta <= 1."""
+    rows = []
+    for delta in deltas:
+        for ratio in epsilon_ratios:
+            eps = ratio * delta
+            if eps > 1.0:
+                continue
+            fld = None
+            if family == "rectangle":
+                P, L = gen_rectangle_example(
+                    delta, r, math.sqrt(delta) if s is None else s,
+                    epsilon=eps)
+                fld = grid_richness(L, Scale(delta, eps))
+            for k in ks:
+                if family == "k_star":
+                    try:
+                        P, L = gen_kstar(k, 2, delta, epsilon=eps)
+                    except ValueError:
+                        rows.append({"delta": delta, "epsilon": eps, "k": k,
+                                     "n_rich": "infeasible",
+                                     "bound_constant": "", "multiplier": ""})
+                        continue
+                res = k_rich_points(L, k, Scale(delta, eps), field=fld)
+                rows.append({"delta": delta, "epsilon": eps, "k": k,
+                             "n_rich": len(res.points),
+                             "bound_constant": res.bound_constant,
+                             "multiplier": res.used_multiplier})
+    consts = [r["bound_constant"] for r in rows
+              if isinstance(r["bound_constant"], float)]
+    ceiling = max(consts) if consts else 0.0
+    return RunResult(bool(consts), rows,
+                     {"measured_ceiling": ceiling, "family": family},
+                     [f"measured bound-constant ceiling {ceiling:.4f}"])
+
+
+def duality_check(delta: float, pairs: int, stream: Stream,
+                  target: Optional[int] = None) -> RunResult:
+    """Each delta-incident random pair must dualize to a 2 delta-incident
+    one; with a target, draw batches until `target` pairs are checked."""
+    s1, s2 = Scale(delta), Scale(delta, multiplier=2.0)
+    checked = failures = 0
+    while True:
+        xs = stream.uniform(pairs, -1.0, 1.0)
+        ys = stream.uniform(pairs, -1.0, 1.0)
+        aa = stream.uniform(pairs, -1.0, 1.0)
+        off = stream.uniform(pairs, -delta, delta)
+        for i in range(pairs):
+            p = Point2(float(xs[i]), float(ys[i]))
+            b = p.y - aa[i] * p.x + off[i]
+            if abs(b) > 1.0:
+                continue
+            l = LineAB(float(aa[i]), float(b))
+            if not is_incident(p, l, s1):
+                continue
+            checked += 1
+            if not is_incident(dual_line_to_point(l), dual_point_to_line(p),
+                               s2):
+                failures += 1
+            if checked == target:
+                break
+        if target is None or checked >= target:
+            break
+    rows = [{"delta": delta, "pairs_checked": checked, "failures": failures}]
+    return RunResult(failures == 0, rows,
+                     {"checked": checked, "failures": failures},
+                     [f"{checked} incident pairs, {failures} dual failures"])
+
+
+def star_bound(epsilons: Sequence[float],
+               probes: Sequence[Point2] = ()) -> RunResult:
+    """Greedy concurrent families at delta = eps/4: 0.5/eps to 4/eps lines,
+    all through the origin, at most 4/eps through any probe."""
+    rows = []
+    for eps in epsilons:
+        delta = eps / 4.0
+        fam = gen_greedy_concurrent(eps, delta)
+        n = len(fam)
+        sc = Scale(delta, eps)
+        mc = max_concurrency(fam, Point2(0.0, 0.0), sc)
+        lo, hi = 0.5 / eps, 4.0 / eps
+        row_ok = (lo <= n <= hi and mc == n
+                  and all(max_concurrency(fam, p, sc) <= hi for p in probes))
+        rows.append({"epsilon": eps, "delta": delta, "n_lines": n,
+                     "concurrency": mc, "lower": lo, "upper": hi,
+                     "ok": row_ok})
+    ok = all(r["ok"] for r in rows)
+    return RunResult(ok, rows, {"all_in_band": ok},
+                     ["greedy concurrent families within [0.5/eps, 4/eps]"
+                      if ok else "band violated"])
+
+
+def lw_sweep(hs: Sequence[float], scale: float) -> RunResult:
+    """Loomis-Whitney ratio of the shape zoo; ceiling <= 2."""
+    rows = []
+    for h in hs:
+        for name, sh in shape_zoo(scale).items():
+            K = voxelize(sh, h)
+            if len(K) == 0:
+                continue
+            vol = K.volume()
+            ax = project_voxels(K, "x").area()
+            ay = project_voxels(K, "y").area()
+            rows.append({"shape": name, "h": h, "volume": vol,
+                         "area_x": ax, "area_y": ay,
+                         "lw_ratio": vol / (ax ** (2.0 / 3.0)
+                                            * ay ** (2.0 / 3.0))})
+    ceiling = max(r["lw_ratio"] for r in rows)
+    return RunResult(ceiling <= 2.0, rows, {"measured_ceiling": ceiling},
+                     [f"Loomis-Whitney ratio ceiling {ceiling:.4f} (<= 2)"])
+
+
+def tube_volume(deltas: Sequence[float], threads: int = 1) -> RunResult:
+    """Two fixed tubes' intersection volume / delta^3; spread <= 4."""
+    a, b, c = 0.2, -0.1, -0.3
+    wx = hg.VerticalPlanePoint(hg.Plane.W_X, a, b)
+    wy = hg.VerticalPlanePoint(hg.Plane.W_Y, c, b + a * c)
+
+    def one_row(delta):
+        v = tube_intersection_volume(wx, wy, delta)
+        return {"delta": delta, "volume": v, "normalized": v / delta ** 3}
+
+    rows = _map_rows(one_row, deltas, threads)
+    vals = [r["normalized"] for r in rows]
+    spread = max(vals) / min(vals) if min(vals) > 0 else math.inf
+    ok = spread <= 4.0 and max(vals) <= 1000.0
+    return RunResult(ok, rows, {"normalized_spread": spread,
+                                "max_normalized": max(vals)},
+                     [f"volume/delta^3 spread {spread:.2f} (<= 4)"])
+
+
+def sobolev_function(name: str, h: float, width: float) -> GridFunction:
+    """The bump of half widths (width, width, 2 width/3) or a zoo function."""
+    if name == "bump":
+        return sample_to_grid(bump((width, width, 2 * width / 3)), h,
+                              (width + 0.05, width + 0.05,
+                               2 * width / 3 + 0.05))
+    zoo = function_zoo(h)
+    if name not in zoo:
+        raise ValueError(f"unknown function {name!r}; "
+                         f"choose bump or one of {sorted(zoo)}")
+    return zoo[name]
+
+
+def _level_rows(name: str, f: GridFunction) -> Tuple[List[dict], int]:
+    """Level-set lemma rows of the populated levels whose predecessor is
+    populated, and the number of populated levels skipped."""
+    a = np.abs(f.values)
+    populated = [k for k in level_range(f)
+                 if ((a >= 2.0 ** (k - 1)) & (a <= 2.0 ** k)).any()]
+    checked = [k for k in populated if k - 1 in populated]
+    rows = []
+    for k in checked:
+        for which in ("x", "y"):
+            chk = levelset_lemma_check(f, k, which)
+            rows.append({"function": name, "h": f.h,
+                         "record": f"level_{k}_{which}",
+                         "lhs": chk.lhs, "rhs": chk.rhs, "holds": chk.holds})
+    return rows, len(populated) - len(checked)
+
+
+def sobolev_check(name: str, f: GridFunction) -> RunResult:
+    """GNS ratio of f (<= 2) and the level-set lemma rows of f."""
+    g = gns_check(f)
+    levels, _ = _level_rows(name, f)
+    rows = [{"function": name, "h": f.h, "record": "gns",
+             "lhs": g.lhs, "rhs": g.rhs, "holds": g.ratio <= 2.0}] + levels
+    lemma_ok = all(r["holds"] for r in levels)
+    return RunResult(lemma_ok and g.ratio <= 2.0, rows,
+                     {"gns_ratio": g.ratio, "lemma_ok": lemma_ok},
+                     [f"gns ratio {g.ratio:.4f}; level checks "
+                      f"{'pass' if lemma_ok else 'FAIL'}"])
+
+
+def isoperimetric(trials: int, h: float, stream: Stream) -> RunResult:
+    """Boundary projections must cover the projections of random unions
+    of one to four boxes."""
+    rows = []
+    for trial in range(trials):
+        nbox = 1 + int(stream.uniform(1, 0, 1)[0] * 4)
+        boxes = []
+        for _ in range(nbox):
+            c = stream.uniform(3, -0.3, 0.3)
+            w = stream.uniform(3, 0.1, 0.35)
+            boxes.append(Box(c, w))
+        E = voxelize(UnionShape(*boxes), h)
+        if len(E) == 0:
+            continue
+        rows.append({"trial": trial, "n_boxes": nbox, "volume": E.volume(),
+                     "inclusion": boundary_projection_inclusion(E),
+                     "iso_ratio": weak_isoperimetric_ratio(E)})
+    fails = sum(not r["inclusion"] for r in rows)
+    ratios = [r["iso_ratio"] for r in rows]
+    return RunResult(fails == 0, rows,
+                     {"inclusion_failures": fails,
+                      "iso_ratio_max": max(ratios), "iso_ratio_min": min(ratios)},
+                     [f"{fails} inclusion failures over {len(rows)} unions"])
+
+
+def _maximal_plane_packing(region, delta: float, plane) -> list:
+    from .incidence import _greedy_separated
+    centers = region.centers()
+    order = np.lexsort((centers[:, 1], centers[:, 0]))
+    pts = centers[order]
+    kept = _greedy_separated(pts, delta)
+    return [hg.VerticalPlanePoint(plane, float(u), float(t))
+            for u, t in pts[kept]]
+
+
+def reduce_pipeline(deltas: Sequence[float]) -> RunResult:
+    """delta^3 times the reduced incidence count of the model box must
+    dominate its volume, with spread <= 4 over delta."""
+    box = Box((0, 0, 0), (0.25, 0.25, 0.0625))
+    rows = []
+    for delta in deltas:
+        K = voxelize(box, h=delta / 4.0)
+        P_x = _maximal_plane_packing(project_voxels(K, "x"), delta, hg.Plane.W_X)
+        P_y = _maximal_plane_packing(project_voxels(K, "y"), delta, hg.Plane.W_Y)
+        red = hg.reduce_to_incidences(P_x, P_y, Scale(delta))
+        rep = count_bucketed(red.points, red.lines, red.scale)
+        rows.append({"delta": delta, "n_wx": len(P_x), "n_wy": len(P_y),
+                     "count": rep.count, "volume": K.volume(),
+                     "overshoot": delta ** 3 * rep.count / K.volume()})
+    ov = [r["overshoot"] for r in rows]
+    spread = max(ov) / min(ov)
+    ok = min(ov) >= 1.0 and spread <= 4.0
+    return RunResult(ok, rows, {"overshoot_min": min(ov),
+                                "overshoot_max": max(ov), "spread": spread},
+                     [f"overshoot in [{min(ov):.2f}, {max(ov):.2f}], "
+                      f"spread {spread:.2f} (<= 4)"])
+
+
+# ---------------------------------------------------------------------------
+# Criteria
 
 @dataclass
 class CriterionResult:
@@ -49,6 +349,23 @@ class CriterionResult:
                 f"{self.details} [{self.elapsed:.1f}s]")
 
 
+ALL_CRITERIA: List[Tuple[int, str, Callable[[], CriterionResult]]] = []
+
+
+def _criterion(cid: int, name: str):
+    """Register a check returning (passed, details) as criterion cid."""
+    def register(check: Callable[[], Tuple[bool, str]]):
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            t0 = time.time()
+            passed, details = check()
+            return CriterionResult(cid, name, passed, details,
+                                   time.time() - t0)
+        ALL_CRITERIA.append((cid, name, run))
+        return run
+    return register
+
+
 def _random_instance_params(i: int):
     dexp = 4 + (i % 7)               # delta in {2^-4 .. 2^-10}
     delta = 2.0 ** -dexp
@@ -60,9 +377,9 @@ def _random_instance_params(i: int):
     return delta, n, m
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "oracle equivalence")
+def criterion_1():
     """count_bucketed equals count_naive exactly on 100 seeded instances."""
-    t0 = time.time()
     mismatches = 0
     for i in range(100):
         delta, n, m = _random_instance_params(i)
@@ -72,148 +389,78 @@ def criterion_1() -> CriterionResult:
         b = count_bucketed(P, L, s, with_pairs=True)
         if not a.same_as(b):
             mismatches += 1
-    return CriterionResult(
-        1, "oracle equivalence", mismatches == 0,
-        f"100 instances, {mismatches} mismatches (exact count+richness+pairs)",
-        time.time() - t0)
+    return (mismatches == 0,
+            f"100 instances, {mismatches} mismatches "
+            f"(exact count+richness+pairs)")
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "tube sharpness scaling")
+def criterion_2():
     """Tube family tracks the count ~ 1/delta scaling with a bounded ratio."""
-    t0 = time.time()
-    ratios, logs = [], []
-    for dexp in range(6, 13):
-        delta = 2.0 ** -dexp
-        P, L = gen_tube_example(delta)
-        rep = count_naive(P, L, Scale(delta))
-        ratios.append(rep.normalized_ratio)
-        logs.append((dexp, math.log2(rep.count)))
-    band = max(ratios) / min(ratios)
-    xs = np.array([x for x, _ in logs])
-    ys = np.array([y for _, y in logs])
+    res = incidence_sweep([2.0 ** -dexp for dexp in range(6, 13)],
+                          sweep_family("tube"), engine="naive")
+    band = res.summary["ratio_band"]
+    xs = np.array([-math.log2(r["delta"]) for r in res.rows])
+    ys = np.array([math.log2(r["count"]) for r in res.rows])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    ok = band <= 100.0 and abs(slope - 1.0) <= 0.15
-    return CriterionResult(
-        2, "tube sharpness scaling", ok,
-        f"ratio band {band:.2f} (<=100), log-log slope {slope:.3f} (1 +- 0.15)",
-        time.time() - t0)
+    return (res.ok and abs(slope - 1.0) <= 0.15,
+            f"ratio band {band:.2f} (<=100), log-log slope {slope:.3f} "
+            f"(1 +- 0.15)")
 
 
-def _rich_sweep_series():
-    """family label -> {dexp: max bound constant over (k, ratio, config)}."""
-    ceilings: dict = {}
-
-    def record(label, dexp, const):
-        per = ceilings.setdefault(label, {})
-        per[dexp] = max(per.get(dexp, 0.0), const)
-
-    # rectangle families: line lattice at epsilon, k thresholds share a field
-    for dexp in (4, 5, 6):
-        delta = 2.0 ** -dexp
-        for ratio in (1, 4, 16):
-            eps = ratio * delta
-            if eps > 1.0:
-                continue
-            for (r, s_len) in ((1.0, math.sqrt(delta)), (0.5, 0.25)):
-                P, L = gen_rectangle_example(delta, r, s_len, epsilon=eps)
-                field = grid_richness(L, Scale(delta, eps))
-                for k in (2, 4, 8, 16):
-                    res = k_rich_points(L, k, Scale(delta, eps), field=field)
-                    record("rectangle", dexp, res.bound_constant)
-    # k-star families need small delta so the slope budget fits
-    for dexp in (8, 9, 10):
-        delta = 2.0 ** -dexp
-        for ratio in (1, 4, 16):
-            eps = ratio * delta
-            for k in (2, 4, 8, 16):
-                P, L = gen_kstar(k, 2, delta, epsilon=eps)
-                res = k_rich_points(L, k, Scale(delta, eps))
-                record("k-star", dexp, res.bound_constant)
-    return ceilings
-
-
-def criterion_3() -> CriterionResult:
+@_criterion(3, "rich-point bound")
+def criterion_3():
     """Per-family measured ceiling of the rich-point bound constant stays
     under one recorded value and does not grow with 1/delta by more than a
     factor 2 across the sweep.  (Individual (k, epsilon) rows oscillate with
     lattice resonances; the recorded quantity is the ceiling per scale.)"""
-    t0 = time.time()
-    ceilings = _rich_sweep_series()
+    ratios, ks = (1, 4, 16), (2, 4, 8, 16)
+    coarse = [2.0 ** -dexp for dexp in (4, 5, 6)]
+    # k-star families need small delta so the slope budget fits
+    fine = [2.0 ** -dexp for dexp in (8, 9, 10)]
+    sweeps = {
+        "rectangle": [rich_points(coarse, ratios, ks),
+                      rich_points(coarse, ratios, ks, r=0.5, s=0.25)],
+        "k-star": [rich_points(fine, ratios, ks, family="k_star")],
+    }
     worst = 0.0
     growth_ok = True
     notes = []
-    for label, per in ceilings.items():
-        dexps = sorted(per)  # increasing dexp = decreasing delta
-        vals = [per[d] for d in dexps]
+    for label, results in sweeps.items():
+        per: dict = {}  # delta -> max bound constant over (k, ratio, shape)
+        for row in (row for res in results for row in res.rows):
+            per[row["delta"]] = max(per.get(row["delta"], 0.0),
+                                    row["bound_constant"])
+        vals = [per[d] for d in sorted(per, reverse=True)]
         worst = max(worst, max(vals))
         base = vals[0]
         growth = max(vals) / base if base > 0 else math.inf
         growth_ok = growth_ok and growth <= 2.0
         notes.append(f"{label}: ceilings {[f'{v:.2f}' for v in vals]} "
                      f"growth {growth:.2f}")
-    ok = worst <= RICH_CONSTANT_CEILING and growth_ok
-    return CriterionResult(
-        3, "rich-point bound", ok,
-        f"max constant {worst:.3f} (recorded ceiling {RICH_CONSTANT_CEILING}); "
-        + "; ".join(notes), time.time() - t0)
+    return (worst <= RICH_CONSTANT_CEILING and growth_ok,
+            f"max constant {worst:.3f} (recorded ceiling "
+            f"{RICH_CONSTANT_CEILING}); " + "; ".join(notes))
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "star bound two-sided")
+def criterion_4():
     """Concurrent families: greedy achieves >= 0.5/eps lines through a
     common delta-ball; no probe point ever sees more than 4/eps."""
-    t0 = time.time()
-    ok = True
-    notes = []
-    for eexp in range(4, 9):
-        eps = 2.0 ** -eexp
-        delta = eps / 4.0
-        fam = gen_greedy_concurrent(eps, delta)
-        n = len(fam)
-        lo, hi = int(0.5 / eps), int(4.0 / eps)
-        sc = Scale(delta, eps)
-        mc_origin = max_concurrency(fam, Point2(0.0, 0.0), sc)
-        probe_max = mc_origin
-        for px in np.linspace(-0.9, 0.9, 7):
-            for py in np.linspace(-0.9, 0.9, 7):
-                probe_max = max(probe_max,
-                                max_concurrency(fam, Point2(px, py), sc))
-        this_ok = (n >= lo and mc_origin == n and probe_max <= hi)
-        ok = ok and this_ok
-        notes.append(f"2^-{eexp}:{n}in[{lo},{hi}]")
-    return CriterionResult(4, "star bound two-sided", ok, " ".join(notes),
-                           time.time() - t0)
+    grid = np.linspace(-0.9, 0.9, 7)
+    res = star_bound([2.0 ** -eexp for eexp in range(4, 9)],
+                     probes=[Point2(px, py) for px in grid for py in grid])
+    notes = [f"2^-{int(-math.log2(r['epsilon']))}:{r['n_lines']}in"
+             f"[{int(r['lower'])},{int(r['upper'])}]" for r in res.rows]
+    return res.ok, " ".join(notes)
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "duality transfer")
+def criterion_5():
     """Duality maps every delta-incidence to a 2 delta-incidence and
     preserves separation classes."""
-    t0 = time.time()
-    stream = Stream(99)
-    delta = 2.0 ** -7
     target = 10_000
-    failures = 0
-    checked = 0
-    s1 = Scale(delta)
-    s2 = Scale(delta, multiplier=2.0)
-    while checked < target:
-        n = target
-        xs = stream.uniform(n, -1.0, 1.0)
-        ys = stream.uniform(n, -1.0, 1.0)
-        aa = stream.uniform(n, -1.0, 1.0)
-        off = stream.uniform(n, -delta, delta)
-        for i in range(n):
-            p = Point2(float(xs[i]), float(ys[i]))
-            b = p.y - aa[i] * p.x + off[i]
-            if abs(b) > 1.0:
-                continue
-            l = LineAB(float(aa[i]), float(b))
-            if not is_incident(p, l, s1):
-                continue
-            checked += 1
-            if not is_incident(dual_line_to_point(l), dual_point_to_line(p), s2):
-                failures += 1
-            if checked >= target:
-                break
+    res = duality_check(2.0 ** -7, target, Stream(99), target=target)
     # separation transfer: a delta-separated point set dualizes to a
     # delta-separated line family (distances are equal by construction)
     P, L = gen_random(400, 400, 2.0 ** -6, seed=4242)
@@ -221,18 +468,15 @@ def criterion_5() -> CriterionResult:
     dual_points = PointSet([(l.a, l.b) for l in L], delta=L.epsilon)
     sep_ok = (validate_separation(dual_lines).ok
               and validate_separation(dual_points).ok)
-    ok = failures == 0 and checked >= target and sep_ok
-    return CriterionResult(
-        5, "duality transfer", ok,
-        f"{checked} incident pairs, {failures} dual failures; "
-        f"separation transfer {'ok' if sep_ok else 'BROKEN'}",
-        time.time() - t0)
+    return (res.ok and res.summary["checked"] >= target and sep_ok,
+            f"{res.report_lines[0]}; "
+            f"separation transfer {'ok' if sep_ok else 'BROKEN'}")
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "group algebra")
+def criterion_6():
     """Group axioms, unique decomposition, dilation-projection commutation,
     fiber-line agreement at relative tolerance 1e-12."""
-    t0 = time.time()
     tol = 1e-12
     stream = Stream(123)
     n = 100_000
@@ -266,17 +510,14 @@ def criterion_6() -> CriterionResult:
     fiber_t = b + a * yv / 2.0  # t-coordinate of w * (0, y, 0)
     projy_t = fiber_t + a * yv / 2.0
     worst = max(worst, float(np.max(np.abs(projy_t - (a * yv + b)))))
-    ok = worst <= tol
-    return CriterionResult(
-        6, "group algebra", ok,
-        f"worst deviation {worst:.2e} over {n} samples (tol {tol:.0e})",
-        time.time() - t0)
+    return (worst <= tol,
+            f"worst deviation {worst:.2e} over {n} samples (tol {tol:.0e})")
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "Loomis-Whitney box constant")
+def criterion_7():
     """lw_ratio of the model box equals 8 * 5^{-4/3} within 10%, confirmed
     under grid refinement."""
-    t0 = time.time()
     ok = True
     notes = []
     for r in (0.25, 0.5):
@@ -286,21 +527,17 @@ def criterion_7() -> CriterionResult:
             rel = abs(ratio - LW_BOX_CONSTANT) / LW_BOX_CONSTANT
             ok = ok and rel <= 0.10
             notes.append(f"r={r},h=r/{div}:{ratio:.4f}")
-    return CriterionResult(
-        7, "Loomis-Whitney box constant", ok,
-        f"target {LW_BOX_CONSTANT:.4f} +-10%; " + " ".join(notes),
-        time.time() - t0)
+    return ok, f"target {LW_BOX_CONSTANT:.4f} +-10%; " + " ".join(notes)
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "dilation scaling")
+def criterion_8():
     """Volumes scale by lam^4 and projection areas by lam^3 within 5%.
 
     Matched anisotropic grids (h -> lam h, ht -> lam^2 ht) carry the law
     exactly; an independent resampled check at a fixed grid step is run
     wherever the rescaled shape stays at least four cells thick."""
-    t0 = time.time()
     h = 1.0 / 48
-    ok = True
     worst_v = worst_a = 0.0
     zoo = shape_zoo()
     for name, sh in zoo.items():
@@ -322,87 +559,45 @@ def criterion_8() -> CriterionResult:
         dv = abs(voxelize(DilatedShape(sh, lam), h).volume() / (vol * lam ** 4)
                  - 1.0)
         worst_v = max(worst_v, dv)
-    ok = worst_v <= 0.05 and worst_a <= 0.05
-    return CriterionResult(
-        8, "dilation scaling", ok,
-        f"worst volume dev {worst_v:.4f}, worst area dev {worst_a:.4f} (<=5%)",
-        time.time() - t0)
+    return (worst_v <= 0.05 and worst_a <= 0.05,
+            f"worst volume dev {worst_v:.4f}, worst area dev {worst_a:.4f} "
+            f"(<=5%)")
 
 
-def _maximal_plane_packing(region, delta: float, plane) -> list:
-    from .incidence import _greedy_separated
-    centers = region.centers()
-    order = np.lexsort((centers[:, 1], centers[:, 0]))
-    pts = centers[order]
-    kept = _greedy_separated(pts, delta)
-    return [hg.VerticalPlanePoint(plane, float(u), float(t))
-            for u, t in pts[kept]]
-
-
-def criterion_9() -> CriterionResult:
+@_criterion(9, "projection-to-incidence reduction")
+def criterion_9():
     """delta^3 times the reduced incidence count dominates the volume, with
     the overshoot stable within a factor 4 across delta."""
-    t0 = time.time()
-    overshoots = []
-    box = Box((0, 0, 0), (0.25, 0.25, 0.0625))
-    for dexp in (4, 5, 6, 7):
-        delta = 2.0 ** -dexp
-        K = voxelize(box, h=delta / 4.0)
-        proj_x_region = project_voxels(K, "x")
-        proj_y_region = project_voxels(K, "y")
-        P_x = _maximal_plane_packing(proj_x_region, delta, hg.Plane.W_X)
-        P_y = _maximal_plane_packing(proj_y_region, delta, hg.Plane.W_Y)
-        red = hg.reduce_to_incidences(P_x, P_y, Scale(delta))
-        rep = count_bucketed(red.points, red.lines, red.scale)
-        overshoots.append(delta ** 3 * rep.count / K.volume())
-    lo, hi = min(overshoots), max(overshoots)
-    ok = lo >= 1.0 and hi / lo <= 4.0
-    return CriterionResult(
-        9, "projection-to-incidence reduction", ok,
-        f"overshoot factors {[f'{o:.2f}' for o in overshoots]} "
-        f"(>=1, spread {hi / lo:.2f} <= 4)",
-        time.time() - t0)
+    res = reduce_pipeline([2.0 ** -dexp for dexp in (4, 5, 6, 7)])
+    overshoots = [r["overshoot"] for r in res.rows]
+    return (res.ok,
+            f"overshoot factors {[f'{o:.2f}' for o in overshoots]} "
+            f"(>=1, spread {res.summary['spread']:.2f} <= 4)")
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "level-set projection bound")
+def criterion_10():
     """Levelwise projection bound with slack 1.25 at h in {1/64, 1/128},
     for every dyadic level whose predecessor band is populated (the bottom
     level of any sampled function has an empty predecessor by construction
     and a vacuous right-hand side)."""
-    t0 = time.time()
-    ok = True
-    checked = skipped = 0
-    worst = 0.0
+    rows, skipped = [], 0
     for h in (1.0 / 64, 1.0 / 128):
         for name, f in function_zoo(h).items():
-            a = np.abs(f.values)
-            nonempty = {}
-            for k in level_range(f):
-                mask = (a >= 2.0 ** (k - 1)) & (a <= 2.0 ** k)
-                nonempty[k] = bool(mask.any())
-            for k, has in nonempty.items():
-                if not has:
-                    continue
-                if not nonempty.get(k - 1, False):
-                    skipped += 1
-                    continue
-                for which in ("x", "y"):
-                    res = levelset_lemma_check(f, k, which, slack=1.25)
-                    checked += 1
-                    if res.rhs > 0:
-                        worst = max(worst, res.lhs / res.rhs)
-                    ok = ok and res.holds
-    return CriterionResult(
-        10, "level-set projection bound", ok,
-        f"{checked} checks, worst lhs/rhs {worst:.3f} (<=1.25), "
-        f"{skipped} bottom levels with empty predecessor skipped",
-        time.time() - t0)
+            level_rows, level_skipped = _level_rows(name, f)
+            rows += level_rows
+            skipped += level_skipped
+    worst = max([r["lhs"] / r["rhs"] for r in rows if r["rhs"] > 0],
+                default=0.0)
+    return (all(r["holds"] for r in rows),
+            f"{len(rows)} checks, worst lhs/rhs {worst:.3f} (<=1.25), "
+            f"{skipped} bottom levels with empty predecessor skipped")
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "horizontal Sobolev ratio")
+def criterion_11():
     """GNS ratio bounded over the zoo, invariant under dilation within 10%,
     and stencils second-order on polynomial oracles."""
-    t0 = time.time()
     h = 1.0 / 64
     worst_ratio = 0.0
     for name, f in function_zoo(h).items():
@@ -435,34 +630,22 @@ def criterion_11() -> CriterionResult:
 
     e1, e2 = stencil_error(1.0 / 32), stencil_error(1.0 / 64)
     conv = e1 / e2
-    ok = (worst_ratio <= GNS_RATIO_CEILING and worst_dil <= 0.10
-          and conv >= 3.5)
-    return CriterionResult(
-        11, "horizontal Sobolev ratio", ok,
-        f"zoo ratio max {worst_ratio:.3f} (<= {GNS_RATIO_CEILING}), dilation "
-        f"drift {worst_dil:.4f} (<=10%), stencil ratio {conv:.2f} (>=3.5)",
-        time.time() - t0)
+    return (worst_ratio <= GNS_RATIO_CEILING and worst_dil <= 0.10
+            and conv >= 3.5,
+            f"zoo ratio max {worst_ratio:.3f} (<= {GNS_RATIO_CEILING}), "
+            f"dilation drift {worst_dil:.4f} (<=10%), stencil ratio "
+            f"{conv:.2f} (>=3.5)")
 
 
-def criterion_12() -> CriterionResult:
+@_criterion(12, "weak isoperimetry")
+def criterion_12():
     """Boundary-projection inclusion for 100 random box unions; the weak
     isoperimetric ratio is stable within factor 2 under dilation and
     refinement."""
-    t0 = time.time()
-    from .measure import UnionShape
-    stream = Stream(31337)
-    h = 1.0 / 24
-    incl_fail = 0
-    for trial in range(100):
-        nbox = 1 + int(stream.uniform(1, 0, 1)[0] * 4)
-        boxes = []
-        for _ in range(nbox):
-            c = stream.uniform(3, -0.3, 0.3)
-            w = stream.uniform(3, 0.1, 0.35)
-            boxes.append(Box(c, w))
-        E = voxelize(UnionShape(*boxes), h)
-        if len(E) == 0 or not boundary_projection_inclusion(E):
-            incl_fail += 1
+    trials = 100
+    res = isoperimetric(trials, 1.0 / 24, Stream(31337))
+    # an empty union counts as a failure here
+    incl_fail = trials - sum(r["inclusion"] for r in res.rows)
     # ratio stability for the model box
     sh = Box((0, 0, 0), (0.5, 0.5, 0.25))
     base = weak_isoperimetric_ratio(voxelize(sh, 1.0 / 48))
@@ -472,35 +655,21 @@ def criterion_12() -> CriterionResult:
             voxelize(DilatedShape(sh, lam), lam / 48, lam * lam / 48)))
     rats.append(weak_isoperimetric_ratio(voxelize(sh, 1.0 / 96)))
     spread = max(rats) / min(rats)
-    ok = incl_fail == 0 and spread <= 2.0
-    return CriterionResult(
-        12, "weak isoperimetry", ok,
-        f"inclusion failures {incl_fail}/100; ratio spread {spread:.2f} "
-        f"(<=2 over dilation and refinement)",
-        time.time() - t0)
+    return (incl_fail == 0 and spread <= 2.0,
+            f"inclusion failures {incl_fail}/{trials}; ratio spread "
+            f"{spread:.2f} (<=2 over dilation and refinement)")
 
 
-ALL_CRITERIA: List[Tuple[int, str, Callable[[], CriterionResult]]] = [
-    (1, "oracle equivalence", criterion_1),
-    (2, "tube sharpness scaling", criterion_2),
-    (3, "rich-point bound", criterion_3),
-    (4, "star bound two-sided", criterion_4),
-    (5, "duality transfer", criterion_5),
-    (6, "group algebra", criterion_6),
-    (7, "Loomis-Whitney box constant", criterion_7),
-    (8, "dilation scaling", criterion_8),
-    (9, "projection-to-incidence reduction", criterion_9),
-    (10, "level-set projection bound", criterion_10),
-    (11, "horizontal Sobolev ratio", criterion_11),
-    (12, "weak isoperimetry", criterion_12),
-]
-
-
-def run_all(verbose: bool = True) -> List[CriterionResult]:
+def verify_all() -> RunResult:
+    """Run every criterion, printing its line as it finishes."""
     results = []
-    for _, _, fn in ALL_CRITERIA:
-        res = fn()
-        results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
-    return results
+    for _, _, check in ALL_CRITERIA:
+        results.append(check())
+        print(results[-1].line(), flush=True)
+    rows = [{"criterion": r.cid, "name": r.name,
+             "passed": r.passed, "elapsed_s": round(r.elapsed, 2)}
+            for r in results]
+    return RunResult(all(r.passed for r in results), rows,
+                     {"passed": sum(r.passed for r in results),
+                      "total": len(results)},
+                     [r.line() for r in results])

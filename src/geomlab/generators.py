@@ -49,23 +49,6 @@ class GeneratorSpec:
         if self.epsilon is not None and self.epsilon < self.delta:
             raise ValueError("epsilon must be >= delta")
 
-    @classmethod
-    def from_options(cls, options: dict, delta: float,
-                     seed: int = 0) -> "GeneratorSpec":
-        """Build a spec from flat config options (documented schema: kind,
-        plus the per-kind keys epsilon, r, s, k, m, n_points, n_lines)."""
-        def get_f(key):
-            return float(options[key]) if key in options else None
-
-        def get_i(key):
-            return int(options[key]) if key in options else None
-
-        return cls(kind=options.get("kind", "random"), delta=delta,
-                   epsilon=get_f("epsilon"), r=get_f("r"), s=get_f("s"),
-                   k=get_i("k"), m=get_i("m"), n_points=get_i("n_points"),
-                   n_lines=get_i("n_lines"),
-                   seed=int(options.get("seed", seed)))
-
 
 def build(spec: GeneratorSpec):
     """Dispatch a GeneratorSpec; returns (PointSet | None, LineFamily | None,

@@ -1,5 +1,6 @@
 """Tests for config parsing, the experiment runner, and reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -62,12 +63,33 @@ def _exits_2_with_one_line(capsys, argv):
     ("deltas = 2^-6 1/0\n", "'deltas'"),
     ("deltas = 2^-6 abc\n", "'abc'"),
     ("deltas = 2^-6\nseed = abc\n", "seed must be an integer"),
+    ("deltas = 2^-6\nengine = foo\n", "'engine'"),
 ])
 def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
     ini = tmp_path / "cfg.ini"
     ini.write_text("[incidence-sweep]\n" + body)
     err = _exits_2_with_one_line(capsys, [
         "incidence-sweep", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert needle in err
+
+
+@pytest.mark.parametrize("experiment, body, needle", [
+    ("duality-check", "pairs = -5\n", "'pairs'"),
+    ("duality-check", "pairs = 5/2\n", "whole number"),
+    ("isoperimetric", "trials = 0\n", "'trials'"),
+    ("sobolev-check", "h = 0\n", "'h'"),
+    ("sobolev-check", "h = -1/64\n", "'h'"),
+    ("lw-sweep", "scale = 0\n", "'scale'"),
+    ("reduce-pipeline", "deltas = 0.9\n", "<= 0.5"),
+    ("star-bound", "epsilons = 2\n", "<= 1"),
+    ("rich-points", "epsilon_ratios = 100\n", "exceeds 1"),
+])
+def test_bad_experiment_values_exit_2(tmp_path, capsys, experiment, body,
+                                      needle):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{experiment}]\n" + body)
+    err = _exits_2_with_one_line(capsys, [
+        experiment, "--config", str(ini), "--out", str(tmp_path / "out")])
     assert needle in err
 
 
@@ -156,3 +178,39 @@ def test_generator_spec_section(tmp_path):
     assert ",120,150," in text.replace("120,150", "120,150")
     rows = [l for l in text.splitlines() if not l.startswith("#")]
     assert rows[1].split(",")[1:3] == ["120", "150"]
+    # spec numbers take the documented syntax: fractions and powers
+    ini.write_text("[incidence-sweep]\nkind = rectangle\nr = 1\ns = 1/8\n"
+                   "epsilon = 2^-5\ndeltas = 2^-6\n")
+    assert main(["incidence-sweep", "--config", str(ini), "--out",
+                 str(tmp_path / "rect"), "--verify"]) == 0
+
+
+# sha256[:16] of <experiment>.csv and <experiment>_summary.json for tiny
+# configs of the experiments no other test runs through the CLI
+_ARTIFACT_FINGERPRINTS = {
+    "star-bound": ("epsilons = 2^-4 2^-5\n",
+                   "a8eac691dced5998", "c63e9e88aa89c873"),
+    "lw-sweep": ("hs = 1/16\nscale = 0.5\n",
+                 "d3d161f5b41dc25d", "fb518bfe87444f0c"),
+    "tube-volume": ("deltas = 2^-4 2^-5\n",
+                    "296f92ccbfdd2258", "15941dba91e57075"),
+    "isoperimetric": ("trials = 5\nh = 1/16\n",
+                      "86d4c40185503c0d", "129e4dcb643b51cf"),
+    "reduce-pipeline": ("deltas = 2^-4 2^-5\n",
+                        "0624b5cbbd0d1766", "0ff3aa2cdafe7bb2"),
+    "rich-points": ("family = rectangle\ndeltas = 2^-4\nks = 2 4\n"
+                    "epsilon_ratios = 1 4\n",
+                    "8cc40b796b2b913a", "89046d7dcb85a53f"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_ARTIFACT_FINGERPRINTS))
+def test_artifacts_match_recorded_fingerprints(tmp_path, experiment):
+    body, csv_digest, summary_digest = _ARTIFACT_FINGERPRINTS[experiment]
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{experiment}]\n" + body)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(ini), "--out", str(out)]) == 0
+    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+               for name in (f"{experiment}.csv", f"{experiment}_summary.json")]
+    assert digests == [csv_digest, summary_digest]
