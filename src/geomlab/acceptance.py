@@ -30,7 +30,7 @@ from .planar import (LineAB, LineFamily, Point2, PointSet, Scale,
                      validate_separation)
 from .rng import Stream, substream_seed
 from .sobolev import (GridFunction, bump, dilated_fn, field_X, function_zoo,
-                      gns_check, level_range, levelset_lemma_check,
+                      gns_check, levelset_lemma_check,
                       sample_to_grid)
 
 LW_BOX_CONSTANT = 8.0 * 5.0 ** (-4.0 / 3.0)
@@ -39,6 +39,11 @@ LW_BOX_CONSTANT = 8.0 * 5.0 ** (-4.0 / 3.0)
 # boundedness against these values, not any paper constant.
 RICH_CONSTANT_CEILING = 40.0
 GNS_RATIO_CEILING = 0.75
+
+
+class EmptyGrid(ValueError):
+    """The grid step is so coarse that every set an experiment voxelizes
+    is empty."""
 
 
 @dataclass
@@ -207,6 +212,8 @@ def lw_sweep(hs: Sequence[float], scale: float) -> RunResult:
                          "area_x": ax, "area_y": ay,
                          "lw_ratio": vol / (ax ** (2.0 / 3.0)
                                             * ay ** (2.0 / 3.0))})
+    if not rows:
+        raise EmptyGrid("too coarse: every shape voxelizes to an empty set")
     ceiling = max(r["lw_ratio"] for r in rows)
     return RunResult(ceiling <= 2.0, rows, {"measured_ceiling": ceiling},
                      [f"Loomis-Whitney ratio ceiling {ceiling:.4f} (<= 2)"])
@@ -247,9 +254,7 @@ def sobolev_function(name: str, h: float, width: float) -> GridFunction:
 def _level_rows(name: str, f: GridFunction) -> Tuple[List[dict], int]:
     """Level-set lemma rows of the populated levels whose predecessor is
     populated, and the number of populated levels skipped."""
-    a = np.abs(f.values)
-    populated = [k for k in level_range(f)
-                 if ((a >= 2.0 ** (k - 1)) & (a <= 2.0 ** k)).any()]
+    populated = f.decomposition.levels
     checked = [k for k in populated if k - 1 in populated]
     rows = []
     for k in checked:
@@ -291,6 +296,9 @@ def isoperimetric(trials: int, h: float, stream: Stream) -> RunResult:
         rows.append({"trial": trial, "n_boxes": nbox, "volume": E.volume(),
                      "inclusion": boundary_projection_inclusion(E),
                      "iso_ratio": weak_isoperimetric_ratio(E)})
+    if not rows:
+        raise EmptyGrid("too coarse: every box union voxelizes to an empty "
+                        "set")
     fails = sum(not r["inclusion"] for r in rows)
     ratios = [r["iso_ratio"] for r in rows]
     return RunResult(fails == 0, rows,

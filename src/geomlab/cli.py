@@ -226,6 +226,17 @@ def _rich_points(cfg: ExperimentConfig) -> A.RunResult:
                          cfg.choice("family", ("rectangle", "k_star")))
 
 
+def _on_grid(cfg: ExperimentConfig, option: str,
+             run: Callable[[], A.RunResult]) -> A.RunResult:
+    """Run an experiment that voxelizes at the grid steps of `option`; a
+    step too coarse for every set is a config error."""
+    try:
+        return run()
+    except A.EmptyGrid as exc:
+        raise ConfigError(f"{cfg.experiment}: option {option!r}: "
+                          f"{exc}") from None
+
+
 def _sobolev_check(cfg: ExperimentConfig) -> A.RunResult:
     name = cfg.text("function")
     try:
@@ -261,7 +272,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
         lambda c: A.star_bound(c.floats("epsilons", hi=1.0))),
     "lw-sweep": Experiment(
         {"hs": "1/48 1/64", "scale": "0.5", "seed": "12345"},
-        lambda c: A.lw_sweep(c.floats("hs"), c.scalar("scale"))),
+        lambda c: _on_grid(c, "hs", lambda: A.lw_sweep(c.floats("hs"),
+                                                      c.scalar("scale")))),
     "tube-volume": Experiment(
         {"deltas": "2^-4 2^-5 2^-6 2^-7", "seed": "12345"},
         lambda c: A.tube_volume(c.floats("deltas"), _lab_threads())),
@@ -270,8 +282,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
         _sobolev_check),
     "isoperimetric": Experiment(
         {"trials": "100", "h": "1/24", "seed": "12345"},
-        lambda c: A.isoperimetric(c.count("trials"), c.scalar("h"),
-                                  Stream(substream_seed(c.seed, 12)))),
+        lambda c: _on_grid(c, "h", lambda: A.isoperimetric(
+            c.count("trials"), c.scalar("h"),
+            Stream(substream_seed(c.seed, 12))))),
     # above delta = 1/2 the box's t half width 1/16 holds no voxel of
     # height delta/4
     "reduce-pipeline": Experiment(

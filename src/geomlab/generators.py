@@ -40,10 +40,18 @@ class GeneratorSpec:
 
     KINDS = ("grid_packing", "tube", "rectangle", "k_star", "concurrent_star",
              "random")
+    # the keys each kind's generator reads
+    NEEDS = {"rectangle": ("r", "s"), "k_star": ("k", "m"),
+             "concurrent_star": ("k",), "random": ("n_points", "n_lines")}
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        missing = [key for key in self.NEEDS.get(self.kind, ())
+                   if getattr(self, key) is None]
+        if missing:
+            raise ValueError(f"generator kind {self.kind!r} needs "
+                             f"{', '.join(missing)}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.epsilon is not None and self.epsilon < self.delta:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +35,10 @@ class GridFunction:
     values[i, j, k] is the sample at ((o0+i+.5) h, (o1+j+.5) h, (o2+k+.5) h)
     where origin = (o0, o1, o2).  The outermost layer of the box must be
     identically zero (compact support), so one-sided stencil rows vanish.
+
+    A GridFunction is immutable: values is made read-only (pass a copy to
+    keep a writable array), so the level decomposition cached on first use
+    stays valid.
     """
 
     def __init__(self, values: np.ndarray, h: float,
@@ -41,6 +46,7 @@ class GridFunction:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 3:
             raise ValueError("values must be a 3d array")
+        values.setflags(write=False)
         self.values = values
         self.h = float(h)
         self.origin = tuple(int(o) for o in origin)
@@ -68,6 +74,11 @@ class GridFunction:
     def copy_with(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(values, self.h, self.origin)
 
+    @cached_property
+    def decomposition(self) -> "LevelDecomposition":
+        """The dyadic levels of f and their gradient masses, built once."""
+        return LevelDecomposition(self)
+
 
 def sample_to_grid(fn: Callable[[np.ndarray], np.ndarray], h: float,
                    half_extents: Sequence[float], margin: int = 3) -> GridFunction:
@@ -86,6 +97,8 @@ def sample_to_grid(fn: Callable[[np.ndarray], np.ndarray], h: float,
 
 
 def _central_diff(v: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """(v[i+1] - v[i-1]) / (2h) along axis, zero on the two end layers;
+    computed in the output array, with no full-grid temporary."""
     out = np.zeros_like(v)
     sl_mid = [slice(None)] * 3
     sl_hi = [slice(None)] * 3
@@ -93,13 +106,18 @@ def _central_diff(v: np.ndarray, axis: int, h: float) -> np.ndarray:
     sl_mid[axis] = slice(1, -1)
     sl_hi[axis] = slice(2, None)
     sl_lo[axis] = slice(None, -2)
-    out[tuple(sl_mid)] = (v[tuple(sl_hi)] - v[tuple(sl_lo)]) / (2.0 * h)
+    mid = out[tuple(sl_mid)]
+    np.subtract(v[tuple(sl_hi)], v[tuple(sl_lo)], out=mid)
+    mid /= 2.0 * h
     return out
+
+
+_BOUNDARY_SUPPORT = "support touches the box boundary; enlarge the box"
 
 
 def _require_interior_support(f: GridFunction) -> None:
     if not f._margin_zero(2):
-        raise ValueError("support touches the box boundary; enlarge the box")
+        raise ValueError(_BOUNDARY_SUPPORT)
 
 
 def field_X(f: GridFunction) -> GridFunction:
@@ -107,8 +125,9 @@ def field_X(f: GridFunction) -> GridFunction:
     _require_interior_support(f)
     dx = _central_diff(f.values, 0, f.h)
     dt = _central_diff(f.values, 2, f.h)
-    y = f.axis_centers(1)[None, :, None]
-    return f.copy_with(dx - (y / 2.0) * dt)
+    dt *= f.axis_centers(1)[None, :, None] / 2.0
+    dx -= dt
+    return f.copy_with(dx)
 
 
 def field_Y(f: GridFunction) -> GridFunction:
@@ -116,8 +135,9 @@ def field_Y(f: GridFunction) -> GridFunction:
     _require_interior_support(f)
     dy = _central_diff(f.values, 1, f.h)
     dt = _central_diff(f.values, 2, f.h)
-    x = f.axis_centers(0)[:, None, None]
-    return f.copy_with(dy + (x / 2.0) * dt)
+    dt *= f.axis_centers(0)[:, None, None] / 2.0
+    dy += dt
+    return f.copy_with(dy)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -138,42 +158,105 @@ def gns_check(f: GridFunction) -> GnsResult:
     lhs = lp_norm(f, 4.0 / 3.0)
     if lhs == 0.0:
         return GnsResult(0.0, 0.0, 0.0)
-    rhs = math.sqrt(lp_norm(field_X(f), 1.0) * lp_norm(field_Y(f), 1.0))
+    x_norm, y_norm = f.decomposition.field_norms()
+    rhs = math.sqrt(x_norm * y_norm)
     return GnsResult(lhs, rhs, lhs / rhs if rhs else math.inf)
 
 
 # ---------------------------------------------------------------------------
 # Dyadic level sets
 
+class LevelDecomposition:
+    """The nonempty dyadic levels F_k = {2^{k-1} <= |f| <= 2^k} of a grid
+    function, with the gradient masses that the Sobolev checks read.
+
+    One np.frexp pass over the nonzero samples gives each sample the level
+    e with 2^{e-1} <= |f| < 2^e; a value exactly 2^{e-1} also belongs to
+    F_{e-1}, so a value exactly 2^k lies in both F_k and F_{k+1}.  Each level
+    keeps the flat indices of its samples in C order.  field_X and field_Y
+    run once each and are reduced to their l1 norms and, per level, to the
+    sums of |Xf| and |Yf| over the level's samples.  The samples are
+    gathered in C order, as a boolean mask gathers them, so each sum is the
+    masked sum bit for bit.  No full-grid array is kept."""
+
+    def __init__(self, f: GridFunction):
+        self.h = f.h
+        self.shape = f.values.shape
+        self.origin = np.asarray(f.origin, dtype=np.int64)
+        a = np.abs(f.values).ravel()
+        flat = np.flatnonzero(a)
+        vals = a[flat]
+        if not np.isfinite(vals).all():
+            raise ValueError("grid function samples must be finite")
+        mant, exp = np.frexp(vals)
+        exp = exp.astype(np.int16)  # |exponent| <= 1074; sorts by radix
+        order = np.argsort(exp, kind="stable")
+        ks, starts = np.unique(exp[order], return_index=True)
+        members = dict(zip(ks.tolist(), np.split(order, starts[1:])))
+        twins = np.flatnonzero(mant == 0.5)
+        for e in np.unique(exp[twins]).tolist():
+            extra = twins[exp[twins] == e]
+            own = members.get(e - 1)
+            members[e - 1] = (extra if own is None
+                              else np.sort(np.concatenate([own, extra])))
+        self._flat: Dict[int, np.ndarray] = {
+            k: flat[members[k]] for k in sorted(members)}
+        self.levels: Tuple[int, ...] = tuple(self._flat)
+        # ||Xf||_1 and ||Yf||_1, and per level the sum of |Yf| (read by the
+        # proj_x check, which='x') and of |Xf| (which='y').  The fields exist
+        # only for support inside the two-cell margin; a level set lookup
+        # must not fail where field_X would.
+        self._norms = None
+        self._mass: Dict[str, Dict[int, float]] = {}
+        if f._margin_zero(2):
+            x_norm, self._mass["y"] = self._reduce(field_X(f))
+            y_norm, self._mass["x"] = self._reduce(field_Y(f))
+            self._norms = (x_norm, y_norm)
+
+    def _reduce(self, g: GridFunction) -> Tuple[float, Dict[int, float]]:
+        v = g.values.ravel()
+        return lp_norm(g, 1.0), {k: float(np.abs(v[idx]).sum())
+                                 for k, idx in self._flat.items()}
+
+    def _require_fields(self) -> None:
+        if self._norms is None:
+            raise ValueError(_BOUNDARY_SUPPORT)
+
+    def voxels(self, k: int) -> VoxelSet:
+        """F_k as a voxel set."""
+        idx = self._flat.get(k)
+        if idx is None:
+            raise ValueError(f"level {k} is empty")
+        ijk = np.column_stack(np.unravel_index(idx, self.shape))
+        return VoxelSet(ijk + self.origin[None, :], self.h)
+
+    def field_norms(self) -> Tuple[float, float]:
+        """(||Xf||_1, ||Yf||_1)."""
+        self._require_fields()
+        return self._norms
+
+    def gradient_mass(self, k: int, which: str) -> float:
+        """The sum of |Yf| (which='x') or of |Xf| (which='y') over the
+        samples of F_k; 0.0 for an empty level."""
+        self._require_fields()
+        return self._mass["x" if which == "x" else "y"].get(k, 0.0)
+
+
 def _level_mask(absvals: np.ndarray, k: int) -> np.ndarray:
     return (absvals >= 2.0 ** (k - 1)) & (absvals <= 2.0 ** k)
 
 
 def level_range(f: GridFunction) -> range:
-    a = np.abs(f.values)
-    nz = a[a > 0]
-    if nz.size == 0:
-        return range(0)
-    k_lo = int(math.floor(math.log2(nz.min())))
-    k_hi = int(math.ceil(math.log2(nz.max()))) + 1
-    return range(k_lo, k_hi + 1)
+    """The levels from the lowest to the highest nonempty one."""
+    ks = f.decomposition.levels
+    return range(ks[0], ks[-1] + 1) if ks else range(0)
 
 
 def level_sets(f: GridFunction) -> List[Tuple[int, VoxelSet]]:
     """All nonempty dyadic levels F_k = {2^{k-1} <= |f| <= 2^k} as voxel
     sets (values exactly 2^k belong to both F_k and F_{k+1})."""
-    a = np.abs(f.values)
-    idx = np.argwhere(a > 0)
-    if idx.shape[0] == 0:
-        return []
-    vals = a[idx[:, 0], idx[:, 1], idx[:, 2]]
-    out = []
-    origin = np.asarray(f.origin, dtype=np.int64)
-    for k in level_range(f):
-        mask = _level_mask(vals, k)
-        if mask.any():
-            out.append((k, VoxelSet(idx[mask] + origin[None, :], f.h)))
-    return out
+    d = f.decomposition
+    return [(k, d.voxels(k)) for k in d.levels]
 
 
 @dataclass(frozen=True)
@@ -188,7 +271,18 @@ def levelset_lemma_check(f: GridFunction, k: int, which: str = "x",
                          slack: float = 1.25,
                          oversample: int = 2) -> LevelCheck:
     """Check |proj_x(F_k)| <= slack * 2^{-k+2} * sum_{F_{k-1}} |Yf| h^3
-    (or the proj_y / |Xf| twin for which='y')."""
+    (or the proj_y / |Xf| twin for which='y'), from f's decomposition."""
+    d = f.decomposition
+    lhs = project_voxels(d.voxels(k), which, oversample).area()
+    rhs = 2.0 ** (-k + 2) * d.gradient_mass(k - 1, which) * f.h ** 3
+    return LevelCheck(k, lhs, rhs, bool(lhs <= slack * rhs))
+
+
+def _levelset_lemma_check_reference(f: GridFunction, k: int,
+                                    which: str = "x", slack: float = 1.25,
+                                    oversample: int = 2) -> LevelCheck:
+    """levelset_lemma_check from whole-grid level masks and fields
+    recomputed on each call: the test oracle of LevelDecomposition."""
     a = np.abs(f.values)
     mask_k = _level_mask(a, k)
     if not mask_k.any():
@@ -311,8 +405,35 @@ def save_gridfunction(f: GridFunction, path) -> None:
 
 
 def load_gridfunction(path) -> GridFunction:
+    """Read a file written by save_gridfunction.  A header that is not a
+    JSON object with integer dims and origin and a positive finite h, or a
+    payload whose length does not match dims, raises a ValueError that
+    names the file."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        head = fh.readline()
         raw = fh.read()
-    vals = np.frombuffer(raw, dtype="<f8").reshape(header["dims"])
-    return GridFunction(vals.copy(), header["h"], tuple(header["origin"]))
+    try:
+        header = json.loads(head)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or sorted(header) != ["dims", "h", "origin"]:
+        raise ValueError(f"{path}: header must be a JSON object with keys "
+                         f"dims, h and origin")
+    dims, h, origin = header["dims"], header["h"], header["origin"]
+    if not (_int_triple(dims) and min(dims) >= 0 and _int_triple(origin)
+            and type(h) in (int, float) and math.isfinite(h) and h > 0):
+        raise ValueError(f"{path}: bad header {header}")
+    need = 8 * math.prod(dims)
+    if len(raw) != need:
+        raise ValueError(f"{path}: payload has {len(raw)} bytes, "
+                         f"dims {dims} need {need}")
+    try:
+        return GridFunction(np.frombuffer(raw, dtype="<f8").reshape(dims),
+                            h, tuple(origin))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _int_triple(v) -> bool:
+    return (isinstance(v, list) and len(v) == 3
+            and all(type(x) is int for x in v))

@@ -64,6 +64,10 @@ def _exits_2_with_one_line(capsys, argv):
     ("deltas = 2^-6 abc\n", "'abc'"),
     ("deltas = 2^-6\nseed = abc\n", "seed must be an integer"),
     ("deltas = 2^-6\nengine = foo\n", "'engine'"),
+    pytest.param("kind = k_star\nk = 3\ndeltas = 2^-6\n", "needs m",
+                 id="k_star-without-m"),
+    pytest.param("kind = k_star\ndeltas = 2^-6\n", "needs k, m",
+                 id="k_star-without-k"),
 ])
 def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
     ini = tmp_path / "cfg.ini"
@@ -83,6 +87,10 @@ def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
     ("reduce-pipeline", "deltas = 0.9\n", "<= 0.5"),
     ("star-bound", "epsilons = 2\n", "<= 1"),
     ("rich-points", "epsilon_ratios = 100\n", "exceeds 1"),
+    pytest.param("lw-sweep", "hs = 2\n", "'hs': too coarse",
+                 id="lw-sweep-hs-too-coarse"),
+    pytest.param("isoperimetric", "h = 2\n", "'h': too coarse",
+                 id="isoperimetric-h-too-coarse"),
 ])
 def test_bad_experiment_values_exit_2(tmp_path, capsys, experiment, body,
                                       needle):

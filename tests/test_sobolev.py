@@ -1,9 +1,16 @@
 """Tests for the discrete horizontal calculus and the Sobolev checks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geomlab.sobolev import (GridFunction, bump, dilated_fn, field_X, field_Y,
+from geomlab import sobolev as S
+from geomlab.sobolev import (GridFunction, _level_mask,
+                             _levelset_lemma_check_reference, bump,
+                             dilated_fn, field_X, field_Y, function_zoo,
                              gns_check, level_range, level_sets,
                              levelset_lemma_check, load_gridfunction, lp_norm,
                              sample_to_grid, save_gridfunction,
@@ -61,6 +68,11 @@ def test_field_rejects_boundary_support():
     f = GridFunction(vals, h=0.1)
     with pytest.raises(ValueError):
         field_X(f)
+    # the level sets need no field; the checks that read one fail as it does
+    assert [k for k, _ in level_sets(f)] == [0, 1]
+    for check in (lambda: gns_check(f), lambda: levelset_lemma_check(f, 1)):
+        with pytest.raises(ValueError, match="support touches"):
+            check()
 
 
 def test_stencil_second_order_on_cubic():
@@ -238,3 +250,139 @@ def test_smoothed_box_profile():
     assert vals[0] == 1.0 and vals[1] == 1.0 and vals[2] == 0.0
     mid = fn(np.array([[0.5625, 0.0, 0.0]]))[0]  # halfway down the ramp
     assert 0.0 < mid < 1.0
+
+
+def test_gridfunction_values_read_only():
+    f = patch(bump((0.4, 0.4, 0.3)))
+    with pytest.raises(ValueError):
+        f.values[3, 3, 3] = 1.0
+
+
+def _field_reference(f, which):
+    # the whole-array expressions the in-place stencils must reproduce
+    def diff(axis):
+        v = f.values
+        out = np.zeros_like(v)
+        mid, hi, lo = ([slice(None)] * 3 for _ in range(3))
+        mid[axis], hi[axis], lo[axis] = (slice(1, -1), slice(2, None),
+                                         slice(None, -2))
+        out[tuple(mid)] = (v[tuple(hi)] - v[tuple(lo)]) / (2.0 * f.h)
+        return out
+
+    if which == "X":
+        y = f.axis_centers(1)[None, :, None]
+        return diff(0) - (y / 2.0) * diff(2)
+    x = f.axis_centers(0)[:, None, None]
+    return diff(1) + (x / 2.0) * diff(2)
+
+
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_fields_match_whole_array_expressions(h):
+    for f in function_zoo(h).values():
+        assert np.array_equal(field_X(f).values, _field_reference(f, "X"))
+        assert np.array_equal(field_Y(f).values, _field_reference(f, "Y"))
+
+
+def _mask_level_sets(f):
+    a = np.abs(f.values)
+    nz = a[a > 0]
+    if nz.size == 0:
+        return []
+    lo = math.floor(math.log2(nz.min())) - 1
+    hi = math.ceil(math.log2(nz.max())) + 1
+    origin = np.asarray(f.origin, dtype=np.int64)
+    return [(k, np.argwhere(_level_mask(a, k)) + origin)
+            for k in range(lo, hi + 1) if _level_mask(a, k).any()]
+
+
+def _assert_matches_masks(f):
+    got = level_sets(f)
+    want = _mask_level_sets(f)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (_, vs), (_, idx) in zip(got, want):
+        assert np.array_equal(vs.occupied, idx)
+    assert list(level_range(f)) == (
+        list(range(want[0][0], want[-1][0] + 1)) if want else [])
+    for k, _ in want:
+        for which in ("x", "y"):
+            assert (levelset_lemma_check(f, k, which)
+                    == _levelset_lemma_check_reference(f, k, which))
+
+
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_level_checks_match_mask_reference_on_zoo(h):
+    for f in function_zoo(h).values():
+        _assert_matches_masks(f)
+
+
+# exact powers of two, their one-ulp neighbours and plain values, all in
+# the normal range
+_POW2 = [2.0 ** k for k in range(-12, 4)]
+_SAMPLES = sorted(set(
+    _POW2 + [float(np.nextafter(p, 0.0)) for p in _POW2]
+    + [float(np.nextafter(p, np.inf)) for p in _POW2]
+    + [0.0, 0.3, 0.7, 1.5, 3.1e-3, 5.9]))
+
+
+@st.composite
+def _small_grid_functions(draw):
+    core = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    n = core[0] * core[1] * core[2]
+    mags = draw(st.lists(st.sampled_from(_SAMPLES), min_size=n, max_size=n))
+    signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    vals = np.array([-m if neg else m for m, neg in zip(mags, signs)])
+    origin = tuple(draw(st.integers(-5, 5)) for _ in range(3))
+    h = draw(st.sampled_from([1 / 16, 0.1, 0.37]))
+    # a two-cell zero margin keeps the support inside the stencil's reach
+    return GridFunction(np.pad(vals.reshape(core), 2), h, origin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_grid_functions())
+def test_level_checks_match_mask_reference_random(f):
+    _assert_matches_masks(f)
+    lhs = lp_norm(f, 4 / 3)
+    rhs = math.sqrt(lp_norm(field_X(f), 1.0) * lp_norm(field_Y(f), 1.0))
+    g = gns_check(f)
+    assert (g.lhs, g.rhs, g.ratio) == (
+        (lhs, rhs, lhs / rhs if rhs else math.inf) if lhs else (0.0, 0.0, 0.0))
+
+
+def test_fields_computed_once_per_function(monkeypatch):
+    calls = {"X": 0, "Y": 0}
+
+    def counted(name, fn):
+        def wrapper(f):
+            calls[name] += 1
+            return fn(f)
+        return wrapper
+
+    monkeypatch.setattr(S, "field_X", counted("X", S.field_X))
+    monkeypatch.setattr(S, "field_Y", counted("Y", S.field_Y))
+    f = sample_to_grid(bump((0.5, 0.5, 0.35)), 1 / 32, (0.55, 0.55, 0.4))
+    gns_check(f)
+    for k in f.decomposition.levels:
+        for which in ("x", "y"):
+            levelset_lemma_check(f, k, which)
+    level_sets(f)
+    assert calls == {"X": 1, "Y": 1}
+
+
+def test_load_gridfunction_rejects_corrupt_files(tmp_path):
+    f = sample_to_grid(bump((0.4, 0.4, 0.3)), 1 / 24, (0.45, 0.45, 0.35))
+    good = tmp_path / "f.grid"
+    save_gridfunction(f, good)
+    data = good.read_bytes()
+    head, _, payload = data.partition(b"\n")
+    cases = {
+        "short.grid": data[:-80],
+        "long.grid": data + b"\0" * 8,
+        "nokey.grid": b'{"dims": [1, 1, 1], "h": 0.5}\n' + b"\0" * 8,
+        "badh.grid": head.replace(b'"h": ', b'"h": -') + b"\n" + payload,
+        "nojson.grid": b"not a header\n" + payload,
+    }
+    for name, body in cases.items():
+        path = tmp_path / name
+        path.write_bytes(body)
+        with pytest.raises(ValueError, match=str(path)):
+            load_gridfunction(path)
