@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,6 +23,9 @@ from .heisenberg import Plane, VerticalPlanePoint, _line_through
 
 _PACK_OFF = np.int64(1) << np.int64(20)
 _PACK_MUL = np.int64(1) << np.int64(21)
+
+# runs [lo, end) of integer keys, as two int64 arrays
+_Runs = Tuple[np.ndarray, np.ndarray]
 
 
 def _pack2(ij: np.ndarray) -> np.ndarray:
@@ -34,10 +38,15 @@ def _pack3(ijk: np.ndarray) -> np.ndarray:
 
 
 def _canonical(idx: np.ndarray, width: int) -> np.ndarray:
+    """The rows of idx sorted by packed key, duplicates dropped.  Rows whose
+    keys already increase strictly are returned as they are, without a sort
+    or a copy."""
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, width)
     if idx.shape[0] == 0:
         return idx
     key = _pack3(idx) if width == 3 else _pack2(idx)
+    if np.all(key[1:] > key[:-1]):
+        return idx
     order = np.argsort(key, kind="stable")
     key = key[order]
     keep = np.ones(key.size, dtype=bool)
@@ -45,65 +54,21 @@ def _canonical(idx: np.ndarray, width: int) -> np.ndarray:
     return idx[order][keep]
 
 
-class VoxelSet:
-    """Occupancy set of voxels [i h, (i+1) h) x [j h, (j+1) h) x [k ht, (k+1) ht)."""
-
-    def __init__(self, occupied, h: float, ht: Optional[float] = None):
-        self.h = float(h)
-        self.ht = self.h if ht is None else float(ht)
-        self.occupied = _canonical(np.asarray(occupied, dtype=np.int64), 3)
-        self.occupied.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.occupied.shape[0]
-
-    def volume(self) -> float:
-        return len(self) * self.h * self.h * self.ht
-
-    def centers(self) -> np.ndarray:
-        scale = np.array([self.h, self.h, self.ht])
-        return (self.occupied + 0.5) * scale[None, :]
-
-    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        if len(self) == 0:
-            z = np.zeros(3, dtype=np.int64)
-            return z, z
-        return self.occupied.min(axis=0), self.occupied.max(axis=0) + 1
-
-    def _check_grid(self, other: "VoxelSet") -> None:
-        if self.h != other.h or self.ht != other.ht:
-            raise ValueError("voxel sets live on different grids")
-
-    def union(self, other: "VoxelSet") -> "VoxelSet":
-        self._check_grid(other)
-        return VoxelSet(np.vstack([self.occupied, other.occupied]), self.h, self.ht)
-
-    def intersection(self, other: "VoxelSet") -> "VoxelSet":
-        self._check_grid(other)
-        keys = np.intersect1d(_pack3(self.occupied), _pack3(other.occupied))
-        return VoxelSet(_unpack3(keys), self.h, self.ht)
-
-    def difference(self, other: "VoxelSet") -> "VoxelSet":
-        self._check_grid(other)
-        keys = np.setdiff1d(_pack3(self.occupied), _pack3(other.occupied))
-        return VoxelSet(_unpack3(keys), self.h, self.ht)
-
-    def subset_of(self, other: "VoxelSet") -> bool:
-        self._check_grid(other)
-        mine = _pack3(self.occupied)
-        theirs = _pack3(other.occupied)
-        pos = np.searchsorted(theirs, mine)
-        ok = pos < theirs.size
-        ok[ok] &= theirs[pos[ok]] == mine[ok]
-        return bool(np.all(ok))
+_RANGE = "voxel indices must lie in [-2^20, 2^20)"
 
 
-def _unpack3(keys: np.ndarray) -> np.ndarray:
-    k = keys % _PACK_MUL - _PACK_OFF
-    rest = keys // _PACK_MUL
-    j = rest % _PACK_MUL - _PACK_OFF
-    i = rest // _PACK_MUL - _PACK_OFF
-    return np.column_stack([i, j, k])
+def _check_range(idx: np.ndarray) -> None:
+    """Packed keys are exact only for indices in [-2^20, 2^20)."""
+    if idx.size and (idx.min() < -_PACK_OFF or idx.max() >= _PACK_OFF):
+        raise ValueError(_RANGE)
+
+
+def _check_spans(spans: np.ndarray) -> None:
+    if np.any(spans[:, 3] <= 0):
+        raise ValueError("span length must be positive")
+    _check_range(spans[:, :3])
+    if np.any(spans[:, 3] > _PACK_OFF - spans[:, 2]):
+        raise ValueError(_RANGE)
 
 
 def _rle_spans(occ: np.ndarray) -> np.ndarray:
@@ -118,8 +83,172 @@ def _rle_spans(occ: np.ndarray) -> np.ndarray:
     return np.column_stack([occ[starts, 0], occ[starts, 1], occ[starts, 2], lens])
 
 
+def _sweep(runs: List[_Runs], keep: Callable[..., np.ndarray]) -> _Runs:
+    """The keys where keep(*cover) holds, as sorted maximal runs; cover[r]
+    counts the runs of runs[r] that contain the key.  keep must be false
+    where nothing is covered."""
+    at = np.unique(np.concatenate([a for pair in runs for a in pair]))
+    cover = [np.searchsorted(np.sort(lo), at, "right")
+             - np.searchsorted(np.sort(end), at, "right") for lo, end in runs]
+    # keep(...)[n] holds on [at[n], at[n + 1]); the last key ends every run
+    edge = np.diff(keep(*cover).astype(np.int8), prepend=np.int8(0))
+    return at[edge == 1], at[edge == -1]
+
+
+def _column_runs(spans: np.ndarray):
+    """The distinct (i, j) columns of the spans, sorted, and the spans as
+    runs of keys c * m + (k - base), c the index of the span's column; m
+    leaves a gap of one key between columns, so runs never merge across."""
+    _, first, c = np.unique(_pack2(spans[:, :2]), return_index=True,
+                            return_inverse=True)
+    base = int(spans[:, 2].min())
+    m = int((spans[:, 2] + spans[:, 3]).max()) - base + 1
+    lo = c * m + (spans[:, 2] - base)
+    return spans[first, :2], m, base, (lo, lo + spans[:, 3])
+
+
+def _spans_of_runs(col_ij: np.ndarray, m: int, base: int, runs: _Runs) -> np.ndarray:
+    """k-spans (i, j, k0, klen) of runs of keys c * m + (k - base), where
+    col_ij[c] is the (i, j) of column c."""
+    lo, end = runs
+    c = lo // m
+    return np.column_stack([col_ij[c], lo - c * m + base, end - lo])
+
+
+def _canonical_spans(spans) -> np.ndarray:
+    """Sorted maximal k-spans covering the given spans; spans already in
+    that form are returned as they are."""
+    spans = np.array(spans, dtype=np.int64).reshape(-1, 4)
+    _check_spans(spans)
+    col = _pack2(spans[:, :2])
+    k0, end = spans[:, 2], spans[:, 2] + spans[:, 3]
+    if np.all((col[1:] > col[:-1]) | ((col[1:] == col[:-1]) & (k0[1:] > end[:-1]))):
+        return spans
+    col_ij, m, base, runs = _column_runs(spans)
+    return _spans_of_runs(col_ij, m, base, _sweep([runs], lambda n: n > 0))
+
+
+class VoxelSet:
+    """Occupancy set of voxels [i h, (i+1) h) x [j h, (j+1) h) x [k ht, (k+1) ht).
+
+    The set is stored as its k-spans (i, j, k0, klen): the maximal runs
+    k0 <= k < k0 + klen of one (i, j) column, sorted by (i, j, k0).  Every
+    index lies in [-2^20, 2^20), the range of the packed keys."""
+
+    def __init__(self, occupied, h: float, ht: Optional[float] = None):
+        occ = np.asarray(occupied, dtype=np.int64).reshape(-1, 3)
+        _check_range(occ)
+        self._init(_rle_spans(_canonical(occ, 3)), h, ht)
+
+    @classmethod
+    def from_spans(cls, spans, h: float, ht: Optional[float] = None) -> "VoxelSet":
+        """The voxels of the k-spans (i, j, k0, klen), given in any order;
+        overlapping and adjacent spans merge."""
+        K = cls.__new__(cls)
+        K._init(_canonical_spans(spans), h, ht)
+        return K
+
+    def _init(self, spans: np.ndarray, h: float, ht: Optional[float]) -> None:
+        self.h = float(h)
+        self.ht = self.h if ht is None else float(ht)
+        spans.setflags(write=False)
+        self.spans = spans
+        self._len = int(spans[:, 3].sum())
+        self._centers = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def volume(self) -> float:
+        return len(self) * self.h * self.h * self.ht
+
+    @cached_property
+    def occupied(self) -> np.ndarray:
+        """The (i, j, k) of every voxel, sorted; read-only, expanded from the
+        spans on first use."""
+        i, j, k0, klen = self.spans.T
+        occ = np.column_stack([np.repeat(i, klen), np.repeat(j, klen),
+                               _expand_runs(k0, k0 + klen - 1)])
+        occ.setflags(write=False)
+        return occ
+
+    def centers(self) -> np.ndarray:
+        """The voxel centers in the order of occupied; read-only, computed
+        on first use."""
+        if self._centers is None:
+            scale = np.array([self.h, self.h, self.ht])
+            self._centers = (self.occupied + 0.5) * scale[None, :]
+            self._centers.setflags(write=False)
+        return self._centers
+
+
 # ---------------------------------------------------------------------------
 # Shapes (predicates with bounding boxes) for the center-rule voxelizer.
+
+class _Columns:
+    """The (i, j) columns of a voxelization grid, as one shape sees them.
+
+    x[c], y[c] are the center of column c and t(c, k) the center height of
+    its cell k after the pre-maps of the enclosing shapes, computed with the
+    same float operations as their contains; k_of(c, t) is the real cell
+    index of height t, up to rounding.  Cells run over k0 <= k < k1, and a
+    run of cells is a run of keys c * m + (k - k0)."""
+
+    def __init__(self, x, y, t, k_of, k0: int, k1: int):
+        self.x, self.y, self.t, self.k_of = x, y, t, k_of
+        self.k0, self.k1, self.m = k0, k1, k1 - k0 + 1
+
+    def mapped(self, x, y, pre, post) -> "_Columns":
+        """The columns seen through a pre-map taking height t of column c
+        to pre(c, t), with post(c, .) its inverse up to rounding."""
+        t, k_of = self.t, self.k_of
+        return _Columns(x, y, lambda c, k: pre(c, t(c, k)),
+                        lambda c, s: k_of(c, post(c, s)), self.k0, self.k1)
+
+    def confirm(self, shape: "Shape", c: np.ndarray, t_lo: np.ndarray,
+                t_hi: np.ndarray) -> _Runs:
+        """Runs of the cells of columns c that shape contains, given the
+        heights [t_lo, t_hi] of the shape in each column up to rounding.
+        contains is a monotone float composition in t, so the cells it
+        accepts in one column form an interval; each end of the rounded
+        k-range is tested with contains and stepped until it agrees."""
+
+        def inside(s, k):
+            ok = (k >= self.k0) & (k < self.k1)
+            cc, kk = c[s][ok], k[ok]
+            ok[ok] = shape.contains(np.column_stack([self.x[cc], self.y[cc],
+                                                     self.t(cc, kk)]))
+            return ok
+
+        # fmax/fmin map a NaN end into the box too, so every walk below
+        # stays within k0 - 1 <= k <= k1
+        lo = np.fmin(np.fmax(np.ceil(self.k_of(c, t_lo)), self.k0), self.k1)
+        hi = np.fmin(np.fmax(np.floor(self.k_of(c, t_hi)), self.k0 - 1),
+                     self.k1 - 1)
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        lo0, hi0, every = lo.copy(), hi.copy(), np.arange(c.size)
+        below, at_lo = inside(every, lo - 1), inside(every, lo)
+        above, at_hi = inside(every, hi + 1), inside(every, hi)
+        _walk(lo, np.flatnonzero(below), -1, lambda s, k: inside(s, k - 1))
+        _walk(lo, np.flatnonzero(~below & ~at_lo & (lo <= hi0)), 1,
+              lambda s, k: (k <= hi0[s]) & ~inside(s, k))
+        _walk(hi, np.flatnonzero(above), 1, lambda s, k: inside(s, k + 1))
+        _walk(hi, np.flatnonzero(~above & ~at_hi & (hi >= lo0)), -1,
+              lambda s, k: (k >= lo0[s]) & ~inside(s, k))
+        keep = lo <= hi
+        key = c[keep] * self.m - self.k0
+        return key + lo[keep], key + hi[keep] + 1
+
+
+def _walk(k: np.ndarray, s: np.ndarray, step: int, go_on) -> None:
+    """Step k[s] and keep stepping each entry while go_on(s, k[s]) holds."""
+    while s.size:
+        k[s] += step
+        s = s[go_on(s, k[s])]
+
+
+_NO_RUNS: _Runs = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
 
 class Shape:
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -127,6 +256,12 @@ class Shape:
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def t_intervals(self, cols: _Columns) -> Optional[_Runs]:
+        """The runs of grid cells this shape contains, column by column, or
+        None when the shape has no interval form (voxelize then tests every
+        center)."""
+        return None
 
 
 class Box(Shape):
@@ -142,6 +277,13 @@ class Box(Shape):
 
     def bounds(self):
         return self.center - self.half, self.center + self.half
+
+    def t_intervals(self, cols):
+        (cx, cy, ct), (hx, hy, hz) = self.center, self.half
+        c = np.flatnonzero((np.abs(cols.x - cx) <= hx)
+                           & (np.abs(cols.y - cy) <= hy))
+        return cols.confirm(self, c, np.full(c.size, ct - hz),
+                            np.full(c.size, ct + hz))
 
 
 class KoranyiBall(Shape):
@@ -166,6 +308,17 @@ class KoranyiBall(Shape):
         hi = np.array([cx + r, cy + r, ct + t_half])
         return lo, hi
 
+    def t_intervals(self, cols):
+        cx, cy, ct = self.center
+        dx, dy = cols.x - cx, cols.y - cy
+        # contains adds 16 dt^2 >= 0 to (dx^2 + dy^2)^2, so a column with
+        # rest < 0 holds no center
+        rest = self.radius ** 4 - (dx * dx + dy * dy) ** 2
+        c = np.flatnonzero(rest >= 0.0)
+        mid = ct - 0.5 * (cy * cols.x[c] - cx * cols.y[c])
+        half = np.sqrt(rest[c]) / 4.0
+        return cols.confirm(self, c, mid - half, mid + half)
+
 
 class UnionShape(Shape):
     def __init__(self, *shapes: Shape):
@@ -184,6 +337,15 @@ class UnionShape(Shape):
         los, his = zip(*(sh.bounds() for sh in self.shapes))
         return np.min(los, axis=0), np.max(his, axis=0)
 
+    def t_intervals(self, cols):
+        parts = []
+        for sh in self.shapes:
+            runs = sh.t_intervals(cols)
+            if runs is None:
+                return None
+            parts.append(runs)
+        return _sweep(parts, lambda *n: sum(n) > 0) if parts else _NO_RUNS
+
 
 class DifferenceShape(Shape):
     def __init__(self, plus: Shape, minus: Shape):
@@ -194,6 +356,13 @@ class DifferenceShape(Shape):
 
     def bounds(self):
         return self.plus.bounds()
+
+    def t_intervals(self, cols):
+        plus = self.plus.t_intervals(cols)
+        minus = None if plus is None else self.minus.t_intervals(cols)
+        if minus is None:
+            return None
+        return _sweep([plus, minus], lambda p, m: (p > 0) & (m == 0))
 
 
 class ShearedShape(Shape):
@@ -213,6 +382,11 @@ class ShearedShape(Shape):
         return (np.array([lo[0], lo[1], lo[2] - m]),
                 np.array([hi[0], hi[1], hi[2] + m]))
 
+    def t_intervals(self, cols):
+        shift = self.sign * cols.x * cols.y / 2.0
+        return self.shape.t_intervals(cols.mapped(
+            cols.x, cols.y, lambda c, t: t - shift[c], lambda c, t: t + shift[c]))
+
 
 class DilatedShape(Shape):
     """Image of a shape under the dilation (lam x, lam y, lam^2 t)."""
@@ -230,6 +404,12 @@ class DilatedShape(Shape):
         lo, hi = self.shape.bounds()
         s = np.array([self.lam, self.lam, self.lam * self.lam])
         return lo * s, hi * s
+
+    def t_intervals(self, cols):
+        lam, lam2 = self.lam, self.lam * self.lam
+        return self.shape.t_intervals(cols.mapped(
+            cols.x / lam, cols.y / lam, lambda c, t: t / lam2,
+            lambda c, t: t * lam2))
 
 
 class TubeIntersection(Shape):
@@ -251,21 +431,52 @@ class TubeIntersection(Shape):
         return self._lo, self._hi
 
 
+def _grid_box(shape: Shape, h: float, ht: float):
+    """The index box [i0, i1) x [j0, j1) x [k0, k1) of centers voxelize
+    tests, or None for empty bounds."""
+    lo, hi = shape.bounds()
+    if np.any(hi <= lo):
+        return None
+    return (int(math.floor(lo[0] / h)) - 1, int(math.ceil(hi[0] / h)) + 1,
+            int(math.floor(lo[1] / h)) - 1, int(math.ceil(hi[1] / h)) + 1,
+            int(math.floor(lo[2] / ht)) - 1, int(math.ceil(hi[2] / ht)) + 1)
+
+
 def voxelize(shape: Shape, h: float, ht: Optional[float] = None,
              max_chunk: int = 4_000_000) -> VoxelSet:
-    """Center-rule voxelization over the shape's bounding box."""
+    """Center-rule voxelization over the shape's bounding box.
+
+    A shape with t_intervals is read one (i, j) column at a time, at a cost
+    that goes with the columns; any other shape tests every center of the
+    box, max_chunk at a time (_voxelize_dense).  Both give the same set."""
     if h <= 0:
         raise ValueError("h must be positive")
     ht = h if ht is None else ht
-    lo, hi = shape.bounds()
-    if np.any(hi <= lo):
+    box = _grid_box(shape, h, ht)
+    if box is None:
         return VoxelSet(np.empty((0, 3), dtype=np.int64), h, ht)
-    i0 = int(math.floor(lo[0] / h)) - 1
-    i1 = int(math.ceil(hi[0] / h)) + 1
-    j0 = int(math.floor(lo[1] / h)) - 1
-    j1 = int(math.ceil(hi[1] / h)) + 1
-    k0 = int(math.floor(lo[2] / ht)) - 1
-    k1 = int(math.ceil(hi[2] / ht)) + 1
+    i0, i1, j0, j1, k0, k1 = box
+    ii = np.repeat(np.arange(i0, i1), j1 - j0)
+    jj = np.tile(np.arange(j0, j1), i1 - i0)
+    cols = _Columns((ii + 0.5) * h, (jj + 0.5) * h,
+                    lambda c, k: (k + 0.5) * ht, lambda c, t: t / ht - 0.5,
+                    k0, k1)
+    runs = shape.t_intervals(cols)
+    if runs is None:
+        return _voxelize_dense(shape, h, ht, max_chunk)
+    return VoxelSet.from_spans(
+        _spans_of_runs(np.column_stack([ii, jj]), cols.m, k0, runs), h, ht)
+
+
+def _voxelize_dense(shape: Shape, h: float, ht: Optional[float] = None,
+                    max_chunk: int = 4_000_000) -> VoxelSet:
+    """voxelize by testing every center of the bounding box: the path of
+    shapes without t_intervals, and the test oracle of the interval path."""
+    ht = h if ht is None else ht
+    box = _grid_box(shape, h, ht)
+    if box is None:
+        return VoxelSet(np.empty((0, 3), dtype=np.int64), h, ht)
+    i0, i1, j0, j1, k0, k1 = box
     xs = (np.arange(i0, i1) + 0.5) * h
     ys = (np.arange(j0, j1) + 0.5) * h
     slab = max(1, max_chunk // max(1, xs.size * ys.size))
@@ -351,7 +562,7 @@ def project_voxels(K: VoxelSet, which: str, oversample: int = 2) -> PlaneRegion:
     if oversample < 2:
         raise ValueError("oversample must be >= 2")
     plane = Plane.W_X if which == "x" else Plane.W_Y
-    spans = _rle_spans(K.occupied)
+    spans = K.spans
     if spans.shape[0] == 0:
         return PlaneRegion(plane, np.empty((0, 2), dtype=np.int64), K.h, K.ht)
     s = oversample
@@ -441,7 +652,35 @@ _NEIGHBORS6 = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
 
 
 def boundary(E: VoxelSet) -> VoxelSet:
-    """Occupied voxels with at least one of the six face neighbors missing."""
+    """Occupied voxels with at least one of the six face neighbors missing.
+
+    Worked on spans: a voxel has both k-neighbors unless it ends its span,
+    and its (i +- 1) and (j +- 1) neighbors are looked up as the runs of
+    those columns.  The interior is where the shrunk spans and all four
+    neighbor-column runs overlap."""
+    if len(E) == 0:
+        return E
+    col_ij, m, base, (lo, end) = _column_runs(E.spans)
+    cols = _pack2(col_ij)
+    i, j, k0, klen = E.spans.T
+    inner = klen > 2
+    runs = [(lo, end), (lo[inner] + 1, end[inner] - 1)]
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        # a span of column (i, j) is neighbor to column (i - di, j - dj)
+        it, jt = i - di, j - dj
+        want = _pack2(np.column_stack([it, jt]))
+        pos = np.minimum(np.searchsorted(cols, want), cols.size - 1)
+        # jt out of range would alias another column's packed key
+        hit = (cols[pos] == want) & (jt >= -_PACK_OFF) & (jt < _PACK_OFF)
+        key = pos[hit] * m + (k0[hit] - base)
+        runs.append((key, key + klen[hit]))
+    on = _sweep(runs, lambda e, *full: (e > 0) & (sum(full) < 5))
+    return VoxelSet.from_spans(_spans_of_runs(col_ij, m, base, on), E.h, E.ht)
+
+
+def _boundary_reference(E: VoxelSet) -> VoxelSet:
+    """boundary by looking up all six neighbors of every voxel: the test
+    oracle of the span version."""
     if len(E) == 0:
         return E
     keys = _pack3(E.occupied)
@@ -523,15 +762,17 @@ _MAGIC = b"VXL1"
 
 
 def save_voxelset(K: VoxelSet, path) -> None:
-    spans = _rle_spans(K.occupied)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<dd", K.h, K.ht))
-        fh.write(struct.pack("<Q", spans.shape[0]))
-        fh.write(spans.astype("<i8").tobytes())
+        fh.write(struct.pack("<Q", K.spans.shape[0]))
+        fh.write(K.spans.astype("<i8").tobytes())
 
 
 def load_voxelset(path) -> VoxelSet:
+    """Read a file written by save_voxelset.  A short header or payload, a
+    span length below 1, or an index outside [-2^20, 2^20) raises a
+    ValueError that names the file; overlapping or unsorted spans merge."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a voxel-set file")
@@ -544,12 +785,10 @@ def load_voxelset(path) -> VoxelSet:
         raise ValueError(f"{path}: {nspans} spans need {nspans * 32} bytes, "
                          f"found {len(payload)}")
     spans = np.frombuffer(payload[:nspans * 32], dtype="<i8").reshape(-1, 4)
-    i, j, k0, klen = spans.astype(np.int64).T
-    if np.any(klen <= 0):
-        raise ValueError(f"{path}: span length must be positive")
-    occ = np.column_stack([np.repeat(i, klen), np.repeat(j, klen),
-                           _expand_runs(k0, k0 + klen - 1)])
-    return VoxelSet(occ, h, ht)
+    try:
+        return VoxelSet.from_spans(spans, h, ht)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,16 @@ def _read_csv(path: Path, header: Tuple[str, str]) -> Tuple[np.ndarray, dict]:
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != header:
         raise ValueError(f"{path}: expected header {header}")
-    coords = np.array([[float(a), float(b)] for a, b in rows[1:]], dtype=np.float64)
+    coords = np.empty((len(rows) - 1, 2))
+    for n, row in enumerate(rows[1:]):
+        if len(row) != 2:
+            raise ValueError(f"{path}: row {n + 1} has {len(row)} fields, "
+                             f"expected 2")
+        try:
+            coords[n] = float(row[0]), float(row[1])
+        except ValueError:
+            raise ValueError(f"{path}: row {n + 1} is not numeric: "
+                             f"{','.join(row)!r}") from None
     with open(_meta_path(Path(path))) as fh:
         meta = json.load(fh)
     return coords.reshape(-1, 2), meta

@@ -83,16 +83,25 @@ class GridFunction:
 def sample_to_grid(fn: Callable[[np.ndarray], np.ndarray], h: float,
                    half_extents: Sequence[float], margin: int = 3) -> GridFunction:
     """Sample an analytic function with support inside the centered box of
-    the given half extents onto a grid with `margin` guaranteed zero cells."""
+    the given half extents onto a grid with `margin` guaranteed zero cells.
+
+    fn maps an (n, 3) array of points to their n values, row by row; it is
+    called once per x-slab of the grid, so memory beyond the grid itself
+    goes with one slab."""
     ns = [int(math.ceil(e / h)) + margin for e in half_extents]
     origin = tuple(-n for n in ns)
     shape = tuple(2 * n for n in ns)
     xs = (np.arange(shape[0]) + origin[0] + 0.5) * h
     ys = (np.arange(shape[1]) + origin[1] + 0.5) * h
     ts = (np.arange(shape[2]) + origin[2] + 0.5) * h
-    gx, gy, gt = np.meshgrid(xs, ys, ts, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
-    vals = np.asarray(fn(pts), dtype=np.float64).reshape(shape)
+    gy, gt = np.meshgrid(ys, ts, indexing="ij")
+    yt = np.column_stack([gy.ravel(), gt.ravel()])
+    pts = np.empty((yt.shape[0], 3))
+    vals = np.empty(shape)
+    for a, x in enumerate(xs):
+        pts[:, 0] = x
+        pts[:, 1:] = yt
+        vals[a] = np.asarray(fn(pts), dtype=np.float64).reshape(shape[1:])
     return GridFunction(vals, h, origin)
 
 

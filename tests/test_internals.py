@@ -76,21 +76,3 @@ def test_rle_empty_round_trip(tmp_path):
     save_voxelset(K, tmp_path / "e.vxl")
     K2 = load_voxelset(tmp_path / "e.vxl")
     assert len(K2) == 0 and K2.h == 0.25 and K2.ht == 0.125
-
-
-def test_voxelset_ops_against_python_sets():
-    stream = Stream(23)
-    def rand_set(tag):
-        n = 200
-        ijk = np.column_stack([
-            (stream.uniform(n, 0, 8)).astype(int),
-            (stream.uniform(n, 0, 8)).astype(int),
-            (stream.uniform(n, 0, 8)).astype(int)])
-        return VoxelSet(ijk, h=0.1), {tuple(r) for r in ijk}
-    A, sa = rand_set(1)
-    B, sb = rand_set(2)
-    assert {tuple(r) for r in A.union(B).occupied} == sa | sb
-    assert {tuple(r) for r in A.intersection(B).occupied} == sa & sb
-    assert {tuple(r) for r in A.difference(B).occupied} == sa - sb
-    assert A.subset_of(A.union(B))
-    assert not A.union(B).subset_of(A) or sb <= sa

@@ -1,8 +1,11 @@
 """Tests for voxel measures, projections, tubes, and the boundary checks."""
 
 import math
-
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from geomlab.heisenberg import Plane, VerticalPlanePoint
 from geomlab.measure import (Box, DifferenceShape, DilatedShape, KoranyiBall,
                              PlaneRegion, ShearedShape, UnionShape, VoxelSet,
-                             _rle_spans, boundary,
+                             _boundary_reference, _voxelize_dense, boundary,
                              boundary_projection_inclusion, h3_surrogate,
                              load_voxelset, lw_ratio, project_voxels,
                              save_voxelset, shape_zoo,
@@ -113,8 +116,7 @@ def test_projection_matches_sampled_oracle_special_sets():
     _assert_matches_oracle(aniso)
     # boundary of a ball: most columns hold two spans
     shell = boundary(voxelize(KoranyiBall((0.2, -0.1, 0.1), 0.6), 1 / 24))
-    assert len(_rle_spans(shell.occupied)) > len(
-        np.unique(shell.occupied[:, :2], axis=0))
+    assert len(shell.spans) > len(np.unique(shell.spans[:, :2], axis=0))
     _assert_matches_oracle(shell)
     negative = voxelize(Box((-0.6, -0.4, -0.3), (0.2, 0.3, 0.1)), 1 / 24)
     assert np.all(negative.occupied < 0)
@@ -140,6 +142,109 @@ def _small_voxel_sets(draw):
 @given(_small_voxel_sets(), st.sampled_from([2, 3]))
 def test_projection_matches_sampled_oracle_random(K, s):
     _assert_matches_oracle(K, s)
+
+
+@st.composite
+def _leaf_shapes(draw, h, ht):
+    """A box whose center and half widths are whole multiples of half a
+    cell, so that faces can pass exactly through centers, or a ball."""
+    if draw(st.booleans()):
+        unit = np.array([h, h, ht]) / 2.0
+        c = [draw(st.integers(-12, 12)) for _ in range(3)]
+        w = [draw(st.integers(1, 9)) for _ in range(3)]
+        return Box(np.array(c) * unit, np.array(w) * unit)
+    c = [draw(st.floats(-0.4, 0.4)) for _ in range(3)]
+    return KoranyiBall(c, draw(st.floats(0.05, 0.5)))
+
+
+@st.composite
+def _voxelize_cases(draw):
+    h = draw(st.sampled_from([1 / 8, 1 / 16, 0.1, 0.15]))
+    ht = h * draw(st.sampled_from([1.0, 0.5, 0.3, 2.0]))
+
+    def shape(depth):
+        kind = draw(st.sampled_from(
+            ["leaf"] if depth == 0 else
+            ["leaf", "shear", "dilate", "union", "difference"]))
+        if kind == "shear":
+            return ShearedShape(shape(depth - 1),
+                                draw(st.sampled_from([1.0, -1.0, 0.4])))
+        if kind == "dilate":
+            return DilatedShape(shape(depth - 1),
+                                draw(st.sampled_from([0.5, 0.8, 1.3, 2.0])))
+        if kind == "union":
+            return UnionShape(*(shape(depth - 1)
+                                for _ in range(draw(st.integers(1, 3)))))
+        if kind == "difference":
+            return DifferenceShape(shape(depth - 1), shape(depth - 1))
+        return draw(_leaf_shapes(h, ht))
+
+    return shape(2), h, ht
+
+
+@settings(max_examples=150, deadline=None)
+@given(_voxelize_cases())
+def test_interval_voxelize_matches_dense(case):
+    sh, h, ht = case
+    got, want = voxelize(sh, h, ht), _voxelize_dense(sh, h, ht)
+    assert (got.h, got.ht) == (want.h, want.ht)
+    assert np.array_equal(got.spans, want.spans)
+
+
+def test_interval_voxelize_matches_dense_zoo():
+    for h in (1 / 16, 1 / 24, 1 / 48):
+        for name, sh in shape_zoo().items():
+            for shape, ht in ((sh, h), (DilatedShape(sh, 1.7), h / 3),
+                              (ShearedShape(sh, -1.0), 2 * h)):
+                got = voxelize(shape, h, ht)
+                assert np.array_equal(got.spans,
+                                      _voxelize_dense(shape, h, ht).spans), name
+    # a NaN shear accepts no center on either path
+    nan_shear = ShearedShape(Box((0, 0, 0), (0.3, 0.3, 0.1)), math.nan)
+    assert len(voxelize(nan_shear, 1 / 16)) == 0
+    assert len(_voxelize_dense(nan_shear, 1 / 16)) == 0
+    # a box whose faces pass exactly through a layer of centers
+    face = Box((0.25, -0.25, 0.125), (0.1875, 0.3125, 0.0625))
+    got = voxelize(face, 1 / 8)
+    assert np.array_equal(got.spans, _voxelize_dense(face, 1 / 8).spans)
+    assert got.spans.tolist()[0] == [0, -5, 0, 2]
+
+
+def test_interval_voxelize_matches_dense_on_float_faces():
+    # faces at whole multiples of half a non-dyadic cell meet centers to
+    # within rounding, so the rounded k-ranges are often one cell off and
+    # only the end checks with contains put them right
+    rng = np.random.default_rng(5)
+    for trial in range(600):
+        h = float(rng.choice([0.1, 0.15, 0.3 / 7]))
+        ht = h * float(rng.choice([1.0, 0.3, 0.7]))
+        unit = np.array([h, h, ht]) / 2.0
+        sh = Box(rng.integers(-12, 13, 3) * unit, rng.integers(1, 10, 3) * unit)
+        sh = [sh, ShearedShape(sh, float(rng.choice([1.0, -1.0, 0.4]))),
+              DilatedShape(sh, float(rng.choice([0.5, 1.3, 0.7])))][trial % 3]
+        assert np.array_equal(voxelize(sh, h, ht).spans,
+                              _voxelize_dense(sh, h, ht).spans), trial
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from /proc")
+def test_interval_voxelize_memory_fresh_process():
+    # the box at h = r/128 is 8.4M voxels but 65k spans; the dense path
+    # peaked above 1 GB.  VmHWM, not ru_maxrss: a child's ru_maxrss keeps
+    # the high-water mark of the process that started it
+    script = (
+        "from geomlab.measure import Box, project_voxels, voxelize\n"
+        "r = 0.5\n"
+        "K = voxelize(Box((0, 0, 0), (r, r, r * r)), h=r / 128)\n"
+        "assert len(K) == 8388608 and len(K.spans) == 65536\n"
+        "assert len(project_voxels(K, 'x')) and len(project_voxels(K, 'y'))\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) / 1024 < 150.0
 
 
 def test_projection_needs_oversample_two():
@@ -185,7 +290,8 @@ def test_lw_ratio_empty_rejected():
 def test_monotone_under_inclusion():
     small = voxelize(Box((0, 0, 0), (0.25, 0.25, 0.1)), h=1 / 32)
     big = voxelize(Box((0, 0, 0), (0.5, 0.5, 0.2)), h=1 / 32)
-    assert small.subset_of(big)
+    assert ({tuple(v) for v in small.occupied}
+            <= {tuple(v) for v in big.occupied})
     assert small.volume() <= big.volume()
     for w in ("x", "y"):
         assert project_voxels(small, w).area() <= project_voxels(big, w).area()
@@ -259,6 +365,28 @@ def test_boundary_small_sets():
     assert len(boundary(two)) == 2
 
 
+def test_span_boundary_matches_reference():
+    cases = [VoxelSet(np.empty((0, 3)), h=0.1),
+             VoxelSet([(0, 0, 0), (0, 0, 1), (0, 0, 3)], h=0.1)]
+    for h in (1 / 16, 1 / 24):
+        cases += [voxelize(sh, h) for sh in shape_zoo().values()]
+    stream = Stream(4242)
+    for trial in range(20):
+        boxes = [Box(stream.uniform(3, -0.3, 0.3), stream.uniform(3, 0.05, 0.3))
+                 for _ in range(1 + trial % 4)]
+        cases.append(voxelize(UnionShape(*boxes), 1 / 24, 1 / 32))
+    for E in cases:
+        got, want = boundary(E), _boundary_reference(E)
+        assert (got.h, got.ht) == (E.h, E.ht)
+        assert np.array_equal(got.spans, want.spans)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_voxel_sets())
+def test_span_boundary_matches_reference_random(K):
+    assert np.array_equal(boundary(K).spans, _boundary_reference(K).spans)
+
+
 def test_h3_surrogate_empty_and_refinement():
     assert h3_surrogate(VoxelSet(np.empty((0, 3)), h=0.1)) == 0.0
     sh = Box((0, 0, 0), (0.5, 0.5, 0.25))
@@ -308,16 +436,6 @@ def test_weak_isoperimetric_ratio_stability():
 # ---------------------------------------------------------------------------
 # set algebra and serialization
 
-def test_voxelset_algebra():
-    A = VoxelSet([(0, 0, 0), (1, 0, 0)], h=0.1)
-    B = VoxelSet([(1, 0, 0), (2, 0, 0)], h=0.1)
-    assert len(A.union(B)) == 3
-    assert len(A.intersection(B)) == 1
-    assert len(A.difference(B)) == 1
-    with pytest.raises(ValueError):
-        A.union(VoxelSet([(0, 0, 0)], h=0.2))
-
-
 def test_rle_round_trip(tmp_path):
     sh = UnionShape(Box((0, 0, 0), (0.3, 0.2, 0.1)),
                     Box((0.4, 0, 0), (0.1, 0.1, 0.05)))
@@ -326,6 +444,7 @@ def test_rle_round_trip(tmp_path):
     save_voxelset(K, path)
     K2 = load_voxelset(path)
     assert K2.h == K.h and K2.ht == K.ht
+    assert np.array_equal(K2.spans, K.spans)
     assert np.array_equal(K2.occupied, K.occupied)
 
 
@@ -347,11 +466,34 @@ def test_load_voxelset_rejects_corrupt_files(tmp_path):
         "zero_len.vxl": dict(spans=[(0, 0, 0, 3), (1, 0, 0, 0)]),
         "negative_len.vxl": dict(spans=[(1, 0, 0, -3)]),
         "header.vxl": dict(spans=[], cut=4),
+        "huge_len.vxl": dict(spans=[(0, 0, 0, 2 ** 40)]),
+        "far_column.vxl": dict(spans=[(2 ** 21, 0, 0, 1)]),
+        "past_top.vxl": dict(spans=[(0, 0, 2 ** 20 - 2, 3)]),
     }
     for name, kw in cases.items():
         path = _write_vxl(tmp_path / name, **kw)
         with pytest.raises(ValueError, match=name):
             load_voxelset(path)
+
+
+def test_load_voxelset_merges_unsorted_overlapping_spans(tmp_path):
+    spans = [(0, 0, 2, 3), (0, 0, 0, 3), (0, 0, 5, 1), (-1, 0, 0, 1),
+             (0, 1, 0, 2), (0, 1, 3, 1)]
+    K = load_voxelset(_write_vxl(tmp_path / "messy.vxl", spans))
+    assert K.spans.tolist() == [[-1, 0, 0, 1], [0, 0, 0, 6], [0, 1, 0, 2],
+                                [0, 1, 3, 1]]
+    ijk = [(i, j, k) for i, j, k0, n in spans for k in range(k0, k0 + n)]
+    assert np.array_equal(K.spans, VoxelSet(ijk, h=0.1).spans)
+
+
+def test_voxelset_rejects_indices_outside_packing_range():
+    for bad in [(2 ** 20, 0, 0), (0, -2 ** 20 - 1, 0), (0, 0, 2 ** 21)]:
+        with pytest.raises(ValueError, match="2\\^20"):
+            VoxelSet([bad], h=0.1)
+    edge = [(-2 ** 20, 2 ** 20 - 1, -2 ** 20), (2 ** 20 - 1, 0, 2 ** 20 - 1)]
+    assert len(VoxelSet(edge, h=0.1)) == 2
+    with pytest.raises(ValueError, match="2\\^20"):
+        VoxelSet.from_spans([(0, 0, 2 ** 20 - 1, 2)], h=0.1)
 
 
 def test_load_voxelset_zero_spans(tmp_path):

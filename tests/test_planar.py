@@ -131,3 +131,30 @@ def test_csv_round_trip(tmp_path):
     lf2 = load_line_family(tmp_path / "lns.csv")
     assert np.array_equal(ps.coords, ps2.coords) and ps2.delta == ps.delta
     assert np.array_equal(lf.params, lf2.params) and lf2.epsilon == lf.epsilon
+
+
+def test_csv_loader_rejects_bad_rows(tmp_path):
+    ps = PointSet([(0.125, -0.5), (0.7, 0.3)], delta=0.25)
+    save_point_set(ps, tmp_path / "pts.csv", generator="unit", seed=7)
+    lf = LineFamily([(0.5, -0.25)], epsilon=0.5)
+    save_line_family(lf, tmp_path / "lns.csv", generator="unit", seed=7)
+    meta = (tmp_path / "pts.csv.meta.json").read_text()
+    bodies = {
+        "short.csv": "x,y\n0.125,-0.5\n0.7\n",
+        "long.csv": "x,y\n0.125,-0.5,1\n",
+        "blank.csv": "x,y\n0.125,-0.5\n\n",
+        "junk.csv": "x,y\n0.125,abc\n",
+        "empty_cell.csv": "x,y\n,0.3\n",
+    }
+    for name, body in bodies.items():
+        path = tmp_path / name
+        path.write_text(body)
+        (tmp_path / (name + ".meta.json")).write_text(meta)
+        with pytest.raises(ValueError, match=name):
+            load_point_set(path)
+    bad_lines = tmp_path / "lines_short.csv"
+    bad_lines.write_text("a,b\n0.5\n")
+    (tmp_path / "lines_short.csv.meta.json").write_text(
+        (tmp_path / "lns.csv.meta.json").read_text())
+    with pytest.raises(ValueError, match="lines_short.csv"):
+        load_line_family(bad_lines)
