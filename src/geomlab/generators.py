@@ -14,8 +14,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .incidence import _greedy_separated, _runs
-from .planar import LineFamily, Point2, PointSet
+from .incidence import _greedy_separated
+from .planar import LineFamily, Point2, PointSet, _runs
 from .rng import Stream, rank_keys, substream_seed
 
 Region = Tuple[float, float, float, float]  # xmin, xmax, ymin, ymax

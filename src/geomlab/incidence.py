@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .planar import LineFamily, Point2, PointSet, Scale, is_incident
+from .planar import (LineFamily, Point2, PointSet, Scale, _CellHash,
+                     _check_finite, _runs, is_incident)
 
 
 def normalized_ratio(count: int, n_points: int, n_lines: int, delta: float) -> float:
@@ -127,13 +128,6 @@ def _float_margin(px, py, la, lb, radius: float) -> float:
     s = (amax * float(np.abs(px).max()) + float(np.abs(lb).max())
          + float(np.abs(py).max()) + radius * math.sqrt(1.0 + amax * amax))
     return 2.0 ** -48 * s + 2.0 ** -1000
-
-
-def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Positions start, ..., start + len - 1 of every run, concatenated."""
-    pos = np.arange(int(lens.sum()), dtype=np.int64)
-    pos += np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return pos
 
 
 class _Columns:
@@ -329,9 +323,161 @@ def _grid_candidates(L: LineFamily, delta: float, radius: float) -> np.ndarray:
     return np.column_stack([xs[ii], xs[jj]])
 
 
+# A batch of at most _DIRECT rows tests all its pairs with pred instead of
+# asking near, and only its kept rows look ahead; (_DIRECT_A, _DIRECT_B) are
+# the pairs a < b < _DIRECT ordered by b, so those of a batch of u rows are
+# the first u (u - 1) / 2.  No batch holds more than _MAX_BATCH rows.
+_DIRECT = 32
+_DIRECT_B, _DIRECT_A = np.tril_indices(_DIRECT, -1)
+_MAX_BATCH = 1 << 12
+
+
+def _first_come(n: int, near: Callable, pred: Callable) -> np.ndarray:
+    """The rows kept by the first-come scan of rows 0, ..., n - 1: row j is
+    dropped when an earlier kept row o has pred(o, j), and kept otherwise.
+
+    pred(o, j) tests arrays of pairs; near(rows) returns candidate pairs
+    (o, j), o in rows, among which is every pair with o < j that pred
+    accepts.  Each step takes the next batch of undecided rows, resolves
+    it exactly against itself, then marks as covered the later rows that
+    its kept rows accept.
+
+    The batch size follows the share of its rows a batch keeps.  Batches
+    start at _DIRECT rows and grow fourfold while they keep every row, so
+    a sparse input is decided in a few vectorised steps.  A batch keeping
+    at least 1/8 of its rows is followed by one of _DIRECT rows.  Below
+    that, one kept row covers most of what follows it, and the scan goes on
+    one row at a time (the first undecided row is always kept), trying a
+    batch of _DIRECT rows again after 1, 2, 4, ... up to 64 rows."""
+    covered = np.zeros(n, dtype=bool)
+    kept = []
+    start, size, wait, backoff = 0, _DIRECT, 0, 1
+    while start < n:
+        ahead = covered[start:start + 4 * size + 64]
+        rows = start + np.flatnonzero(~ahead)[:size]
+        stop = int(rows[-1]) + 1 if rows.size == size else start + ahead.size
+        start = stop
+        if rows.size == 0:
+            continue
+        if rows.size <= _DIRECT:
+            keep = _resolve_small(rows, pred)
+            o, j = near(rows[keep])
+            live = j >= stop
+            live &= ~covered[j]
+            o, j = o[live], j[live]
+            covered[j[pred(o, j)]] = True
+        else:
+            o, j = near(rows)
+            live = j > o
+            live &= ~covered[j]
+            o, j = o[live], j[live]
+            hit = pred(o, j)
+            o, j = np.searchsorted(rows, o[hit]), j[hit]
+            inner = j < stop
+            keep = _resolve(rows.size, o[inner], np.searchsorted(rows, j[inner]))
+            ahead = ~inner
+            covered[j[ahead][keep[o[ahead]]]] = True
+        kept.append(rows[keep])
+        n_kept = int(np.count_nonzero(keep))
+        if rows.size == 1:
+            wait -= 1
+            if wait <= 0:
+                size = _DIRECT
+        elif n_kept == rows.size:
+            size, backoff = min(4 * size, _MAX_BATCH), 1
+        elif 8 * n_kept >= rows.size:
+            size, backoff = _DIRECT, 1
+        else:
+            size, wait, backoff = 1, backoff, min(2 * backoff, 64)
+    if not kept:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(kept).astype(np.int64, copy=False)
+
+
+def _resolve_small(rows: np.ndarray, pred: Callable) -> np.ndarray:
+    """Keep mask of a batch of at most _DIRECT rows under the first-come
+    rule: pred tests all its pairs, then one pass over the rows keeps those
+    that no kept row points at, with the pointing rows as a bit mask."""
+    u = rows.size
+    if u == 1:
+        return np.ones(1, dtype=bool)
+    m = u * (u - 1) // 2
+    src, dst = _DIRECT_A[:m], _DIRECT_B[:m]
+    hit = pred(rows[src], rows[dst])
+    points = np.zeros((u, _DIRECT), dtype=bool)
+    points[dst[hit], src[hit]] = True
+    kept_bits = 0
+    for r, bits in enumerate(np.packbits(points, axis=1, bitorder="little")
+                             .view("<u4").ravel().tolist()):
+        if not bits & kept_bits:
+            kept_bits |= 1 << r
+    return (kept_bits >> np.arange(u)) & 1 == 1
+
+
+def _resolve(u: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Keep mask of a batch of u rows under the first-come rule, given the
+    accepted pairs (src, dst), src < dst, as local indices.  Each round
+    keeps the open rows that no open row points at, then drops the rows
+    that a kept row points at; the first open row is decided in every
+    round."""
+    state = np.zeros(u, dtype=np.int8)  # 0 open, 1 kept, -1 dropped
+    while True:
+        pointed = np.zeros(u, dtype=bool)
+        pointed[dst] = True
+        state[(state == 0) & ~pointed] = 1
+        state[dst[state[src] == 1]] = -1
+        live = (state[src] == 0) & (state[dst] == 0)
+        if not live.any():
+            state[state == 0] = 1
+            return state == 1
+        src, dst = src[live], dst[live]
+
+
+def _hypot_below(dx: np.ndarray, dy: np.ndarray, bound: float) -> np.ndarray:
+    """math.hypot(dx, dy) < bound, elementwise.  np.hypot and math.hypot
+    are each within one ulp of the exact value, so np.hypot decides every
+    pair away from the bound; the others are re-tested with math.hypot,
+    except those with a zero component, where both give |dx| + |dy|."""
+    d = np.hypot(dx, dy)
+    below = d < bound
+    d -= bound
+    border = np.flatnonzero(np.abs(d, out=d) <= bound * 2.0 ** -40)
+    if border.size:
+        border = border[(dx[border] != 0.0) & (dy[border] != 0.0)]
+        for k in border.tolist():
+            below[k] = math.hypot(dx[k], dy[k]) < bound
+    return below
+
+
 def _greedy_separated(coords: np.ndarray, delta: float) -> np.ndarray:
     """First-come greedy extraction of a delta-separated subset, scanning
-    the rows in the given order; returns the kept row indices."""
+    the rows in the given order; returns the kept row indices.
+
+    A row is dropped when math.hypot(row - kept) < delta for a kept row in
+    one of the 3 x 3 cells of side delta around its own (cells floor(x /
+    delta) as floats), exactly as _greedy_separated_reference does."""
+    n = coords.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    _check_finite(coords)
+    cells = np.floor(coords * (1.0 / delta))
+    if not np.isfinite(cells).all():
+        raise ValueError(f"coordinates too large for cells of side {delta!r}")
+    x, y = coords[:, 0], coords[:, 1]
+    cx, cy = cells[:, 0], cells[:, 1]
+
+    def pred(o, j):
+        hit = _hypot_below(x[j] - x[o], y[j] - y[o], delta)
+        o, j = o[hit], j[hit]
+        hit[hit] = (np.abs(cx[j] - cx[o]) <= 1.0) & (np.abs(cy[j] - cy[o]) <= 1.0)
+        return hit
+
+    return _first_come(n, _CellHash(cells[:, :1], cy, cy - 1.0, cy + 1.0), pred)
+
+
+def _greedy_separated_reference(coords: np.ndarray, delta: float) -> np.ndarray:
+    """_greedy_separated as a per-row loop over a dict of cells: the test
+    oracle of the batched version."""
     kept: List[int] = []
     cells: dict = {}
     inv = 1.0 / delta

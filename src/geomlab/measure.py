@@ -17,9 +17,10 @@ from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .heisenberg import Plane, VerticalPlanePoint, _line_through
+from .incidence import _first_come
+from .planar import _CellHash
 
 _PACK_OFF = np.int64(1) << np.int64(20)
 _PACK_MUL = np.int64(1) << np.int64(21)
@@ -694,6 +695,15 @@ def _boundary_reference(E: VoxelSet) -> VoxelSet:
     return VoxelSet(E.occupied[on_boundary], E.h, E.ht)
 
 
+def _gauge_inside(cx, cy, ct, px, py, pt, rho: float):
+    """Whether the points p lie in the closed gauge balls of radius rho
+    centred at c, elementwise."""
+    dx = px - cx
+    dy = py - cy
+    dt = pt - ct + 0.5 * (cy * dx - cx * dy)
+    return (dx * dx + dy * dy) ** 2 + 16.0 * dt * dt <= rho ** 4
+
+
 def h3_surrogate(B: VoxelSet) -> float:
     """Greedy covering of the voxel centers by gauge balls, reported as
     (number of balls) * radius^3 -- a box-counting surrogate for the
@@ -704,31 +714,46 @@ def h3_surrogate(B: VoxelSet) -> float:
     so that balls genuinely aggregate grid centers and the value is stable
     under grid refinement.  Under matched anisotropic dilation grids the
     radius scales linearly and the surrogate scales exactly by lam^3.
-    """
+
+    Centers are scanned in voxel order; each one not yet covered becomes a
+    ball that covers the later centers inside it."""
     if len(B) == 0:
         return 0.0
     rho = 2.0 * math.sqrt(B.ht)
     centers = B.centers()
-    tree = cKDTree(centers)
-    # Euclidean superset of any gauge ball in the set: the twist term
-    # shifts the t-window by up to |c| rho / sqrt(2) at distance rho
-    cmax = float(np.abs(centers[:, :2]).sum(axis=1).max())
-    t_reach = rho * rho / 4.0 + 0.5 * cmax * rho
-    euclid = math.sqrt(rho * rho + t_reach * t_reach)
+    occ = B.occupied
+    # a ball at c holds centers with |dx|, |dy| <= rho, so at most m columns
+    # away in i and in j, and |dt| <= rho^2 / 4, which the twist term shifts
+    # by up to (|c_x| + |c_y|) rho / 2, so at most width layers away in k.
+    # The factor 1 + 2^-30 covers the relative roundings of the test and
+    # 2^-20 cells the absolute ones of the centers (below 2^-31 cells).
+    m = max(1, math.floor(rho / B.h * (1.0 + 2.0 ** -30) + 2.0 ** -20))
+    reach = (rho * rho / 4.0
+             + 0.5 * rho * np.abs(centers[:, :2]).sum(axis=1)) * (1.0 + 2.0 ** -30)
+    k = occ[:, 2].astype(np.float64)
+    width = np.floor(reach / B.ht + 2.0 ** -20)
+    near = _CellHash(np.floor_divide(occ[:, :2], m).astype(np.float64), k,
+                     k - width, k + width)
+    x, y, t = (np.ascontiguousarray(c) for c in centers.T)
+    kept = _first_come(len(B), near, lambda o, j: _gauge_inside(
+        x[o], y[o], t[o], x[j], y[j], t[j], rho))
+    return kept.size * rho ** 3
+
+
+def _h3_surrogate_reference(B: VoxelSet) -> float:
+    """h3_surrogate testing every center against each new ball: the test
+    oracle of the batched version."""
+    if len(B) == 0:
+        return 0.0
+    rho = 2.0 * math.sqrt(B.ht)
+    centers = B.centers()
     covered = np.zeros(len(B), dtype=bool)
     n_balls = 0
     for i in range(len(B)):
         if covered[i]:
             continue
         n_balls += 1
-        cand = np.asarray(tree.query_ball_point(centers[i], euclid), dtype=np.int64)
-        pts = centers[cand]
-        dx = pts[:, 0] - centers[i, 0]
-        dy = pts[:, 1] - centers[i, 1]
-        dt = (pts[:, 2] - centers[i, 2]
-              + 0.5 * (centers[i, 1] * dx - centers[i, 0] * dy))
-        inside = (dx * dx + dy * dy) ** 2 + 16.0 * dt * dt <= rho ** 4
-        covered[cand[inside]] = True
+        covered |= _gauge_inside(*centers[i], *centers.T, rho)
     return n_balls * rho ** 3
 
 

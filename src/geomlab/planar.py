@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True)
@@ -159,24 +158,130 @@ class SeparationReport:
     pair: Optional[Tuple[int, int]]
 
 
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Positions start, ..., start + len - 1 of every run, concatenated."""
+    pos = np.arange(int(lens.sum()), dtype=np.int64)
+    pos += np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return pos
+
+
+def _check_finite(coords: np.ndarray) -> None:
+    """Raise a ValueError naming the rows of coords that are not finite."""
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    if bad.size:
+        shown = ", ".join(f"row {r} {tuple(coords[r].tolist())}"
+                          for r in bad[:3].tolist())
+        more = f" and {bad.size - 3} more" if bad.size > 3 else ""
+        raise ValueError(f"non-finite coordinates: {shown}{more}")
+
+
+def _adjacency_codes(v: np.ndarray) -> np.ndarray:
+    """Integer codes of the integer-valued floats v, in [0, 2 len(v)): equal
+    values share a code, and two values differ by exactly 1 iff their codes
+    do."""
+    u, inv = np.unique(v, return_inverse=True)
+    code = np.zeros(u.size, dtype=np.int64)
+    code[1:] = np.cumsum(np.minimum(np.diff(u), 2.0))
+    return code[inv.ravel()]
+
+
+class _CellHash:
+    """Candidate neighbour pairs from a cell hash.
+
+    Row r has integer cells (integer-valued floats) cells[r] on its first
+    axes and a value last[r] on its last axis.  Rows are bucketed by cell
+    and sorted by last value within a cell.  Called with query rows, it
+    returns the pairs (q, j) of each q with every row j whose cells are
+    adjacent to q's (each coordinate within 1, q's own cell included) and
+    whose last value lies in the window [lo[q], hi[q]].  Callers want
+    only the pairs with q < j: when the rows come in non-decreasing order
+    of their first cell, the cells before q's on that axis hold only
+    earlier rows, and they are not searched."""
+
+    def __init__(self, cells: np.ndarray, last: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray):
+        n = last.size
+        width = 2 * n + 2
+        packed = np.zeros(n, dtype=np.int64)
+        offsets = np.zeros(1, dtype=np.int64)
+        for axis in range(cells.shape[1]):
+            packed = packed * width + (_adjacency_codes(cells[:, axis]) + 1)
+            offsets = (offsets[:, None] * width + np.arange(-1, 2)).ravel()
+        if np.all(cells[1:, 0] >= cells[:-1, 0]):
+            offsets = offsets[offsets.size // 3:]
+        self.cells, cell = np.unique(packed, return_inverse=True)
+        self.packed, self.offsets = packed, offsets
+        # a row's place in the order of last values; the window of q is the
+        # range of places [lo_place[q], hi_place[q])
+        by_last = np.argsort(last, kind="stable")
+        place = np.empty(n, dtype=np.int64)
+        place[by_last] = np.arange(n)
+        last = last[by_last]
+        self.lo_place = last.searchsorted(lo, side="left")
+        self.hi_place = last.searchsorted(hi, side="right")
+        # rows sorted by the key (2 c + 1) n + place, c the rank of their
+        # cell: the keys of a cell absent from the set, given the even
+        # multiplier of the rank it would take, form an empty range
+        self.n = n
+        key = (2 * cell.ravel() + 1) * n + place
+        self.order = np.argsort(key)
+        self.key = key[self.order]
+
+    def __call__(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        want = self.packed[rows, None] + self.offsets
+        base = self.cells.searchsorted(want, side="left")
+        base += self.cells.searchsorted(want, side="right")
+        base *= self.n
+        first = self.key.searchsorted(base + self.lo_place[rows, None])
+        end = self.key.searchsorted(base + self.hi_place[rows, None])
+        lens = (end - first).ravel()
+        return (np.repeat(rows, self.offsets.size).repeat(lens),
+                self.order[_runs(first.ravel(), lens)])
+
+
+@np.errstate(over="ignore")  # a difference of far rows may round to inf
 def _min_pair(coords: np.ndarray) -> Tuple[float, Optional[Tuple[int, int]]]:
+    """The smallest math.hypot distance between two rows, and the first
+    pair (i, j), i < j, in lexicographic order that attains it."""
+    _check_finite(coords)
     n = coords.shape[0]
     if n < 2:
         return math.inf, None
-    if n <= 64:
-        diff = coords[:, None, :] - coords[None, :, :]
-        d = np.sqrt((diff ** 2).sum(axis=2))
-        d[np.arange(n), np.arange(n)] = np.inf
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        return float(d[i, j]), (int(min(i, j)), int(max(i, j)))
-    tree = cKDTree(coords)
-    dists, idx = tree.query(coords, k=2)
-    nearest = dists[:, 1]
-    i = int(np.argmin(nearest))
-    j = int(idx[i, 1])
-    # re-evaluate with the same arithmetic as the brute-force path
-    d = math.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1])
-    return d, (min(i, j), max(i, j))
+    lo = coords.min(axis=0)
+    rel = coords - lo
+    if not np.isfinite(rel).all():  # the extent overflows; halving is exact
+        rel = coords * 0.5 - lo * 0.5
+    ext = float(rel.max())
+    if ext == 0.0:
+        return 0.0, (0, 1)
+    # w bounds the closest distance from above (it is at least that of the
+    # neighbours in x or y order), and no cell is thinner than ext / 2^30,
+    # so the roundings of rel and of the cell quotients stay far below the
+    # margins: the closest pair lies in adjacent x-cells of width w, within
+    # 2w in y
+    d1 = math.inf
+    for axis in (0, 1):
+        step = np.diff(rel[np.argsort(rel[:, axis])], axis=0)
+        d1 = min(d1, float(np.hypot(step[:, 0], step[:, 1]).min()))
+    w = max(d1 * (1.0 + 2.0 ** -10), ext * 2.0 ** -30)
+    near = _CellHash(np.floor(rel[:, :1] / w), rel[:, 1],
+                     rel[:, 1] - 2.0 * w, rel[:, 1] + 2.0 * w)
+    i, j = near(np.arange(n))
+    later = j > i
+    i, j = i[later], j[later]
+    dx = coords[i, 0] - coords[j, 0]
+    dy = coords[i, 1] - coords[j, 1]
+    d = np.hypot(dx, dy)
+    # np.hypot and math.hypot are each within one ulp of the exact value and
+    # agree when a component is 0; re-test the pairs near the minimum
+    m = float(d.min())
+    close = np.flatnonzero(d <= m + m * 2.0 ** -40)
+    d = d[close]
+    both = np.flatnonzero((dx[close] != 0.0) & (dy[close] != 0.0))
+    d[both] = [math.hypot(dx[close[k]], dy[close[k]]) for k in both.tolist()]
+    best = np.flatnonzero(d == d.min())
+    pick = close[best[np.lexsort((j[close[best]], i[close[best]]))[0]]]
+    return float(d.min()), (int(i[pick]), int(j[pick]))
 
 
 def validate_separation(obj: Union[PointSet, LineFamily]) -> SeparationReport:

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,18 @@ def test_defaults_and_overrides(tmp_path):
     cfg2 = load_config("incidence-sweep", str(ini), str(tmp_path), None, False)
     assert cfg2.floats("deltas") == [2.0 ** -5, 2.0 ** -6]
     assert cfg2.seed == 99
+
+
+def test_cli_import_loads_no_scipy():
+    # geomlab depends on numpy alone; scipy.spatial alone took over half
+    # of the import time of every CLI run
+    script = ("import sys, geomlab.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_experiment_rejected(tmp_path):

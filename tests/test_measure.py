@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from geomlab.heisenberg import Plane, VerticalPlanePoint
 from geomlab.measure import (Box, DifferenceShape, DilatedShape, KoranyiBall,
                              PlaneRegion, ShearedShape, UnionShape, VoxelSet,
-                             _boundary_reference, _voxelize_dense, boundary,
+                             _boundary_reference, _h3_surrogate_reference,
+                             _voxelize_dense, boundary,
                              boundary_projection_inclusion, h3_surrogate,
                              load_voxelset, lw_ratio, project_voxels,
                              save_voxelset, shape_zoo,
@@ -399,6 +400,45 @@ def test_h3_surrogate_empty_and_refinement():
     # reported: of the order of the Euclidean area of the vertical faces
     # (2 * (2r)(2r^2) * 2 = 2.0 for r = 1/2); the gauge ball is anisotropic
     assert 0.5 <= vals[64] <= 8.0
+
+
+@st.composite
+def _box_union_boundaries(draw):
+    """Boundaries of unions of one to three boxes whose centers and half
+    widths are whole multiples of half a cell, with ht/h in {1, 0.5, 0.3,
+    2}."""
+    h = draw(st.sampled_from([1 / 8, 1 / 16, 0.1]))
+    ht = h * draw(st.sampled_from([1.0, 0.5, 0.3, 2.0]))
+    unit = np.array([h, h, ht]) / 2.0
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = [draw(st.integers(-14, 14)) for _ in range(3)]
+        w = [draw(st.integers(1, 9)) for _ in range(3)]
+        boxes.append(Box(np.array(c) * unit, np.array(w) * unit))
+    return boundary(voxelize(UnionShape(*boxes), h, ht))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_box_union_boundaries())
+def test_h3_surrogate_matches_reference_on_box_unions(B):
+    assert h3_surrogate(B) == _h3_surrogate_reference(B)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_voxel_sets())
+def test_h3_surrogate_matches_reference_random(K):
+    assert h3_surrogate(K) == _h3_surrogate_reference(K)
+
+
+def test_h3_surrogate_matches_reference_zoo():
+    # the zoo, and a box far from the t-axis, where the twist term widens
+    # the t-window of a ball the most
+    shapes = dict(shape_zoo(0.25), far_box=Box((0.7, -0.6, 0.1),
+                                               (0.2, 0.15, 0.05)))
+    for name, sh in shapes.items():
+        for ht in (1 / 32, 1 / 96):
+            B = boundary(voxelize(sh, 1 / 32, ht))
+            assert h3_surrogate(B) == _h3_surrogate_reference(B), (name, ht)
 
 
 def test_boundary_projection_inclusion_cases():

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomlab.planar import (LineAB, LineFamily, Point2, PointSet, Scale,
+                            _min_pair,
                             dual_line_to_point, dual_point_to_line,
                             is_incident, line_metric, load_line_family,
                             load_point_set, point_line_dist, save_line_family,
@@ -103,6 +104,78 @@ def test_validate_separation_examples():
     assert not rep.ok
     assert rep.min_distance == pytest.approx(0.1, rel=1e-12)
     assert rep.pair == (0, 1)
+
+
+def _min_pair_brute(coords):
+    best, pair = math.inf, None
+    for i in range(coords.shape[0]):
+        for j in range(i + 1, coords.shape[0]):
+            d = math.hypot(coords[i, 0] - coords[j, 0],
+                           coords[i, 1] - coords[j, 1])
+            if d < best:
+                best, pair = d, (i, j)
+    return best, pair
+
+
+@st.composite
+def _point_clouds(draw):
+    """n = 2, 64, 65 or 500 points: uniform, on a lattice with many tied
+    closest pairs, with repeated points, or clustered around far-apart
+    centers, shuffled."""
+    n = draw(st.sampled_from([2, 64, 65, 500]))
+    kind = draw(st.sampled_from(["uniform", "lattice", "repeats", "clusters"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "uniform":
+        coords = rng.uniform(-1, 1, (n, 2))
+    elif kind == "lattice":
+        step = draw(st.sampled_from([2.0 ** -5, 0.1, 1.0 / 3]))
+        cells = rng.permutation(40 * 40)[:n]
+        coords = np.column_stack([cells // 40, cells % 40]) * step
+    elif kind == "repeats":
+        coords = rng.uniform(-1, 1, (n, 2))
+        coords[rng.integers(0, n, n // 4)] = coords[rng.integers(0, n, n // 4)]
+    else:
+        centers = rng.uniform(-1e3, 1e3, (4, 2))
+        coords = centers[rng.integers(0, 4, n)] + rng.normal(0, 1e-3, (n, 2))
+    return coords
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_clouds())
+def test_min_pair_equals_brute_force(coords):
+    assert _min_pair(coords) == _min_pair_brute(coords)
+
+
+def test_min_pair_extent_beyond_the_float_range():
+    # max - min overflows; the cells are laid on halved coordinates
+    coords = np.array([(-1e308, 0.0), (1e308, 0.0), (1e308, 1.0),
+                       (-1e308, 5.0)])
+    with np.errstate(over="ignore"):
+        assert _min_pair_brute(coords) == (1.0, (1, 2))
+    assert _min_pair(coords) == (1.0, (1, 2))
+
+
+def test_validate_separation_same_verdict_at_every_size():
+    # np.sqrt of the summed squares puts this pair below the bound,
+    # math.hypot exactly on it; the verdict no longer depends on n
+    p = (0.09918737534611899, -0.9448817735138633)
+    q = (0.5070262173496132, 0.07628662643855644)
+    bound = 1.0995987550502848
+    far = [(10.0 * (i + 1), 10.0 * (i % 7)) for i in range(70)]
+    for pts in ([p, q], [p, q] + far):
+        rep = validate_separation(PointSet(pts, bound))
+        assert rep.ok and rep.pair == (0, 1)
+        assert rep.min_distance == math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+@pytest.mark.parametrize("n", [1, 3, 100])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_separation_rejects_non_finite(n, bad):
+    coords = np.column_stack([np.linspace(0, 1, n), np.zeros(n)])
+    coords[n - 1, 0] = bad
+    with pytest.raises(ValueError,
+                       match=rf"non-finite coordinates: row {n - 1} "):
+        validate_separation(PointSet(coords, 0.001))
 
 
 def test_grid_packing_separation_and_count():
