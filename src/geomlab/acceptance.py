@@ -205,13 +205,12 @@ def lw_sweep(hs: Sequence[float], scale: float) -> RunResult:
             K = voxelize(sh, h)
             if len(K) == 0:
                 continue
-            vol = K.volume()
-            ax = project_voxels(K, "x").area()
-            ay = project_voxels(K, "y").area()
-            rows.append({"shape": name, "h": h, "volume": vol,
-                         "area_x": ax, "area_y": ay,
-                         "lw_ratio": vol / (ax ** (2.0 / 3.0)
-                                            * ay ** (2.0 / 3.0))})
+            # lw_ratio projects K once; the areas are read from K's memo
+            ratio = lw_ratio(K)
+            rows.append({"shape": name, "h": h, "volume": K.volume(),
+                         "area_x": project_voxels(K, "x").area(),
+                         "area_y": project_voxels(K, "y").area(),
+                         "lw_ratio": ratio})
     if not rows:
         raise EmptyGrid("too coarse: every shape voxelizes to an empty set")
     ceiling = max(r["lw_ratio"] for r in rows)

@@ -134,7 +134,9 @@ class VoxelSet:
 
     The set is stored as its k-spans (i, j, k0, klen): the maximal runs
     k0 <= k < k0 + klen of one (i, j) column, sorted by (i, j, k0).  Every
-    index lies in [-2^20, 2^20), the range of the packed keys."""
+    index lies in [-2^20, 2^20), the range of the packed keys.  A set is
+    immutable, so boundary and project_voxels keep what they compute from
+    it in _memo and compute it once."""
 
     def __init__(self, occupied, h: float, ht: Optional[float] = None):
         occ = np.asarray(occupied, dtype=np.int64).reshape(-1, 3)
@@ -156,6 +158,7 @@ class VoxelSet:
         self.spans = spans
         self._len = int(spans[:, 3].sum())
         self._centers = None
+        self._memo: dict = {}
 
     def __len__(self) -> int:
         return self._len
@@ -521,6 +524,8 @@ class PlaneRegion:
         return (self.occupied + 0.5) * np.array([self.h, self.ht])[None, :]
 
     def dilated(self, steps: int = 1) -> "PlaneRegion":
+        if steps < 0:
+            raise ValueError("dilation steps must be >= 0")
         if len(self) == 0 or steps == 0:
             return self
         offs = np.arange(-steps, steps + 1)
@@ -530,6 +535,7 @@ class PlaneRegion:
         return PlaneRegion(self.plane, grown, self.h, self.ht)
 
     def covers(self, other: "PlaneRegion") -> bool:
+        _check_same_grid(self, other)
         if len(other) == 0:
             return True
         mine = _pack2(self.occupied)
@@ -538,6 +544,33 @@ class PlaneRegion:
         ok = pos < mine.size
         ok[ok] &= mine[pos[ok]] == theirs[ok]
         return bool(np.all(ok))
+
+
+def _check_same_grid(a: PlaneRegion, b: PlaneRegion) -> None:
+    if a.plane != b.plane or (a.h, a.ht) != (b.h, b.ht):
+        raise ValueError(f"regions on different planes or grids: {a.plane.name} "
+                         f"(h={a.h!r}, ht={a.ht!r}) and {b.plane.name} "
+                         f"(h={b.h!r}, ht={b.ht!r})")
+
+
+def _dilated_covers(region: PlaneRegion, other: PlaneRegion) -> bool:
+    """region.dilated(1).covers(other), without building the dilation:
+    whether every cell of other has one of its 3 x 3 neighbours in region.
+    The neighbours in column u + du have the three packed keys from
+    key + du * _PACK_MUL - 1 on, so each du is one search in the sorted
+    keys of region, in the dilation's own key arithmetic."""
+    _check_same_grid(region, other)
+    if len(other) == 0:
+        return True
+    mine = _pack2(region.occupied)
+    todo = _pack2(other.occupied)
+    for du in (0, -1, 1):
+        lo = todo + (du * _PACK_MUL - 1)
+        pos = np.searchsorted(mine, lo)
+        near = pos < mine.size
+        near[near] = mine[pos[near]] <= lo[near] + 2
+        todo = todo[~near]
+    return todo.size == 0
 
 
 def _expand_runs(start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -559,10 +592,24 @@ def project_voxels(K: VoxelSet, which: str, oversample: int = 2) -> PlaneRegion:
     +-2^20 packing range, so the cells hit form one run from the cell of
     the first sample to the cell of the last.  Both ends (and u) use the
     sampler's exact float expressions; the runs of each u column are merged
-    and expanded, giving the same cells as binning every sample."""
+    and expanded, giving the same cells as binning every sample.
+
+    The region is computed once per (K, which, oversample) and kept on K,
+    so the PlaneRegion returned may be shared: treat it as read-only."""
+    if which not in ("x", "y"):
+        raise ValueError(f"which must be 'x' or 'y', got {which!r}")
     if oversample < 2:
         raise ValueError("oversample must be >= 2")
-    plane = Plane.W_X if which == "x" else Plane.W_Y
+    key = ("project", which, oversample)
+    region = K._memo.get(key)
+    if region is None:
+        region = K._memo[key] = _project_spans(
+            K, Plane.W_X if which == "x" else Plane.W_Y, oversample)
+    return region
+
+
+def _project_spans(K: VoxelSet, plane: Plane, oversample: int) -> PlaneRegion:
+    """The projection kernel of project_voxels."""
     spans = K.spans
     if spans.shape[0] == 0:
         return PlaneRegion(plane, np.empty((0, 2), dtype=np.int64), K.h, K.ht)
@@ -580,16 +627,15 @@ def project_voxels(K: VoxelSet, which: str, oversample: int = 2) -> PlaneRegion:
     else:
         iu = np.floor(y / K.h).astype(np.int64)[:, None, :]
         lo, hi = t_first + c, t_last + c
-    iu = np.broadcast_to(iu, c.shape).ravel()
-    lo = np.floor(lo / K.ht).astype(np.int64).ravel()
-    hi = np.floor(hi / K.ht).astype(np.int64).ravel()
     # in packed (u, t) keys a run is [key_lo, key_hi] and the keys of a
     # larger u exceed all keys of a smaller one, so sorting by key_lo and a
     # running max of key_hi merge the overlapping runs of each column
-    key_lo = _pack2(np.column_stack([iu, lo]))
+    u_key = (iu + _PACK_OFF) * _PACK_MUL + _PACK_OFF
+    key_lo = (u_key + np.floor(lo / K.ht).astype(np.int64)).ravel()
     order = np.argsort(key_lo, kind="stable")
     key_lo = key_lo[order]
-    reach = np.maximum.accumulate(_pack2(np.column_stack([iu, hi]))[order])
+    reach = np.maximum.accumulate(
+        (u_key + np.floor(hi / K.ht).astype(np.int64)).ravel()[order])
     first = np.ones(key_lo.size, dtype=bool)
     first[1:] = key_lo[1:] > reach[:-1]
     starts = np.nonzero(first)[0]
@@ -653,19 +699,27 @@ _NEIGHBORS6 = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
 
 
 def boundary(E: VoxelSet) -> VoxelSet:
-    """Occupied voxels with at least one of the six face neighbors missing.
-
-    Worked on spans: a voxel has both k-neighbors unless it ends its span,
-    and its (i +- 1) and (j +- 1) neighbors are looked up as the runs of
-    those columns.  The interior is where the shrunk spans and all four
-    neighbor-column runs overlap."""
+    """Occupied voxels with at least one of the six face neighbors missing;
+    computed once per set and kept on E."""
     if len(E) == 0:
         return E
+    dE = E._memo.get("boundary")
+    if dE is None:
+        dE = E._memo["boundary"] = _span_boundary(E)
+    return dE
+
+
+def _span_boundary(E: VoxelSet) -> VoxelSet:
+    """The boundary kernel, worked on spans: a voxel has both k-neighbors
+    unless it ends its span, and its (i +- 1) and (j +- 1) neighbors are
+    looked up as the runs of those columns.  The interior is where the
+    shrunk spans and all four neighbor-column runs overlap: where the five
+    lists of runs, each of disjoint runs, cover a key five times."""
     col_ij, m, base, (lo, end) = _column_runs(E.spans)
     cols = _pack2(col_ij)
     i, j, k0, klen = E.spans.T
     inner = klen > 2
-    runs = [(lo, end), (lo[inner] + 1, end[inner] - 1)]
+    full_lo, full_end = [lo[inner] + 1], [end[inner] - 1]
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         # a span of column (i, j) is neighbor to column (i - di, j - dj)
         it, jt = i - di, j - dj
@@ -674,14 +728,16 @@ def boundary(E: VoxelSet) -> VoxelSet:
         # jt out of range would alias another column's packed key
         hit = (cols[pos] == want) & (jt >= -_PACK_OFF) & (jt < _PACK_OFF)
         key = pos[hit] * m + (k0[hit] - base)
-        runs.append((key, key + klen[hit]))
-    on = _sweep(runs, lambda e, *full: (e > 0) & (sum(full) < 5))
+        full_lo.append(key)
+        full_end.append(key + klen[hit])
+    full = np.concatenate(full_lo), np.concatenate(full_end)
+    on = _sweep([(lo, end), full], lambda e, n: (e > 0) & (n < 5))
     return VoxelSet.from_spans(_spans_of_runs(col_ij, m, base, on), E.h, E.ht)
 
 
 def _boundary_reference(E: VoxelSet) -> VoxelSet:
     """boundary by looking up all six neighbors of every voxel: the test
-    oracle of the span version."""
+    oracle of the span kernel."""
     if len(E) == 0:
         return E
     keys = _pack3(E.occupied)
@@ -722,19 +778,48 @@ def h3_surrogate(B: VoxelSet) -> float:
     rho = 2.0 * math.sqrt(B.ht)
     centers = B.centers()
     occ = B.occupied
-    # a ball at c holds centers with |dx|, |dy| <= rho, so at most m columns
-    # away in i and in j, and |dt| <= rho^2 / 4, which the twist term shifts
-    # by up to (|c_x| + |c_y|) rho / 2, so at most width layers away in k.
-    # The factor 1 + 2^-30 covers the relative roundings of the test and
-    # 2^-20 cells the absolute ones of the centers (below 2^-31 cells).
-    m = max(1, math.floor(rho / B.h * (1.0 + 2.0 ** -30) + 2.0 ** -20))
-    reach = (rho * rho / 4.0
-             + 0.5 * rho * np.abs(centers[:, :2]).sum(axis=1)) * (1.0 + 2.0 ** -30)
-    k = occ[:, 2].astype(np.float64)
-    width = np.floor(reach / B.ht + 2.0 ** -20)
-    near = _CellHash(np.floor_divide(occ[:, :2], m).astype(np.float64), k,
-                     k - width, k + width)
     x, y, t = (np.ascontiguousarray(c) for c in centers.T)
+    # A ball at c holds centers with |dx|, |dy| <= rho, so at most m columns
+    # away in i and in j: in the 3 x 3 cells of m x m columns around c's.
+    # It holds |dt| <= rho^2 / 4, and the test's dt adds the twist
+    # (c_y dx - c_x dy) / 2 to the height difference.  A step s in
+    # {-1, 0, 1} to a neighbour cell reaches the column offsets within m of
+    # mid[0, s] + mid[1, s] r +- (half[0, s] + half[1, s] r), r = i mod m
+    # (or j mod m).  So in units of ht, with g = h / (2 ht), the twist over
+    # that cell lies within g (c_y mid_x - c_x mid_y) +- g (|c_y| half_x +
+    # |c_x| half_y), and its window is k - twist +- (q + spread + margin),
+    # q = rho^2 / (4 ht): both ends are linear in ten features of c.  The
+    # margin's 2^-30 of the largest term covers the relative roundings of
+    # the test and of the window, and its 2^-20 cells the absolute ones of
+    # the centers (below 2^-31 cells).
+    m = max(1, math.floor(rho / B.h * (1.0 + 2.0 ** -30) + 2.0 ** -20))
+    cell = np.floor_divide(occ[:, :2], m)
+    ri, rj = (occ[:, :2] - cell * m).T
+    k = occ[:, 2].astype(np.float64)
+    q = rho * rho / 4.0 / B.ht
+    g = 0.5 * B.h / B.ht
+    pad = q + ((q + 0.5 * rho / B.ht * (np.abs(x) + np.abs(y))) * 2.0 ** -30
+               + 2.0 ** -20)
+    gx, gy = g * x, g * y
+    features = np.column_stack([k - pad, k + pad, gy, gy * ri, np.abs(gy),
+                                np.abs(gy) * ri, gx, gx * rj, np.abs(gx),
+                                np.abs(gx) * rj])
+    mid = np.array([[-m - 1.0, m - 1.0, 2.0 * m], [-1.0, -2.0, -1.0]]) / 2.0
+    half = np.array([[m - 1.0, m - 1.0, 0.0], [-1.0, 0.0, 1.0]]) / 2.0
+    ends = np.zeros((10, 2, 3, 3))  # (feature, low or high end, x step, y step)
+    for e, sign in enumerate((-1.0, 1.0)):
+        ends[e, e] = 1.0
+        ends[2:4, e] = -mid[:, :, None]
+        ends[4:6, e] = sign * half[:, :, None]
+        ends[6:8, e] = mid[:, None, :]
+        ends[8:10, e] = sign * half[:, None, :]
+    ends = ends.reshape(10, 18)
+
+    def window(rows):
+        lo_hi = features[rows] @ ends
+        return lo_hi[:, :9], lo_hi[:, 9:]
+
+    near = _CellHash(cell.astype(np.float64), k, window)
     kept = _first_come(len(B), near, lambda o, j: _gauge_inside(
         x[o], y[o], t[o], x[j], y[j], t[j], rho))
     return kept.size * rho ** 3
@@ -762,9 +847,8 @@ def boundary_projection_inclusion(E: VoxelSet, oversample: int = 2) -> bool:
     the one-cell-inflated projection of its boundary (both planes)."""
     dE = boundary(E)
     for which in ("x", "y"):
-        proj_e = project_voxels(E, which, oversample)
-        proj_b = project_voxels(dE, which, oversample).dilated(1)
-        if not proj_b.covers(proj_e):
+        if not _dilated_covers(project_voxels(dE, which, oversample),
+                               project_voxels(E, which, oversample)):
             return False
     return True
 

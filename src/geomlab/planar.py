@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -189,17 +189,21 @@ class _CellHash:
     """Candidate neighbour pairs from a cell hash.
 
     Row r has integer cells (integer-valued floats) cells[r] on its first
-    axes and a value last[r] on its last axis.  Rows are bucketed by cell
+    d axes and a value last[r] on its last axis.  Rows are bucketed by cell
     and sorted by last value within a cell.  Called with query rows, it
     returns the pairs (q, j) of each q with every row j whose cells are
     adjacent to q's (each coordinate within 1, q's own cell included) and
-    whose last value lies in the window [lo[q], hi[q]].  Callers want
-    only the pairs with q < j: when the rows come in non-decreasing order
-    of their first cell, the cells before q's on that axis hold only
-    earlier rows, and they are not searched."""
+    whose last value lies in q's window for j's cell.  window(rows) gives
+    the windows [lo, hi] of the query rows as two arrays, of shape (rows,)
+    for one window over all neighbour cells, or (rows, 3^d) for one per
+    neighbour cell, the cells ordered by their steps from q's (first axis
+    slowest, each step -1, 0, 1).  Callers want only the pairs with q < j:
+    when the rows come in non-decreasing order of their first cell, the
+    cells before q's on that axis hold only earlier rows, and they are not
+    searched."""
 
-    def __init__(self, cells: np.ndarray, last: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray):
+    def __init__(self, cells: np.ndarray, last: np.ndarray,
+                 window: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]):
         n = last.size
         width = 2 * n + 2
         packed = np.zeros(n, dtype=np.int64)
@@ -209,16 +213,15 @@ class _CellHash:
             offsets = (offsets[:, None] * width + np.arange(-1, 2)).ravel()
         if np.all(cells[1:, 0] >= cells[:-1, 0]):
             offsets = offsets[offsets.size // 3:]
+        self.skip = 3 ** cells.shape[1] - offsets.size
         self.cells, cell = np.unique(packed, return_inverse=True)
-        self.packed, self.offsets = packed, offsets
-        # a row's place in the order of last values; the window of q is the
-        # range of places [lo_place[q], hi_place[q])
+        self.packed, self.offsets, self.window = packed, offsets, window
+        # a row's place in the order of last values; a window [lo, hi] is
+        # the range of places [last.searchsorted(lo), last.searchsorted(hi))
         by_last = np.argsort(last, kind="stable")
         place = np.empty(n, dtype=np.int64)
         place[by_last] = np.arange(n)
-        last = last[by_last]
-        self.lo_place = last.searchsorted(lo, side="left")
-        self.hi_place = last.searchsorted(hi, side="right")
+        self.last = last[by_last]
         # rows sorted by the key (2 c + 1) n + place, c the rank of their
         # cell: the keys of a cell absent from the set, given the even
         # multiplier of the rank it would take, form an empty range
@@ -228,12 +231,17 @@ class _CellHash:
         self.key = key[self.order]
 
     def __call__(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.window(rows)
+        if lo.ndim == 1:
+            lo, hi = lo[:, None], hi[:, None]
+        else:
+            lo, hi = lo[:, self.skip:], hi[:, self.skip:]
         want = self.packed[rows, None] + self.offsets
         base = self.cells.searchsorted(want, side="left")
         base += self.cells.searchsorted(want, side="right")
         base *= self.n
-        first = self.key.searchsorted(base + self.lo_place[rows, None])
-        end = self.key.searchsorted(base + self.hi_place[rows, None])
+        first = self.key.searchsorted(base + self.last.searchsorted(lo, side="left"))
+        end = self.key.searchsorted(base + self.last.searchsorted(hi, side="right"))
         lens = (end - first).ravel()
         return (np.repeat(rows, self.offsets.size).repeat(lens),
                 self.order[_runs(first.ravel(), lens)])
@@ -265,7 +273,7 @@ def _min_pair(coords: np.ndarray) -> Tuple[float, Optional[Tuple[int, int]]]:
         d1 = min(d1, float(np.hypot(step[:, 0], step[:, 1]).min()))
     w = max(d1 * (1.0 + 2.0 ** -10), ext * 2.0 ** -30)
     near = _CellHash(np.floor(rel[:, :1] / w), rel[:, 1],
-                     rel[:, 1] - 2.0 * w, rel[:, 1] + 2.0 * w)
+                     lambda r: (rel[r, 1] - 2.0 * w, rel[r, 1] + 2.0 * w))
     i, j = near(np.arange(n))
     later = j > i
     i, j = i[later], j[later]

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomlab import measure as M
 from geomlab.heisenberg import Plane, VerticalPlanePoint
 from geomlab.measure import (Box, DifferenceShape, DilatedShape, KoranyiBall,
                              PlaneRegion, ShearedShape, UnionShape, VoxelSet,
-                             _boundary_reference, _h3_surrogate_reference,
-                             _voxelize_dense, boundary,
+                             _boundary_reference, _dilated_covers,
+                             _h3_surrogate_reference, _voxelize_dense,
+                             boundary,
                              boundary_projection_inclusion, h3_surrogate,
                              load_voxelset, lw_ratio, project_voxels,
                              save_voxelset, shape_zoo,
@@ -380,6 +382,7 @@ def test_span_boundary_matches_reference():
         got, want = boundary(E), _boundary_reference(E)
         assert (got.h, got.ht) == (E.h, E.ht)
         assert np.array_equal(got.spans, want.spans)
+        assert boundary(E) is got  # kept on E
 
 
 @settings(max_examples=200, deadline=None)
@@ -439,6 +442,88 @@ def test_h3_surrogate_matches_reference_zoo():
         for ht in (1 / 32, 1 / 96):
             B = boundary(voxelize(sh, 1 / 32, ht))
             assert h3_surrogate(B) == _h3_surrogate_reference(B), (name, ht)
+
+
+@st.composite
+def _far_box_unions(draw):
+    """Boundaries of unions of one to three boxes about a center 0.5 to
+    1.2 from one or both of the x and y axes, so that |x| + |y| runs up to
+    about 2.5 where the twist of a gauge ball's t-window is largest, with
+    ht/h in {0.3, 1, 2}; or a random voxel set about that center.  Near
+    an axis one factor of the twist is small and the other large, and the
+    window is tightest."""
+    h = draw(st.sampled_from([1 / 8, 1 / 16, 0.1]))
+    ht = h * draw(st.sampled_from([0.3, 1.0, 2.0]))
+    near_axis = draw(st.sampled_from([None, 0, 1]))
+    far = np.array([0.0 if axis == near_axis else
+                    draw(st.sampled_from([-1, 1])) * draw(st.floats(0.5, 1.2))
+                    for axis in (0, 1)] + [draw(st.floats(-1.0, 1.0))])
+    if draw(st.booleans()):
+        ijk = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5),
+                                      st.integers(-8, 8)), max_size=60))
+        at = np.floor(far / np.array([h, h, ht])).astype(np.int64)
+        return VoxelSet(np.array(ijk, dtype=np.int64).reshape(-1, 3) + at, h, ht)
+    unit = np.array([h, h, ht]) / 2.0
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = [draw(st.integers(-4, 4)) for _ in range(3)]
+        w = [draw(st.integers(1, 5)) for _ in range(3)]
+        boxes.append(Box(far + np.array(c) * unit, np.array(w) * unit))
+    return boundary(voxelize(UnionShape(*boxes), h, ht))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_far_box_unions())
+def test_h3_surrogate_matches_reference_far_from_the_axis(B):
+    assert np.abs(B.centers()[:, :2]).sum(axis=1).max(initial=1.0) >= 0.5
+    assert h3_surrogate(B) == _h3_surrogate_reference(B)
+
+
+def _ball_islands(h, ht, center_ij):
+    """Island n: a ball center c = center_ij at height 100 n, and one later
+    voxel p a column offset (a, b) away, at a height within a layer of the
+    ball's top or bottom there.  Islands lie 100 layers apart, beyond every
+    ball, so a p inside the ball that the windows miss is one ball more."""
+    rho = 2.0 * math.sqrt(ht)
+    m = math.floor(rho / h)
+    i, j = center_ij
+    cx, cy = (i + 0.5) * h, (j + 0.5) * h
+    rows = []
+    for a in range(0, m + 1):
+        for b in range(-m, m + 1):
+            rest = rho ** 4 - ((a * h) ** 2 + (b * h) ** 2) ** 2
+            if (a, b) <= (0, 0) or rest < 0:
+                continue
+            mid = -0.5 * (cy * a * h - cx * b * h) / ht
+            half = math.sqrt(rest) / 4.0 / ht
+            for d in {math.floor(mid + sign * half) + e
+                      for sign in (-1, 1) for e in (-1, 0, 1, 2)}:
+                n = len(rows) // 2
+                rows += [(i, j, 100 * n), (i + a, j + b, 100 * n + d)]
+    return VoxelSet(rows, h, ht)
+
+
+@pytest.mark.parametrize("h, ht", [(1 / 16, 0.3 / 16), (0.1, 0.1)])
+def test_h3_surrogate_matches_reference_at_every_offset_a_ball_reaches(h, ht):
+    # each window end is met: the center first or last in its cell of m
+    # columns, near the x axis, near the y axis and off both, where the
+    # twist pulls each neighbour cell's window its own way
+    m = math.floor(2.0 * math.sqrt(ht) / h)
+    for x, y in ((0.0, 1.5), (-1.5, 0.0), (1.0, -1.2), (-1.1, -1.0)):
+        i0, j0 = math.floor(x / h / m) * m, math.floor(y / h / m) * m
+        for ri, rj in ((0, 0), (m - 1, m - 1), (0, m - 1)):
+            B = _ball_islands(h, ht, (i0 + ri, j0 + rj))
+            assert h3_surrogate(B) == _h3_surrogate_reference(B), (x, y, ri, rj)
+
+
+def test_h3_surrogate_matches_reference_when_balls_are_thinner_than_columns():
+    # rho = 2 sqrt(ht) < h: the cells are one column wide and the columns
+    # two cells away lie beyond every ball
+    for far in ((0.0, 0.0, 0.0), (-7.5, 9.0, 2.0)):
+        K = voxelize(Box(far, (3.0, 2.0, 0.4)), 1.0, 0.05)
+        B = boundary(K)
+        assert 2.0 * math.sqrt(B.ht) < B.h
+        assert h3_surrogate(B) == _h3_surrogate_reference(B)
 
 
 def test_boundary_projection_inclusion_cases():
@@ -547,3 +632,97 @@ def test_plane_region_ops():
     grown = reg.dilated(1)
     assert grown.covers(reg)
     assert not reg.covers(grown)
+    with pytest.raises(ValueError, match="steps"):
+        reg.dilated(-1)
+
+
+def test_covers_needs_the_same_plane_and_grid():
+    K = voxelize(Box((0, 0, 0), (0.3, 0.3, 0.1)), 1 / 16)
+    px, py = project_voxels(K, "x"), project_voxels(K, "y")
+    fine = project_voxels(voxelize(Box((0, 0, 0), (0.3, 0.3, 0.1)), 1 / 32), "x")
+    aniso = PlaneRegion(Plane.W_X, px.occupied, px.h, px.ht / 2)
+    assert px.covers(px) and _dilated_covers(px, px)
+    for a, b in ((px, py), (py, px), (px, fine), (fine, px), (px, aniso)):
+        with pytest.raises(ValueError, match="different planes or grids"):
+            a.covers(b)
+        with pytest.raises(ValueError, match="different planes or grids"):
+            _dilated_covers(a, b)
+
+
+_EDGE = 2 ** 20
+
+
+@st.composite
+def _cover_cases(draw):
+    """A region B and a region A drawn near it: cells of B moved by up to
+    two cells, and cells of their own; about the origin or at the +-2^20
+    edge of the packed keys, where the dilation's keys wrap into the next
+    column."""
+    at = np.array([draw(st.sampled_from([0, -_EDGE, _EDGE - 1]))
+                   for _ in range(2)])
+    cell = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    b = np.array(draw(st.lists(cell, max_size=12)), dtype=np.int64).reshape(-1, 2)
+    moved = [tuple(b[i] + d) for i, d in draw(st.lists(
+        st.tuples(st.integers(0, max(0, len(b) - 1)),
+                  st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+        max_size=12 if len(b) else 0))]
+    a = np.array(moved + draw(st.lists(cell, max_size=3)),
+                 dtype=np.int64).reshape(-1, 2)
+    return (PlaneRegion(Plane.W_Y, b + at, 0.1, 0.05),
+            PlaneRegion(Plane.W_Y, a + at, 0.1, 0.05))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cover_cases())
+def test_dilated_covers_equals_dilation(case):
+    b, a = case
+    assert _dilated_covers(b, a) == b.dilated(1).covers(a)
+
+
+def test_dilated_covers_edge_cases():
+    empty = PlaneRegion(Plane.W_X, np.empty((0, 2)), 0.1)
+    one = PlaneRegion(Plane.W_X, [(5, -3)], 0.1)
+    assert _dilated_covers(empty, empty) and _dilated_covers(one, empty)
+    assert not _dilated_covers(empty, one)
+    assert empty.dilated(1).covers(empty) and not empty.dilated(1).covers(one)
+    ring = PlaneRegion(Plane.W_X, [(5 + di, -3 + dj) for di in (-1, 0, 1)
+                                   for dj in (-1, 0, 1)], 0.1)
+    far = PlaneRegion(Plane.W_X, [(7, -3), (5, -5), (3, -1)], 0.1)
+    assert _dilated_covers(one, ring) and one.dilated(1).covers(ring)
+    for cell in far.occupied:
+        lone = PlaneRegion(Plane.W_X, [cell], 0.1)
+        assert not _dilated_covers(one, lone)
+        assert not one.dilated(1).covers(lone)
+
+
+def test_project_voxels_rejects_unknown_planes():
+    K = voxelize(Box((0, 0, 0), (0.3, 0.3, 0.1)), 1 / 16)
+    for bad in ("z", "X", ""):
+        for _ in range(2):  # a bad key is never kept on K
+            with pytest.raises(ValueError, match="'x' or 'y'"):
+                project_voxels(K, bad)
+    assert project_voxels(K, "x") is project_voxels(K, "x")
+    assert project_voxels(K, "x", 3) is not project_voxels(K, "x")
+
+
+def test_isoperimetric_row_runs_each_kernel_once(monkeypatch):
+    calls = {"boundary": 0, "projection": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(M, "_span_boundary",
+                        counted("boundary", M._span_boundary))
+    monkeypatch.setattr(M, "_project_spans",
+                        counted("projection", M._project_spans))
+    E = voxelize(UnionShape(Box((0, 0, 0), (0.3, 0.2, 0.1)),
+                            Box((0.2, 0.1, 0.05), (0.2, 0.2, 0.1))), 1 / 24)
+    assert boundary_projection_inclusion(E)
+    weak_isoperimetric_ratio(E)
+    assert calls == {"boundary": 1, "projection": 4}
+    lw_ratio(E)
+    lw_ratio(boundary(E))
+    assert calls == {"boundary": 1, "projection": 4}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomlab.planar import (LineAB, LineFamily, Point2, PointSet, Scale,
-                            _min_pair,
+                            _CellHash, _min_pair,
                             dual_line_to_point, dual_point_to_line,
                             is_incident, line_metric, load_line_family,
                             load_point_set, point_line_dist, save_line_family,
@@ -153,6 +153,72 @@ def test_min_pair_extent_beyond_the_float_range():
     with np.errstate(over="ignore"):
         assert _min_pair_brute(coords) == (1.0, (1, 2))
     assert _min_pair(coords) == (1.0, (1, 2))
+
+
+def _cell_hash_brute(cells, last, lo, hi):
+    """The sorted pairs (q, j) _CellHash finds: cells within 1 on every
+    axis, last[j] in q's window for j's cell, and, when the rows come in
+    non-decreasing order of their first cell, j's first cell not before
+    q's."""
+    n, d = cells.shape
+    forward = bool(np.all(cells[1:, 0] >= cells[:-1, 0]))
+    pairs = []
+    for q in range(n):
+        for j in range(n):
+            step = cells[j] - cells[q]
+            if np.any(np.abs(step) > 1) or (forward and step[0] < 0):
+                continue
+            c = int(sum((step[a] + 1) * 3 ** (d - 1 - a) for a in range(d)))
+            w_lo = lo[q] if lo.ndim == 1 else lo[q, c]
+            w_hi = hi[q] if hi.ndim == 1 else hi[q, c]
+            if w_lo <= last[j] <= w_hi:
+                pairs.append((q, j))
+    return sorted(pairs)
+
+
+@st.composite
+def _cell_hash_cases(draw):
+    """Rows with 1 or 2 integer cell axes (gaps of 1 and 2 between cells,
+    repeats), sorted by first cell or not, and windows of either shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    d = draw(st.sampled_from([1, 2]))
+    cells = rng.integers(-4, 5, (n, d)).astype(np.float64)
+    if draw(st.booleans()):
+        cells = cells[np.argsort(cells[:, 0], kind="stable")]
+    last = rng.integers(-6, 7, n).astype(np.float64) * 0.5
+    shape = (n,) if draw(st.booleans()) else (n, 3 ** d)
+    lo = rng.uniform(-4, 2, shape)
+    hi = lo + rng.uniform(0, 4, shape)
+    return cells, last, lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cell_hash_cases())
+def test_cell_hash_pairs_equal_brute_force(case):
+    cells, last, lo, hi = case
+    near = _CellHash(cells, last, lambda r: (lo[r], hi[r]))
+    q, j = near(np.arange(last.size))
+    assert sorted(zip(q.tolist(), j.tolist())) == _cell_hash_brute(cells, last,
+                                                                  lo, hi)
+    # any subset of query rows, in any order, gives its own pairs
+    rows = np.array([r for r in range(last.size - 1, -1, -2)], dtype=np.int64)
+    q, j = near(rows)
+    want = [p for p in _cell_hash_brute(cells, last, lo, hi) if p[0] in rows]
+    assert sorted(zip(q.tolist(), j.tolist())) == want
+
+
+def test_cell_hash_one_window_per_cell_equals_one_per_row():
+    rng = np.random.default_rng(5)
+    cells = np.sort(rng.integers(0, 6, (200, 2)), axis=0).astype(np.float64)
+    last = rng.uniform(0, 10, 200)
+    lo, hi = last - 1.5, last + 1.5
+    one = _CellHash(cells, last, lambda r: (lo[r], hi[r]))
+    per_cell = _CellHash(cells, last, lambda r: (np.repeat(lo[r, None], 9, 1),
+                                                 np.repeat(hi[r, None], 9, 1)))
+    rows = np.arange(200)
+    for a, b in zip(one(rows), per_cell(rows)):
+        assert np.array_equal(a, b)
 
 
 def test_validate_separation_same_verdict_at_every_size():
