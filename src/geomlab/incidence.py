@@ -8,6 +8,16 @@ p = (x0, y0) have b within r sqrt(1 + a^2) of -x0 a + y0).  A window
 whose end lines lie inside the strip with a proven float margin is
 counted by index difference; the lines of any other window are tested in
 the brute-force operation order, so counts agree bit for bit.
+
+Rich points are counted on the delta-lattice xs of [-1, 1]^2 without an
+engine call.  For a line (a, b) and a lattice column x, yc = a x + b and
+t = r sqrt(1 + a^2) are computed in the brute-force operation order; as xs
+does not decrease and float subtraction is monotone, yc - xs[j] does not
+increase with j, so the rows with |yc - xs[j]| <= t form one interval.
+Its ends are estimated by floor/ceil, checked with that predicate and
+corrected, and each column adds the interval to a difference array whose
+cumulative sum is the richness.  Blocks of lines x columns keep the
+working memory at a few MB whatever delta is.
 """
 
 from __future__ import annotations
@@ -296,6 +306,14 @@ class RichPointResult:
     used_multiplier: float
 
 
+def _clipped(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """v clipped to [lo, hi] in place, as floats, then cast to int64: a value
+    beyond the int64 range is never cast."""
+    np.minimum(v, hi, out=v)
+    np.maximum(v, lo, out=v)
+    return v.astype(np.int64)
+
+
 def _grid_candidates(L: LineFamily, delta: float, radius: float) -> np.ndarray:
     """Grid points of the delta-lattice of the unit square lying within
     `radius` (plus one lattice step) of at least one line; returned in
@@ -310,10 +328,8 @@ def _grid_candidates(L: LineFamily, delta: float, radius: float) -> np.ndarray:
         b = lb[lo:lo + chunk, None]
         yc = a * xs[None, :] + b
         half = radius * np.sqrt(1.0 + a * a) + delta
-        jlo = np.ceil((yc - half + 1.0) / delta).astype(np.int64)
-        jhi = np.floor((yc + half + 1.0) / delta).astype(np.int64)
-        np.clip(jlo, 0, npts - 1, out=jlo)
-        np.clip(jhi, -1, npts - 1, out=jhi)
+        jlo = _clipped(np.ceil((yc - half + 1.0) / delta), 0, npts - 1)
+        jhi = _clipped(np.floor((yc + half + 1.0) / delta), -1, npts - 1)
         lens = np.maximum(jhi - jlo + 1, 0).ravel()
         jj = _runs(jlo.ravel(), lens)
         ii = np.repeat(np.tile(np.arange(npts, dtype=np.int64), a.shape[0]), lens)
@@ -512,7 +528,10 @@ class RichnessField:
     used_multiplier: float
 
 
-def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
+def _grid_richness_reference(L: LineFamily, s: Scale) -> RichnessField:
+    """grid_richness by marking the band rows of _grid_candidates and
+    counting them with count_bucketed: the test oracle of the lattice scan
+    (it sees only the band, see grid_richness)."""
     used = s.multiplier + 1.0
     cand = (_grid_candidates(L, s.delta, used * s.delta) if len(L)
             else np.empty((0, 2)))
@@ -521,6 +540,130 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
     rep = count_bucketed(PointSet(cand, s.delta), L,
                          Scale(s.delta, s.epsilon, used))
     return RichnessField(cand, rep.richness, used)
+
+
+# Lattice entries (line, column) that grid_richness handles at a time, and
+# the lattice columns among them.
+_GRID_BLOCK = 1 << 15
+_GRID_COLUMNS = 32
+
+
+def _first_below(yc, t, strict: bool, est, x_at, x_before) -> None:
+    """Per entry of yc (lines x columns), the first row j in [0, n] with
+    yc - x_at[j] below t (< t if strict, else <= t); t holds one threshold
+    per line, x_at[j] = xs[j] with x_at[n] = +inf, so j = n always
+    qualifies, and x_before[j] = x_at[j - 1] with x_before[0] = -inf.
+
+    est, an int64 estimate in [0, n], is corrected in place.  It is right
+    when est is below and est - 1 is not; otherwise the answer is one step
+    further, or is found by bisection in what is left of [0, n]."""
+    below = np.less if strict else np.less_equal
+    diff = x_at.take(est)
+    np.subtract(yc, diff, out=diff)
+    at = below(diff, t)
+    x_before.take(est, out=diff)
+    np.subtract(yc, diff, out=diff)
+    bad = np.flatnonzero(np.less_equal(at, below(diff, t)))
+    if bad.size == 0:
+        return
+    ycs, ts = yc.ravel()[bad], t.ravel()[bad // yc.shape[1]]
+    e = est.ravel()[bad]
+    up = ~at.ravel()[bad]
+    step = np.where(up, e + 1, e - 1)
+    done = below(ycs - x_at[step], ts) & ~below(ycs - x_before[step], ts)
+    # below at hi, and the answer in [lo, hi]
+    lo = np.where(done, step, np.where(up, e + 2, 0))
+    hi = np.where(done, step, np.where(up, x_at.size - 1, e - 2))
+    while True:
+        open_ = np.flatnonzero(lo < hi)
+        if open_.size == 0:
+            break
+        mid = (lo[open_] + hi[open_]) // 2
+        hit = below(ycs[open_] - x_at[mid], ts[open_])
+        hi[open_] = np.where(hit, mid, hi[open_])
+        lo[open_] = np.where(hit, lo[open_], mid + 1)
+    est.ravel()[bad] = lo
+
+
+def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
+    """Richness at multiplier C + 1 of the candidates of the delta-lattice
+    xs = -1 + delta * (0, ..., n - 1) of [-1, 1]^2, n = floor(2 / delta) + 1:
+    the lattice points in the band of _grid_candidates (within the radius
+    plus one lattice step of a line) and every lattice point incident to a
+    line, in row-major (ix, iy) order.  Raises ValueError for line
+    parameters or a radius that are not finite or exceed 2**255 in
+    magnitude.
+
+    Lines and columns go in blocks of about _GRID_BLOCK entries.  For a
+    line (a, b) and column x, yc = a x + b and the threshold
+    t = r sqrt(1 + a a) are computed as count_naive computes them, and the
+    rows y = xs[j] it counts are those with -t <= yc - y <= t.  As xs does
+    not decrease and float subtraction is monotone, yc - xs[j] does not
+    increase with j, so those rows are one interval [j_lo, j_end), its
+    ends the first rows with yc - xs[j] <= t and < -t (_first_below, from
+    the band's own floor/ceil estimates).  Each column adds +1 at j_lo and
+    -1 at j_end to a difference array, and so for the band rows; the
+    cumulative sums over j are the richness and the band cover.  The band
+    holds every incident row unless yc and t are so large that the lattice
+    step added to t is lost to rounding, hence the union."""
+    used = s.multiplier + 1.0
+    if not len(L):
+        return RichnessField(np.empty((0, 2)), np.zeros(0, dtype=np.int64),
+                             used)
+    delta, radius = s.delta, used * s.delta
+    la, lb = L.params[:, 0], L.params[:, 1]
+    if not all(np.all(np.abs(v) <= _MAX_MAGNITUDE) for v in (la, lb, radius)):
+        raise ValueError("grid_richness needs finite line parameters and "
+                         "radius of magnitude at most 2**255")
+    npts = int(math.floor(2.0 / delta)) + 1
+    xs = -1.0 + delta * np.arange(npts)
+    x_at = np.append(xs, np.inf)
+    x_before = np.insert(xs, 0, -np.inf)
+    thr = (radius * np.sqrt(1.0 + la * la))[:, None]
+    neg_thr = -thr
+    half = thr + delta
+    width = npts + 1  # a difference array's row: rows 0..n-1 and an end
+    cols = min(npts, _GRID_COLUMNS)
+    lines = max(1, _GRID_BLOCK // cols)
+    coords, richness = [], []
+    for c0 in range(0, npts, cols):
+        x = xs[c0:c0 + cols]
+        base = width * np.arange(x.size)
+        rich = np.zeros(x.size * width, dtype=np.int64)
+        band = np.zeros_like(rich)
+        for l0 in range(0, len(L), lines):
+            sl = slice(l0, l0 + lines)
+            yc = la[sl, None] * x
+            yc += lb[sl, None]
+            # the band of _grid_candidates, in its operation order
+            lo_f = yc - half[sl]
+            lo_f += 1.0
+            lo_f /= delta
+            np.ceil(lo_f, out=lo_f)
+            hi_f = yc + half[sl]
+            hi_f += 1.0
+            hi_f /= delta
+            np.floor(hi_f, out=hi_f)
+            j_lo = _clipped(lo_f + 1.0, 0, npts)
+            b_lo = _clipped(lo_f, 0, npts - 1)
+            b_end = _clipped(hi_f + 1.0, 0, npts)
+            j_end = _clipped(hi_f, 0, npts)
+            _first_below(yc, thr[sl], False, j_lo, x_at, x_before)
+            _first_below(yc, neg_thr[sl], True, j_end, x_at, x_before)
+            # j_end >= j_lo as -t <= t, so an empty interval has
+            # j_end == j_lo and its +1 and -1 cancel; so has the band, as
+            # half > 0 makes b_end >= b_lo
+            rich += np.bincount((j_lo + base).ravel(), minlength=rich.size)
+            rich -= np.bincount((j_end + base).ravel(), minlength=rich.size)
+            band += np.bincount((b_lo + base).ravel(), minlength=band.size)
+            band -= np.bincount((b_end + base).ravel(), minlength=band.size)
+        rich = np.cumsum(rich.reshape(x.size, width)[:, :npts], axis=1)
+        band = np.cumsum(band.reshape(x.size, width)[:, :npts], axis=1)
+        keep = np.flatnonzero((band > 0) | (rich > 0))
+        coords.append(np.column_stack([x[keep // npts], xs[keep % npts]]))
+        richness.append(rich.ravel()[keep])
+    return RichnessField(np.concatenate(coords), np.concatenate(richness),
+                         used)
 
 
 def k_rich_points(L: LineFamily, k: int, s: Scale,

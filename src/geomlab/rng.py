@@ -36,18 +36,44 @@ _S11 = np.uint64(11)
 # so the passes over a chunk stay in a core's L2 cache (per key, 2^16 ran
 # about 3x faster than 2^20 on a 2-core x86 VM with 2 MB of L2 per core).
 _CHUNK = 1 << 16
+with np.errstate(over="ignore"):
+    _STEPS = GOLDEN * np.arange(1, _CHUNK + 1, dtype=np.uint64)
+_STEPS.setflags(write=False)
+# The low bits of a key that its last xorshift z ^ (z >> 31) can change.
+_LOW33 = np.uint64((1 << 33) - 1)
+
+
+def _mix64_head(z: np.ndarray, tmp: np.ndarray) -> None:
+    """All of mix64 but its last step z ^= z >> 31, in place on the uint64
+    array z, with tmp (same shape) as scratch."""
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _M1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _M2
+
+
+def _keys_below(z: np.ndarray, lim) -> tuple:
+    """The positions and keys of the entries of z (mix64 but its last
+    step) whose key z ^ (z >> 31) is below lim.  That step keeps the top 31
+    bits of z, so z above lim | _LOW33 cannot qualify and is not finished."""
+    sel = np.flatnonzero(z <= lim | _LOW33)
+    keys = z[sel]
+    keys ^= keys >> _S31
+    below = keys < lim
+    return sel[below], keys[below]
 
 
 def mix64(z):
     """splitmix64 finalizer on uint64 scalars or arrays (wraps mod 2^64)."""
-    z = np.asarray(z, dtype=np.uint64)
+    z = np.array(z, dtype=np.uint64)  # a copy: the input is never written
+    tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = z ^ (z >> _S30)  # a new array: the input is never written
-        z *= _M1
-        z ^= z >> _S27
-        z *= _M2
-        z ^= z >> _S31
-    return z
+        _mix64_head(z, tmp)
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+    return z[()]
 
 
 def substream_seed(seed: int, tag: int) -> int:
@@ -96,17 +122,29 @@ def rank_keys(seed: int, n: int, k: int) -> np.ndarray:
     best_idx = np.empty(0, dtype=np.int64)
     if k == 0:
         return best_idx
+    start = int(np.uint64(seed))
+    z = np.empty(min(n, _CHUNK), dtype=np.uint64)
+    tmp = np.empty_like(z)
     for lo in range(0, n, _CHUNK):
+        zc, tc = z[:n - lo], tmp[:n - lo]
+        # seed + (i + 1) * GOLDEN for i = lo, lo + 1, ...
+        np.add(_STEPS[:zc.size],
+               np.uint64((start + int(GOLDEN) * lo) % (1 << 64)), out=zc)
         with np.errstate(over="ignore"):
-            keys = mix64(np.uint64(seed) + GOLDEN * np.arange(
-                lo + 1, min(n, lo + _CHUNK) + 1, dtype=np.uint64))
+            _mix64_head(zc, tc)
         if best_key.size == k:  # only keys below the k-th best can enter
-            sel = np.flatnonzero(keys < best_key.max())
-        elif keys.size > k:
-            sel = np.argpartition(keys, k - 1)[:k]
+            sel, keys = _keys_below(zc, best_key.max())
         else:
-            sel = np.arange(keys.size)
-        best_key = np.concatenate([best_key, keys[sel]])
+            np.right_shift(zc, _S31, out=tc)
+            zc ^= tc
+            if zc.size > k:  # the k smallest keys: those up to the k-th
+                np.copyto(tc, zc)
+                tc.partition(k - 1)
+                sel = np.flatnonzero(zc <= tc[k - 1])
+            else:
+                sel = np.arange(zc.size)
+            keys = zc[sel]
+        best_key = np.concatenate([best_key, keys])
         best_idx = np.concatenate([best_idx, sel + lo])
         if best_key.size > k:
             keep = np.argpartition(best_key, k - 1)[:k]

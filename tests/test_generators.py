@@ -14,7 +14,8 @@ from geomlab.generators import (GeneratorSpec, _lattice_1d, build,
 from geomlab.incidence import count_naive, max_concurrency
 from geomlab.planar import (LineFamily, Point2, Scale, save_point_set,
                             validate_separation)
-from geomlab.rng import _CHUNK, GOLDEN, mix64, rank_keys
+from geomlab.rng import (_CHUNK, _LOW33, GOLDEN, Stream, _keys_below,
+                         mix64, rank_keys)
 
 
 def test_grid_packing_counts():
@@ -142,6 +143,30 @@ def test_rank_keys_equals_full_argsort(total):
         assert np.array_equal(got, ranking[:k])
     with pytest.raises(ValueError):
         rank_keys(seed, total, -1)
+
+
+def test_keys_below_equals_finished_keys():
+    # z sharing its top 31 bits with lim, where the prefilter must let the
+    # low 33 bits decide, the z whose key is lim, and z anywhere
+    stream = Stream(3)
+    for lim in stream.u64(300):
+        at_lim = lim ^ (lim >> np.uint64(31)) ^ (lim >> np.uint64(62))
+        z = np.concatenate([(lim & ~_LOW33) | (stream.u64(40) >> np.uint64(31)),
+                            [at_lim], stream.u64(20)])
+        keys = z ^ (z >> np.uint64(31))
+        want = np.flatnonzero(keys < lim)
+        sel, got = _keys_below(z, lim)
+        assert np.array_equal(sel, want)
+        assert np.array_equal(got, keys[want])
+
+
+def test_mix64_keeps_its_input_and_scalar_type():
+    z = Stream(4).u64(1000)
+    before = z.copy()
+    out = mix64(z)
+    assert np.array_equal(z, before)
+    assert isinstance(mix64(z[5]), np.uint64)
+    assert mix64(z[5]) == out[5]
 
 
 @pytest.mark.parametrize("args, digest", [

@@ -6,16 +6,20 @@ so supersetness is asserted here against brute-force oracles.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomlab.generators import gen_grid_packing, gen_random
-from geomlab.incidence import (_first_come, _greedy_separated,
+from geomlab.generators import (gen_grid_packing, gen_random,
+                                gen_rectangle_example)
+from geomlab.incidence import (_first_below, _first_come, _greedy_separated,
                                _greedy_separated_reference, _grid_candidates,
-                               count_bucketed, count_naive, grid_richness)
+                               _grid_richness_reference, count_bucketed,
+                               count_naive, grid_richness)
 from geomlab.measure import VoxelSet, load_voxelset, save_voxelset
 from geomlab.planar import LineFamily, PointSet, Scale, _min_pair
 from geomlab.rng import Stream
@@ -44,6 +48,156 @@ def test_grid_candidate_pruning_is_a_superset():
         key = (round(x, 12), round(y, 12))
         if key in lookup:
             assert lookup[key] == r
+
+
+def _lattice_richness(L, s):
+    """The whole delta-lattice of [-1, 1]^2 that grid_richness scans, in
+    row-major order, with its brute-force richness at multiplier C + 1."""
+    npts = int(math.floor(2.0 / s.delta)) + 1
+    xs = -1.0 + s.delta * np.arange(npts)
+    coords = np.column_stack([np.repeat(xs, npts), np.tile(xs, npts)])
+    rich = count_naive(PointSet(coords, s.delta), L,
+                       Scale(s.delta, s.epsilon, s.multiplier + 1.0)).richness
+    return xs, coords, rich
+
+
+def _lattice_rows(xs, coords):
+    """Row-major lattice indices of coords, which must be lattice points."""
+    ix, iy = np.searchsorted(xs, coords[:, 0]), np.searchsorted(xs, coords[:, 1])
+    assert np.array_equal(xs[ix], coords[:, 0])
+    assert np.array_equal(xs[iy], coords[:, 1])
+    return ix * xs.size + iy
+
+
+def _check_grid_richness(L, s):
+    """grid_richness returns, in row-major order, the oracle's band points
+    and every lattice point of positive brute-force richness, each with
+    that richness; the oracle agrees wherever it looks."""
+    field = grid_richness(L, s)
+    ref = _grid_richness_reference(L, s)
+    xs, coords, rich = _lattice_richness(L, s)
+    ref_rows = _lattice_rows(xs, ref.coords)
+    assert np.array_equal(ref.richness, rich[ref_rows])
+    want = rich > 0
+    want[ref_rows] = True
+    assert np.array_equal(field.coords, coords[want])
+    assert field.richness.dtype == np.int64
+    assert np.array_equal(field.richness, rich[want])
+    assert field.used_multiplier == ref.used_multiplier == s.multiplier + 1.0
+    return field, ref
+
+
+@st.composite
+def _richness_cases(draw):
+    """A line family and scale: slopes from flat to 2**60 (exact powers of
+    two among them), intercepts on the lattice, in the square and far off
+    it, delta not always a power of two, epsilon above delta, other
+    multipliers, and empty, single-line and repeated-line families."""
+    delta = draw(st.sampled_from([2.0 ** -3, 2.0 ** -4, 0.1, 1.0 / 48]))
+    eps = delta * draw(st.sampled_from([1.0, 1.5, 4.0]))
+    mult = draw(st.sampled_from([1.0, 1.5, 3.0]))
+    sign = st.sampled_from([-1.0, 1.0])
+    slope = st.one_of(
+        st.floats(-3.0, 3.0),
+        st.integers(-12, 12).map(lambda i: i / 4),
+        st.builds(lambda g, k, m: g * m * 2.0 ** k, sign, st.integers(0, 60),
+                  st.one_of(st.just(1.0), st.floats(1.0, 2.0))))
+    intercept = st.one_of(
+        st.floats(-1.5, 1.5),
+        st.integers(-48, 48).map(lambda i: i * delta),
+        st.floats(-2.0 ** 40, 2.0 ** 40))
+    pool = draw(st.lists(st.tuples(slope, intercept), max_size=6))
+    lines = pool
+    if pool and draw(st.booleans()):
+        lines = [pool[k] for k in draw(st.lists(
+            st.integers(0, len(pool) - 1), min_size=1, max_size=8))]
+    params = np.array(lines, dtype=np.float64).reshape(-1, 2)
+    return LineFamily(params, eps), Scale(delta, eps, mult)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_richness_cases())
+def test_grid_richness_equals_brute_force_lattice_and_oracle(case):
+    _check_grid_richness(*case)
+
+
+def test_steep_lines_keep_their_candidates():
+    # a slope of 1e20 puts the band ends beyond the int64 range (the cast
+    # used to give INT64_MIN and an empty band), and near x = +-2 delta
+    # adding the lattice step to t = 2 delta * 1e20 rounds away, so the
+    # band misses incident rows there: brute force over the 33 x 33
+    # lattice finds 446 incidences, the band alone 418 on 333 points
+    delta = 2.0 ** -4
+    L = LineFamily([(1e20, 0.0), (1e3, 0.0), (0.5, 0.1)], delta)
+    s = Scale(delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field, ref = _check_grid_richness(L, s)
+        _grid_candidates(L, delta, 2.0 * delta)
+    assert int(field.richness.sum()) == 446
+    assert int(ref.richness.sum()) == 418
+    assert field.coords.shape[0] == 361 and ref.coords.shape[0] == 333
+
+
+@pytest.mark.parametrize("dexp", [4, 6])
+def test_grid_richness_equals_reference_on_rectangle_family(dexp):
+    delta = 2.0 ** -dexp
+    _, L = gen_rectangle_example(delta, 1.0, math.sqrt(delta))
+    field = grid_richness(L, Scale(delta))
+    ref = _grid_richness_reference(L, Scale(delta))
+    assert np.array_equal(field.coords, ref.coords)
+    assert np.array_equal(field.richness, ref.richness)
+    if dexp == 6:
+        assert field.coords.shape[0] == 15232
+
+
+def test_grid_richness_memory_stays_small():
+    # blocks of lattice columns x lines: the scan's peak allocation is a
+    # few MB, where expanding the band rows and recounting took ~128 MB
+    delta = 2.0 ** -6
+    _, L = gen_rectangle_example(delta, 1.0, math.sqrt(delta))
+    tracemalloc.start()
+    try:
+        field = grid_richness(L, Scale(delta))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.coords.shape[0] == 15232
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("line, mult", [
+    ((math.nan, 0.0), 1.0), ((0.5, math.inf), 1.0), ((2.0 ** 256, 0.0), 1.0),
+    ((0.5, -2.0 ** 256), 1.0), ((0.5, 0.0), 2.0 ** 300)])
+def test_grid_richness_rejects_what_count_bucketed_refuses(line, mult):
+    L = LineFamily([(0.5, 0.1), line], 2.0 ** -4)
+    with pytest.raises(ValueError, match="2\\*\\*255"):
+        grid_richness(L, Scale(2.0 ** -4, multiplier=mult))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_first_below_from_any_estimate(strict, seed):
+    # thresholds and values on, near and far off the lattice; estimates
+    # right, one off, and anywhere in [0, n]
+    delta = [2.0 ** -4, 0.1, 1.0 / 48][seed - 1]
+    n = int(math.floor(2.0 / delta)) + 1
+    xs = -1.0 + delta * np.arange(n)
+    x_at, x_before = np.append(xs, np.inf), np.insert(xs, 0, -np.inf)
+    stream = Stream(seed)
+    lines, cols = 40, 25
+    t = stream.uniform(lines, 0.0, 0.5)[:, None]
+    t[::5] = delta * stream.integers(lines // 5, 4)[:, None]
+    yc = stream.uniform(lines * cols, -2.0, 2.0).reshape(lines, cols)
+    yc[::3] = xs[stream.integers(cols, n)] + t[::3]
+    yc[1::7] = 2.0 ** 60 * stream.uniform(cols, -1.0, 1.0)
+    below = np.less if strict else np.less_equal
+    want = np.argmax(below(yc[:, :, None] - x_at, t[:, :, None]), axis=2)
+    est = stream.integers(lines * cols, n + 1).reshape(lines, cols)
+    est[::2] = np.clip(want[::2] + stream.integers(cols, 3).reshape(1, -1)
+                       - 1, 0, n)
+    _first_below(yc, t, strict, est, x_at, x_before)
+    assert np.array_equal(est, want)
 
 
 def test_greedy_separated_is_separated_and_maximal():
