@@ -1,13 +1,17 @@
 """Incidence counting engines and rich-point extraction.
 
 Two counters with identical output: a brute-force counter testing every
-(point, line) pair, and a column engine that sorts the lines by (slope
-column, intercept) and, per point and column, binary-searches the window
-of intercepts that can meet the point's dual strip (lines incident to
-p = (x0, y0) have b within r sqrt(1 + a^2) of -x0 a + y0).  A window
-whose end lines lie inside the strip with a proven float margin is
-counted by index difference; the lines of any other window are tested in
-the brute-force operation order, so counts agree bit for bit.
+(point, line) pair, and a column engine.  The engine visits the points in
+strips of x, split into groups of consecutive points, and keys the lines
+at a reference abscissa x_r of each group: a line (a, b) has key
+a x_r + b, its height there, and the lines are sorted by (slope column,
+key).  A point (x, y) meets (a, b) at radius r iff the key lies within
+r sqrt(1 + a^2) of y - a (x - x_r), so per point and column a binary search
+finds the window of keys that can meet the point's dual strip; the slopes
+of a column make that window uncertain by (column width) |x - x_r| only.
+A window whose end lines lie inside the strip with a proven float margin
+is counted by index difference; the lines of any other window are tested
+in the brute-force operation order, so counts agree bit for bit.
 
 Rich points are counted on the delta-lattice xs of [-1, 1]^2 without an
 engine call.  For a line (a, b) and a lattice column x, yc = a x + b and
@@ -107,68 +111,85 @@ def count_naive(P: PointSet, L: LineFamily, s: Scale,
 # it no product, square or sum in either engine overflows.
 _MAX_MAGNITUDE = 2.0 ** 255
 # Points per chunk of count_bucketed: the arrays of one column stay within
-# 64 kB, and a chunk collects at most 2**19 windows for exact tests.
+# 64 kB, and a chunk collects at most 2**19 windows for exact tests.  An
+# input of at most one chunk of points is one group keyed at x = 0; larger
+# ones have groups of at least _GROUP_POINTS points (see _layout).
 _CHUNK_POINTS = 8192
 _CHUNK_PAIRS = 1 << 19
+_GROUP_POINTS = 2048
 
 
-def _float_margin(px, py, la, lb, radius: float) -> float:
-    """Distance by which the windows of count_bucketed are widened (outer)
-    or narrowed (inner) so that float rounding cannot misplace a line.
+def _float_margin(px, py, la, lb, radius: float, x_ref: float) -> float:
+    """Distance by which the windows of _Columns.count are widened (outer)
+    or narrowed (inner) so that float rounding cannot misplace a line, for
+    lines keyed at reference abscissas of magnitude at most |x_ref|.
 
     Let u = 2**-53, T = r sqrt(1 + max|a|^2) the largest threshold and
-    S = max|a| max|x| + max|b| + max|y| + T.  Each rounding below is off by
-    at most u times a quantity bounded by S (by 2**-1075 absolutely when it
-    underflows).
+    S = max|a| (max|x| + |x_ref|) + max|b| + max|y| + T.  Each rounding below
+    is off by at most u times a quantity bounded by S (by 2**-1075
+    absolutely when it underflows).
     - The brute-force predicate |(a x + b) - y| <= r sqrt(1 + a a) takes
       three roundings on the left (error < 3.01 u S) and four on the right
       (relative error < 3.01 u, so < 3.01 u T): computed and exact
       (distance - threshold) differ by < 6.1 u S, so the computed predicate
       equals the exact one whenever the exact difference exceeds that.
-    - A window end e -/+ (t +/- margin), with e = y - a x, takes four
-      roundings plus the four inside t: error < 7.1 u S.
-    A line outside the computed outer window therefore misses the exact
-    strip by more than margin - 7.1 u S, and a line inside the computed
-    inner window lies inside it by more than that.  Any margin above
-    13.2 u S (plus the underflow terms) makes both windows exact for the
-    computed predicate; 2**-48 S = 32 u S leaves room for the roundings in
-    S itself, and 2**-1000 exceeds the few absolute underflow errors.
+    - A key fl(fl(a x_r) + b) takes two roundings: error < 2.01 u S.
+    - A window end e -/+ (t +/- margin), with e = fl(y - fl(a fl(x - x_r))),
+      takes five roundings plus the four inside t: error < 9.1 u S.
+    Exactly, a x + b - y = (a x_r + b) - (y - a (x - x_r)).  A line whose
+    key lies outside the computed outer window therefore misses the exact
+    strip by more than margin - 11.2 u S, and a line whose key lies inside
+    the computed inner window lies inside it by more than that.  Any
+    margin above 17.3 u S (plus the underflow terms) makes both windows
+    exact for the computed predicate; 2**-48 S = 32 u S leaves room for the
+    roundings in S itself, and 2**-1000 exceeds the few absolute underflow
+    errors.  At x_ref = 0 the keys are the intercepts b and e = y - a x,
+    exactly.
     """
     amax = float(np.abs(la).max())
-    s = (amax * float(np.abs(px).max()) + float(np.abs(lb).max())
-         + float(np.abs(py).max()) + radius * math.sqrt(1.0 + amax * amax))
+    s = (amax * (float(np.abs(px).max()) + abs(x_ref))
+         + float(np.abs(lb).max()) + float(np.abs(py).max())
+         + radius * math.sqrt(1.0 + amax * amax))
     return 2.0 ** -48 * s + 2.0 ** -1000
 
 
 class _Columns:
-    """Lines sorted by (slope column, intercept) into slots, each column
-    framed by a -inf intercept slot before it and a +inf one after it.
+    """Lines sorted by (slope column, key) into slots, each column framed by
+    a -inf key slot before it and a +inf one after it.
 
-    Columns have width max(radius, span / sqrt|L|), span the range of the
-    slopes present, so there are at most sqrt|L| + 1 of them; only nonempty
-    columns are kept, each with the slope range of the lines it holds."""
+    Columns are `width` wide in slope, counted from the smallest slope;
+    only nonempty columns are kept, each with the slope range of the lines
+    it holds.  The key of a line (a, b) is its height a x_ref + b at the
+    reference abscissa x_ref, 0 (the intercept) until key_at moves it.
+    Which column a line is in depends on its slope only, so moving x_ref
+    reorders lines within their columns and keeps every slot of a column
+    in it."""
 
-    def __init__(self, params: np.ndarray, radius: float):
+    def __init__(self, params: np.ndarray, radius: float, width: float):
         a, b = params[:, 0], params[:, 1]
-        a0 = a.min()
-        self.width = max(radius, float(a.max() - a0) / math.sqrt(a.size))
-        col = np.floor((a - a0) / self.width).astype(np.int64)
+        col = np.floor((a - a.min()) / width).astype(np.int64)
         order = np.lexsort((b, col))
-        new = np.diff(col[order], prepend=-1) != 0
+        a, b, self.col = a[order], b[order], col[order]
+        new = np.diff(self.col, prepend=-1) != 0
         first = np.flatnonzero(new)
         # the i-th sorted line, in the c-th column, goes to slot i + 2c + 1
-        slot = np.arange(a.size) + 2 * np.cumsum(new) - 1
-        self.starts = slot[first]
+        self.slot = np.arange(a.size) + 2 * np.cumsum(new) - 1
+        self.starts = self.slot[first]
         self.ends = self.starts + np.diff(np.append(first, a.size))
-        self.a = np.zeros(a.size + 2 * first.size)
-        self.b = np.full(self.a.size, np.inf)
+        size = a.size + 2 * first.size
+        self.a = np.zeros(size)
+        self.b = np.full(size, np.inf)
         self.b[self.starts - 1] = -np.inf
-        self.line = np.zeros(self.a.size, dtype=np.int64)
-        self.a[slot], self.b[slot], self.line[slot] = a[order], b[order], order
+        self.line = np.zeros(size, dtype=np.int64)
+        self.a[self.slot], self.b[self.slot] = a, b
+        self.line[self.slot] = order
+        # keyed at x_ref = 0 the keys are the intercepts: key_at copies
+        # them before it moves x_ref
+        self.key, self.x_ref = self.b, 0.0
         # the brute-force engine's threshold, in its operation order
         self.thr = radius * np.sqrt(1.0 + self.a * self.a)
-        a_lo = np.minimum.reduceat(a[order], first)
-        a_hi = np.maximum.reduceat(a[order], first)
+        a_lo = np.minimum.reduceat(a, first)
+        a_hi = np.maximum.reduceat(a, first)
         self.a_lo = a_lo.tolist()
         self.a_hi = None if np.array_equal(a_lo, a_hi) else a_hi.tolist()
         abs_hi = np.maximum(np.abs(a_lo), np.abs(a_hi))
@@ -177,43 +198,68 @@ class _Columns:
         self.t_hi = (radius * np.sqrt(1.0 + abs_hi * abs_hi)).tolist()
         self.t_lo = (radius * np.sqrt(1.0 + abs_lo * abs_lo)).tolist()
 
+    def key_at(self, x_ref: float) -> None:
+        """Key the lines at x = x_ref and sort each column by key again.
+        The stable sort on (column, key), as a complex number (exact: both
+        parts are floats), starts from the previous keying's order, which
+        is nearly sorted when the two abscissas are close."""
+        if x_ref == self.x_ref:
+            return
+        if self.key is self.b:
+            self.key = self.b.copy()
+        self.x_ref = x_ref
+        s = self.slot
+        key = self.a[s] * x_ref
+        key += self.b[s]
+        by = np.empty(s.size, dtype=np.complex128)
+        by.real, by.imag = self.col, key
+        perm = np.argsort(by, kind="stable")
+        src = s[perm]
+        self.key[s] = key[perm]
+        for v in (self.a, self.b, self.line, self.thr):
+            v[s] = v[src]
+
     def count(self, x: np.ndarray, y: np.ndarray, margin: float,
               with_pairs: bool):
         """Richness of the points (x, y), and the incidences found among the
         lines tested, as (point, slot) arrays: all of them with_pairs.
 
-        For a column's slopes [a_lo, a_hi], e(a) = y - a x is linear in a
-        with range [e_min, e_max], and the threshold t(a) = r sqrt(1 + a^2)
-        has range [t_lo, t_hi].  A line (a, b) is incident iff
-        e(a) - t(a) <= b <= e(a) + t(a), so every incident line has b in the
-        outer window [e_min - t_hi, e_max + t_hi), widened by the margin, and
-        every b in the inner window [e_max - t_lo, e_min + t_lo), narrowed
-        by it, is incident.  The outer window is found by binary search.  It
-        holds only sure hits, counted by index difference, when its first
-        line is at or above the inner start and its last line below the
-        inner end (past a column's ends the sentinels keep both true);
-        otherwise, or when the pairs are wanted, its lines are tested."""
+        With d = x - x_ref, a line (a, b) of key Y = a x_ref + b is incident
+        iff e(a) - t(a) <= Y <= e(a) + t(a), for e(a) = y - a d and the
+        threshold t(a) = r sqrt(1 + a^2).  For a column's slopes
+        [a_lo, a_hi], e(a) is linear in a with range [e_min, e_max], of
+        length (a_hi - a_lo) |d|, and t(a) has range [t_lo, t_hi].  So every
+        incident line has its key in the outer window [e_min - t_hi,
+        e_max + t_hi), widened by the margin, and every key in the inner
+        window [e_max - t_lo, e_min + t_lo), narrowed by it, is incident.
+        The outer window is found by binary search.  It holds only sure
+        hits, counted by index difference, when its first line is at or
+        above the inner start and its last line below the inner end (past
+        a column's ends the sentinels keep both true); otherwise, or when
+        the pairs are wanted, its lines are tested on (a, b, x, y) as
+        count_naive tests them."""
         k = x.size
         richness = np.zeros(k, dtype=np.int64)
+        d = x - self.x_ref if self.x_ref else x
         q = np.empty((2, k))
         # (first slot, length, point) of the windows to test
         tested = [(np.zeros(0, dtype=np.int64),) * 3]
         for c, (lo, hi) in enumerate(zip(self.starts.tolist(),
                                          self.ends.tolist())):
-            e_min = e_max = y - self.a_lo[c] * x
+            e_min = e_max = y - self.a_lo[c] * d
             if self.a_hi is not None:
-                e2 = y - self.a_hi[c] * x
+                e2 = y - self.a_hi[c] * d
                 e_min = np.minimum(e_max, e2)
                 e_max = np.maximum(e_max, e2, out=e2)
             outer = self.t_hi[c] + margin
             inner = self.t_lo[c] - margin
             np.subtract(e_min, outer, out=q[0])
             np.add(e_max, outer, out=q[1])
-            p0, p1 = np.searchsorted(self.b[lo:hi], q)
+            p0, p1 = np.searchsorted(self.key[lo:hi], q)
             richness += p1
             richness -= p0
-            test = self.b[lo:hi + 1][p0] < e_max - inner
-            test |= self.b[lo - 1:hi][p1] >= e_min + inner
+            test = self.key[lo:hi + 1][p0] < e_max - inner
+            test |= self.key[lo - 1:hi][p1] >= e_min + inner
             if with_pairs:
                 test |= p1 > p0
             pick = np.flatnonzero(test)
@@ -231,6 +277,28 @@ class _Columns:
         return richness, pt[hit], slot[hit]
 
 
+def _layout(n: int, m: int, radius: float, a_span: float,
+            x_extent: float) -> Tuple[int, float]:
+    """The number of point groups of count_bucketed and the slope width of
+    its columns, for n points spanning x_extent in x, m lines spanning
+    a_span in slope, and the radius r.
+
+    Up to one chunk of points: one group and columns max(r, a_span /
+    sqrt m) wide, at most sqrt m + 1 of them.  Above that, columns twice as
+    wide, which halves the binary searches, and 2 width x_extent / r groups
+    of equal numbers of points.  A group then spans r / (2 width) in x on
+    average; keyed at its middle, a column's window is uncertain by
+    width |x - x_r| <= r / 4, so few windows straddle the strip's edges.
+    Each group re-keys the lines and passes over the columns, so a group
+    keeps at least _GROUP_POINTS points."""
+    width = max(radius, a_span / math.sqrt(m))
+    if n <= _CHUNK_POINTS:
+        return 1, width
+    width *= 2.0
+    groups = min(2.0 * width * x_extent / radius, n // _GROUP_POINTS)
+    return max(1, math.ceil(groups)), width
+
+
 def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
                    with_pairs: bool = False) -> IncidenceReport:
     """Same output as count_naive for every finite input, via the slope
@@ -246,20 +314,34 @@ def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
                    (px, py, la, lb, s.radius)):
             raise ValueError("count_bucketed needs finite coordinates and "
                              "radius of magnitude at most 2**255")
-        margin = _float_margin(px, py, la, lb, s.radius)
-        cols = _Columns(L.params, s.radius)
+        groups, width = _layout(n, m, s.radius, float(la.max() - la.min()),
+                                float(px.max() - px.min())
+                                if n > _CHUNK_POINTS else 0.0)
+        cols = _Columns(L.params, s.radius, width)
         # points by strips of x one column wide, then by y: the queries
-        # y - a x of a column then come nearly sorted, which keeps the
-        # branches of the binary searches predictable
-        porder = np.lexsort((py, np.floor(px / cols.width)))
+        # y - a (x - x_ref) of a column then come nearly sorted, which keeps
+        # the branches of the binary searches predictable.  Groups are runs
+        # of this order, each keyed at the middle of its x-range.
+        porder = np.lexsort((py, np.floor(px / width)))
+        bounds = [n * g // groups for g in range(groups + 1)]
+        refs = [0.0]
+        if n > _CHUNK_POINTS:
+            xs = px[porder]
+            refs = [(float(xs[lo:hi].min()) + float(xs[lo:hi].max())) / 2.0
+                    for lo, hi in zip(bounds, bounds[1:])]
+        margin = _float_margin(px, py, la, lb, s.radius,
+                               max(abs(r) for r in refs))
         chunk = max(1, min(_CHUNK_POINTS, _CHUNK_PAIRS // cols.starts.size))
         keys = []
-        for lo in range(0, n, chunk):
-            idx = porder[lo:lo + chunk]
-            rich, pt, slot = cols.count(px[idx], py[idx], margin, with_pairs)
-            richness[idx] = rich
-            if with_pairs:
-                keys.append(idx[pt] * m + cols.line[slot])
+        for g, x_ref in enumerate(refs):
+            cols.key_at(x_ref)
+            for lo in range(bounds[g], bounds[g + 1], chunk):
+                idx = porder[lo:min(lo + chunk, bounds[g + 1])]
+                rich, pt, slot = cols.count(px[idx], py[idx], margin,
+                                            with_pairs)
+                richness[idx] = rich
+                if with_pairs:
+                    keys.append(idx[pt] * m + cols.line[slot])
         if with_pairs:
             key = np.sort(np.concatenate(keys))
             pairs = list(zip((key // m).tolist(), (key % m).tolist()))
@@ -328,7 +410,7 @@ def _grid_candidates(L: LineFamily, delta: float, radius: float) -> np.ndarray:
         b = lb[lo:lo + chunk, None]
         yc = a * xs[None, :] + b
         half = radius * np.sqrt(1.0 + a * a) + delta
-        jlo = _clipped(np.ceil((yc - half + 1.0) / delta), 0, npts - 1)
+        jlo = _clipped(np.ceil((yc - half + 1.0) / delta), 0, npts)
         jhi = _clipped(np.floor((yc + half + 1.0) / delta), -1, npts - 1)
         lens = np.maximum(jhi - jlo + 1, 0).ravel()
         jj = _runs(jlo.ravel(), lens)
@@ -645,7 +727,7 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
             hi_f /= delta
             np.floor(hi_f, out=hi_f)
             j_lo = _clipped(lo_f + 1.0, 0, npts)
-            b_lo = _clipped(lo_f, 0, npts - 1)
+            b_lo = _clipped(lo_f, 0, npts)
             b_end = _clipped(hi_f + 1.0, 0, npts)
             j_end = _clipped(hi_f, 0, npts)
             _first_below(yc, thr[sl], False, j_lo, x_at, x_before)

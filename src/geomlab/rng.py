@@ -20,6 +20,8 @@ drawn without changing the stream, and makes substreams cheap.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -41,6 +43,21 @@ with np.errstate(over="ignore"):
 _STEPS.setflags(write=False)
 # The low bits of a key that its last xorshift z ^ (z >> 31) can change.
 _LOW33 = np.uint64((1 << 33) - 1)
+# Each thread's key and scratch buffers of rank_keys (see _buffers).
+_LOCAL = threading.local()
+
+
+def _buffers() -> tuple:
+    """The calling thread's two uint64 buffers of _CHUNK entries, made on
+    its first rank_keys call and kept, so that their pages stay resident:
+    freed, buffers this large go back to the OS, and each call faults them
+    in again (224 page faults per call at n = 2^16).  They are per thread,
+    so rows run in parallel threads never share one."""
+    bufs = getattr(_LOCAL, "bufs", None)
+    if bufs is None:
+        bufs = _LOCAL.bufs = (np.empty(_CHUNK, dtype=np.uint64),
+                              np.empty(_CHUNK, dtype=np.uint64))
+    return bufs
 
 
 def _mix64_head(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -113,7 +130,8 @@ def rank_keys(seed: int, n: int, k: int) -> np.ndarray:
     gives all n.
 
     The keys are made and selected one chunk of at most _CHUNK indices at
-    a time, so memory is O(k + _CHUNK) whatever n is.
+    a time, in the thread's resident buffers, so memory is O(k + _CHUNK)
+    whatever n is.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -123,8 +141,7 @@ def rank_keys(seed: int, n: int, k: int) -> np.ndarray:
     if k == 0:
         return best_idx
     start = int(np.uint64(seed))
-    z = np.empty(min(n, _CHUNK), dtype=np.uint64)
-    tmp = np.empty_like(z)
+    z, tmp = _buffers()
     for lo in range(0, n, _CHUNK):
         zc, tc = z[:n - lo], tmp[:n - lo]
         # seed + (i + 1) * GOLDEN for i = lo, lo + 1, ...

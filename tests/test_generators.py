@@ -14,8 +14,8 @@ from geomlab.generators import (GeneratorSpec, _lattice_1d, build,
 from geomlab.incidence import count_naive, max_concurrency
 from geomlab.planar import (LineFamily, Point2, Scale, save_point_set,
                             validate_separation)
-from geomlab.rng import (_CHUNK, _LOW33, GOLDEN, Stream, _keys_below,
-                         mix64, rank_keys)
+from geomlab.rng import (_CHUNK, _LOW33, GOLDEN, Stream, _buffers,
+                         _keys_below, mix64, rank_keys)
 
 
 def test_grid_packing_counts():
@@ -143,6 +143,24 @@ def test_rank_keys_equals_full_argsort(total):
         assert np.array_equal(got, ranking[:k])
     with pytest.raises(ValueError):
         rank_keys(seed, total, -1)
+
+
+def test_rank_keys_keeps_one_buffer_pair_per_thread():
+    # a thread reuses its buffers from call to call; threads running
+    # rows in parallel each get their own and rank as one thread does
+    from concurrent.futures import ThreadPoolExecutor
+    rank_keys(1, 3 * _CHUNK, 10)
+    mine = _buffers()
+    assert all(b.size == _CHUNK for b in mine)
+    rank_keys(2, 100, 5)
+    assert all(a is b for a, b in zip(_buffers(), mine))
+    cases = [(seed, 2 * _CHUNK + seed, 50 + seed) for seed in range(12)]
+    want = [rank_keys(*c) for c in cases]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda c: rank_keys(*c), cases * 3))
+        theirs = set(pool.map(lambda _: id(_buffers()[0]), range(8)))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want * 3))
+    assert id(mine[0]) not in theirs
 
 
 def test_keys_below_equals_finished_keys():

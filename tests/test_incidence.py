@@ -67,13 +67,26 @@ def test_count_monotone_in_scale_and_inputs():
     assert count_naive(half, L, Scale(2.0 ** -6)).count <= c2
 
 
-def test_bucketed_outruns_naive_on_large_instances():
-    # |P| * |L| ~ 18M pairs; the strip kernel skips almost all of them
+def _grid_x_grid():
     delta = 2.0 ** -5
     P = gen_grid_packing(delta)
-    L = LineFamily(gen_grid_packing(delta).coords, epsilon=delta)
-    s = Scale(delta)
-    count_bucketed(P, L, s)  # jit warmup
+    return P, LineFamily(P.coords, epsilon=delta), Scale(delta)
+
+
+def _random_in_groups():
+    delta = 2.0 ** -9
+    P, L = gen_random(10000, 2000, delta, seed=3)
+    return P, L, Scale(delta)
+
+
+@pytest.mark.parametrize("make", [_grid_x_grid, _random_in_groups],
+                         ids=["grid_x_grid", "random_in_groups"])
+def test_bucketed_outruns_naive_on_large_instances(make):
+    # grid x grid: 4225 x 4225 ~ 18M pairs in one group; random: 10000 x
+    # 2000 = 20M pairs, more than one chunk of points, so in several groups
+    # keyed at their own x.  The binary searches skip almost all pairs.
+    P, L, s = make()
+    count_bucketed(P, L, s)  # first call: page in numpy's code paths
     tb = min(timeit.repeat(lambda: count_bucketed(P, L, s), number=1, repeat=3))
     tn = min(timeit.repeat(lambda: count_naive(P, L, s), number=1, repeat=3))
     assert count_bucketed(P, L, s).same_as(count_naive(P, L, s))
