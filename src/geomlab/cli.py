@@ -54,10 +54,6 @@ def parse_number(tok: str) -> float:
         raise ValueError(f"not a number: {tok!r}") from None
 
 
-def parse_list(text: str) -> List[float]:
-    return [parse_number(t) for t in text.split()]
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -84,12 +84,6 @@ def dilate(lam: float, p: HPoint) -> HPoint:
     return HPoint(lam * p.x, lam * p.y, lam * lam * p.t)
 
 
-def dilate_plane(lam: float, w: VerticalPlanePoint) -> VerticalPlanePoint:
-    if lam <= 0.0:
-        raise ValueError(f"dilation factor must be positive, got {lam}")
-    return VerticalPlanePoint(w.plane, lam * w.u, lam * lam * w.t)
-
-
 def proj_x(p: HPoint) -> VerticalPlanePoint:
     return VerticalPlanePoint(Plane.W_X, p.x, p.t - p.x * p.y / 2.0)
 
@@ -116,11 +110,6 @@ def horizontal_fiber(w: VerticalPlanePoint):
     if w.plane == Plane.W_X:
         return lambda s: h_mul(base, HPoint(0.0, s, 0.0))
     return lambda s: h_mul(base, HPoint(s, 0.0, 0.0))
-
-
-def fiber_samples(w: VerticalPlanePoint, values: Sequence[float]) -> np.ndarray:
-    f = horizontal_fiber(w)
-    return np.array([[q.x, q.y, q.t] for q in (f(v) for v in values)])
 
 
 def project_fiber_to_line(w: VerticalPlanePoint) -> LineAB:
@@ -222,23 +211,6 @@ def tube_inclusion_check(w: VerticalPlanePoint, s: Scale, samples: int = 20000,
     if pts.shape[0] == 0:
         return 0.0
     return float(dist_to_horizontal_line(pts, w).max() / s.delta)
-
-
-def save_hpoints(points: Sequence[HPoint], path) -> None:
-    """CSV with header x,y,t, one row per point."""
-    with open(path, "w") as fh:
-        fh.write("x,y,t\n")
-        for p in points:
-            fh.write(f"{p.x!r},{p.y!r},{p.t!r}\n")
-
-
-def load_hpoints(path) -> List[HPoint]:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x,y,t":
-            raise ValueError(f"{path}: expected header x,y,t")
-        return [HPoint(*(float(v) for v in line.split(",")))
-                for line in fh if line.strip()]
 
 
 def measure_core_projection_constant(s: Scale, samples: int = 20000,

@@ -18,10 +18,10 @@ engine call.  For a line (a, b) and a lattice column x, yc = a x + b and
 t = r sqrt(1 + a^2) are computed in the brute-force operation order; as xs
 does not decrease and float subtraction is monotone, yc - xs[j] does not
 increase with j, so the rows with |yc - xs[j]| <= t form one interval.
-Its ends are estimated by floor/ceil, checked with that predicate and
-corrected, and each column adds the interval to a difference array whose
-cumulative sum is the richness.  Blocks of lines x columns keep the
-working memory at a few MB whatever delta is.
+Its ends are estimated by floor/ceil and settled against that predicate
+by planar._first_true, and each column adds the interval to a difference
+array whose cumulative sum is the richness.  Blocks of lines x columns
+keep the working memory at a few MB whatever delta is.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .planar import (LineFamily, Point2, PointSet, Scale, _CellHash,
-                     _check_finite, _runs, is_incident)
+                     _check_finite, _first_true, _runs, is_incident)
 
 
 def normalized_ratio(count: int, n_points: int, n_lines: int, delta: float) -> float:
@@ -396,31 +396,6 @@ def _clipped(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return v.astype(np.int64)
 
 
-def _grid_candidates(L: LineFamily, delta: float, radius: float) -> np.ndarray:
-    """Grid points of the delta-lattice of the unit square lying within
-    `radius` (plus one lattice step) of at least one line; returned in
-    row-major (ix, iy) order as an (n, 2) coordinate array."""
-    npts = int(math.floor(2.0 / delta)) + 1
-    la, lb = L.params[:, 0], L.params[:, 1]
-    xs = -1.0 + delta * np.arange(npts)
-    marked = np.zeros(npts * npts, dtype=bool)
-    chunk = max(1, int(2e6) // npts)
-    for lo in range(0, len(L), chunk):
-        a = la[lo:lo + chunk, None]
-        b = lb[lo:lo + chunk, None]
-        yc = a * xs[None, :] + b
-        half = radius * np.sqrt(1.0 + a * a) + delta
-        jlo = _clipped(np.ceil((yc - half + 1.0) / delta), 0, npts)
-        jhi = _clipped(np.floor((yc + half + 1.0) / delta), -1, npts - 1)
-        lens = np.maximum(jhi - jlo + 1, 0).ravel()
-        jj = _runs(jlo.ravel(), lens)
-        ii = np.repeat(np.tile(np.arange(npts, dtype=np.int64), a.shape[0]), lens)
-        marked[ii * npts + jj] = True
-    flat = np.nonzero(marked)[0]
-    ii, jj = flat // npts, flat % npts
-    return np.column_stack([xs[ii], xs[jj]])
-
-
 # A batch of at most _DIRECT rows tests all its pairs with pred instead of
 # asking near, and only its kept rows look ahead; (_DIRECT_A, _DIRECT_B) are
 # the pairs a < b < _DIRECT ordered by b, so those of a batch of u rows are
@@ -553,7 +528,7 @@ def _greedy_separated(coords: np.ndarray, delta: float) -> np.ndarray:
 
     A row is dropped when math.hypot(row - kept) < delta for a kept row in
     one of the 3 x 3 cells of side delta around its own (cells floor(x /
-    delta) as floats), exactly as _greedy_separated_reference does."""
+    delta) as floats)."""
     n = coords.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
@@ -574,32 +549,6 @@ def _greedy_separated(coords: np.ndarray, delta: float) -> np.ndarray:
                                     lambda r: (cy[r] - 1.0, cy[r] + 1.0)), pred)
 
 
-def _greedy_separated_reference(coords: np.ndarray, delta: float) -> np.ndarray:
-    """_greedy_separated as a per-row loop over a dict of cells: the test
-    oracle of the batched version."""
-    kept: List[int] = []
-    cells: dict = {}
-    inv = 1.0 / delta
-    for i in range(coords.shape[0]):
-        x, y = coords[i]
-        ci, cj = int(math.floor(x * inv)), int(math.floor(y * inv))
-        ok = True
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for j in cells.get((ci + di, cj + dj), ()):
-                    if math.hypot(x - coords[j, 0], y - coords[j, 1]) < delta:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            kept.append(i)
-            cells.setdefault((ci, cj), []).append(i)
-    return np.asarray(kept, dtype=np.int64)
-
-
 @dataclass
 class RichnessField:
     """Richness of every delta-grid candidate near the family, at the bumped
@@ -610,70 +559,18 @@ class RichnessField:
     used_multiplier: float
 
 
-def _grid_richness_reference(L: LineFamily, s: Scale) -> RichnessField:
-    """grid_richness by marking the band rows of _grid_candidates and
-    counting them with count_bucketed: the test oracle of the lattice scan
-    (it sees only the band, see grid_richness)."""
-    used = s.multiplier + 1.0
-    cand = (_grid_candidates(L, s.delta, used * s.delta) if len(L)
-            else np.empty((0, 2)))
-    if cand.shape[0] == 0:
-        return RichnessField(cand, np.zeros(0, dtype=np.int64), used)
-    rep = count_bucketed(PointSet(cand, s.delta), L,
-                         Scale(s.delta, s.epsilon, used))
-    return RichnessField(cand, rep.richness, used)
-
-
 # Lattice entries (line, column) that grid_richness handles at a time, and
 # the lattice columns among them.
 _GRID_BLOCK = 1 << 15
 _GRID_COLUMNS = 32
 
 
-def _first_below(yc, t, strict: bool, est, x_at, x_before) -> None:
-    """Per entry of yc (lines x columns), the first row j in [0, n] with
-    yc - x_at[j] below t (< t if strict, else <= t); t holds one threshold
-    per line, x_at[j] = xs[j] with x_at[n] = +inf, so j = n always
-    qualifies, and x_before[j] = x_at[j - 1] with x_before[0] = -inf.
-
-    est, an int64 estimate in [0, n], is corrected in place.  It is right
-    when est is below and est - 1 is not; otherwise the answer is one step
-    further, or is found by bisection in what is left of [0, n]."""
-    below = np.less if strict else np.less_equal
-    diff = x_at.take(est)
-    np.subtract(yc, diff, out=diff)
-    at = below(diff, t)
-    x_before.take(est, out=diff)
-    np.subtract(yc, diff, out=diff)
-    bad = np.flatnonzero(np.less_equal(at, below(diff, t)))
-    if bad.size == 0:
-        return
-    ycs, ts = yc.ravel()[bad], t.ravel()[bad // yc.shape[1]]
-    e = est.ravel()[bad]
-    up = ~at.ravel()[bad]
-    step = np.where(up, e + 1, e - 1)
-    done = below(ycs - x_at[step], ts) & ~below(ycs - x_before[step], ts)
-    # below at hi, and the answer in [lo, hi]
-    lo = np.where(done, step, np.where(up, e + 2, 0))
-    hi = np.where(done, step, np.where(up, x_at.size - 1, e - 2))
-    while True:
-        open_ = np.flatnonzero(lo < hi)
-        if open_.size == 0:
-            break
-        mid = (lo[open_] + hi[open_]) // 2
-        hit = below(ycs[open_] - x_at[mid], ts[open_])
-        hi[open_] = np.where(hit, mid, hi[open_])
-        lo[open_] = np.where(hit, lo[open_], mid + 1)
-    est.ravel()[bad] = lo
-
-
 def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
     """Richness at multiplier C + 1 of the candidates of the delta-lattice
     xs = -1 + delta * (0, ..., n - 1) of [-1, 1]^2, n = floor(2 / delta) + 1:
-    the lattice points in the band of _grid_candidates (within the radius
-    plus one lattice step of a line) and every lattice point incident to a
-    line, in row-major (ix, iy) order.  Raises ValueError for line
-    parameters or a radius that are not finite or exceed 2**255 in
+    the lattice points in the band of a line and every lattice point
+    incident to a line, in row-major (ix, iy) order.  Raises ValueError for
+    line parameters or a radius that are not finite or exceed 2**255 in
     magnitude.
 
     Lines and columns go in blocks of about _GRID_BLOCK entries.  For a
@@ -682,12 +579,15 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
     rows y = xs[j] it counts are those with -t <= yc - y <= t.  As xs does
     not decrease and float subtraction is monotone, yc - xs[j] does not
     increase with j, so those rows are one interval [j_lo, j_end), its
-    ends the first rows with yc - xs[j] <= t and < -t (_first_below, from
-    the band's own floor/ceil estimates).  Each column adds +1 at j_lo and
-    -1 at j_end to a difference array, and so for the band rows; the
-    cumulative sums over j are the richness and the band cover.  The band
-    holds every incident row unless yc and t are so large that the lattice
-    step added to t is lost to rounding, hence the union."""
+    ends the first rows with yc - xs[j] <= t and < -t.  The band is the
+    rows ceil((yc - t - delta + 1) / delta) to floor((yc + t + delta + 1) /
+    delta), within the radius plus one lattice step; its ends, one row in,
+    are the estimates planar._first_true settles into j_lo and j_end.  Each
+    column adds +1 at j_lo and -1 at j_end to a difference array, and so for
+    the band rows; the cumulative sums over j are the richness and the band
+    cover.  The band holds every incident row unless yc and t are so large
+    that the lattice step added to t is lost to rounding, hence the
+    union."""
     used = s.multiplier + 1.0
     if not len(L):
         return RichnessField(np.empty((0, 2)), np.zeros(0, dtype=np.int64),
@@ -699,10 +599,19 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
                          "radius of magnitude at most 2**255")
     npts = int(math.floor(2.0 / delta)) + 1
     xs = -1.0 + delta * np.arange(npts)
-    x_at = np.append(xs, np.inf)
-    x_before = np.insert(xs, 0, -np.inf)
+    # x_ext[1 + j] = xs[j], -inf at j = -1 and inf at j = n, as [0, n] needs
+    x_ext = np.concatenate([[-np.inf], xs, [np.inf]])
+
+    def rows_past(yc, t, below):
+        """Whether below(yc - xs[j + d], t), for _first_true."""
+        t = np.broadcast_to(t, yc.shape)
+
+        def pred(s, j, d):
+            x = x_ext[1 + d:].take(j)
+            return below(np.subtract(yc[s], x, out=x), t[s])
+        return pred
+
     thr = (radius * np.sqrt(1.0 + la * la))[:, None]
-    neg_thr = -thr
     half = thr + delta
     width = npts + 1  # a difference array's row: rows 0..n-1 and an end
     cols = min(npts, _GRID_COLUMNS)
@@ -717,7 +626,7 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
             sl = slice(l0, l0 + lines)
             yc = la[sl, None] * x
             yc += lb[sl, None]
-            # the band of _grid_candidates, in its operation order
+            # the band's end rows, as floats
             lo_f = yc - half[sl]
             lo_f += 1.0
             lo_f /= delta
@@ -730,15 +639,17 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
             b_lo = _clipped(lo_f, 0, npts)
             b_end = _clipped(hi_f + 1.0, 0, npts)
             j_end = _clipped(hi_f, 0, npts)
-            _first_below(yc, thr[sl], False, j_lo, x_at, x_before)
-            _first_below(yc, neg_thr[sl], True, j_end, x_at, x_before)
+            _first_true(rows_past(yc, thr[sl], np.less_equal), j_lo, 0, npts)
+            _first_true(rows_past(yc, -thr[sl], np.less), j_end, 0, npts)
             # j_end >= j_lo as -t <= t, so an empty interval has
             # j_end == j_lo and its +1 and -1 cancel; so has the band, as
             # half > 0 makes b_end >= b_lo
-            rich += np.bincount((j_lo + base).ravel(), minlength=rich.size)
-            rich -= np.bincount((j_end + base).ravel(), minlength=rich.size)
-            band += np.bincount((b_lo + base).ravel(), minlength=band.size)
-            band -= np.bincount((b_end + base).ravel(), minlength=band.size)
+            for end in (j_lo, j_end, b_lo, b_end):
+                end += base
+            rich += np.bincount(j_lo.ravel(), minlength=rich.size)
+            rich -= np.bincount(j_end.ravel(), minlength=rich.size)
+            band += np.bincount(b_lo.ravel(), minlength=band.size)
+            band -= np.bincount(b_end.ravel(), minlength=band.size)
         rich = np.cumsum(rich.reshape(x.size, width)[:, :npts], axis=1)
         band = np.cumsum(band.reshape(x.size, width)[:, :npts], axis=1)
         keep = np.flatnonzero((band > 0) | (rich > 0))

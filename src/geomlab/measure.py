@@ -18,9 +18,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .heisenberg import Plane, VerticalPlanePoint, _line_through
+from .heisenberg import (Plane, VerticalPlanePoint, _line_through,
+                         dist_to_horizontal_line)
 from .incidence import _first_come
-from .planar import _CellHash
+from .planar import _CellHash, _first_true
 
 _PACK_OFF = np.int64(1) << np.int64(20)
 _PACK_MUL = np.int64(1) << np.int64(21)
@@ -189,7 +190,7 @@ class VoxelSet:
 # ---------------------------------------------------------------------------
 # Shapes (predicates with bounding boxes) for the center-rule voxelizer.
 
-class _Columns:
+class _VoxelColumns:
     """The (i, j) columns of a voxelization grid, as one shape sees them.
 
     x[c], y[c] are the center of column c and t(c, k) the center height of
@@ -202,53 +203,59 @@ class _Columns:
         self.x, self.y, self.t, self.k_of = x, y, t, k_of
         self.k0, self.k1, self.m = k0, k1, k1 - k0 + 1
 
-    def mapped(self, x, y, pre, post) -> "_Columns":
+    def mapped(self, x, y, pre, post) -> "_VoxelColumns":
         """The columns seen through a pre-map taking height t of column c
         to pre(c, t), with post(c, .) its inverse up to rounding."""
         t, k_of = self.t, self.k_of
-        return _Columns(x, y, lambda c, k: pre(c, t(c, k)),
-                        lambda c, s: k_of(c, post(c, s)), self.k0, self.k1)
+        return _VoxelColumns(x, y, lambda c, k: pre(c, t(c, k)),
+                             lambda c, s: k_of(c, post(c, s)), self.k0, self.k1)
 
     def confirm(self, shape: "Shape", c: np.ndarray, t_lo: np.ndarray,
                 t_hi: np.ndarray) -> _Runs:
         """Runs of the cells of columns c that shape contains, given the
         heights [t_lo, t_hi] of the shape in each column up to rounding.
-        contains is a monotone float composition in t, so the cells it
-        accepts in one column form an interval; each end of the rounded
-        k-range is tested with contains and stepped until it agrees."""
 
-        def inside(s, k):
+        contains is a monotone float composition in t, so a column's
+        accepted cells are one interval [a, b].  _first_true finds a in
+        [k0, lo] and b in [hi, k1 - 1] (mirrored by k -> -k) from the
+        rounded ends lo and hi; its checks at lo - 1, lo, hi and hi + 1
+        settle both when each end or its outer neighbour is accepted.
+        Otherwise the cell the other end found, or else the middle of
+        [lo, hi], tops both brackets of a second search, and a column
+        with neither is empty.  Heights right to within a cell put one of
+        these cells in every nonempty interval."""
+
+        def inside(cc, k):
             ok = (k >= self.k0) & (k < self.k1)
-            cc, kk = c[s][ok], k[ok]
+            cc = cc[ok]
             ok[ok] = shape.contains(np.column_stack([self.x[cc], self.y[cc],
-                                                     self.t(cc, kk)]))
+                                                     self.t(cc, k[ok])]))
             return ok
 
-        # fmax/fmin map a NaN end into the box too, so every walk below
-        # stays within k0 - 1 <= k <= k1
+        def ends(c, lo, hi, top_a, top_b):
+            a, b = lo.copy(), -hi
+            _first_true(lambda s, j, d: inside(c[s], j + d), a, self.k0, top_a)
+            _first_true(lambda s, j, d: inside(c[s], -d - j), b, 1 - self.k1, -top_b)
+            return a, -b
+
+        # fmax/fmin map a NaN end into the box too
         lo = np.fmin(np.fmax(np.ceil(self.k_of(c, t_lo)), self.k0), self.k1)
         hi = np.fmin(np.fmax(np.floor(self.k_of(c, t_hi)), self.k0 - 1),
                      self.k1 - 1)
         lo, hi = lo.astype(np.int64), hi.astype(np.int64)
-        lo0, hi0, every = lo.copy(), hi.copy(), np.arange(c.size)
-        below, at_lo = inside(every, lo - 1), inside(every, lo)
-        above, at_hi = inside(every, hi + 1), inside(every, hi)
-        _walk(lo, np.flatnonzero(below), -1, lambda s, k: inside(s, k - 1))
-        _walk(lo, np.flatnonzero(~below & ~at_lo & (lo <= hi0)), 1,
-              lambda s, k: (k <= hi0[s]) & ~inside(s, k))
-        _walk(hi, np.flatnonzero(above), 1, lambda s, k: inside(s, k + 1))
-        _walk(hi, np.flatnonzero(~above & ~at_hi & (hi >= lo0)), -1,
-              lambda s, k: (k >= lo0[s]) & ~inside(s, k))
-        keep = lo <= hi
+        a, b = ends(c, lo, hi, lo, hi)
+        redo = np.flatnonzero((a > lo) | (b < hi))
+        if redo.size:
+            lo, hi, ra, rb = lo[redo], hi[redo], a[redo], b[redo]
+            top = np.where(ra <= lo, ra, np.where(rb >= hi, rb, (lo + hi) // 2))
+            ok = inside(c[redo], top)
+            a[redo[~ok]], b[redo[~ok]] = 1, 0  # empty
+            redo, lo, hi, top = redo[ok], lo[ok], hi[ok], top[ok]
+            a[redo], b[redo] = ends(c[redo], np.minimum(lo + 1, top),
+                                    np.maximum(hi - 1, top), top, top)
+        keep = a <= b
         key = c[keep] * self.m - self.k0
-        return key + lo[keep], key + hi[keep] + 1
-
-
-def _walk(k: np.ndarray, s: np.ndarray, step: int, go_on) -> None:
-    """Step k[s] and keep stepping each entry while go_on(s, k[s]) holds."""
-    while s.size:
-        k[s] += step
-        s = s[go_on(s, k[s])]
+        return key + a[keep], key + b[keep] + 1
 
 
 _NO_RUNS: _Runs = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -261,11 +268,10 @@ class Shape:
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def t_intervals(self, cols: _Columns) -> Optional[_Runs]:
-        """The runs of grid cells this shape contains, column by column, or
-        None when the shape has no interval form (voxelize then tests every
-        center)."""
-        return None
+    def t_intervals(self, cols: _VoxelColumns) -> _Runs:
+        """The runs of grid cells this shape contains, column by column: its
+        heights in each column, settled against contains by cols.confirm."""
+        raise NotImplementedError
 
 
 class Box(Shape):
@@ -342,12 +348,7 @@ class UnionShape(Shape):
         return np.min(los, axis=0), np.max(his, axis=0)
 
     def t_intervals(self, cols):
-        parts = []
-        for sh in self.shapes:
-            runs = sh.t_intervals(cols)
-            if runs is None:
-                return None
-            parts.append(runs)
+        parts = [sh.t_intervals(cols) for sh in self.shapes]
         return _sweep(parts, lambda *n: sum(n) > 0) if parts else _NO_RUNS
 
 
@@ -362,11 +363,8 @@ class DifferenceShape(Shape):
         return self.plus.bounds()
 
     def t_intervals(self, cols):
-        plus = self.plus.t_intervals(cols)
-        minus = None if plus is None else self.minus.t_intervals(cols)
-        if minus is None:
-            return None
-        return _sweep([plus, minus], lambda p, m: (p > 0) & (m == 0))
+        return _sweep([self.plus.t_intervals(cols), self.minus.t_intervals(cols)],
+                      lambda p, m: (p > 0) & (m == 0))
 
 
 class ShearedShape(Shape):
@@ -425,7 +423,6 @@ class TubeIntersection(Shape):
         self._lo, self._hi = box_lo, box_hi
 
     def contains(self, pts):
-        from .heisenberg import dist_to_horizontal_line
         ok = np.all(np.abs(pts) <= 1.0, axis=1)
         ok &= dist_to_horizontal_line(pts, self.w_x) <= self.radius
         ok &= dist_to_horizontal_line(pts, self.w_y) <= self.radius
@@ -434,10 +431,30 @@ class TubeIntersection(Shape):
     def bounds(self):
         return self._lo, self._hi
 
+    def t_intervals(self, cols):
+        # contains tests |x|, |y| <= 1 on these same floats
+        c = np.flatnonzero((np.abs(cols.x) <= 1.0) & (np.abs(cols.y) <= 1.0))
+        lo, hi = np.full(c.size, -1.0), np.full(c.size, 1.0)
+        for p in (self.w_x, self.w_y):
+            # with d the unit direction of the core line through a, s =
+            # t - a_t and w = (x - a_x, y - a_y, 0), the squared distance
+            # (1 - d_t^2) s^2 - 2 d_t (w.d) s + |w|^2 - (w.d)^2 is at most
+            # r^2 between its roots, or, where it misses, at its closest s
+            a, direction = _line_through(p)
+            d = direction / np.linalg.norm(direction)
+            wx, wy = cols.x[c] - a[0], cols.y[c] - a[1]
+            wd = wx * d[0] + wy * d[1]
+            lead, lin = 1.0 - d[2] * d[2], d[2] * wd
+            rest = wx * wx + wy * wy - wd * wd - self.radius * self.radius
+            half = np.sqrt(np.maximum(lin * lin - lead * rest, 0.0)) / lead
+            center = a[2] + lin / lead
+            lo, hi = np.maximum(lo, center - half), np.minimum(hi, center + half)
+        return cols.confirm(self, c, lo, hi)
+
 
 def _grid_box(shape: Shape, h: float, ht: float):
-    """The index box [i0, i1) x [j0, j1) x [k0, k1) of centers voxelize
-    tests, or None for empty bounds."""
+    """The index box [i0, i1) x [j0, j1) x [k0, k1) of the centers voxelize
+    reads, or None for empty bounds."""
     lo, hi = shape.bounds()
     if np.any(hi <= lo):
         return None
@@ -446,58 +463,28 @@ def _grid_box(shape: Shape, h: float, ht: float):
             int(math.floor(lo[2] / ht)) - 1, int(math.ceil(hi[2] / ht)) + 1)
 
 
-def voxelize(shape: Shape, h: float, ht: Optional[float] = None,
-             max_chunk: int = 4_000_000) -> VoxelSet:
-    """Center-rule voxelization over the shape's bounding box.
+def voxelize(shape: Shape, h: float, ht: Optional[float] = None) -> VoxelSet:
+    """Center-rule voxelization over the shape's bounding box, at xy side h
+    and t side ht (h when None), both finite and positive.
 
-    A shape with t_intervals is read one (i, j) column at a time, at a cost
-    that goes with the columns; any other shape tests every center of the
-    box, max_chunk at a time (_voxelize_dense).  Both give the same set."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    The box is read one (i, j) column at a time: shape.t_intervals gives
+    the runs of cells it contains in each column, at a cost that goes with
+    the columns, not with the centers of the box."""
     ht = h if ht is None else ht
+    if not all(math.isfinite(v) and v > 0 for v in (h, ht)):
+        raise ValueError(f"h and ht must be finite and positive, got "
+                         f"h={h!r}, ht={ht!r}")
     box = _grid_box(shape, h, ht)
     if box is None:
         return VoxelSet(np.empty((0, 3), dtype=np.int64), h, ht)
     i0, i1, j0, j1, k0, k1 = box
     ii = np.repeat(np.arange(i0, i1), j1 - j0)
     jj = np.tile(np.arange(j0, j1), i1 - i0)
-    cols = _Columns((ii + 0.5) * h, (jj + 0.5) * h,
-                    lambda c, k: (k + 0.5) * ht, lambda c, t: t / ht - 0.5,
-                    k0, k1)
-    runs = shape.t_intervals(cols)
-    if runs is None:
-        return _voxelize_dense(shape, h, ht, max_chunk)
-    return VoxelSet.from_spans(
-        _spans_of_runs(np.column_stack([ii, jj]), cols.m, k0, runs), h, ht)
-
-
-def _voxelize_dense(shape: Shape, h: float, ht: Optional[float] = None,
-                    max_chunk: int = 4_000_000) -> VoxelSet:
-    """voxelize by testing every center of the bounding box: the path of
-    shapes without t_intervals, and the test oracle of the interval path."""
-    ht = h if ht is None else ht
-    box = _grid_box(shape, h, ht)
-    if box is None:
-        return VoxelSet(np.empty((0, 3), dtype=np.int64), h, ht)
-    i0, i1, j0, j1, k0, k1 = box
-    xs = (np.arange(i0, i1) + 0.5) * h
-    ys = (np.arange(j0, j1) + 0.5) * h
-    slab = max(1, max_chunk // max(1, xs.size * ys.size))
-    chunks = []
-    for ka in range(k0, k1, slab):
-        kb = min(k1, ka + slab)
-        ts = (np.arange(ka, kb) + 0.5) * ht
-        gx, gy, gt = np.meshgrid(xs, ys, ts, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
-        mask = shape.contains(pts)
-        if mask.any():
-            ii, jj, kk = np.unravel_index(np.nonzero(mask)[0],
-                                          (xs.size, ys.size, kb - ka))
-            chunks.append(np.column_stack([ii + i0, jj + j0, kk + ka]))
-    if not chunks:
-        return VoxelSet(np.empty((0, 3), dtype=np.int64), h, ht)
-    return VoxelSet(np.vstack(chunks), h, ht)
+    cols = _VoxelColumns((ii + 0.5) * h, (jj + 0.5) * h,
+                         lambda c, k: (k + 0.5) * ht, lambda c, t: t / ht - 0.5,
+                         k0, k1)
+    return VoxelSet.from_spans(_spans_of_runs(
+        np.column_stack([ii, jj]), cols.m, k0, shape.t_intervals(cols)), h, ht)
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +681,6 @@ def tube_intersection_volume(w_x: VerticalPlanePoint, w_y: VerticalPlanePoint,
 # ---------------------------------------------------------------------------
 # Boundaries and the isoperimetric surrogate
 
-_NEIGHBORS6 = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
-                        [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.int64)
-
-
 def boundary(E: VoxelSet) -> VoxelSet:
     """Occupied voxels with at least one of the six face neighbors missing;
     computed once per set and kept on E."""
@@ -733,22 +716,6 @@ def _span_boundary(E: VoxelSet) -> VoxelSet:
     full = np.concatenate(full_lo), np.concatenate(full_end)
     on = _sweep([(lo, end), full], lambda e, n: (e > 0) & (n < 5))
     return VoxelSet.from_spans(_spans_of_runs(col_ij, m, base, on), E.h, E.ht)
-
-
-def _boundary_reference(E: VoxelSet) -> VoxelSet:
-    """boundary by looking up all six neighbors of every voxel: the test
-    oracle of the span kernel."""
-    if len(E) == 0:
-        return E
-    keys = _pack3(E.occupied)
-    on_boundary = np.zeros(len(E), dtype=bool)
-    for shift in _NEIGHBORS6:
-        nb = _pack3(E.occupied + shift[None, :])
-        pos = np.searchsorted(keys, nb)
-        present = pos < keys.size
-        present[present] &= keys[pos[present]] == nb[present]
-        on_boundary |= ~present
-    return VoxelSet(E.occupied[on_boundary], E.h, E.ht)
 
 
 def _gauge_inside(cx, cy, ct, px, py, pt, rho: float):
@@ -823,23 +790,6 @@ def h3_surrogate(B: VoxelSet) -> float:
     kept = _first_come(len(B), near, lambda o, j: _gauge_inside(
         x[o], y[o], t[o], x[j], y[j], t[j], rho))
     return kept.size * rho ** 3
-
-
-def _h3_surrogate_reference(B: VoxelSet) -> float:
-    """h3_surrogate testing every center against each new ball: the test
-    oracle of the batched version."""
-    if len(B) == 0:
-        return 0.0
-    rho = 2.0 * math.sqrt(B.ht)
-    centers = B.centers()
-    covered = np.zeros(len(B), dtype=bool)
-    n_balls = 0
-    for i in range(len(B)):
-        if covered[i]:
-            continue
-        n_balls += 1
-        covered |= _gauge_inside(*centers[i], *centers.T, rho)
-    return n_balls * rho ** 3
 
 
 def boundary_projection_inclusion(E: VoxelSet, oversample: int = 2) -> bool:

@@ -165,6 +165,46 @@ def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _first_true(pred: Callable, k: np.ndarray, lo, hi) -> None:
+    """Settle in place the int64 estimates k, of any shape, of where exact
+    monotone predicates switch on.  Each entry's predicate is false at
+    lo - 1 and switches on at most once up to hi; k becomes the first j in
+    [lo, hi] where it holds, else hi + 1.  lo and hi broadcast against k,
+    which must lie in [lo, hi].  pred(s, j, d) evaluates the entries s
+    (Ellipsis for all, j then shaped like k, or a tuple of index arrays)
+    at the places j + d in [lo - 1, hi], elementwise; d is -1 for the
+    places below the estimates, else 0, so that a caller reading a table
+    can shift the table instead of j.
+
+    Each estimate is checked, with the place below it; where that fails,
+    one step is tried on the side the check points to, then what is left
+    of [lo, hi + 1] is bisected, so an estimate however far off costs
+    about log2(hi - lo) more checks."""
+    prev = pred(..., k, -1)
+    bad = np.flatnonzero(np.less_equal(pred(..., k, 0), prev))
+    if bad.size == 0:
+        return
+    bad = np.unravel_index(bad, k.shape)
+    e, down = k[bad], prev[bad]
+    lo, hi = (np.broadcast_to(v, k.shape)[bad] for v in (lo, hi))
+    # down: pred holds at e - 1, which is right unless it holds at e - 2;
+    # up: pred fails at e, and e + 1 is right if it holds there or e = hi
+    step = np.where(down, e - 1, e + 1)
+    done = pred(bad, np.where(down, e - 2, np.minimum(e + 1, hi)), 0) != down
+    done |= step > hi
+    # the answer lies in [bot, top], where pred holds at top or top = hi + 1
+    bot = np.where(done, step, np.where(down, lo, e + 2))
+    top = np.where(done, step, np.where(down, e - 2, hi + 1))
+    open_ = np.flatnonzero(bot < top)
+    while open_.size:
+        mid = (bot[open_] + top[open_]) // 2
+        hit = pred(tuple(a[open_] for a in bad), mid, 0)
+        top[open_] = np.where(hit, mid, top[open_])
+        bot[open_] = np.where(hit, bot[open_], mid + 1)
+        open_ = open_[bot[open_] < top[open_]]
+    k[bad] = bot
+
+
 def _check_finite(coords: np.ndarray) -> None:
     """Raise a ValueError naming the rows of coords that are not finite."""
     bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))

@@ -251,10 +251,6 @@ class LevelDecomposition:
         return self._mass["x" if which == "x" else "y"].get(k, 0.0)
 
 
-def _level_mask(absvals: np.ndarray, k: int) -> np.ndarray:
-    return (absvals >= 2.0 ** (k - 1)) & (absvals <= 2.0 ** k)
-
-
 def level_range(f: GridFunction) -> range:
     """The levels from the lowest to the highest nonempty one."""
     ks = f.decomposition.levels
@@ -284,24 +280,6 @@ def levelset_lemma_check(f: GridFunction, k: int, which: str = "x",
     d = f.decomposition
     lhs = project_voxels(d.voxels(k), which, oversample).area()
     rhs = 2.0 ** (-k + 2) * d.gradient_mass(k - 1, which) * f.h ** 3
-    return LevelCheck(k, lhs, rhs, bool(lhs <= slack * rhs))
-
-
-def _levelset_lemma_check_reference(f: GridFunction, k: int,
-                                    which: str = "x", slack: float = 1.25,
-                                    oversample: int = 2) -> LevelCheck:
-    """levelset_lemma_check from whole-grid level masks and fields
-    recomputed on each call: the test oracle of LevelDecomposition."""
-    a = np.abs(f.values)
-    mask_k = _level_mask(a, k)
-    if not mask_k.any():
-        raise ValueError(f"level {k} is empty")
-    origin = np.asarray(f.origin, dtype=np.int64)
-    fk = VoxelSet(np.argwhere(mask_k) + origin[None, :], f.h)
-    lhs = project_voxels(fk, which, oversample).area()
-    grad = field_Y(f) if which == "x" else field_X(f)
-    mask_km1 = _level_mask(a, k - 1)
-    rhs = 2.0 ** (-k + 2) * float(np.abs(grad.values[mask_km1]).sum()) * f.h ** 3
     return LevelCheck(k, lhs, rhs, bool(lhs <= slack * rhs))
 
 

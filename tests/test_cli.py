@@ -9,14 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from geomlab.cli import (ConfigError, load_config, main, parse_list,
-                         parse_number)
+from geomlab.cli import ConfigError, load_config, main, parse_number
 
 
 def test_number_parsing():
     assert parse_number("2^-6") == 2.0 ** -6
     assert parse_number("0.125") == 0.125
-    assert parse_list("2^-4 0.5 1") == [0.0625, 0.5, 1.0]
+    assert [parse_number(t) for t in ("2^-4", "0.5", "1")] == [0.0625, 0.5, 1.0]
 
 
 def test_defaults_and_overrides(tmp_path):
@@ -59,7 +58,7 @@ def test_empty_sweep_list_exits_2(tmp_path):
 def test_fractions_parse():
     assert parse_number("1/64") == 2.0 ** -6
     assert parse_number(" 3/2^2 ") == 0.75
-    assert parse_list("1/48 2^-3") == [1.0 / 48.0, 0.125]
+    assert [parse_number(t) for t in ("1/48", "2^-3")] == [1.0 / 48.0, 0.125]
     for bad in ("abc", "1/0", "1/2/3", "2^x", "10^400"):
         with pytest.raises(ValueError):
             parse_number(bad)

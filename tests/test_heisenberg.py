@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geomlab.heisenberg import (CORE_PROJ_CONST, HPoint, Plane,
-                                VerticalPlanePoint, dilate, dilate_plane,
-                                dist_to_horizontal_line, fiber_samples, h_inv,
+                                VerticalPlanePoint, dilate,
+                                dist_to_horizontal_line, h_inv,
                                 h_mul, horizontal_fiber, koranyi_dist,
                                 koranyi_norm,
                                 measure_core_projection_constant, proj_x,
@@ -92,8 +92,9 @@ def test_unique_decomposition(t):
 @given(triples, st.floats(0.1, 3.0))
 def test_dilations_commute_with_projections(t, lam):
     p = hp(t)
+    w = proj_x(p)
     lhs = proj_x(dilate(lam, p))
-    rhs = dilate_plane(lam, proj_x(p))
+    rhs = VerticalPlanePoint(w.plane, lam * w.u, lam * lam * w.t)
     assert lhs.plane == rhs.plane
     assert abs(lhs.u - rhs.u) <= 1e-12 and abs(lhs.t - rhs.t) <= 1e-12
 
@@ -202,13 +203,6 @@ def test_reduce_to_incidences():
         reduce_to_incidences(close_pair, P_y, s)
 
 
-def test_hpoint_csv_round_trip(tmp_path):
-    from geomlab.heisenberg import load_hpoints, save_hpoints
-    pts = [HPoint(0.1, -0.2, 0.3), HPoint(-1.0, 0.5, 0.25)]
-    save_hpoints(pts, tmp_path / "pts.csv")
-    assert load_hpoints(tmp_path / "pts.csv") == pts
-
-
 def test_reduced_instance_save_stamps_multiplier(tmp_path):
     import json
     s = Scale(2.0 ** -5)
@@ -243,7 +237,8 @@ def test_packing_count_tracks_projected_area():
 
 def test_dist_to_horizontal_line():
     w = VerticalPlanePoint(Plane.W_X, 0.5, 0.0)
-    pts = fiber_samples(w, np.linspace(-1, 1, 9))
+    fiber = horizontal_fiber(w)
+    pts = np.array([[q.x, q.y, q.t] for q in map(fiber, np.linspace(-1, 1, 9))])
     assert np.all(dist_to_horizontal_line(pts, w) <= 1e-14)
     off = pts + np.array([[0.0, 0.0, 0.1]])
     d = dist_to_horizontal_line(off, w)

@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 
 from geomlab.generators import (gen_grid_packing, gen_random,
                                 gen_rectangle_example)
-from geomlab.incidence import (_Columns, _first_below, _first_come,
-                               _float_margin, _greedy_separated,
-                               _greedy_separated_reference, _grid_candidates,
-                               _grid_richness_reference, _layout,
-                               count_bucketed, count_naive, grid_richness)
+from geomlab.incidence import (_Columns, _first_come, _float_margin,
+                               _greedy_separated, _layout, count_bucketed,
+                               count_naive, grid_richness)
 from geomlab.measure import VoxelSet, load_voxelset, save_voxelset
-from geomlab.planar import LineFamily, PointSet, Scale, _min_pair
+from geomlab.planar import LineFamily, PointSet, Scale, _first_true, _min_pair
 from geomlab.rng import Stream
+from oracles import (_greedy_separated_reference, _grid_candidates,
+                     _grid_richness_reference)
 
 
 def test_grid_candidate_pruning_is_a_superset():
@@ -179,28 +179,58 @@ def test_grid_richness_rejects_what_count_bucketed_refuses(line, mult):
 
 
 @pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_first_below_from_any_estimate(strict, seed):
-    # thresholds and values on, near and far off the lattice; estimates
-    # right, one off, and anywhere in [0, n]
-    delta = [2.0 ** -4, 0.1, 1.0 / 48][seed - 1]
+@pytest.mark.parametrize("lattice", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_first_below_from_any_estimate(lattice, strict, data):
+    # _first_true against a linear scan.  First grid_richness's predicate,
+    # the first lattice row j with yc - xs[j] below t, in [0, n]: values
+    # and thresholds on, near and far off the lattice.  Then j >= a with
+    # a in [lo, hi + 1] for brackets anywhere: a = lo holds on the whole
+    # bracket, a = hi only at its end, a = hi + 1 nowhere in it.  Estimates
+    # anywhere in the bracket.
+    delta = [2.0 ** -4, 0.1, 1.0 / 48][lattice - 1]
     n = int(math.floor(2.0 / delta)) + 1
     xs = -1.0 + delta * np.arange(n)
-    x_at, x_before = np.append(xs, np.inf), np.insert(xs, 0, -np.inf)
-    stream = Stream(seed)
-    lines, cols = 40, 25
-    t = stream.uniform(lines, 0.0, 0.5)[:, None]
-    t[::5] = delta * stream.integers(lines // 5, 4)[:, None]
-    yc = stream.uniform(lines * cols, -2.0, 2.0).reshape(lines, cols)
-    yc[::3] = xs[stream.integers(cols, n)] + t[::3]
-    yc[1::7] = 2.0 ** 60 * stream.uniform(cols, -1.0, 1.0)
+    x_at = np.concatenate([xs, [np.inf, -np.inf]])
+    lines, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+    t = np.array(data.draw(st.lists(st.one_of(
+        st.floats(0.0, 0.5), st.integers(0, 4).map(lambda i: i * delta)),
+        min_size=lines, max_size=lines)))[:, None]
+    value = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(list(xs)),
+                      st.floats(-2.0 ** 60, 2.0 ** 60))
+    yc = np.array(data.draw(st.lists(value, min_size=lines * cols,
+                                     max_size=lines * cols))).reshape(lines, cols)
+    yc[::2] += t[::2]  # a lattice row exactly at the threshold
     below = np.less if strict else np.less_equal
-    want = np.argmax(below(yc[:, :, None] - x_at, t[:, :, None]), axis=2)
-    est = stream.integers(lines * cols, n + 1).reshape(lines, cols)
-    est[::2] = np.clip(want[::2] + stream.integers(cols, 3).reshape(1, -1)
-                       - 1, 0, n)
-    _first_below(yc, t, strict, est, x_at, x_before)
+    want = np.argmax(below(yc[:, :, None] - x_at[:n + 1], t[:, :, None]), axis=2)
+    est = np.array(data.draw(st.lists(st.integers(0, n), min_size=lines * cols,
+                                      max_size=lines * cols))).reshape(lines, cols)
+    near = data.draw(st.integers(-2, 2))
+    est[::3] = np.clip(want[::3] + near, 0, n)
+    tb = np.broadcast_to(t, yc.shape)
+    _first_true(lambda s, j, d: below(yc[s] - x_at[j + d], tb[s]), est, 0, n)
     assert np.array_equal(est, want)
+
+    m = data.draw(st.integers(1, 12))
+    lo = np.array(data.draw(st.lists(st.integers(-40, 40), min_size=m,
+                                     max_size=m)))
+    hi = lo + np.array(data.draw(st.lists(st.integers(0, 70), min_size=m,
+                                          max_size=m)))
+    a = np.array([data.draw(st.one_of(st.just(l), st.just(h),
+                                      st.just(h + 1), st.integers(l, h)))
+                  for l, h in zip(lo, hi)])
+    k = np.array([data.draw(st.integers(l, h)) for l, h in zip(lo, hi)])
+    scan = [next((j for j in range(l, h + 1) if j >= e), h + 1)
+            for l, h, e in zip(lo, hi, a)]
+
+    def pred(s, j, d):
+        # the predicate is only asked about [lo - 1, hi]
+        assert np.all((j + d >= lo[s] - 1) & (j + d <= hi[s]))
+        return j + d >= a[s]
+
+    _first_true(pred, k, lo, hi)
+    assert k.tolist() == scan
 
 
 def test_greedy_separated_is_separated_and_maximal():

@@ -15,16 +15,16 @@ from hypothesis import strategies as st
 from geomlab import measure as M
 from geomlab.heisenberg import Plane, VerticalPlanePoint
 from geomlab.measure import (Box, DifferenceShape, DilatedShape, KoranyiBall,
-                             PlaneRegion, ShearedShape, UnionShape, VoxelSet,
-                             _boundary_reference, _dilated_covers,
-                             _h3_surrogate_reference, _voxelize_dense,
-                             boundary,
+                             PlaneRegion, ShearedShape, TubeIntersection,
+                             UnionShape, VoxelSet, _dilated_covers, boundary,
                              boundary_projection_inclusion, h3_surrogate,
                              load_voxelset, lw_ratio, project_voxels,
                              save_voxelset, shape_zoo,
                              tube_intersection_volume, voxelize,
                              weak_isoperimetric_ratio)
 from geomlab.rng import Stream
+from oracles import (_boundary_reference, _h3_surrogate_reference,
+                     _voxelize_dense)
 
 LW_BOX = 8.0 * 5.0 ** (-4.0 / 3.0)
 
@@ -37,6 +37,16 @@ def test_box_volume_closed_form():
 
 def test_empty_union_is_empty():
     assert len(voxelize(UnionShape(), h=0.1)) == 0
+
+
+@pytest.mark.parametrize("h, ht", [
+    (0.1, 0.0), (0.1, math.nan), (0.1, -0.1), (0.1, math.inf),
+    (0.0, None), (math.nan, None), (-0.1, 0.1), (math.inf, 0.1)])
+def test_voxelize_rejects_bad_sides(h, ht):
+    # ht = 0 raised OverflowError, nan a float conversion error, and a
+    # negative ht gave an empty set
+    with pytest.raises(ValueError, match="h and ht must be finite and positive"):
+        voxelize(Box((0, 0, 0), (0.3, 0.3, 0.1)), h, ht)
 
 
 def test_voxel_volume_examples():
@@ -148,14 +158,46 @@ def test_projection_matches_sampled_oracle_random(K, s):
 
 
 @st.composite
+def _tube_pairs(draw, h):
+    """Two tubes of a few cells' radius around the horizontal lines through
+    a W_x and a W_y point, whose closest points sit over (a, c) at heights
+    tc and tc + g: crossing (gap below 2 radius), tangent (about 2 radius),
+    disjoint, or meeting near a face of the cube that clips them."""
+    kind = draw(st.sampled_from(["crossing", "tangent", "disjoint", "face"]))
+    radius = h * draw(st.sampled_from([1.0, 1.5, 2.5]))
+    if kind == "face":
+        a, c = (draw(st.sampled_from([-1.0, -0.97, 0.9, 1.0])) for _ in "ac")
+        tc = draw(st.sampled_from([-1.0, 1.0])) * (1.0 - draw(st.floats(0, h)))
+    else:
+        a, c, tc = (draw(st.floats(-0.7, 0.7)) for _ in "act")
+    gap = radius * {"crossing": draw(st.floats(0.0, 1.9)),
+                    "tangent": draw(st.floats(1.999, 2.001)),
+                    "disjoint": draw(st.floats(2.2, 4.0)),
+                    "face": draw(st.floats(0.0, 1.0))}[kind]
+    # the lines' distance is g / sqrt(1 + (a^2 + c^2) / 4)
+    g = gap * math.sqrt(1.0 + (a * a + c * c) / 4.0)
+    w_x = VerticalPlanePoint(Plane.W_X, a, tc - a * c / 2.0)
+    w_y = VerticalPlanePoint(Plane.W_Y, c, tc + a * c / 2.0 + g)
+    mid = np.array([a, c, tc])
+    reach = 6.0 * radius + 2.0 * h
+    return TubeIntersection(w_x, w_y, radius,
+                            np.maximum(mid - reach, -1.0 - h),
+                            np.minimum(mid + reach, 1.0 + h))
+
+
+@st.composite
 def _leaf_shapes(draw, h, ht):
     """A box whose center and half widths are whole multiples of half a
-    cell, so that faces can pass exactly through centers, or a ball."""
-    if draw(st.booleans()):
+    cell, so that faces can pass exactly through centers, a ball, or the
+    intersection of two tubes."""
+    kind = draw(st.sampled_from(["box", "ball", "tubes"]))
+    if kind == "box":
         unit = np.array([h, h, ht]) / 2.0
         c = [draw(st.integers(-12, 12)) for _ in range(3)]
         w = [draw(st.integers(1, 9)) for _ in range(3)]
         return Box(np.array(c) * unit, np.array(w) * unit)
+    if kind == "tubes":
+        return draw(_tube_pairs(h))
     c = [draw(st.floats(-0.4, 0.4)) for _ in range(3)]
     return KoranyiBall(c, draw(st.floats(0.05, 0.5)))
 
@@ -213,7 +255,7 @@ def test_interval_voxelize_matches_dense_zoo():
     assert got.spans.tolist()[0] == [0, -5, 0, 2]
 
 
-def test_interval_voxelize_matches_dense_on_float_faces():
+def test_interval_voxelize_matches_dense_on_float_faces(monkeypatch):
     # faces at whole multiples of half a non-dyadic cell meet centers to
     # within rounding, so the rounded k-ranges are often one cell off and
     # only the end checks with contains put them right
@@ -227,27 +269,71 @@ def test_interval_voxelize_matches_dense_on_float_faces():
               DilatedShape(sh, float(rng.choice([0.5, 1.3, 0.7])))][trial % 3]
         assert np.array_equal(voxelize(sh, h, ht).spans,
                               _voxelize_dense(sh, h, ht).spans), trial
+    # heights off by up to a cell, or by four cells on columns twelve cells
+    # tall, take the kernel's steps and bisections and the second round
+    confirm = M._VoxelColumns.confirm
+
+    def off(cols, shape, c, t_lo, t_hi):
+        cell = cols.t(c, np.ones_like(c)) - cols.t(c, np.zeros_like(c))
+        far = np.where(t_hi - t_lo >= 12.0 * cell, 4.0, 0.99) * np.abs(cell)
+        return confirm(cols, shape, c, t_lo + rng.uniform(-far, far),
+                       t_hi + rng.uniform(-far, far))
+
+    monkeypatch.setattr(M._VoxelColumns, "confirm", off)
+    for trial in range(300):
+        h = float(rng.choice([1 / 8, 1 / 16, 0.1]))
+        ht = h * float(rng.choice([1.0, 0.5, 2.0]))
+        sh = [Box(rng.uniform(-0.4, 0.4, 3), rng.uniform(0.05, 0.5, 3)),
+              KoranyiBall(rng.uniform(-0.3, 0.3, 3), rng.uniform(0.1, 0.6)),
+              DilatedShape(ShearedShape(Box(rng.uniform(-0.3, 0.3, 3),
+                                            rng.uniform(0.1, 0.4, 3))), 1.3)
+              ][trial % 3]
+        assert np.array_equal(voxelize(sh, h, ht).spans,
+                              _voxelize_dense(sh, h, ht).spans), trial
+    # heights off by up to 20 cells may lose cells, never add one that
+    # contains rejects
+    def far(cols, shape, c, t_lo, t_hi):
+        off = rng.uniform(-20.0, 20.0, (2, c.size)) * h
+        return confirm(cols, shape, c, t_lo + off[0], t_hi + off[1])
+
+    monkeypatch.setattr(M._VoxelColumns, "confirm", far)
+    for trial in range(100):
+        h = float(rng.choice([1 / 8, 1 / 16]))
+        sh = [Box(rng.uniform(-0.4, 0.4, 3), rng.uniform(0.05, 0.5, 3)),
+              KoranyiBall(rng.uniform(-0.3, 0.3, 3), rng.uniform(0.1, 0.6))
+              ][trial % 2]
+        got, want = voxelize(sh, h), _voxelize_dense(sh, h)
+        assert np.isin(M._pack3(got.occupied), M._pack3(want.occupied)).all()
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads the peak RSS from /proc")
 def test_interval_voxelize_memory_fresh_process():
     # the box at h = r/128 is 8.4M voxels but 65k spans; the dense path
-    # peaked above 1 GB.  VmHWM, not ru_maxrss: a child's ru_maxrss keeps
-    # the high-water mark of the process that started it
-    script = (
-        "from geomlab.measure import Box, project_voxels, voxelize\n"
-        "r = 0.5\n"
-        "K = voxelize(Box((0, 0, 0), (r, r, r * r)), h=r / 128)\n"
-        "assert len(K) == 8388608 and len(K.spans) == 65536\n"
-        "assert len(project_voxels(K, 'x')) and len(project_voxels(K, 'y'))\n"
-        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-        "           if line.startswith('VmHWM:')))\n")
+    # peaked above 1 GB.  The two tubes at delta = 2^-4 have a bounding box
+    # of 1.6M centers, on which the dense path reached about 232 MB.
+    # VmHWM, not ru_maxrss: a child's ru_maxrss keeps the high-water mark
+    # of the process that started it
+    box = ("from geomlab.measure import Box, project_voxels, voxelize\n"
+           "r = 0.5\n"
+           "K = voxelize(Box((0, 0, 0), (r, r, r * r)), h=r / 128)\n"
+           "assert len(K) == 8388608 and len(K.spans) == 65536\n"
+           "assert len(project_voxels(K, 'x')) and len(project_voxels(K, 'y'))\n")
+    tubes = ("from geomlab.heisenberg import Plane, VerticalPlanePoint\n"
+             "from geomlab.measure import tube_intersection_volume\n"
+             "v = tube_intersection_volume(VerticalPlanePoint(Plane.W_X, 0.2, -0.1),\n"
+             "                             VerticalPlanePoint(Plane.W_Y, -0.3,\n"
+             "                                                -0.1 + 0.2 * -0.3),\n"
+             "                             2.0 ** -4)\n"
+             "assert v == 0.010494232177734375\n")
+    peak = ("print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert int(out) / 1024 < 150.0
+    for script, bound_mb in ((box, 150.0), (tubes, 80.0)):
+        out = subprocess.run([sys.executable, "-c", script + peak], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert int(out) / 1024 < bound_mb, script
 
 
 def test_projection_needs_oversample_two():

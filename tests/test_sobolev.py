@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomlab import sobolev as S
-from geomlab.sobolev import (GridFunction, _level_mask,
-                             _levelset_lemma_check_reference, bump,
+from geomlab.sobolev import (GridFunction, bump,
                              dilated_fn, field_X, field_Y, function_zoo,
                              gns_check, level_range, level_sets,
                              levelset_lemma_check, load_gridfunction, lp_norm,
                              sample_to_grid, save_gridfunction,
                              shear_change_of_variables, smoothed_box)
+from oracles import _level_mask, _levelset_lemma_check_reference
 
 
 def patch(fn, h=1 / 16, ext=(0.5, 0.5, 0.5)):
