@@ -14,7 +14,7 @@ from geomlab.heisenberg import (Plane, VerticalPlanePoint,
                                 measure_core_projection_constant,
                                 tube_inclusion_check)
 from geomlab.planar import Scale
-from geomlab.sobolev import function_zoo, gns_check
+from geomlab.sobolev import FUNCTION_ZOO, gns_check, zoo_function
 
 
 def main() -> int:
@@ -32,7 +32,7 @@ def main() -> int:
     out["lw_ratio_ceiling"] = A.lw_sweep([1 / 48], 0.5).summary[
         "measured_ceiling"]
     out["gns_ratio_ceiling"] = max(
-        gns_check(f).ratio for f in function_zoo(1 / 64).values())
+        gns_check(zoo_function(name, 1 / 64)).ratio for name in FUNCTION_ZOO)
 
     sweeps = [A.incidence_sweep([2.0 ** -d for d in dexps],
                                 A.sweep_family(name))

@@ -579,7 +579,8 @@ def project_voxels(K: VoxelSet, which: str, oversample: int = 2) -> PlaneRegion:
     +-2^20 packing range, so the cells hit form one run from the cell of
     the first sample to the cell of the last.  Both ends (and u) use the
     sampler's exact float expressions; the runs of each u column are merged
-    and expanded, giving the same cells as binning every sample.
+    and expanded, giving the same cells as binning every sample.  A cell
+    whose t index leaves the packing range raises ValueError.
 
     The region is computed once per (K, which, oversample) and kept on K,
     so the PlaneRegion returned may be shared: treat it as read-only."""
@@ -614,6 +615,12 @@ def _project_spans(K: VoxelSet, plane: Plane, oversample: int) -> PlaneRegion:
     else:
         iu = np.floor(y / K.h).astype(np.int64)[:, None, :]
         lo, hi = t_first + c, t_last + c
+    # a t cell outside the packing range would carry into the u part of
+    # its key and land in another column; floor(t / ht) is monotone, so
+    # the lowest and highest cells come from lo.min() and hi.max()
+    if (np.floor(lo.min() / K.ht) < -_PACK_OFF
+            or np.floor(hi.max() / K.ht) >= _PACK_OFF):
+        raise ValueError(_RANGE)
     # in packed (u, t) keys a run is [key_lo, key_hi] and the keys of a
     # larger u exceed all keys of a smaller one, so sorting by key_lo and a
     # running max of key_hi merge the overlapping runs of each column

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -107,11 +108,11 @@ def sample_to_grid(fn: Callable[[np.ndarray], np.ndarray], h: float,
 
 def _central_diff(v: np.ndarray, axis: int, h: float) -> np.ndarray:
     """(v[i+1] - v[i-1]) / (2h) along axis, zero on the two end layers;
-    computed in the output array, with no full-grid temporary."""
+    computed in the output array, with no temporary of v's size."""
     out = np.zeros_like(v)
-    sl_mid = [slice(None)] * 3
-    sl_hi = [slice(None)] * 3
-    sl_lo = [slice(None)] * 3
+    sl_mid = [slice(None)] * v.ndim
+    sl_hi = [slice(None)] * v.ndim
+    sl_lo = [slice(None)] * v.ndim
     sl_mid[axis] = slice(1, -1)
     sl_hi[axis] = slice(2, None)
     sl_lo[axis] = slice(None, -2)
@@ -129,31 +130,41 @@ def _require_interior_support(f: GridFunction) -> None:
         raise ValueError(_BOUNDARY_SUPPORT)
 
 
+# The fields are built in their one output array: the t-derivative term is
+# made and added one x-slab at a time, with the float operations a
+# whole-grid df/dt would take on each sample, so no second grid exists.
+
 def field_X(f: GridFunction) -> GridFunction:
     """Xf = df/dx - (y/2) df/dt with central differences."""
     _require_interior_support(f)
-    dx = _central_diff(f.values, 0, f.h)
-    dt = _central_diff(f.values, 2, f.h)
-    dt *= f.axis_centers(1)[None, :, None] / 2.0
-    dx -= dt
-    return f.copy_with(dx)
+    out = _central_diff(f.values, 0, f.h)
+    half_y = f.axis_centers(1)[:, None] / 2.0
+    for a, slab in enumerate(f.values):
+        dt = _central_diff(slab, 1, f.h)
+        dt *= half_y
+        out[a] -= dt
+    return f.copy_with(out)
 
 
 def field_Y(f: GridFunction) -> GridFunction:
     """Yf = df/dy + (x/2) df/dt with central differences."""
     _require_interior_support(f)
-    dy = _central_diff(f.values, 1, f.h)
-    dt = _central_diff(f.values, 2, f.h)
-    dt *= f.axis_centers(0)[:, None, None] / 2.0
-    dy += dt
-    return f.copy_with(dy)
+    out = _central_diff(f.values, 1, f.h)
+    half_x = f.axis_centers(0) / 2.0
+    for a, slab in enumerate(f.values):
+        dt = _central_diff(slab, 1, f.h)
+        dt *= half_x[a]
+        out[a] += dt
+    return f.copy_with(out)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     cell = f.h ** 3
-    return float((np.abs(f.values) ** p).sum() * cell) ** (1.0 / p)
+    a = np.abs(f.values)
+    a **= p  # numpy's scalar-power path, as a ** p takes it
+    return float(a.sum() * cell) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -175,28 +186,22 @@ def gns_check(f: GridFunction) -> GnsResult:
 # ---------------------------------------------------------------------------
 # Dyadic level sets
 
-class LevelDecomposition:
-    """The nonempty dyadic levels F_k = {2^{k-1} <= |f| <= 2^k} of a grid
-    function, with the gradient masses that the Sobolev checks read.
+_LEVEL_CHUNK = 1 << 16  # samples labelled at a time
 
-    One np.frexp pass over the nonzero samples gives each sample the level
-    e with 2^{e-1} <= |f| < 2^e; a value exactly 2^{e-1} also belongs to
-    F_{e-1}, so a value exactly 2^k lies in both F_k and F_{k+1}.  Each level
-    keeps the flat indices of its samples in C order.  field_X and field_Y
-    run once each and are reduced to their l1 norms and, per level, to the
-    sums of |Xf| and |Yf| over the level's samples.  The samples are
-    gathered in C order, as a boolean mask gathers them, so each sum is the
-    masked sum bit for bit.  No full-grid array is kept."""
 
-    def __init__(self, f: GridFunction):
-        self.h = f.h
-        self.shape = f.values.shape
-        self.origin = np.asarray(f.origin, dtype=np.int64)
-        a = np.abs(f.values).ravel()
-        flat = np.flatnonzero(a)
-        vals = a[flat]
+def _level_indices(values: np.ndarray) -> Dict[int, np.ndarray]:
+    """The C-order flat indices of the samples of each nonempty level,
+    keyed by level in increasing order.  The samples are labelled one chunk
+    at a time, so the set-up holds little beyond the indices it returns."""
+    v = values.reshape(-1)
+    pieces: Dict[int, List[np.ndarray]] = defaultdict(list)
+    for lo in range(0, v.size, _LEVEL_CHUNK):
+        part = v[lo:lo + _LEVEL_CHUNK]
+        pos = np.flatnonzero(part)
+        vals = np.abs(part[pos])
         if not np.isfinite(vals).all():
             raise ValueError("grid function samples must be finite")
+        pos += lo
         mant, exp = np.frexp(vals)
         exp = exp.astype(np.int16)  # |exponent| <= 1074; sorts by radix
         order = np.argsort(exp, kind="stable")
@@ -208,36 +213,68 @@ class LevelDecomposition:
             own = members.get(e - 1)
             members[e - 1] = (extra if own is None
                               else np.sort(np.concatenate([own, extra])))
-        self._flat: Dict[int, np.ndarray] = {
-            k: flat[members[k]] for k in sorted(members)}
+        for k, m in members.items():
+            pieces[k].append(pos[m])
+    return {k: np.concatenate(pieces.pop(k)) for k in sorted(pieces)}
+
+
+class LevelDecomposition:
+    """The nonempty dyadic levels F_k = {2^{k-1} <= |f| <= 2^k} of a grid
+    function, with the gradient masses that the Sobolev checks read.
+
+    np.frexp gives each nonzero sample the level e with
+    2^{e-1} <= |f| < 2^e; a value exactly 2^{e-1} also belongs to
+    F_{e-1}, so a value exactly 2^k lies in both F_k and F_{k+1}.  Each level
+    keeps the flat indices of its samples in C order.  field_X and field_Y
+    run once each, one after the other, and each is reduced from one |field|
+    array to its l1 norm and, per level, to the sum of |Xf| or |Yf| over the
+    level's samples.  The samples are gathered in C order, as a boolean mask
+    gathers them, so each sum is the masked sum bit for bit.  No full-grid
+    array is kept."""
+
+    def __init__(self, f: GridFunction):
+        self.h = f.h
+        self.origin = f.origin
+        _, self._ny, self._nz = f.values.shape
+        self._flat = _level_indices(f.values)
         self.levels: Tuple[int, ...] = tuple(self._flat)
         # ||Xf||_1 and ||Yf||_1, and per level the sum of |Yf| (read by the
         # proj_x check, which='x') and of |Xf| (which='y').  The fields exist
         # only for support inside the two-cell margin; a level set lookup
-        # must not fail where field_X would.
+        # must not fail where field_X would.  A field is dropped as soon as
+        # its absolute value is taken.
         self._norms = None
         self._mass: Dict[str, Dict[int, float]] = {}
         if f._margin_zero(2):
-            x_norm, self._mass["y"] = self._reduce(field_X(f))
-            y_norm, self._mass["x"] = self._reduce(field_Y(f))
+            x_norm, self._mass["y"] = self._reduce(np.abs(field_X(f).values))
+            y_norm, self._mass["x"] = self._reduce(np.abs(field_Y(f).values))
             self._norms = (x_norm, y_norm)
 
-    def _reduce(self, g: GridFunction) -> Tuple[float, Dict[int, float]]:
-        v = g.values.ravel()
-        return lp_norm(g, 1.0), {k: float(np.abs(v[idx]).sum())
-                                 for k, idx in self._flat.items()}
+    def _reduce(self, a: np.ndarray) -> Tuple[float, Dict[int, float]]:
+        """lp_norm(g, 1.0) and the per-level sums of |g|, from a = |g|."""
+        v = a.ravel()
+        return float(a.sum() * self.h ** 3), {
+            k: float(v[idx].sum()) for k, idx in self._flat.items()}
 
     def _require_fields(self) -> None:
         if self._norms is None:
             raise ValueError(_BOUNDARY_SUPPORT)
 
     def voxels(self, k: int) -> VoxelSet:
-        """F_k as a voxel set."""
+        """F_k as a voxel set.  The level's flat indices increase, so a run
+        of consecutive indices within one (i, j) column is one k-span."""
         idx = self._flat.get(k)
         if idx is None:
             raise ValueError(f"level {k} is empty")
-        ijk = np.column_stack(np.unravel_index(idx, self.shape))
-        return VoxelSet(ijk + self.origin[None, :], self.h)
+        col, kk = np.divmod(idx, self._nz)
+        first = np.ones(idx.size, dtype=bool)
+        first[1:] = (idx[1:] != idx[:-1] + 1) | (kk[1:] == 0)
+        starts = np.flatnonzero(first)
+        i, j = np.divmod(col[starts], self._ny)
+        o0, o1, o2 = self.origin
+        return VoxelSet.from_spans(
+            np.column_stack([i + o0, j + o1, kk[starts] + o2,
+                             np.diff(starts, append=idx.size)]), self.h)
 
     def field_norms(self) -> Tuple[float, float]:
         """(||Xf||_1, ||Yf||_1)."""
@@ -369,16 +406,24 @@ def smoothed_box(half=(0.5, 0.5, 0.25), edge: float = 0.25):
     return fn
 
 
-def function_zoo(h: float) -> dict:
-    """Named grid functions used by the sweep experiments and tests."""
-    specs = {
-        "bump": (bump((0.75, 0.75, 0.5)), (0.8, 0.8, 0.55)),
-        "narrow_bump": (bump((0.4, 0.4, 0.3)), (0.45, 0.45, 0.35)),
-        "aniso_bump": (bump((0.8, 0.45, 0.35)), (0.85, 0.5, 0.4)),
-        "sheared_bump": (sheared_fn(bump((0.6, 0.6, 0.35))), (0.65, 0.65, 0.6)),
-        "smoothed_box": (smoothed_box((0.5, 0.5, 0.25), 0.25), (0.7, 0.7, 0.4)),
-    }
-    return {name: sample_to_grid(fn, h, ext) for name, (fn, ext) in specs.items()}
+# The named functions of the sweep experiments and tests, each with the
+# half extents of the box it is sampled on.  A grid is sampled only when
+# zoo_function asks for one, so a caller going through the zoo holds one
+# grid at a time.
+FUNCTION_ZOO: Dict[str, Tuple[Callable[[np.ndarray], np.ndarray],
+                              Tuple[float, float, float]]] = {
+    "bump": (bump((0.75, 0.75, 0.5)), (0.8, 0.8, 0.55)),
+    "narrow_bump": (bump((0.4, 0.4, 0.3)), (0.45, 0.45, 0.35)),
+    "aniso_bump": (bump((0.8, 0.45, 0.35)), (0.85, 0.5, 0.4)),
+    "sheared_bump": (sheared_fn(bump((0.6, 0.6, 0.35))), (0.65, 0.65, 0.6)),
+    "smoothed_box": (smoothed_box((0.5, 0.5, 0.25), 0.25), (0.7, 0.7, 0.4)),
+}
+
+
+def zoo_function(name: str, h: float) -> GridFunction:
+    """The zoo function `name` sampled at grid step h."""
+    fn, extents = FUNCTION_ZOO[name]
+    return sample_to_grid(fn, h, extents)
 
 
 # ---------------------------------------------------------------------------

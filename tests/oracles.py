@@ -10,7 +10,9 @@ from geomlab.incidence import RichnessField, _clipped, count_bucketed
 from geomlab.measure import (Shape, VoxelSet, _gauge_inside, _grid_box,
                              _pack3, project_voxels)
 from geomlab.planar import LineFamily, PointSet, Scale, _runs
-from geomlab.sobolev import GridFunction, LevelCheck, field_X, field_Y
+from geomlab.sobolev import (GridFunction, LevelCheck, bump, field_X,
+                             field_Y, sample_to_grid, sheared_fn,
+                             smoothed_box)
 
 # bounding-box centers _voxelize_dense tests at a time
 _CHUNK = 4_000_000
@@ -166,3 +168,16 @@ def _levelset_lemma_check_reference(f: GridFunction, k: int,
     mask_km1 = _level_mask(a, k - 1)
     rhs = 2.0 ** (-k + 2) * float(np.abs(grad.values[mask_km1]).sum()) * f.h ** 3
     return LevelCheck(k, lhs, rhs, bool(lhs <= slack * rhs))
+
+
+def _function_zoo_reference(h: float) -> dict:
+    """The function zoo sampled all at once, as a name -> GridFunction
+    dict: the oracle of the lazy FUNCTION_ZOO table."""
+    specs = {
+        "bump": (bump((0.75, 0.75, 0.5)), (0.8, 0.8, 0.55)),
+        "narrow_bump": (bump((0.4, 0.4, 0.3)), (0.45, 0.45, 0.35)),
+        "aniso_bump": (bump((0.8, 0.45, 0.35)), (0.85, 0.5, 0.4)),
+        "sheared_bump": (sheared_fn(bump((0.6, 0.6, 0.35))), (0.65, 0.65, 0.6)),
+        "smoothed_box": (smoothed_box((0.5, 0.5, 0.25), 0.25), (0.7, 0.7, 0.4)),
+    }
+    return {name: sample_to_grid(fn, h, ext) for name, (fn, ext) in specs.items()}

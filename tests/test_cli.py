@@ -174,6 +174,20 @@ def test_sobolev_check_cli_flags(tmp_path):
     assert summary["lemma_ok"] is True
 
 
+def test_sobolev_check_unknown_function_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    from geomlab import sobolev
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a grid")
+
+    monkeypatch.setattr(sobolev, "sample_to_grid", no_sampling)
+    err = _exits_2_with_one_line(capsys, [
+        "sobolev-check", "--out", str(tmp_path / "out"),
+        "--function", "nope", "--h", "1/128"])
+    assert "unknown function 'nope'" in err
+
+
 def test_rich_points_kstar_records_infeasible_rows(tmp_path):
     ini = tmp_path / "cfg.ini"
     # k = 16 at epsilon = 16 delta busts the slope budget at delta = 2^-6:

@@ -707,6 +707,18 @@ def test_voxelset_rejects_indices_outside_packing_range():
         VoxelSet.from_spans([(0, 0, 2 ** 20 - 1, 2)], h=0.1)
 
 
+def test_projection_rejects_cells_outside_packing_range():
+    # the twist x y / 2 takes a far voxel's t cell past -2^20 (or 2^20); its
+    # packed key used to carry into the u part and land in another column
+    K = VoxelSet.from_spans([[300000, 300000, 0, 1]], 1.0)
+    for which in ("x", "y"):
+        with pytest.raises(ValueError, match="2\\^20"):
+            project_voxels(K, which)
+    near = VoxelSet.from_spans([[1000, 1000, 0, 1]], 1.0)
+    for which in ("x", "y"):
+        assert set(project_voxels(near, which).occupied[:, 0]) == {1000}
+
+
 def test_load_voxelset_zero_spans(tmp_path):
     K = load_voxelset(_write_vxl(tmp_path / "empty.vxl", []))
     assert len(K) == 0 and K.h == 0.1

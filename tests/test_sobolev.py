@@ -1,6 +1,7 @@
 """Tests for the discrete horizontal calculus and the Sobolev checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomlab import sobolev as S
-from geomlab.sobolev import (GridFunction, bump,
-                             dilated_fn, field_X, field_Y, function_zoo,
+from geomlab.measure import VoxelSet
+from geomlab.sobolev import (FUNCTION_ZOO, GridFunction, bump,
+                             dilated_fn, field_X, field_Y,
                              gns_check, level_range, level_sets,
                              levelset_lemma_check, load_gridfunction, lp_norm,
                              sample_to_grid, save_gridfunction,
-                             shear_change_of_variables, smoothed_box)
-from oracles import _level_mask, _levelset_lemma_check_reference
+                             shear_change_of_variables, smoothed_box,
+                             zoo_function)
+from oracles import (_function_zoo_reference, _level_mask,
+                     _levelset_lemma_check_reference)
 
 
 def patch(fn, h=1 / 16, ext=(0.5, 0.5, 0.5)):
@@ -108,6 +112,21 @@ def test_lp_norm_refinement_consistency():
     vals = [lp_norm(sample_to_grid(bump((0.5, 0.5, 0.35)), h, (0.55, 0.55, 0.4)),
                     4 / 3) for h in (1 / 32, 1 / 64)]
     assert vals[1] == pytest.approx(vals[0], rel=0.01)
+
+
+def test_gns_check_working_memory_bounded_by_three_grids():
+    # the bump of the benchmark's gns task; gns_check builds the level
+    # decomposition, which holds one field and its |field| at a time
+    w = 0.75
+    f = sample_to_grid(bump((w, w, 2 * w / 3)), 1 / 64,
+                       (w + 0.05, w + 0.05, 2 * w / 3 + 0.05))
+    tracemalloc.start()
+    try:
+        gns_check(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * f.values.nbytes
 
 
 def test_gns_zero_function():
@@ -278,7 +297,8 @@ def _field_reference(f, which):
 
 @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
 def test_fields_match_whole_array_expressions(h):
-    for f in function_zoo(h).values():
+    for name in FUNCTION_ZOO:
+        f = zoo_function(name, h)
         assert np.array_equal(field_X(f).values, _field_reference(f, "X"))
         assert np.array_equal(field_Y(f).values, _field_reference(f, "Y"))
 
@@ -301,6 +321,7 @@ def _assert_matches_masks(f):
     assert [k for k, _ in got] == [k for k, _ in want]
     for (_, vs), (_, idx) in zip(got, want):
         assert np.array_equal(vs.occupied, idx)
+        assert np.array_equal(vs.spans, VoxelSet(idx, f.h).spans)
     assert list(level_range(f)) == (
         list(range(want[0][0], want[-1][0] + 1)) if want else [])
     for k, _ in want:
@@ -311,8 +332,31 @@ def _assert_matches_masks(f):
 
 @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
 def test_level_checks_match_mask_reference_on_zoo(h):
-    for f in function_zoo(h).values():
-        _assert_matches_masks(f)
+    for name in FUNCTION_ZOO:
+        _assert_matches_masks(zoo_function(name, h))
+
+
+def test_level_indices_do_not_depend_on_the_chunk(monkeypatch):
+    # the plateau of exact 1.0 = 2^0 twins spans many chunk ends
+    f = zoo_function("smoothed_box", 1 / 16)
+    want = S._level_indices(f.values)
+    assert np.any(np.abs(f.values) == 1.0)
+    for chunk in (7, 64, 1000):
+        monkeypatch.setattr(S, "_LEVEL_CHUNK", chunk)
+        got = S._level_indices(f.values)
+        assert list(got) == list(want)
+        for k, idx in want.items():
+            assert np.array_equal(got[k], idx)
+
+
+def test_lazy_zoo_matches_eager_zoo():
+    want = _function_zoo_reference(1 / 16)
+    assert list(FUNCTION_ZOO) == list(want) == [
+        "bump", "narrow_bump", "aniso_bump", "sheared_bump", "smoothed_box"]
+    for name, g in want.items():
+        f = zoo_function(name, 1 / 16)
+        assert (f.h, f.origin) == (g.h, g.origin)
+        assert np.array_equal(f.values, g.values)
 
 
 # exact powers of two, their one-ulp neighbours and plain values, all in
@@ -326,11 +370,15 @@ _SAMPLES = sorted(set(
 
 @st.composite
 def _small_grid_functions(draw):
-    core = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    # cores up to 6 per axis with holes of zeros, so that one level has
+    # several spans in a column
+    core = tuple(draw(st.integers(1, 6)) for _ in range(3))
     n = core[0] * core[1] * core[2]
     mags = draw(st.lists(st.sampled_from(_SAMPLES), min_size=n, max_size=n))
     signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    vals = np.array([-m if neg else m for m, neg in zip(mags, signs)])
+    holes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    vals = np.array([0.0 if hole else -m if neg else m
+                     for m, neg, hole in zip(mags, signs, holes)])
     origin = tuple(draw(st.integers(-5, 5)) for _ in range(3))
     h = draw(st.sampled_from([1 / 16, 0.1, 0.37]))
     # a two-cell zero margin keeps the support inside the stencil's reach
