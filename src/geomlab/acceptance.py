@@ -66,30 +66,51 @@ def _map_rows(fn: Callable, items: Sequence, threads: int) -> List:
 # ---------------------------------------------------------------------------
 # Experiments
 
-def sweep_family(name: str, seed: int = 0
+# The families of incidence_sweep and the optional keys each one reads
+SWEEP_FAMILIES = {"tube": (), "rectangle": ("r", "s", "epsilon"),
+                  "k_star": ("k", "m", "epsilon"),
+                  "random": ("n_points", "n_lines")}
+
+
+def sweep_family(name: str, seed: int = 0, **params
                  ) -> Callable[[int, float], Tuple[PointSet, LineFamily]]:
-    """The tube or rectangle sharpness family, or random sets of up to 500
-    points and lines seeded per row i."""
+    """Row i at delta of a family of SWEEP_FAMILIES at its keys params; when
+    absent r = 1, s = sqrt(delta), epsilon = delta, and n_points and n_lines
+    are up to 500, drawn from a stream per row."""
+    if name not in SWEEP_FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    stray = [repr(key) for key in params if key not in SWEEP_FAMILIES[name]]
+    missing = [key for key in ("k", "m") if key not in params]
+    if stray:
+        raise ValueError(f"family {name!r} reads no {', '.join(stray)}")
+    if name == "k_star" and missing:
+        raise ValueError(f"family 'k_star' needs {', '.join(missing)}")
+    get = params.get
+
     def family(i, delta):
         if name == "tube":
             return gen_tube_example(delta)
         if name == "rectangle":
-            return gen_rectangle_example(delta, 1.0, math.sqrt(delta))
+            return gen_rectangle_example(delta, get("r", 1.0),
+                                         get("s", math.sqrt(delta)),
+                                         epsilon=get("epsilon"))
+        if name == "k_star":
+            return gen_kstar(get("k"), get("m"), delta, epsilon=get("epsilon"))
         n = min(500, max(1, int(0.8 * int(1.0 / delta) ** 2)))
-        return gen_random(n, n, delta, substream_seed(seed, i))
+        return gen_random(get("n_points", n), get("n_lines", n), delta,
+                          substream_seed(seed, i))
     return family
 
 
 def incidence_sweep(deltas: Sequence[float],
                     family: Callable[[int, float], tuple],
-                    engine: str = "bucketed", verify: bool = False,
-                    threads: int = 1) -> RunResult:
-    """Incidences of family(i, delta) at the i-th delta; ratio band <= 100."""
+                    verify: bool = False, threads: int = 1) -> RunResult:
+    """Incidences of family(i, delta) at the i-th delta, asserted equal to
+    the oracle's when verify; ratio band <= 100."""
     def one_row(item):
         i, delta = item
         P, L = family(i, delta)
-        rep = count_incidences(P, L, Scale(delta), engine=engine,
-                               verify=verify)
+        rep = count_incidences(P, L, Scale(delta), verify=verify)
         return {"delta": delta, "n_points": len(P), "n_lines": len(L),
                 "count": rep.count, "ratio": rep.normalized_ratio}
 
@@ -97,7 +118,7 @@ def incidence_sweep(deltas: Sequence[float],
     ratios = [r["ratio"] for r in rows if r["ratio"] > 0]
     band = max(ratios) / min(ratios) if ratios else math.inf
     return RunResult(band <= 100.0, rows,
-                     {"ratio_band": band, "engine": engine,
+                     {"ratio_band": band, "engine": "bucketed",
                       "verified_against_naive": verify},
                      [f"normalized ratio band {band:.3f} (invariant: <= 100)"])
 
@@ -404,7 +425,7 @@ def criterion_1():
 def criterion_2():
     """Tube family tracks the count ~ 1/delta scaling with a bounded ratio."""
     res = incidence_sweep([2.0 ** -dexp for dexp in range(6, 13)],
-                          sweep_family("tube"), engine="naive")
+                          sweep_family("tube"))
     band = res.summary["ratio_band"]
     xs = np.array([-math.log2(r["delta"]) for r in res.rows])
     ys = np.array([math.log2(r["count"]) for r in res.rows])

@@ -7,6 +7,8 @@ Usage:
 
 Options and defaults are in EXPERIMENTS; numbers may be plain floats,
 powers "2^-7" or fractions "1/64" of either, lists whitespace separated.
+An option the experiment does not read is a configuration error;
+incidence-sweep also reads its family's keys in acceptance.SWEEP_FAMILIES.
 Identical configs give byte-identical CSV output, whatever LAB_THREADS
 (rows are collected in order, then one writer writes them).
 
@@ -26,11 +28,10 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import __version__
 from . import acceptance as A
-from .generators import GeneratorSpec, build
 from .rng import Stream, substream_seed
 
 
@@ -65,16 +66,19 @@ class ExperimentConfig:
     def seed(self) -> int:
         raw = self.options.get("seed", "12345")
         try:
-            return int(raw)
+            seed = int(raw)
         except ValueError:
-            raise ConfigError(f"{self.experiment}: seed must be an integer, "
-                              f"got {raw!r}") from None
+            seed = -1
+        if not 0 <= seed < 2 ** 64:  # the splitmix64 streams take uint64
+            raise ConfigError(f"{self.experiment}: seed must be an integer "
+                              f"in [0, 2^64), got {raw!r}")
+        return seed
 
     def floats(self, key: str, lo: float = 0.0,
                hi: float = math.inf) -> List[float]:
         """The option's numbers, each finite, positive and in [lo, hi]."""
         try:
-            vals = [parse_number(tok) for tok in self.text(key).split()]
+            vals = [parse_number(tok) for tok in self.options[key].split()]
         except ValueError as exc:
             raise ConfigError(f"{self.experiment}: option {key!r}: {exc}") from None
         if not vals:
@@ -104,13 +108,8 @@ class ExperimentConfig:
     def count(self, key: str) -> int:
         return self._single(key, self.ints(key))
 
-    def text(self, key: str) -> str:
-        if key not in self.options:
-            raise ConfigError(f"{self.experiment}: missing option {key!r}")
-        return self.options[key]
-
     def choice(self, key: str, allowed: tuple) -> str:
-        value = self.text(key)
+        value = self.options[key]
         if value not in allowed:
             raise ConfigError(f"{self.experiment}: option {key!r} must be one "
                               f"of {', '.join(allowed)}; got {value!r}")
@@ -123,7 +122,8 @@ def load_config(experiment: str, path: Optional[str], out_dir: str,
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from "
                           + ", ".join(EXPERIMENTS))
-    options = dict(EXPERIMENTS[experiment].defaults)
+    exp = EXPERIMENTS[experiment]
+    options = dict(exp.defaults)
     if path is not None:
         parser = configparser.ConfigParser()
         if not parser.read(path):
@@ -134,10 +134,15 @@ def load_config(experiment: str, path: Optional[str], out_dir: str,
         options.update({k: v for k, v in extra.items() if v is not None})
     if seed is not None:
         options["seed"] = str(seed)
+    unknown = [k for k in options
+               if k not in exp.defaults and k not in exp.optional]
+    if unknown:
+        raise ConfigError(f"{experiment}: unknown option "
+                          + ", ".join(map(repr, unknown)))
     cfg = ExperimentConfig(experiment, options, Path(out_dir), verify)
     # checks every experiment shares; each entry of EXPERIMENTS checks the
     # ranges of its own options as it reads them, before any work
-    cfg.seed  # raises ConfigError unless the seed is an integer
+    cfg.seed  # raises ConfigError unless the seed is an integer in range
     _lab_threads()
     return cfg
 
@@ -182,26 +187,19 @@ def write_artifacts(cfg: ExperimentConfig, res: A.RunResult) -> None:
 # Experiment table: each entry reads its options, with their ranges, and
 # calls its experiment in geomlab.acceptance.
 
-def _family_for(cfg: ExperimentConfig):
-    """incidence-sweep's generator: the generator-spec schema when the
-    config names a kind, else a family of acceptance.sweep_family."""
-    if "kind" in cfg.options:
-        kind = cfg.text("kind")
-        nums = {key: (cfg.scalar if key in ("epsilon", "r", "s")
-                      else cfg.count)(key)
-                for key in ("epsilon", "r", "s", "k", "m", "n_points",
-                            "n_lines") if key in cfg.options}
+_SWEEP_KEYS = sorted({k for keys in A.SWEEP_FAMILIES.values() for k in keys})
 
-        def make(i, delta):
-            spec = GeneratorSpec(kind, delta, seed=cfg.seed, **nums)
-            ps, lf, _ = build(spec)
-            if ps is None or lf is None:
-                raise ValueError(f"generator {kind!r} does not produce a "
-                                 f"point/line pair")
-            return ps, lf
-    else:
-        make = A.sweep_family(cfg.choice("family", ("tube", "rectangle",
-                                                    "random")), cfg.seed)
+
+def _sweep_family(cfg: ExperimentConfig):
+    """acceptance.sweep_family at the config's family and keys."""
+    name = cfg.choice("family", tuple(A.SWEEP_FAMILIES))
+    params = {key: (cfg.scalar if key in ("epsilon", "r", "s")
+                    else cfg.count)(key)
+              for key in _SWEEP_KEYS if key in cfg.options}
+    try:
+        make = A.sweep_family(name, cfg.seed, **params)
+    except ValueError as exc:
+        raise ConfigError(f"incidence-sweep: {exc}") from None
 
     def family(i, delta):
         try:
@@ -234,7 +232,7 @@ def _on_grid(cfg: ExperimentConfig, option: str,
 
 
 def _sobolev_check(cfg: ExperimentConfig) -> A.RunResult:
-    name = cfg.text("function")
+    name = cfg.options["function"]
     try:
         f = A.sobolev_function(name, cfg.scalar("h"), cfg.scalar("width"))
     except ValueError as exc:
@@ -245,16 +243,17 @@ def _sobolev_check(cfg: ExperimentConfig) -> A.RunResult:
 class Experiment(NamedTuple):
     defaults: Dict[str, str]
     run: Callable[[ExperimentConfig], A.RunResult]
+    optional: Sequence[str] = ()  # keys read when given, beyond defaults
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
     "incidence-sweep": Experiment(
         {"family": "tube", "deltas": "2^-6 2^-7 2^-8 2^-9 2^-10 2^-11 2^-12",
-         "engine": "bucketed", "seed": "12345"},
-        lambda c: A.incidence_sweep(
-            c.floats("deltas", hi=1.0), _family_for(c),
-            c.choice("engine", ("bucketed", "naive")), c.verify,
-            _lab_threads())),
+         "seed": "12345"},
+        lambda c: A.incidence_sweep(c.floats("deltas", hi=1.0),
+                                    _sweep_family(c), c.verify,
+                                    _lab_threads()),
+        _SWEEP_KEYS),
     "rich-points": Experiment(
         {"family": "rectangle", "deltas": "2^-4 2^-5 2^-6", "ks": "2 4 8 16",
          "epsilon_ratios": "1 4 16", "seed": "12345"},
@@ -309,7 +308,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--verify", action="store_true",
-                    help="run both incidence engines and assert equality")
+                    help="incidence-sweep: also count each row with the "
+                         "brute-force oracle and assert equality")
     ap.add_argument("--function", default=None, help="sobolev-check function")
     ap.add_argument("--width", default=None, help="sobolev-check bump width")
     ap.add_argument("--h", dest="h", default=None, help="grid resolution")

@@ -9,7 +9,6 @@ and all randomness flows through the seeded splitmix64 stream of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -21,73 +20,6 @@ from .rng import Stream, rank_keys, substream_seed
 Region = Tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
 
 UNIT_REGION: Region = (-1.0, 1.0, -1.0, 1.0)
-
-
-@dataclass
-class GeneratorSpec:
-    """Declarative description of one configuration family instance."""
-
-    kind: str  # grid_packing | tube | rectangle | k_star | concurrent_star | random
-    delta: float
-    epsilon: Optional[float] = None
-    r: Optional[float] = None
-    s: Optional[float] = None
-    k: Optional[int] = None
-    m: Optional[int] = None
-    n_points: Optional[int] = None
-    n_lines: Optional[int] = None
-    seed: int = 0
-
-    KINDS = ("grid_packing", "tube", "rectangle", "k_star", "concurrent_star",
-             "random")
-    # the keys each kind's generator reads
-    NEEDS = {"rectangle": ("r", "s"), "k_star": ("k", "m"),
-             "concurrent_star": ("k",), "random": ("n_points", "n_lines")}
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        missing = [key for key in self.NEEDS.get(self.kind, ())
-                   if getattr(self, key) is None]
-        if missing:
-            raise ValueError(f"generator kind {self.kind!r} needs "
-                             f"{', '.join(missing)}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.epsilon is not None and self.epsilon < self.delta:
-            raise ValueError("epsilon must be >= delta")
-
-
-def build(spec: GeneratorSpec):
-    """Dispatch a GeneratorSpec; returns (PointSet | None, LineFamily | None,
-    metadata dict)."""
-    d, e = spec.delta, spec.epsilon
-    if spec.kind == "grid_packing":
-        ps = gen_grid_packing(d)
-        return ps, None, {"kind": spec.kind, "delta": d}
-    if spec.kind == "tube":
-        ps, lf = gen_tube_example(d)
-        return ps, lf, {"kind": spec.kind, "delta": d,
-                        "construction": "center row spacing delta; slopes "
-                                        "through tube center in steps of "
-                                        "2*delta inside [-sqrt(delta), "
-                                        "sqrt(delta)]"}
-    if spec.kind == "rectangle":
-        ps, lf = gen_rectangle_example(d, spec.r, spec.s, epsilon=e)
-        return ps, lf, {"kind": spec.kind, "delta": d, "epsilon": lf.epsilon,
-                        "r": spec.r, "s": spec.s}
-    if spec.kind == "k_star":
-        ps, lf = gen_kstar(spec.k, spec.m, d, epsilon=e)
-        return ps, lf, {"kind": spec.kind, "delta": d, "epsilon": lf.epsilon,
-                        "k": spec.k, "m": spec.m,
-                        "construction": "disjoint slope windows, exact concurrency"}
-    if spec.kind == "concurrent_star":
-        lf = gen_concurrent_star(spec.k, e if e is not None else d, delta=d)
-        return None, lf, {"kind": spec.kind, "delta": d, "epsilon": lf.epsilon,
-                          "n": spec.k}
-    ps, lf = gen_random(spec.n_points, spec.n_lines, d, spec.seed)
-    return ps, lf, {"kind": spec.kind, "delta": d, "seed": spec.seed,
-                    "n_points": spec.n_points, "n_lines": spec.n_lines}
 
 
 def _lattice_1d(lo: float, hi: float, step: float) -> np.ndarray:

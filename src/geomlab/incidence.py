@@ -350,17 +350,14 @@ def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
                            normalized_ratio(count, n, m, s.delta), pairs)
 
 
-def count_incidences(P, L, s, engine: str = "bucketed", with_pairs=False,
+def count_incidences(P, L, s, with_pairs=False,
                      verify: bool = False) -> IncidenceReport:
-    """Engine dispatcher; with verify=True runs both and asserts equality."""
-    if verify:
-        rep_b = count_bucketed(P, L, s, with_pairs=True)
-        rep_n = count_naive(P, L, s, with_pairs=True)
-        if not rep_b.same_as(rep_n):
-            raise AssertionError("bucketed and naive engines disagree")
-        return rep_b if engine == "bucketed" else rep_n
-    fn = count_bucketed if engine == "bucketed" else count_naive
-    return fn(P, L, s, with_pairs=with_pairs)
+    """count_bucketed's report; with verify=True, with pairs and asserted
+    equal to the oracle count_naive's."""
+    rep = count_bucketed(P, L, s, with_pairs=with_pairs or verify)
+    if verify and not rep.same_as(count_naive(P, L, s, with_pairs=True)):
+        raise AssertionError("bucketed and naive engines disagree")
+    return rep
 
 
 def max_concurrency(L: LineFamily, p: Point2, s: Scale) -> int:

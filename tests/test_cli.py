@@ -79,10 +79,18 @@ def _exits_2_with_one_line(capsys, argv):
     ("deltas = 2^-6 abc\n", "'abc'"),
     ("deltas = 2^-6\nseed = abc\n", "seed must be an integer"),
     ("deltas = 2^-6\nengine = foo\n", "'engine'"),
-    pytest.param("kind = k_star\nk = 3\ndeltas = 2^-6\n", "needs m",
+    pytest.param("family = k_star\nk = 3\ndeltas = 2^-6\n", "needs m",
                  id="k_star-without-m"),
-    pytest.param("kind = k_star\ndeltas = 2^-6\n", "needs k, m",
+    pytest.param("family = k_star\ndeltas = 2^-6\n", "needs k, m",
                  id="k_star-without-k"),
+    pytest.param("family = nope\ndeltas = 2^-6\n",
+                 "'family' must be one of tube, rectangle, k_star, random",
+                 id="unknown-family"),
+    pytest.param("family = rectangle\nn_points = 5\ndeltas = 2^-6\n",
+                 "'n_points'", id="key-of-another-family"),
+    pytest.param("family = random\nseed = 18446744073709551616\n",
+                 "seed must be an integer in [0, 2^64)",
+                 id="random-seed-above-uint64"),
 ])
 def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
     ini = tmp_path / "cfg.ini"
@@ -114,6 +122,36 @@ def test_bad_experiment_values_exit_2(tmp_path, capsys, experiment, body,
     err = _exits_2_with_one_line(capsys, [
         experiment, "--config", str(ini), "--out", str(tmp_path / "out")])
     assert needle in err
+
+
+@pytest.mark.parametrize("argv, body, needle", [
+    pytest.param(["incidence-sweep"], "delta = 2^-6\n",
+                 "incidence-sweep: unknown option 'delta'", id="delta"),
+    pytest.param(["incidence-sweep"], "kind = random\n",
+                 "incidence-sweep: unknown option 'kind'", id="kind"),
+    pytest.param(["incidence-sweep"], "engine = naive\n",
+                 "incidence-sweep: unknown option 'engine'", id="engine"),
+    pytest.param(["duality-check", "--function", "bump"], "",
+                 "duality-check: unknown option 'function'",
+                 id="function-flag-on-duality-check"),
+    pytest.param(["incidence-sweep", "--h", "1/32"], "",
+                 "incidence-sweep: unknown option 'h'",
+                 id="h-flag-on-incidence-sweep"),
+])
+def test_unknown_options_exit_2(tmp_path, capsys, argv, body, needle):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{argv[0]}]\n" + body)
+    err = _exits_2_with_one_line(capsys, argv + [
+        "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert needle in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    # the seeds feed uint64 streams; -1 used to raise OverflowError (exit 1)
+    err = _exits_2_with_one_line(capsys, [
+        "duality-check", "--seed=-1", "--out", str(tmp_path / "out")])
+    assert "seed must be an integer in [0, 2^64), got '-1'" in err
 
 
 @pytest.mark.parametrize("experiment", ["incidence-sweep", "duality-check"])
@@ -203,23 +241,51 @@ def test_rich_points_kstar_records_infeasible_rows(tmp_path):
     assert len(rows) == 1 + 4  # header + 2 deltas x 2 ks
 
 
-def test_generator_spec_section(tmp_path):
+def test_family_keys_section(tmp_path):
     ini = tmp_path / "cfg.ini"
-    ini.write_text("[incidence-sweep]\nkind = random\nn_points = 120\n"
+    ini.write_text("[incidence-sweep]\nfamily = random\nn_points = 120\n"
                    "n_lines = 150\ndeltas = 2^-6\nseed = 3\n")
     out = tmp_path / "out"
     rc = main(["incidence-sweep", "--config", str(ini), "--out", str(out),
                "--verify"])
     assert rc == 0
     text = (out / "incidence-sweep.csv").read_text()
-    assert ",120,150," in text.replace("120,150", "120,150")
     rows = [l for l in text.splitlines() if not l.startswith("#")]
     assert rows[1].split(",")[1:3] == ["120", "150"]
-    # spec numbers take the documented syntax: fractions and powers
-    ini.write_text("[incidence-sweep]\nkind = rectangle\nr = 1\ns = 1/8\n"
+    # family keys take the documented syntax: fractions and powers
+    ini.write_text("[incidence-sweep]\nfamily = rectangle\nr = 1\ns = 1/8\n"
                    "epsilon = 2^-5\ndeltas = 2^-6\n")
     assert main(["incidence-sweep", "--config", str(ini), "--out",
                  str(tmp_path / "rect"), "--verify"]) == 0
+
+
+@pytest.mark.parametrize("body", [
+    "family = k_star\nk = 3\nm = 2\ndeltas = 2^-8 2^-9\n",
+    "family = random\ndeltas = 2^-6 2^-7\n",
+])
+def test_csv_provenance_names_the_family_that_ran(tmp_path, body):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[incidence-sweep]\n" + body)
+    out = tmp_path / "out"
+    assert main(["incidence-sweep", "--config", str(ini), "--out",
+                 str(out)]) == 0
+    family = body.splitlines()[0].split(" = ")[1]
+    lines = (out / "incidence-sweep.csv").read_text().splitlines()
+    assert lines[1] == f"# generator={family}"
+
+
+def test_measure_constants_script(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "measure_constants.py")],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "out_constants.json").read_text())
+    assert sorted(record) == [
+        "A1_tube_neighborhood", "A_core_projection", "gns_ratio_ceiling",
+        "incidence_ratio_max", "incidence_ratio_min", "lw_ratio_ceiling"]
+    assert json.loads(proc.stdout) == record
 
 
 # sha256[:16] of <experiment>.csv and <experiment>_summary.json for tiny

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geomlab.generators import (GeneratorSpec, _lattice_1d, build,
-                                gen_concurrent_star, gen_grid_packing,
-                                gen_greedy_concurrent, gen_kstar, gen_random,
-                                gen_rectangle_example, gen_tube_example)
+from geomlab.acceptance import sweep_family
+from geomlab.generators import (_lattice_1d, gen_concurrent_star,
+                                gen_grid_packing, gen_greedy_concurrent,
+                                gen_kstar, gen_random, gen_rectangle_example,
+                                gen_tube_example)
 from geomlab.incidence import count_naive, max_concurrency
 from geomlab.planar import (LineFamily, Point2, Scale, save_point_set,
                             validate_separation)
@@ -231,13 +232,16 @@ def test_random_separation_and_determinism(tmp_path):
     assert not np.array_equal(P1.coords, P3.coords)
 
 
-def test_build_dispatch_and_validation():
-    ps, lf, meta = build(GeneratorSpec("tube", 2.0 ** -6))
-    assert meta["kind"] == "tube" and len(ps) and len(lf)
-    with pytest.raises(ValueError):
-        GeneratorSpec("nonsense", 0.1)
-    with pytest.raises(ValueError):
-        GeneratorSpec("tube", 1.5)
+def test_sweep_family_reads_only_its_keys():
+    P, L = sweep_family("k_star", k=3, m=2)(0, 2.0 ** -8)
+    assert (len(P), len(L)) == (2, 6)
+    P, L = sweep_family("random", seed=4, n_points=7)(1, 2.0 ** -6)
+    assert (len(P), len(L)) == (7, 500)
+    for name, params, needle in [("nope", {}, "unknown family 'nope'"),
+                                 ("tube", {"r": 1.0}, "reads no 'r'"),
+                                 ("k_star", {"k": 3}, "needs m")]:
+        with pytest.raises(ValueError, match=needle):
+            sweep_family(name, **params)
 
 
 @pytest.mark.parametrize("make", [

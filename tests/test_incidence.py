@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from geomlab.generators import (gen_concurrent_star, gen_grid_packing,
                                 gen_kstar, gen_random, gen_tube_example)
-from geomlab.incidence import (angular_split, count_bucketed, count_naive,
-                               grid_richness, k_rich_points, max_concurrency)
+from geomlab import incidence
+from geomlab.incidence import (angular_split, count_bucketed,
+                               count_incidences, count_naive, grid_richness,
+                               k_rich_points, max_concurrency)
 from geomlab.planar import (LineFamily, Point2, PointSet, Scale,
                             point_line_dist)
 
@@ -23,6 +25,21 @@ def test_count_single_pairs():
     assert count_naive(one, fam, s).count == 1
     off = PointSet([(0.0, 1.0)], delta=0.1)
     assert count_naive(off, fam, s).count == 0
+
+
+def test_count_incidences_verify_asserts_engine_equality(monkeypatch):
+    P, L = gen_random(200, 200, 2.0 ** -5, seed=3)
+    s = Scale(2.0 ** -5)
+    rep = count_incidences(P, L, s, verify=True)
+    assert rep.count and rep.same_as(count_naive(P, L, s, with_pairs=True))
+    # the oracle is looked up at call time, so a wrapper of it is called
+    oracle = incidence.count_naive
+    no_points = PointSet(P.coords[:0], P.delta)
+    monkeypatch.setattr(incidence, "count_naive",
+                        lambda P, L, s, with_pairs: oracle(no_points, L, s,
+                                                           with_pairs))
+    with pytest.raises(AssertionError, match="disagree"):
+        count_incidences(P, L, s, verify=True)
 
 
 def test_empty_inputs():
