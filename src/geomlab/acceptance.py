@@ -42,8 +42,8 @@ GNS_RATIO_CEILING = 0.75
 
 
 class EmptyGrid(ValueError):
-    """The grid step is so coarse that every set an experiment voxelizes
-    is empty."""
+    """The grid step is so coarse that an experiment measures nothing:
+    every set it voxelizes is empty, or a set it must measure is."""
 
 
 @dataclass
@@ -250,8 +250,12 @@ def tube_volume(deltas: Sequence[float], threads: int = 1) -> RunResult:
         return {"delta": delta, "volume": v, "normalized": v / delta ** 3}
 
     rows = _map_rows(one_row, deltas, threads)
+    empty = [r["delta"] for r in rows if r["volume"] == 0.0]
+    if empty:  # the tubes meet, so only a grid step too coarse gives 0
+        raise EmptyGrid(f"too coarse at delta={empty[0]:g}: the tube "
+                        f"intersection voxelizes to an empty set")
     vals = [r["normalized"] for r in rows]
-    spread = max(vals) / min(vals) if min(vals) > 0 else math.inf
+    spread = max(vals) / min(vals)
     ok = spread <= 4.0 and max(vals) <= 1000.0
     return RunResult(ok, rows, {"normalized_spread": spread,
                                 "max_normalized": max(vals)},

@@ -216,8 +216,12 @@ def _rich_points(cfg: ExperimentConfig) -> A.RunResult:
     if min(deltas) * min(ratios) > 1.0:
         raise ConfigError("rich-points: epsilon = ratio * delta exceeds 1 "
                           "for every (delta, ratio) pair")
-    return A.rich_points(deltas, ratios, cfg.ints("ks", lo=2),
-                         cfg.choice("family", ("rectangle", "k_star")))
+    family = cfg.choice("family", ("rectangle", "k_star"))
+    res = A.rich_points(deltas, ratios, cfg.ints("ks", lo=2), family)
+    if all(r["n_rich"] == "infeasible" for r in res.rows):
+        raise ConfigError(f"rich-points: family {family} is infeasible at "
+                          f"every (delta, epsilon, k)")
+    return res
 
 
 def _on_grid(cfg: ExperimentConfig, option: str,
@@ -271,7 +275,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
                                                       c.scalar("scale")))),
     "tube-volume": Experiment(
         {"deltas": "2^-4 2^-5 2^-6 2^-7", "seed": "12345"},
-        lambda c: A.tube_volume(c.floats("deltas"), _lab_threads())),
+        lambda c: _on_grid(c, "deltas", lambda: A.tube_volume(
+            c.floats("deltas"), _lab_threads()))),
     "sobolev-check": Experiment(
         {"function": "bump", "width": "0.75", "h": "1/64", "seed": "12345"},
         _sobolev_check),

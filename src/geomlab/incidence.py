@@ -542,8 +542,8 @@ def _greedy_separated(coords: np.ndarray, delta: float) -> np.ndarray:
         hit[hit] = (np.abs(cx[j] - cx[o]) <= 1.0) & (np.abs(cy[j] - cy[o]) <= 1.0)
         return hit
 
-    return _first_come(n, _CellHash(cells[:, :1], cy,
-                                    lambda r: (cy[r] - 1.0, cy[r] + 1.0)), pred)
+    return _first_come(n, _CellHash(cells[:, :1], cy, cy - 1.0, cy + 1.0),
+                       pred)
 
 
 @dataclass

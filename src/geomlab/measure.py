@@ -492,13 +492,15 @@ def voxelize(shape: Shape, h: float, ht: Optional[float] = None) -> VoxelSet:
 
 class PlaneRegion:
     """Occupancy set of cells [i h, (i+1) h) x [k ht, (k+1) ht) of a
-    vertical plane, coordinates (u, t)."""
+    vertical plane, coordinates (u, t), with indices in [-2^20, 2^20)."""
 
     def __init__(self, plane: Plane, occupied, h: float, ht: Optional[float] = None):
         self.plane = plane
         self.h = float(h)
         self.ht = self.h if ht is None else float(ht)
-        self.occupied = _canonical(np.asarray(occupied, dtype=np.int64), 2)
+        occupied = np.asarray(occupied, dtype=np.int64).reshape(-1, 2)
+        _check_range(occupied)
+        self.occupied = _canonical(occupied, 2)
         self.occupied.setflags(write=False)
 
     def __len__(self) -> int:
@@ -543,21 +545,24 @@ def _check_same_grid(a: PlaneRegion, b: PlaneRegion) -> None:
 def _dilated_covers(region: PlaneRegion, other: PlaneRegion) -> bool:
     """region.dilated(1).covers(other), without building the dilation:
     whether every cell of other has one of its 3 x 3 neighbours in region.
-    The neighbours in column u + du have the three packed keys from
-    key + du * _PACK_MUL - 1 on, so each du is one search in the sorted
-    keys of region, in the dilation's own key arithmetic."""
+    The neighbours in column u + du have the packed keys from
+    key + du * _PACK_MUL - 1 to key + du * _PACK_MUL + 1, so each du is one
+    search in the sorted keys of region.  At t = -2^20 or 2^20 - 1 the
+    range stops at t: one key further is the end of the next column."""
     _check_same_grid(region, other)
     if len(other) == 0:
         return True
     mine = _pack2(region.occupied)
-    todo = _pack2(other.occupied)
+    key = _pack2(other.occupied)
+    t = other.occupied[:, 1]
+    lo = key - (t > -_PACK_OFF)
+    hi = key + (t < _PACK_OFF - 1)
     for du in (0, -1, 1):
-        lo = todo + (du * _PACK_MUL - 1)
-        pos = np.searchsorted(mine, lo)
+        pos = np.searchsorted(mine, lo + du * _PACK_MUL)
         near = pos < mine.size
-        near[near] = mine[pos[near]] <= lo[near] + 2
-        todo = todo[~near]
-    return todo.size == 0
+        near[near] = mine[pos[near]] <= hi[near] + du * _PACK_MUL
+        lo, hi = lo[~near], hi[~near]
+    return lo.size == 0
 
 
 def _expand_runs(start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -752,48 +757,19 @@ def h3_surrogate(B: VoxelSet) -> float:
     rho = 2.0 * math.sqrt(B.ht)
     centers = B.centers()
     occ = B.occupied
-    x, y, t = (np.ascontiguousarray(c) for c in centers.T)
     # A ball at c holds centers with |dx|, |dy| <= rho, so at most m columns
-    # away in i and in j: in the 3 x 3 cells of m x m columns around c's.
-    # It holds |dt| <= rho^2 / 4, and the test's dt adds the twist
-    # (c_y dx - c_x dy) / 2 to the height difference.  A step s in
-    # {-1, 0, 1} to a neighbour cell reaches the column offsets within m of
-    # mid[0, s] + mid[1, s] r +- (half[0, s] + half[1, s] r), r = i mod m
-    # (or j mod m).  So in units of ht, with g = h / (2 ht), the twist over
-    # that cell lies within g (c_y mid_x - c_x mid_y) +- g (|c_y| half_x +
-    # |c_x| half_y), and its window is k - twist +- (q + spread + margin),
-    # q = rho^2 / (4 ht): both ends are linear in ten features of c.  The
-    # margin's 2^-30 of the largest term covers the relative roundings of
-    # the test and of the window, and its 2^-20 cells the absolute ones of
-    # the centers (below 2^-31 cells).
+    # away in i and in j, and |dt| <= rho^2 / 4, which the twist term shifts
+    # by up to (|c_x| + |c_y|) rho / 2, so at most width layers away in k.
+    # The factor 1 + 2^-30 covers the relative roundings of the test and
+    # 2^-20 cells the absolute ones of the centers (below 2^-31 cells).
     m = max(1, math.floor(rho / B.h * (1.0 + 2.0 ** -30) + 2.0 ** -20))
-    cell = np.floor_divide(occ[:, :2], m)
-    ri, rj = (occ[:, :2] - cell * m).T
+    reach = rho * rho / 4.0 + 0.5 * rho * np.abs(centers[:, :2]).sum(axis=1)
+    reach *= 1.0 + 2.0 ** -30
     k = occ[:, 2].astype(np.float64)
-    q = rho * rho / 4.0 / B.ht
-    g = 0.5 * B.h / B.ht
-    pad = q + ((q + 0.5 * rho / B.ht * (np.abs(x) + np.abs(y))) * 2.0 ** -30
-               + 2.0 ** -20)
-    gx, gy = g * x, g * y
-    features = np.column_stack([k - pad, k + pad, gy, gy * ri, np.abs(gy),
-                                np.abs(gy) * ri, gx, gx * rj, np.abs(gx),
-                                np.abs(gx) * rj])
-    mid = np.array([[-m - 1.0, m - 1.0, 2.0 * m], [-1.0, -2.0, -1.0]]) / 2.0
-    half = np.array([[m - 1.0, m - 1.0, 0.0], [-1.0, 0.0, 1.0]]) / 2.0
-    ends = np.zeros((10, 2, 3, 3))  # (feature, low or high end, x step, y step)
-    for e, sign in enumerate((-1.0, 1.0)):
-        ends[e, e] = 1.0
-        ends[2:4, e] = -mid[:, :, None]
-        ends[4:6, e] = sign * half[:, :, None]
-        ends[6:8, e] = mid[:, None, :]
-        ends[8:10, e] = sign * half[:, None, :]
-    ends = ends.reshape(10, 18)
-
-    def window(rows):
-        lo_hi = features[rows] @ ends
-        return lo_hi[:, :9], lo_hi[:, 9:]
-
-    near = _CellHash(cell.astype(np.float64), k, window)
+    width = np.floor(reach / B.ht + 2.0 ** -20)
+    near = _CellHash(np.floor_divide(occ[:, :2], m).astype(np.float64), k,
+                     k - width, k + width)
+    x, y, t = (np.ascontiguousarray(c) for c in centers.T)
     kept = _first_come(len(B), near, lambda o, j: _gauge_inside(
         x[o], y[o], t[o], x[j], y[j], t[j], rho))
     return kept.size * rho ** 3

@@ -229,21 +229,17 @@ class _CellHash:
     """Candidate neighbour pairs from a cell hash.
 
     Row r has integer cells (integer-valued floats) cells[r] on its first
-    d axes and a value last[r] on its last axis.  Rows are bucketed by cell
+    axes and a value last[r] on its last axis.  Rows are bucketed by cell
     and sorted by last value within a cell.  Called with query rows, it
     returns the pairs (q, j) of each q with every row j whose cells are
     adjacent to q's (each coordinate within 1, q's own cell included) and
-    whose last value lies in q's window for j's cell.  window(rows) gives
-    the windows [lo, hi] of the query rows as two arrays, of shape (rows,)
-    for one window over all neighbour cells, or (rows, 3^d) for one per
-    neighbour cell, the cells ordered by their steps from q's (first axis
-    slowest, each step -1, 0, 1).  Callers want only the pairs with q < j:
-    when the rows come in non-decreasing order of their first cell, the
-    cells before q's on that axis hold only earlier rows, and they are not
-    searched."""
+    whose last value lies in the window [lo[q], hi[q]].  Callers want
+    only the pairs with q < j: when the rows come in non-decreasing order
+    of their first cell, the cells before q's on that axis hold only
+    earlier rows, and they are not searched."""
 
-    def __init__(self, cells: np.ndarray, last: np.ndarray,
-                 window: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]):
+    def __init__(self, cells: np.ndarray, last: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray):
         n = last.size
         width = 2 * n + 2
         packed = np.zeros(n, dtype=np.int64)
@@ -253,15 +249,16 @@ class _CellHash:
             offsets = (offsets[:, None] * width + np.arange(-1, 2)).ravel()
         if np.all(cells[1:, 0] >= cells[:-1, 0]):
             offsets = offsets[offsets.size // 3:]
-        self.skip = 3 ** cells.shape[1] - offsets.size
         self.cells, cell = np.unique(packed, return_inverse=True)
-        self.packed, self.offsets, self.window = packed, offsets, window
-        # a row's place in the order of last values; a window [lo, hi] is
-        # the range of places [last.searchsorted(lo), last.searchsorted(hi))
+        self.packed, self.offsets = packed, offsets
+        # a row's place in the order of last values; the window of q is the
+        # range of places [last.searchsorted(lo[q]), last.searchsorted(hi[q])),
+        # searched for the query rows only: a first-come scan never queries
+        # the rows it has covered
         by_last = np.argsort(last, kind="stable")
         place = np.empty(n, dtype=np.int64)
         place[by_last] = np.arange(n)
-        self.last = last[by_last]
+        self.last, self.lo, self.hi = last[by_last], lo, hi
         # rows sorted by the key (2 c + 1) n + place, c the rank of their
         # cell: the keys of a cell absent from the set, given the even
         # multiplier of the rank it would take, form an empty range
@@ -271,17 +268,14 @@ class _CellHash:
         self.key = key[self.order]
 
     def __call__(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.window(rows)
-        if lo.ndim == 1:
-            lo, hi = lo[:, None], hi[:, None]
-        else:
-            lo, hi = lo[:, self.skip:], hi[:, self.skip:]
         want = self.packed[rows, None] + self.offsets
         base = self.cells.searchsorted(want, side="left")
         base += self.cells.searchsorted(want, side="right")
         base *= self.n
-        first = self.key.searchsorted(base + self.last.searchsorted(lo, side="left"))
-        end = self.key.searchsorted(base + self.last.searchsorted(hi, side="right"))
+        lo = self.last.searchsorted(self.lo[rows], side="left")
+        hi = self.last.searchsorted(self.hi[rows], side="right")
+        first = self.key.searchsorted(base + lo[:, None])
+        end = self.key.searchsorted(base + hi[:, None])
         lens = (end - first).ravel()
         return (np.repeat(rows, self.offsets.size).repeat(lens),
                 self.order[_runs(first.ravel(), lens)])
@@ -313,7 +307,7 @@ def _min_pair(coords: np.ndarray) -> Tuple[float, Optional[Tuple[int, int]]]:
         d1 = min(d1, float(np.hypot(step[:, 0], step[:, 1]).min()))
     w = max(d1 * (1.0 + 2.0 ** -10), ext * 2.0 ** -30)
     near = _CellHash(np.floor(rel[:, :1] / w), rel[:, 1],
-                     lambda r: (rel[r, 1] - 2.0 * w, rel[r, 1] + 2.0 * w))
+                     rel[:, 1] - 2.0 * w, rel[:, 1] + 2.0 * w)
     i, j = near(np.arange(n))
     later = j > i
     i, j = i[later], j[later]
@@ -379,7 +373,10 @@ def save_line_family(lf: LineFamily, path, generator: str = "", seed=None,
     _write_csv(Path(path), ("a", "b"), lf.params, meta)
 
 
-def _read_csv(path: Path, header: Tuple[str, str]) -> Tuple[np.ndarray, dict]:
+def _read_csv(path: Path, header: Tuple[str, str],
+              scale: str) -> Tuple[np.ndarray, float]:
+    """The coordinates of a CSV written by _write_csv, and the value of
+    `scale` in its sidecar, which must be a finite number > 0."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != header:
@@ -394,16 +391,25 @@ def _read_csv(path: Path, header: Tuple[str, str]) -> Tuple[np.ndarray, dict]:
         except ValueError:
             raise ValueError(f"{path}: row {n + 1} is not numeric: "
                              f"{','.join(row)!r}") from None
-    with open(_meta_path(Path(path))) as fh:
-        meta = json.load(fh)
-    return coords.reshape(-1, 2), meta
+    meta_path = _meta_path(Path(path))
+    with open(meta_path) as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{meta_path}: not JSON: {exc}") from None
+    value = meta.get(scale) if isinstance(meta, dict) else None
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value) or value <= 0):
+        raise ValueError(f"{meta_path}: expected a JSON object whose "
+                         f"{scale!r} is a finite number > 0")
+    return coords.reshape(-1, 2), float(value)
 
 
 def load_point_set(path) -> PointSet:
-    coords, meta = _read_csv(Path(path), ("x", "y"))
-    return PointSet(coords, delta=meta["delta"])
+    coords, delta = _read_csv(Path(path), ("x", "y"), "delta")
+    return PointSet(coords, delta=delta)
 
 
 def load_line_family(path) -> LineFamily:
-    coords, meta = _read_csv(Path(path), ("a", "b"))
-    return LineFamily(coords, epsilon=meta["epsilon"])
+    coords, epsilon = _read_csv(Path(path), ("a", "b"), "epsilon")
+    return LineFamily(coords, epsilon=epsilon)

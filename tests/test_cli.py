@@ -114,6 +114,14 @@ def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
                  id="lw-sweep-hs-too-coarse"),
     pytest.param("isoperimetric", "h = 2\n", "'h': too coarse",
                  id="isoperimetric-h-too-coarse"),
+    pytest.param("tube-volume", "deltas = 100\n", "'deltas': too coarse",
+                 id="tube-volume-deltas-too-coarse"),
+    pytest.param("tube-volume", "deltas = 2^-4 100\n",
+                 "'deltas': too coarse at delta=100",
+                 id="tube-volume-one-delta-too-coarse"),
+    pytest.param("rich-points", "family = k_star\nks = 2\ndeltas = 1\n",
+                 "family k_star is infeasible at every",
+                 id="rich-points-every-row-infeasible"),
 ])
 def test_bad_experiment_values_exit_2(tmp_path, capsys, experiment, body,
                                       needle):
@@ -224,6 +232,14 @@ def test_sobolev_check_unknown_function_exits_2_before_sampling(
         "sobolev-check", "--out", str(tmp_path / "out"),
         "--function", "nope", "--h", "1/128"])
     assert "unknown function 'nope'" in err
+
+
+def test_tube_volume_at_a_coarse_delta_that_still_measures(tmp_path):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[tube-volume]\ndeltas = 2\n")
+    out = tmp_path / "out"
+    assert main(["tube-volume", "--config", str(ini), "--out", str(out)]) == 0
+    assert (out / "tube-volume.csv").exists()
 
 
 def test_rich_points_kstar_records_infeasible_rows(tmp_path):

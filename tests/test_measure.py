@@ -591,9 +591,9 @@ def _ball_islands(h, ht, center_ij):
 
 @pytest.mark.parametrize("h, ht", [(1 / 16, 0.3 / 16), (0.1, 0.1)])
 def test_h3_surrogate_matches_reference_at_every_offset_a_ball_reaches(h, ht):
-    # each window end is met: the center first or last in its cell of m
-    # columns, near the x axis, near the y axis and off both, where the
-    # twist pulls each neighbour cell's window its own way
+    # each offset's top and bottom layers are met: the center first or last
+    # in its cell of m columns, near the x axis, near the y axis and off
+    # both, where the twist over the ball depends on both coordinates
     m = math.floor(2.0 * math.sqrt(ht) / h)
     for x, y in ((0.0, 1.5), (-1.5, 0.0), (1.0, -1.2), (-1.1, -1.0)):
         i0, j0 = math.floor(x / h / m) * m, math.floor(y / h / m) * m
@@ -699,11 +699,11 @@ def test_load_voxelset_merges_unsorted_overlapping_spans(tmp_path):
 
 def test_voxelset_rejects_indices_outside_packing_range():
     for bad in [(2 ** 20, 0, 0), (0, -2 ** 20 - 1, 0), (0, 0, 2 ** 21)]:
-        with pytest.raises(ValueError, match="2\\^20"):
+        with pytest.raises(ValueError, match=r"2\^20"):
             VoxelSet([bad], h=0.1)
     edge = [(-2 ** 20, 2 ** 20 - 1, -2 ** 20), (2 ** 20 - 1, 0, 2 ** 20 - 1)]
     assert len(VoxelSet(edge, h=0.1)) == 2
-    with pytest.raises(ValueError, match="2\\^20"):
+    with pytest.raises(ValueError, match=r"2\^20"):
         VoxelSet.from_spans([(0, 0, 2 ** 20 - 1, 2)], h=0.1)
 
 
@@ -712,7 +712,7 @@ def test_projection_rejects_cells_outside_packing_range():
     # packed key used to carry into the u part and land in another column
     K = VoxelSet.from_spans([[300000, 300000, 0, 1]], 1.0)
     for which in ("x", "y"):
-        with pytest.raises(ValueError, match="2\\^20"):
+        with pytest.raises(ValueError, match=r"2\^20"):
             project_voxels(K, which)
     near = VoxelSet.from_spans([[1000, 1000, 0, 1]], 1.0)
     for which in ("x", "y"):
@@ -750,12 +750,21 @@ def test_covers_needs_the_same_plane_and_grid():
 _EDGE = 2 ** 20
 
 
+def _in_range(cells):
+    """The cells moved into [-2^20, 2^20): a t beyond the range goes to the
+    cell of the same packed key, at the other end of the next or previous
+    column; then cells with u beyond the range are dropped."""
+    over = (cells[:, 1] >= _EDGE).astype(np.int64) - (cells[:, 1] < -_EDGE)
+    cells = cells + np.outer(over, [1, -2 * _EDGE])
+    return cells[((cells >= -_EDGE) & (cells < _EDGE)).all(axis=1)]
+
+
 @st.composite
 def _cover_cases(draw):
     """A region B and a region A drawn near it: cells of B moved by up to
     two cells, and cells of their own; about the origin or at the +-2^20
-    edge of the packed keys, where the dilation's keys wrap into the next
-    column."""
+    edge of the packed keys, where a neighbour's key wraps into the next
+    column, and moved into the range by _in_range."""
     at = np.array([draw(st.sampled_from([0, -_EDGE, _EDGE - 1]))
                    for _ in range(2)])
     cell = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -766,15 +775,43 @@ def _cover_cases(draw):
         max_size=12 if len(b) else 0))]
     a = np.array(moved + draw(st.lists(cell, max_size=3)),
                  dtype=np.int64).reshape(-1, 2)
-    return (PlaneRegion(Plane.W_Y, b + at, 0.1, 0.05),
-            PlaneRegion(Plane.W_Y, a + at, 0.1, 0.05))
+    return (PlaneRegion(Plane.W_Y, _in_range(b + at), 0.1, 0.05),
+            PlaneRegion(Plane.W_Y, _in_range(a + at), 0.1, 0.05))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_cover_cases())
 def test_dilated_covers_equals_dilation(case):
     b, a = case
-    assert _dilated_covers(b, a) == b.dilated(1).covers(a)
+    # every cell of A has a cell of B within one step on both axes
+    want = all(any(np.abs(p - q).max() <= 1 for q in b.occupied)
+               for p in a.occupied)
+    assert _dilated_covers(b, a) == want
+    if ((b.occupied > -_EDGE) & (b.occupied < _EDGE - 1)).all():
+        # the dilation stays in the packing range
+        assert b.dilated(1).covers(a) == want
+
+
+def test_plane_region_rejects_cells_outside_the_packing_range():
+    # (0, 2^20) would pack to the key of (1, -2^20)
+    with pytest.raises(ValueError, match=r"\[-2\^20, 2\^20\)"):
+        PlaneRegion(Plane.W_X, [(0, 2 ** 20)], 0.1)
+    for cell in ((0, -2 ** 20 - 1), (2 ** 20, 0), (-2 ** 20 - 1, 0)):
+        with pytest.raises(ValueError, match=r"2\^20"):
+            PlaneRegion(Plane.W_X, [cell], 0.1)
+    edge = PlaneRegion(Plane.W_X, [(0, 2 ** 20 - 1)], 0.1)
+    with pytest.raises(ValueError, match=r"2\^20"):
+        edge.dilated(1)
+
+
+def test_dilated_covers_stays_in_its_column():
+    # the t neighbours of a cell at the top or bottom of the packing range
+    # have the keys of the next column's bottom or top cell
+    top = PlaneRegion(Plane.W_X, [(0, 2 ** 20 - 1)], 0.1)
+    bottom = PlaneRegion(Plane.W_X, [(1, -2 ** 20)], 0.1)
+    assert not _dilated_covers(top, bottom)
+    assert not _dilated_covers(bottom, top)
+    assert _dilated_covers(top, PlaneRegion(Plane.W_X, [(1, 2 ** 20 - 2)], 0.1))
 
 
 def test_dilated_covers_edge_cases():

@@ -157,10 +157,9 @@ def test_min_pair_extent_beyond_the_float_range():
 
 def _cell_hash_brute(cells, last, lo, hi):
     """The sorted pairs (q, j) _CellHash finds: cells within 1 on every
-    axis, last[j] in q's window for j's cell, and, when the rows come in
-    non-decreasing order of their first cell, j's first cell not before
-    q's."""
-    n, d = cells.shape
+    axis, last[j] in q's window, and, when the rows come in non-decreasing
+    order of their first cell, j's first cell not before q's."""
+    n = cells.shape[0]
     forward = bool(np.all(cells[1:, 0] >= cells[:-1, 0]))
     pairs = []
     for q in range(n):
@@ -168,10 +167,7 @@ def _cell_hash_brute(cells, last, lo, hi):
             step = cells[j] - cells[q]
             if np.any(np.abs(step) > 1) or (forward and step[0] < 0):
                 continue
-            c = int(sum((step[a] + 1) * 3 ** (d - 1 - a) for a in range(d)))
-            w_lo = lo[q] if lo.ndim == 1 else lo[q, c]
-            w_hi = hi[q] if hi.ndim == 1 else hi[q, c]
-            if w_lo <= last[j] <= w_hi:
+            if lo[q] <= last[j] <= hi[q]:
                 pairs.append((q, j))
     return sorted(pairs)
 
@@ -179,7 +175,7 @@ def _cell_hash_brute(cells, last, lo, hi):
 @st.composite
 def _cell_hash_cases(draw):
     """Rows with 1 or 2 integer cell axes (gaps of 1 and 2 between cells,
-    repeats), sorted by first cell or not, and windows of either shape."""
+    repeats), sorted by first cell or not, and one window per row."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 40))
     d = draw(st.sampled_from([1, 2]))
@@ -187,9 +183,8 @@ def _cell_hash_cases(draw):
     if draw(st.booleans()):
         cells = cells[np.argsort(cells[:, 0], kind="stable")]
     last = rng.integers(-6, 7, n).astype(np.float64) * 0.5
-    shape = (n,) if draw(st.booleans()) else (n, 3 ** d)
-    lo = rng.uniform(-4, 2, shape)
-    hi = lo + rng.uniform(0, 4, shape)
+    lo = rng.uniform(-4, 2, n)
+    hi = lo + rng.uniform(0, 4, n)
     return cells, last, lo, hi
 
 
@@ -197,7 +192,7 @@ def _cell_hash_cases(draw):
 @given(_cell_hash_cases())
 def test_cell_hash_pairs_equal_brute_force(case):
     cells, last, lo, hi = case
-    near = _CellHash(cells, last, lambda r: (lo[r], hi[r]))
+    near = _CellHash(cells, last, lo, hi)
     q, j = near(np.arange(last.size))
     assert sorted(zip(q.tolist(), j.tolist())) == _cell_hash_brute(cells, last,
                                                                   lo, hi)
@@ -206,19 +201,6 @@ def test_cell_hash_pairs_equal_brute_force(case):
     q, j = near(rows)
     want = [p for p in _cell_hash_brute(cells, last, lo, hi) if p[0] in rows]
     assert sorted(zip(q.tolist(), j.tolist())) == want
-
-
-def test_cell_hash_one_window_per_cell_equals_one_per_row():
-    rng = np.random.default_rng(5)
-    cells = np.sort(rng.integers(0, 6, (200, 2)), axis=0).astype(np.float64)
-    last = rng.uniform(0, 10, 200)
-    lo, hi = last - 1.5, last + 1.5
-    one = _CellHash(cells, last, lambda r: (lo[r], hi[r]))
-    per_cell = _CellHash(cells, last, lambda r: (np.repeat(lo[r, None], 9, 1),
-                                                 np.repeat(hi[r, None], 9, 1)))
-    rows = np.arange(200)
-    for a, b in zip(one(rows), per_cell(rows)):
-        assert np.array_equal(a, b)
 
 
 def test_validate_separation_same_verdict_at_every_size():
@@ -297,3 +279,21 @@ def test_csv_loader_rejects_bad_rows(tmp_path):
         (tmp_path / "lns.csv.meta.json").read_text())
     with pytest.raises(ValueError, match="lines_short.csv"):
         load_line_family(bad_lines)
+
+
+@pytest.mark.parametrize("meta", ['{not json', '{"epsilon": null}',
+                                  '{"delta": null}', '[1, 2]',
+                                  '{"delta": 0, "epsilon": Infinity}'])
+@pytest.mark.parametrize("save, load", [(save_point_set, load_point_set),
+                                        (save_line_family, load_line_family)])
+def test_csv_loader_rejects_bad_sidecars(tmp_path, meta, save, load):
+    path = tmp_path / "set.csv"
+    if save is save_point_set:
+        save(PointSet([(0.125, -0.5)], delta=0.25), path)
+    else:
+        save(LineFamily([(0.5, -0.25)], epsilon=0.5), path)
+    sidecar = tmp_path / "set.csv.meta.json"
+    sidecar.write_text(meta)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{sidecar}: ")
