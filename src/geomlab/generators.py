@@ -144,7 +144,7 @@ def gen_kstar(k: int, m: int, delta: float,
     return PointSet(pts, delta), LineFamily(lines, eps)
 
 
-def gen_concurrent_star(n: int, epsilon: float, delta: float = None,
+def gen_concurrent_star(n: int, epsilon: float,
                         through: Point2 = Point2(0.0, 0.0)) -> LineFamily:
     """n lines passing exactly through a common point, with dual parameters
     exactly epsilon-separated along the dual line of the point."""

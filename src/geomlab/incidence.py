@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -46,18 +46,23 @@ def normalized_ratio(count: int, n_points: int, n_lines: int, delta: float) -> f
 
 @dataclass
 class IncidenceReport:
+    """An engine's count, the richness of each point and, when asked for,
+    the incident (point, line) index pairs: an (n, 2) int64 array whose
+    rows are in lexicographic order, 16 bytes per pair."""
+
     count: int
     richness: np.ndarray  # int64, one entry per point
     normalized_ratio: float
-    pairs: Optional[List[Tuple[int, int]]] = None
+    pairs: Optional[np.ndarray] = None
 
     def same_as(self, other: "IncidenceReport") -> bool:
+        """Equal count and richness, and equal pairs when both hold them."""
         if self.count != other.count:
             return False
         if not np.array_equal(self.richness, other.richness):
             return False
         if self.pairs is not None and other.pairs is not None:
-            return self.pairs == other.pairs
+            return np.array_equal(self.pairs, other.pairs)
         return True
 
     def richness_histogram(self) -> dict:
@@ -87,10 +92,11 @@ def _incidence_mask(px, py, la, lb, radius):
 
 def count_naive(P: PointSet, L: LineFamily, s: Scale,
                 with_pairs: bool = False) -> IncidenceReport:
-    """Exact count over all |P| * |L| pairs (the oracle engine)."""
+    """Exact count over all |P| * |L| pairs (the oracle engine); with_pairs,
+    the incident (point, line) pairs as IncidenceReport describes them."""
     n, m = len(P), len(L)
     richness = np.zeros(n, dtype=np.int64)
-    pairs: Optional[List[Tuple[int, int]]] = [] if with_pairs else None
+    chunks = [np.empty((0, 2), dtype=np.int64)]
     if n and m:
         px, py = P.coords[:, 0], P.coords[:, 1]
         la, lb = L.params[:, 0], L.params[:, 1]
@@ -100,8 +106,10 @@ def count_naive(P: PointSet, L: LineFamily, s: Scale,
             mask = _incidence_mask(px[lo:hi], py[lo:hi], la, lb, s.radius)
             richness[lo:hi] = mask.sum(axis=1)
             if with_pairs:
-                pi, li = np.nonzero(mask)
-                pairs.extend(zip((pi + lo).tolist(), li.tolist()))
+                hits = np.argwhere(mask).astype(np.int64, copy=False)
+                hits[:, 0] += lo
+                chunks.append(hits)
+    pairs = np.concatenate(chunks) if with_pairs else None
     count = int(richness.sum())
     return IncidenceReport(count, richness,
                            normalized_ratio(count, n, m, s.delta), pairs)
@@ -306,7 +314,7 @@ def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
     that are not finite or exceed 2**255 in magnitude."""
     n, m = len(P), len(L)
     richness = np.zeros(n, dtype=np.int64)
-    pairs: Optional[List[Tuple[int, int]]] = [] if with_pairs else None
+    keys = [np.zeros(0, dtype=np.int64)]
     if n and m:
         px, py = P.coords[:, 0], P.coords[:, 1]
         la, lb = L.params[:, 0], L.params[:, 1]
@@ -332,7 +340,6 @@ def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
         margin = _float_margin(px, py, la, lb, s.radius,
                                max(abs(r) for r in refs))
         chunk = max(1, min(_CHUNK_POINTS, _CHUNK_PAIRS // cols.starts.size))
-        keys = []
         for g, x_ref in enumerate(refs):
             cols.key_at(x_ref)
             for lo in range(bounds[g], bounds[g + 1], chunk):
@@ -342,18 +349,24 @@ def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
                 richness[idx] = rich
                 if with_pairs:
                     keys.append(idx[pt] * m + cols.line[slot])
-        if with_pairs:
-            key = np.sort(np.concatenate(keys))
-            pairs = list(zip((key // m).tolist(), (key % m).tolist()))
+    pairs = None
+    if with_pairs:
+        # point * m + line, sorted, is the lexicographic order of the pairs
+        key = np.concatenate(keys)
+        key.sort()
+        pairs = np.empty((key.size, 2), dtype=np.int64)
+        np.divmod(key, m, out=(pairs[:, 0], pairs[:, 1]))
     count = int(richness.sum())
     return IncidenceReport(count, richness,
                            normalized_ratio(count, n, m, s.delta), pairs)
 
 
-def count_incidences(P, L, s, with_pairs=False,
+def count_incidences(P: PointSet, L: LineFamily, s: Scale,
+                     with_pairs: bool = False,
                      verify: bool = False) -> IncidenceReport:
     """count_bucketed's report; with verify=True, with pairs and asserted
-    equal to the oracle count_naive's."""
+    equal to the oracle count_naive's: count, richness and every pair.
+    Raises AssertionError when they differ."""
     rep = count_bucketed(P, L, s, with_pairs=with_pairs or verify)
     if verify and not rep.same_as(count_naive(P, L, s, with_pairs=True)):
         raise AssertionError("bucketed and naive engines disagree")

@@ -463,8 +463,10 @@ def test_columns_keyed_anywhere_count_like_naive(case):
             rich, pt, slot = cols.count(px, py, margin, with_pairs)
             assert np.array_equal(rich, naive.richness)
             if with_pairs:
-                assert sorted(zip(pt.tolist(), cols.line[slot].tolist())) \
-                    == naive.pairs
+                line = cols.line[slot]
+                order = np.lexsort((line, pt))
+                assert np.array_equal(np.column_stack([pt, line])[order],
+                                      naive.pairs)
 
 
 def test_bucketed_equals_naive_in_several_groups():
