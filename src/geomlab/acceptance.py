@@ -96,7 +96,8 @@ def sweep_family(name: str, seed: int = 0, **params
                                          epsilon=get("epsilon"))
         if name == "k_star":
             return gen_kstar(get("k"), get("m"), delta, epsilon=get("epsilon"))
-        n = min(500, max(1, int(0.8 * int(1.0 / delta) ** 2)))
+        # above 1024 cells a side n is 500; 1 / delta may be inf
+        n = min(500, max(1, int(0.8 * int(min(1.0 / delta, 1024.0)) ** 2)))
         return gen_random(get("n_points", n), get("n_lines", n), delta,
                           substream_seed(seed, i))
     return family

@@ -185,6 +185,8 @@ def gen_greedy_concurrent(epsilon: float, delta: float,
 def _jittered_cells(n: int, delta: float, stream: Stream) -> np.ndarray:
     """n points in distinct cells of the 2*delta lattice of the unit square,
     jittered by at most delta/4 per coordinate."""
+    if 1.0 / delta == math.inf:
+        raise ValueError(f"1/delta overflows a float at delta={delta:g}")
     ncell = int(math.floor(1.0 / delta))
     total = ncell * ncell
     if n > total:

@@ -439,17 +439,22 @@ class TubeIntersection(Shape):
             # with d the unit direction of the core line through a, s =
             # t - a_t and w = (x - a_x, y - a_y, 0), the squared distance
             # (1 - d_t^2) s^2 - 2 d_t (w.d) s + |w|^2 - (w.d)^2 is at most
-            # r^2 between its roots, or, where it misses, at its closest s
+            # r^2 between its roots; where it misses, the ends cross over
+            # its closest s, the farther the more it misses
             a, direction = _line_through(p)
             d = direction / np.linalg.norm(direction)
             wx, wy = cols.x[c] - a[0], cols.y[c] - a[1]
             wd = wx * d[0] + wy * d[1]
             lead, lin = 1.0 - d[2] * d[2], d[2] * wd
             rest = wx * wx + wy * wy - wd * wd - self.radius * self.radius
-            half = np.sqrt(np.maximum(lin * lin - lead * rest, 0.0)) / lead
+            disc = lin * lin - lead * rest
+            half = np.copysign(np.sqrt(np.abs(disc)), disc) / lead
             center = a[2] + lin / lead
             lo, hi = np.maximum(lo, center - half), np.minimum(hi, center + half)
-        return cols.confirm(self, c, lo, hi)
+        # the closed forms are right to far less than a cell, so a column
+        # whose ends cross by more than a cell holds no center
+        near = ~(cols.k_of(c, lo) - cols.k_of(c, hi) > 1.0)  # keeps NaN
+        return cols.confirm(self, c[near], lo[near], hi[near])
 
 
 def _grid_box(shape: Shape, h: float, ht: float):

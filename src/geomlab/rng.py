@@ -20,8 +20,6 @@ drawn without changing the stream, and makes substreams cheap.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -34,60 +32,18 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 
-# Keys made and selected at a time by rank_keys: 512 kB per uint64 array,
-# so the passes over a chunk stay in a core's L2 cache (per key, 2^16 ran
-# about 3x faster than 2^20 on a 2-core x86 VM with 2 MB of L2 per core).
-_CHUNK = 1 << 16
-with np.errstate(over="ignore"):
-    _STEPS = GOLDEN * np.arange(1, _CHUNK + 1, dtype=np.uint64)
-_STEPS.setflags(write=False)
-# The low bits of a key that its last xorshift z ^ (z >> 31) can change.
-_LOW33 = np.uint64((1 << 33) - 1)
-# Each thread's key and scratch buffers of rank_keys (see _buffers).
-_LOCAL = threading.local()
-
-
-def _buffers() -> tuple:
-    """The calling thread's two uint64 buffers of _CHUNK entries, made on
-    its first rank_keys call and kept, so that their pages stay resident:
-    freed, buffers this large go back to the OS, and each call faults them
-    in again (224 page faults per call at n = 2^16).  They are per thread,
-    so rows run in parallel threads never share one."""
-    bufs = getattr(_LOCAL, "bufs", None)
-    if bufs is None:
-        bufs = _LOCAL.bufs = (np.empty(_CHUNK, dtype=np.uint64),
-                              np.empty(_CHUNK, dtype=np.uint64))
-    return bufs
-
-
-def _mix64_head(z: np.ndarray, tmp: np.ndarray) -> None:
-    """All of mix64 but its last step z ^= z >> 31, in place on the uint64
-    array z, with tmp (same shape) as scratch."""
-    np.right_shift(z, _S30, out=tmp)
-    z ^= tmp
-    z *= _M1
-    np.right_shift(z, _S27, out=tmp)
-    z ^= tmp
-    z *= _M2
-
-
-def _keys_below(z: np.ndarray, lim) -> tuple:
-    """The positions and keys of the entries of z (mix64 but its last
-    step) whose key z ^ (z >> 31) is below lim.  That step keeps the top 31
-    bits of z, so z above lim | _LOW33 cannot qualify and is not finished."""
-    sel = np.flatnonzero(z <= lim | _LOW33)
-    keys = z[sel]
-    keys ^= keys >> _S31
-    below = keys < lim
-    return sel[below], keys[below]
-
 
 def mix64(z):
     """splitmix64 finalizer on uint64 scalars or arrays (wraps mod 2^64)."""
     z = np.array(z, dtype=np.uint64)  # a copy: the input is never written
     tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        _mix64_head(z, tmp)
+        np.right_shift(z, _S30, out=tmp)
+        z ^= tmp
+        z *= _M1
+        np.right_shift(z, _S27, out=tmp)
+        z ^= tmp
+        z *= _M2
     np.right_shift(z, _S31, out=tmp)
     z ^= tmp
     return z[()]
@@ -122,48 +78,39 @@ class Stream:
         return np.minimum((self.uniform(n) * bound).astype(np.int64), bound - 1)
 
 
-def rank_keys(seed: int, n: int, k: int) -> np.ndarray:
-    """The first k indices of a deterministic pseudorandom ranking of
-    0..n-1 (used to sample cells): the indices of the k smallest keys
-    mix64(seed + (i + 1) * GOLDEN), in key order, ties broken by index
-    (there are none: mix64 is a bijection and GOLDEN is odd).  k above n
-    gives all n.
+def _feistel(x: np.ndarray, keys: np.ndarray, h: np.uint64) -> np.ndarray:
+    """The 4-round Feistel permutation of [0, 2^(2h)) with round keys keys,
+    on the uint64 array x: each round maps the h-bit halves (L, R) to
+    (R, L ^ (mix64(R ^ key) & (2^h - 1)))."""
+    mask = (np.uint64(1) << h) - np.uint64(1)
+    left, right = x >> h, x & mask
+    for key in keys:
+        left, right = right, left ^ (mix64(right ^ key) & mask)
+    return (left << h) | right
 
-    The keys are made and selected one chunk of at most _CHUNK indices at
-    a time, in the thread's resident buffers, so memory is O(k + _CHUNK)
-    whatever n is.
+
+def rank_keys(seed: int, n: int, k: int) -> np.ndarray:
+    """The first k indices pi(0), ..., pi(k - 1), as int64, of a
+    pseudorandom permutation pi of 0..n-1 keyed by seed (used to sample
+    cells); k above n gives all n.  Each prefix of the ranking is stable:
+    a larger k only appends indices.
+
+    pi is a 4-round Feistel network (Luby-Rackoff) with the round keys
+    Stream(seed).u64(4) on [0, 2^(2h)), h = max(1, ceil(bitlen(n - 1) / 2)),
+    a domain of at most 4n indices, restricted to [0, n) by cycle walking:
+    an index mapped outside [0, n) is mapped again until it lands inside.
+    Time and memory are O(k), whatever n is.  n is at most 2^62, so that
+    each half fits in 31 bits and every index in an int64.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    k = min(k, n)
-    best_key = np.empty(0, dtype=np.uint64)
-    best_idx = np.empty(0, dtype=np.int64)
-    if k == 0:
-        return best_idx
-    start = int(np.uint64(seed))
-    z, tmp = _buffers()
-    for lo in range(0, n, _CHUNK):
-        zc, tc = z[:n - lo], tmp[:n - lo]
-        # seed + (i + 1) * GOLDEN for i = lo, lo + 1, ...
-        np.add(_STEPS[:zc.size],
-               np.uint64((start + int(GOLDEN) * lo) % (1 << 64)), out=zc)
-        with np.errstate(over="ignore"):
-            _mix64_head(zc, tc)
-        if best_key.size == k:  # only keys below the k-th best can enter
-            sel, keys = _keys_below(zc, best_key.max())
-        else:
-            np.right_shift(zc, _S31, out=tc)
-            zc ^= tc
-            if zc.size > k:  # the k smallest keys: those up to the k-th
-                np.copyto(tc, zc)
-                tc.partition(k - 1)
-                sel = np.flatnonzero(zc <= tc[k - 1])
-            else:
-                sel = np.arange(zc.size)
-            keys = zc[sel]
-        best_key = np.concatenate([best_key, keys])
-        best_idx = np.concatenate([best_idx, sel + lo])
-        if best_key.size > k:
-            keep = np.argpartition(best_key, k - 1)[:k]
-            best_key, best_idx = best_key[keep], best_idx[keep]
-    return best_idx[np.lexsort((best_idx, best_key))]
+    if not 0 <= n <= 1 << 62:
+        raise ValueError(f"n must be in [0, 2^62], got {n}")
+    h = np.uint64(max(1, ((n - 1).bit_length() + 1) // 2))
+    keys, top = Stream(seed).u64(4), np.uint64(n)
+    y = _feistel(np.arange(min(k, n), dtype=np.uint64), keys, h)
+    out = np.flatnonzero(y >= top)
+    while out.size:
+        y[out] = _feistel(y[out], keys, h)
+        out = out[y[out] >= top]
+    return y.astype(np.int64)

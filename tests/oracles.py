@@ -111,6 +111,41 @@ def _voxelize_dense(shape: Shape, h: float,
     return VoxelSet(np.vstack(chunks), h, ht)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64_int(z: int) -> int:
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _MASK64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def _rank_keys_reference(seed: int, n: int, k: int) -> np.ndarray:
+    """rank_keys one index at a time in Python ints, from the formulas of
+    its docstring and of the rng module's: the oracle of the vectorized
+    Feistel rounds and cycle walk."""
+    h = max(1, ((n - 1).bit_length() + 1) // 2)
+    mask = (1 << h) - 1
+    keys = [_mix64_int((seed + (i + 1) * 0x9E3779B97F4A7C15) & _MASK64)
+            for i in range(4)]
+
+    def pi(x):
+        left, right = x >> h, x & mask
+        for key in keys:
+            left, right = right, left ^ (_mix64_int(right ^ key) & mask)
+        return (left << h) | right
+
+    out = []
+    for x in range(min(k, n)):
+        y = pi(x)
+        while y >= n:
+            y = pi(y)
+        out.append(y)
+    return np.array(out, dtype=np.int64)
+
+
 _NEIGHBORS6 = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                         [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.int64)
 

@@ -1,13 +1,18 @@
 """Tests for config parsing, the experiment runner, and reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomlab.cli import ConfigError, load_config, main, parse_number
 
@@ -91,6 +96,17 @@ def _exits_2_with_one_line(capsys, argv):
     pytest.param("family = random\nseed = 18446744073709551616\n",
                  "seed must be an integer in [0, 2^64)",
                  id="random-seed-above-uint64"),
+    # 2^80 cells: ranking them all never ended
+    pytest.param("family = random\nn_points = 10\nn_lines = 10\n"
+                 "deltas = 2^-40\n", "at delta=9.09495e-13: n must be in "
+                 "[0, 2^62]", id="random-delta-2^-40"),
+    # 1 / delta is inf, or its square too large for a float: both raised
+    # OverflowError (exit 1)
+    pytest.param("family = random\ndeltas = 5e-324\n",
+                 "at delta=4.94066e-324: 1/delta overflows",
+                 id="random-subnormal-delta"),
+    pytest.param("family = random\ndeltas = 1e-300\n", "at delta=1e-300: n "
+                 "must be in [0, 2^62]", id="random-delta-1e-300"),
 ])
 def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
     ini = tmp_path / "cfg.ini"
@@ -192,15 +208,84 @@ def test_incidence_sweep_run_and_artifacts(tmp_path):
 
 
 def test_reproducibility_and_thread_independence(tmp_path, monkeypatch):
-    out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))
-    args = ["incidence-sweep", "--seed", "5"]
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    monkeypatch.setenv("LAB_THREADS", "4")  # rows evaluated in a thread pool
-    assert main(args + ["--out", str(out3)]) == 0
-    b1 = (out1 / "incidence-sweep.csv").read_bytes()
-    assert b1 == (out2 / "incidence-sweep.csv").read_bytes()
-    assert b1 == (out3 / "incidence-sweep.csv").read_bytes()
+    # random sets are far from sharp: over more deltas their ratio band
+    # passes 100
+    for family, deltas in (("tube", ""),
+                           ("random", "deltas = 2^-6 2^-7 2^-8 2^-9\n")):
+        ini = tmp_path / f"{family}.ini"
+        ini.write_text(f"[incidence-sweep]\nfamily = {family}\n{deltas}")
+        out1, out2, out3 = (tmp_path / family / d for d in ("a", "b", "c"))
+        args = ["incidence-sweep", "--seed", "5", "--config", str(ini)]
+        monkeypatch.delenv("LAB_THREADS", raising=False)
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        monkeypatch.setenv("LAB_THREADS", "4")  # rows run in a thread pool
+        assert main(args + ["--out", str(out3)]) == 0
+        b1 = (out1 / "incidence-sweep.csv").read_bytes()
+        assert f"# generator={family}\n".encode() in b1
+        assert b1 == (out2 / "incidence-sweep.csv").read_bytes()
+        assert b1 == (out3 / "incidence-sweep.csv").read_bytes()
+
+
+def _mostly(valid, odd):
+    """Tokens drawn three times in four from valid, else from odd."""
+    return st.one_of(valid, valid, valid, odd)
+
+
+# config values: numbers, fractions and powers, junk tokens, extremes and
+# empty values; the valid counts stay small, so that no example asks for a
+# huge instance
+_TOKENS = {
+    "count": _mostly(
+        st.one_of(st.integers(1, 600).map(str),
+                  st.integers(1, 300).map("{}/1".format),
+                  st.integers(0, 9).map("2^{}".format)),
+        st.sampled_from(["", "0", "-1", "-0", "0.5", "5/2", "2^-1", "1e400",
+                         "1e300", "2^63", "2^64", "nan", "inf", "abc", "1/0",
+                         "2^", "0x10", "1_0", "100 200"])),
+    "deltas": _mostly(
+        st.one_of(st.integers(2, 40).map("2^-{}".format),
+                  st.integers(2, 3000).map("1/{}".format),
+                  st.floats(1e-4, 0.5).map(repr)),
+        st.sampled_from(["", "0", "-0.1", "1", "2", "5e-324", "1e-300",
+                         "2^-1074", "1e-18", "2^-62", "1e400", "nan", "-inf",
+                         "abc", "2^x", "1/0"])),
+    "seed": _mostly(
+        st.integers(0, 2 ** 64 - 1).map(str),
+        st.sampled_from(["", "-1", "18446744073709551616", "2^3", "1.5",
+                         "abc"])),
+}
+
+
+@st.composite
+def _random_family_bodies(draw):
+    body = "[incidence-sweep]\nfamily = random\n"
+    for key, kind, most in (("n_points", "count", 1), ("n_lines", "count", 1),
+                            ("deltas", "deltas", 3), ("seed", "seed", 1)):
+        if key == "deltas" or draw(st.booleans()):
+            toks = draw(st.lists(_TOKENS[kind], min_size=1, max_size=most))
+            body += f"{key} = {' '.join(toks)}\n"
+    return body
+
+
+@settings(max_examples=100, deadline=5000, derandomize=True, database=None)
+@given(_random_family_bodies())
+def test_random_family_configs_exit_0_or_2_or_fail_report(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "cfg.ini"
+        ini.write_text(body)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["incidence-sweep", "--config", str(ini),
+                       "--out", str(Path(tmp) / "out")])
+        lines = err.getvalue().splitlines()
+        if rc == 2:
+            assert len(lines) == 1 and lines[0].startswith("config error: ")
+        else:
+            assert rc in (0, 1) and lines == []
+            report = (Path(tmp) / "out" / "report.txt").read_text()
+            assert report.endswith(f"result: {('PASS', 'FAIL')[rc]}\n\n")
 
 
 def test_duality_check_cli(tmp_path):

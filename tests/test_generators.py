@@ -15,8 +15,8 @@ from geomlab.generators import (_lattice_1d, gen_concurrent_star,
 from geomlab.incidence import count_naive, max_concurrency
 from geomlab.planar import (LineFamily, Point2, Scale, save_point_set,
                             validate_separation)
-from geomlab.rng import (_CHUNK, _LOW33, GOLDEN, Stream, _buffers,
-                         _keys_below, mix64, rank_keys)
+from geomlab.rng import Stream, mix64, rank_keys, substream_seed
+from oracles import _rank_keys_reference
 
 
 def test_grid_packing_counts():
@@ -130,53 +130,42 @@ def test_greedy_concurrent_equals_reference_loop(eexp, ratio, through):
     assert fam.epsilon == ref.epsilon
 
 
-@pytest.mark.parametrize("total", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
-                                   2 * _CHUNK + 3])
-def test_rank_keys_equals_full_argsort(total):
-    seed = 0xC0FFEE + total
-    with np.errstate(over="ignore"):
-        keys = mix64(np.uint64(seed)
-                     + GOLDEN * (np.arange(total, dtype=np.uint64) + np.uint64(1)))
-    ranking = np.argsort(keys, kind="stable")
-    for k in (0, 1, 7, total, _CHUNK + 5):
-        got = rank_keys(seed, total, k)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, ranking[:k])
-    with pytest.raises(ValueError):
-        rank_keys(seed, total, -1)
+@pytest.mark.parametrize("seed, n, k", [
+    (0, 1, 1), (9, 2, 5), (5, 16, 16), (5, 17, 17), (2 ** 64 - 1, 4096, 300),
+    (12345, 4097, 4097), (7, 1000, 0), (99, 2 ** 40, 50), (3, 2 ** 62, 20),
+])
+def test_rank_keys_equals_scalar_reference(seed, n, k):
+    # n = 16 and 4096 fill the Feistel domain 2^(2h); n = 17 and 4097 are
+    # one more, the most cycle walking per index
+    got = rank_keys(seed, n, k)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _rank_keys_reference(seed, n, k))
 
 
-def test_rank_keys_keeps_one_buffer_pair_per_thread():
-    # a thread reuses its buffers from call to call; threads running
-    # rows in parallel each get their own and rank as one thread does
-    from concurrent.futures import ThreadPoolExecutor
-    rank_keys(1, 3 * _CHUNK, 10)
-    mine = _buffers()
-    assert all(b.size == _CHUNK for b in mine)
-    rank_keys(2, 100, 5)
-    assert all(a is b for a, b in zip(_buffers(), mine))
-    cases = [(seed, 2 * _CHUNK + seed, 50 + seed) for seed in range(12)]
-    want = [rank_keys(*c) for c in cases]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        got = list(pool.map(lambda c: rank_keys(*c), cases * 3))
-        theirs = set(pool.map(lambda _: id(_buffers()[0]), range(8)))
-    assert all(np.array_equal(g, w) for g, w in zip(got, want * 3))
-    assert id(mine[0]) not in theirs
+def test_rank_keys_is_a_prefix_stable_permutation():
+    for n in list(range(301)) + [4096, 4097, 65536, 100003]:
+        seed = 1000 + n
+        got = rank_keys(seed, n, n)
+        assert np.array_equal(np.sort(got), np.arange(n)), n
+        for k in (0, 1, n // 3, max(0, n - 1), n + 5):
+            assert np.array_equal(rank_keys(seed, n, k), got[:k]), n
+        assert np.array_equal(rank_keys(seed, n, n), got)
+        if n >= 8:  # another seed, another of the n! orders
+            assert not np.array_equal(rank_keys(seed + 1, n, n), got)
+    for n, k in ((10, -1), (-1, 0), (2 ** 62 + 1, 1), (2 ** 80, 10)):
+        with pytest.raises(ValueError):
+            rank_keys(1, n, k)
 
 
-def test_keys_below_equals_finished_keys():
-    # z sharing its top 31 bits with lim, where the prefilter must let the
-    # low 33 bits decide, the z whose key is lim, and z anywhere
-    stream = Stream(3)
-    for lim in stream.u64(300):
-        at_lim = lim ^ (lim >> np.uint64(31)) ^ (lim >> np.uint64(62))
-        z = np.concatenate([(lim & ~_LOW33) | (stream.u64(40) >> np.uint64(31)),
-                            [at_lim], stream.u64(20)])
-        keys = z ^ (z >> np.uint64(31))
-        want = np.flatnonzero(keys < lim)
-        sel, got = _keys_below(z, lim)
-        assert np.array_equal(sel, want)
-        assert np.array_equal(got, keys[want])
+def test_rank_keys_uniform_over_quadrants_and_parities():
+    # 100,000 of the 1024 x 1024 cells: each class of a quarter of the cells
+    # gets 25,000 +- 500, about 3.8 standard deviations
+    cells = rank_keys(123, 2 ** 20, 100_000)
+    row, col = cells >> 10, cells & 1023
+    for a, b in ((row >= 512, col >= 512), (row & 1, col & 1)):
+        for i in (0, 1):
+            for j in (0, 1):
+                assert abs(np.sum((a == i) & (b == j)) - 25_000) <= 500
 
 
 def test_mix64_keeps_its_input_and_scalar_type():
@@ -189,9 +178,9 @@ def test_mix64_keeps_its_input_and_scalar_type():
 
 
 @pytest.mark.parametrize("args, digest", [
-    ((500, 500, 2.0 ** -10, 12345), "37a5436d7dd07440"),
-    ((2000, 2000, 2.0 ** -11, 7), "dbeb3a4b9dd87e52"),
-    ((1, 1, 2.0 ** -4, 0), "a85213d869975d9b"),
+    ((500, 500, 2.0 ** -10, 12345), "181d86307cb975ca"),
+    ((2000, 2000, 2.0 ** -11, 7), "c13a72cf155f00d6"),
+    ((1, 1, 2.0 ** -4, 0), "4b53218be661e91d"),
 ])
 def test_random_matches_recorded_fingerprints(args, digest):
     P, L = gen_random(*args)
@@ -209,6 +198,21 @@ def test_random_memory_does_not_grow_with_cell_count():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_random_at_a_tiny_delta_takes_its_ranked_cells():
+    # 2^60 lattice cells: hashing every cell to rank them never ended
+    delta, seed = 2.0 ** -30, 77
+    P, L = gen_random(10, 10, delta, seed)
+    for tag, coords in ((1, P.coords), (2, L.params)):
+        want = rank_keys(int(Stream(substream_seed(seed, tag)).u64(1)[0]),
+                         2 ** 60, 10)
+        ci, cj = np.rint((coords + 1.0) / (2.0 * delta) - 0.5).astype(np.int64).T
+        got = (ci << 30) + cj
+        assert np.array_equal(got, want)
+        assert np.unique(got).size == 10
+        assert (0 <= ci).all() and (ci < 2 ** 30).all()
+        assert (0 <= cj).all() and (cj < 2 ** 30).all()
 
 
 def test_random_empty_and_feasibility():

@@ -170,12 +170,17 @@ def _tube_pairs(draw, h):
         tc = draw(st.sampled_from([-1.0, 1.0])) * (1.0 - draw(st.floats(0, h)))
     else:
         a, c, tc = (draw(st.floats(-0.7, 0.7)) for _ in "act")
-    gap = radius * {"crossing": draw(st.floats(0.0, 1.9)),
-                    "tangent": draw(st.floats(1.999, 2.001)),
-                    "disjoint": draw(st.floats(2.2, 4.0)),
-                    "face": draw(st.floats(0.0, 1.0))}[kind]
+    gap = {"crossing": draw(st.floats(0.0, 1.9)),
+           "tangent": draw(st.floats(1.999, 2.001)),
+           "disjoint": draw(st.floats(2.2, 4.0)),
+           "face": draw(st.floats(0.0, 1.0))}[kind]
+    return _tube_pair(a, c, tc, gap, radius, h)
+
+
+def _tube_pair(a, c, tc, gap, radius, h):
+    """The two tubes of _tube_pairs at a gap of gap * radius."""
     # the lines' distance is g / sqrt(1 + (a^2 + c^2) / 4)
-    g = gap * math.sqrt(1.0 + (a * a + c * c) / 4.0)
+    g = gap * radius * math.sqrt(1.0 + (a * a + c * c) / 4.0)
     w_x = VerticalPlanePoint(Plane.W_X, a, tc - a * c / 2.0)
     w_y = VerticalPlanePoint(Plane.W_Y, c, tc + a * c / 2.0 + g)
     mid = np.array([a, c, tc])
@@ -183,6 +188,30 @@ def _tube_pairs(draw, h):
     return TubeIntersection(w_x, w_y, radius,
                             np.maximum(mid - reach, -1.0 - h),
                             np.minimum(mid + reach, 1.0 + h))
+
+
+@pytest.mark.parametrize("a, c, tc, gap", [
+    (0.2, -0.3, -0.13, 0.0), (-0.5, 0.4, 0.3, 1.2), (0.6, 0.6, -0.6, 1.999),
+    (0.1, -0.2, 0.0, 2.001), (0.3, 0.3, 0.2, 3.0), (1.0, -0.97, 0.99, 0.5),
+])
+def test_tube_columns_match_dense_and_skip_apart_intervals(monkeypatch, a, c,
+                                                          tc, gap):
+    # a column whose two tube intervals are more than a cell apart never
+    # reaches confirm: it sees the nonempty columns and a rim of a few
+    # radii's worth, of a box about (12 radius / h)^2 columns wide
+    confirm, seen = M._VoxelColumns.confirm, []
+
+    def counted(cols, shape, cc, t_lo, t_hi):
+        seen.append(cc.size)
+        return confirm(cols, shape, cc, t_lo, t_hi)
+
+    monkeypatch.setattr(M._VoxelColumns, "confirm", counted)
+    for h, ratio in ((1 / 32, 2.0), (1 / 64, 8.0), (1 / 128, 2.5)):
+        sh = _tube_pair(a, c, tc, gap, ratio * h, h)
+        got, want = voxelize(sh, h), _voxelize_dense(sh, h)
+        assert np.array_equal(got.spans, want.spans), h
+        nonempty = np.unique(got.spans[:, :2], axis=0).shape[0]
+        assert nonempty <= seen[-1] <= nonempty + 8 * ratio, h
 
 
 @st.composite
