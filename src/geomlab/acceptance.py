@@ -42,8 +42,9 @@ GNS_RATIO_CEILING = 0.75
 
 
 class EmptyGrid(ValueError):
-    """The grid step is so coarse that an experiment measures nothing:
-    every set it voxelizes is empty, or a set it must measure is."""
+    """An experiment measures nothing at its grid steps or deltas: every
+    set it voxelizes is empty, a set it must measure is, or no row of an
+    incidence sweep counts an incidence."""
 
 
 @dataclass
@@ -107,7 +108,8 @@ def incidence_sweep(deltas: Sequence[float],
                     family: Callable[[int, float], tuple],
                     verify: bool = False, threads: int = 1) -> RunResult:
     """Incidences of family(i, delta) at the i-th delta, asserted equal to
-    the oracle's when verify; ratio band <= 100."""
+    the oracle's when verify; ratio band <= 100 over the rows that count
+    incidences, EmptyGrid when none does."""
     def one_row(item):
         i, delta = item
         P, L = family(i, delta)
@@ -117,7 +119,9 @@ def incidence_sweep(deltas: Sequence[float],
 
     rows = _map_rows(one_row, list(enumerate(deltas)), threads)
     ratios = [r["ratio"] for r in rows if r["ratio"] > 0]
-    band = max(ratios) / min(ratios) if ratios else math.inf
+    if not ratios:
+        raise EmptyGrid("no row counts an incidence")
+    band = max(ratios) / min(ratios)
     return RunResult(band <= 100.0, rows,
                      {"ratio_band": band, "engine": "bucketed",
                       "verified_against_naive": verify},

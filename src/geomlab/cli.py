@@ -226,8 +226,8 @@ def _rich_points(cfg: ExperimentConfig) -> A.RunResult:
 
 def _on_grid(cfg: ExperimentConfig, option: str,
              run: Callable[[], A.RunResult]) -> A.RunResult:
-    """Run an experiment that voxelizes at the grid steps of `option`; a
-    step too coarse for every set is a config error."""
+    """Run an experiment at the grid steps or deltas of `option`; a run
+    that measures nothing there (EmptyGrid) is a config error."""
     try:
         return run()
     except A.EmptyGrid as exc:
@@ -254,9 +254,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "incidence-sweep": Experiment(
         {"family": "tube", "deltas": "2^-6 2^-7 2^-8 2^-9 2^-10 2^-11 2^-12",
          "seed": "12345"},
-        lambda c: A.incidence_sweep(c.floats("deltas", hi=1.0),
-                                    _sweep_family(c), c.verify,
-                                    _lab_threads()),
+        lambda c: _on_grid(c, "deltas", lambda: A.incidence_sweep(
+            c.floats("deltas", hi=1.0), _sweep_family(c), c.verify,
+            _lab_threads())),
         _SWEEP_KEYS),
     "rich-points": Experiment(
         {"family": "rectangle", "deltas": "2^-4 2^-5 2^-6", "ks": "2 4 8 16",

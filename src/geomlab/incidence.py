@@ -125,6 +125,8 @@ _MAX_MAGNITUDE = 2.0 ** 255
 _CHUNK_POINTS = 8192
 _CHUNK_PAIRS = 1 << 19
 _GROUP_POINTS = 2048
+# Lines _Columns.count tests exactly at a time, in whole windows
+_TEST_LINES = 1 << 16
 
 
 def _float_margin(px, py, la, lb, radius: float, x_ref: float) -> float:
@@ -229,8 +231,8 @@ class _Columns:
 
     def count(self, x: np.ndarray, y: np.ndarray, margin: float,
               with_pairs: bool):
-        """Richness of the points (x, y), and the incidences found among the
-        lines tested, as (point, slot) arrays: all of them with_pairs.
+        """Richness of the points (x, y) and, with_pairs, their incidences
+        as (point, slot) arrays (None without).
 
         With d = x - x_ref, a line (a, b) of key Y = a x_ref + b is incident
         iff e(a) - t(a) <= Y <= e(a) + t(a), for e(a) = y - a d and the
@@ -245,7 +247,8 @@ class _Columns:
         above the inner start and its last line below the inner end (past
         a column's ends the sentinels keep both true); otherwise, or when
         the pairs are wanted, its lines are tested on (a, b, x, y) as
-        count_naive tests them."""
+        count_naive tests them, in blocks of whole windows that hold about
+        _TEST_LINES lines (or one longer window)."""
         k = x.size
         richness = np.zeros(k, dtype=np.int64)
         d = x - self.x_ref if self.x_ref else x
@@ -274,15 +277,23 @@ class _Columns:
             if pick.size:
                 tested.append((p0[pick] + lo, p1[pick] - p0[pick], pick))
         first, length, pt = (np.concatenate(w) for w in zip(*tested))
-        slot = _runs(first, length)
-        pt = np.repeat(pt, length)
-        vert = self.a[slot] * x[pt]
-        vert += self.b[slot]
-        vert -= y[pt]
-        np.abs(vert, out=vert)
-        hit = vert <= self.thr[slot]
-        richness -= np.bincount(pt[~hit], minlength=k)
-        return richness, pt[hit], slot[hit]
+        cuts = np.searchsorted(np.cumsum(length), np.arange(
+            _TEST_LINES, length.sum(), _TEST_LINES), "right").tolist()
+        bounds, hits = [0, *cuts, first.size], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            slot = _runs(first[lo:hi], length[lo:hi])
+            p = np.repeat(pt[lo:hi], length[lo:hi])
+            vert = self.a[slot] * x[p]
+            vert += self.b[slot]
+            vert -= y[p]
+            np.abs(vert, out=vert)
+            hit = vert <= self.thr[slot]
+            if with_pairs:
+                hits.append((p[hit], slot[hit]))
+            richness -= np.bincount(p[~hit], minlength=k)
+        if not with_pairs:
+            return richness, None, None
+        return (richness, *(np.concatenate(h) for h in zip(*hits)))
 
 
 def _layout(n: int, m: int, radius: float, a_span: float,

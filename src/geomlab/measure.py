@@ -474,7 +474,8 @@ def voxelize(shape: Shape, h: float, ht: Optional[float] = None) -> VoxelSet:
 
     The box is read one (i, j) column at a time: shape.t_intervals gives
     the runs of cells it contains in each column, at a cost that goes with
-    the columns, not with the centers of the box."""
+    the columns, not with the centers of the box, in sorted blocks of
+    whole i-rows, about _VOXELIZE_COLUMNS columns each."""
     ht = h if ht is None else ht
     if not all(math.isfinite(v) and v > 0 for v in (h, ht)):
         raise ValueError(f"h and ht must be finite and positive, got "
@@ -483,13 +484,17 @@ def voxelize(shape: Shape, h: float, ht: Optional[float] = None) -> VoxelSet:
     if box is None:
         return VoxelSet(np.empty((0, 3), dtype=np.int64), h, ht)
     i0, i1, j0, j1, k0, k1 = box
-    ii = np.repeat(np.arange(i0, i1), j1 - j0)
-    jj = np.tile(np.arange(j0, j1), i1 - i0)
-    cols = _VoxelColumns((ii + 0.5) * h, (jj + 0.5) * h,
-                         lambda c, k: (k + 0.5) * ht, lambda c, t: t / ht - 0.5,
-                         k0, k1)
-    return VoxelSet.from_spans(_spans_of_runs(
-        np.column_stack([ii, jj]), cols.m, k0, shape.t_intervals(cols)), h, ht)
+    rows = max(1, _VOXELIZE_COLUMNS // (j1 - j0))
+    spans = []
+    for a in range(i0, i1, rows):
+        ii = np.repeat(np.arange(a, min(a + rows, i1)), j1 - j0)
+        jj = np.resize(np.arange(j0, j1), ii.size)
+        cols = _VoxelColumns((ii + 0.5) * h, (jj + 0.5) * h,
+                             lambda c, k: (k + 0.5) * ht,
+                             lambda c, t: t / ht - 0.5, k0, k1)
+        spans.append(_spans_of_runs(np.column_stack([ii, jj]), cols.m, k0,
+                                    shape.t_intervals(cols)))
+    return VoxelSet.from_spans(np.concatenate(spans), h, ht)
 
 
 # ---------------------------------------------------------------------------
@@ -606,44 +611,62 @@ def project_voxels(K: VoxelSet, which: str, oversample: int = 2) -> PlaneRegion:
     return region
 
 
-def _project_spans(K: VoxelSet, plane: Plane, oversample: int) -> PlaneRegion:
-    """The projection kernel of project_voxels."""
-    spans = K.spans
-    if spans.shape[0] == 0:
-        return PlaneRegion(plane, np.empty((0, 2), dtype=np.int64), K.h, K.ht)
-    s = oversample
-    fr = (2.0 * np.arange(s) + 1.0) / (2.0 * s)
-    i, j, k0, klen = spans.T
-    x = (i[:, None] + fr[None, :]) * K.h                  # (spans, fx)
-    y = (j[:, None] + fr[None, :]) * K.h                  # (spans, fy)
-    c = x[:, :, None] * y[:, None, :] / 2.0               # (spans, fx, fy)
-    t_first = ((k0 + fr[0]) * K.ht)[:, None, None]
-    t_last = ((k0 + klen - 1 + fr[-1]) * K.ht)[:, None, None]
-    if plane == Plane.W_X:
-        iu = np.floor(x / K.h).astype(np.int64)[:, :, None]
-        lo, hi = t_first - c, t_last - c
-    else:
-        iu = np.floor(y / K.h).astype(np.int64)[:, None, :]
-        lo, hi = t_first + c, t_last + c
-    # a t cell outside the packing range would carry into the u part of
-    # its key and land in another column; floor(t / ht) is monotone, so
-    # the lowest and highest cells come from lo.min() and hi.max()
-    if (np.floor(lo.min() / K.ht) < -_PACK_OFF
-            or np.floor(hi.max() / K.ht) >= _PACK_OFF):
-        raise ValueError(_RANGE)
-    # in packed (u, t) keys a run is [key_lo, key_hi] and the keys of a
-    # larger u exceed all keys of a smaller one, so sorting by key_lo and a
-    # running max of key_hi merge the overlapping runs of each column
-    u_key = (iu + _PACK_OFF) * _PACK_MUL + _PACK_OFF
-    key_lo = (u_key + np.floor(lo / K.ht).astype(np.int64)).ravel()
+# Spans _project_spans reads at a time, and columns voxelize passes to
+# t_intervals at a time (in whole i-rows)
+_PROJECT_SPANS = 1 << 13
+_VOXELIZE_COLUMNS = 1 << 14
+
+
+def _merged(key_lo: np.ndarray, key_hi: np.ndarray) -> _Runs:
+    """The runs [key_lo, key_hi] with those that overlap merged, sorted:
+    by key_lo and a running max of key_hi.  At least one run is given."""
     order = np.argsort(key_lo, kind="stable")
     key_lo = key_lo[order]
-    reach = np.maximum.accumulate(
-        (u_key + np.floor(hi / K.ht).astype(np.int64)).ravel()[order])
+    reach = np.maximum.accumulate(key_hi[order])
     first = np.ones(key_lo.size, dtype=bool)
     first[1:] = key_lo[1:] > reach[:-1]
     starts = np.nonzero(first)[0]
-    keys = _expand_runs(key_lo[starts], reach[np.append(starts[1:], key_lo.size) - 1])
+    return key_lo[starts], reach[np.append(starts[1:], key_lo.size) - 1]
+
+
+def _project_spans(K: VoxelSet, plane: Plane, oversample: int) -> PlaneRegion:
+    """The projection kernel of project_voxels.  The spans are read in
+    blocks of _PROJECT_SPANS, each merged into runs of packed cell keys;
+    the runs of several blocks are merged once more."""
+    if K.spans.shape[0] == 0:
+        return PlaneRegion(plane, np.empty((0, 2), dtype=np.int64), K.h, K.ht)
+    s = oversample
+    fr = (2.0 * np.arange(s) + 1.0) / (2.0 * s)
+    runs = []
+    for start in range(0, K.spans.shape[0], _PROJECT_SPANS):
+        i, j, k0, klen = K.spans[start:start + _PROJECT_SPANS].T
+        x = (i[:, None] + fr[None, :]) * K.h              # (spans, fx)
+        y = (j[:, None] + fr[None, :]) * K.h              # (spans, fy)
+        c = x[:, :, None] * y[:, None, :] / 2.0           # (spans, fx, fy)
+        t_first = ((k0 + fr[0]) * K.ht)[:, None, None]
+        t_last = ((k0 + klen - 1 + fr[-1]) * K.ht)[:, None, None]
+        if plane == Plane.W_X:
+            iu = np.floor(x / K.h).astype(np.int64)[:, :, None]
+            lo, hi = t_first - c, t_last - c
+        else:
+            iu = np.floor(y / K.h).astype(np.int64)[:, None, :]
+            lo, hi = t_first + c, t_last + c
+        # a t cell outside the packing range would carry into the u part of
+        # its key and land in another column; floor(t / ht) is monotone, so
+        # the lowest and highest cells come from lo.min() and hi.max()
+        if (np.floor(lo.min() / K.ht) < -_PACK_OFF
+                or np.floor(hi.max() / K.ht) >= _PACK_OFF):
+            raise ValueError(_RANGE)
+        # in packed (u, t) keys a run is [key_lo, key_hi] and the keys of a
+        # larger u exceed all keys of a smaller one, so merging runs never
+        # joins two columns
+        u_key = (iu + _PACK_OFF) * _PACK_MUL + _PACK_OFF
+        runs.append(_merged(
+            (u_key + np.floor(lo / K.ht).astype(np.int64)).ravel(),
+            (u_key + np.floor(hi / K.ht).astype(np.int64)).ravel()))
+    lo, hi = (runs[0] if len(runs) == 1 else
+              _merged(*(np.concatenate(r) for r in zip(*runs))))
+    keys = _expand_runs(lo, hi)
     cells = np.column_stack([keys // _PACK_MUL - _PACK_OFF,
                              keys % _PACK_MUL - _PACK_OFF])
     return PlaneRegion(plane, cells, K.h, K.ht)

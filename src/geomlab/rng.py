@@ -25,7 +25,8 @@ import numpy as np
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_SUBSTREAM_SALT = np.uint64(0xD1B54A32D192ED03)
+_SUBSTREAM_SALT = 0xD1B54A32D192ED03
+_MASK = (1 << 64) - 1
 
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
@@ -37,37 +38,43 @@ def mix64(z):
     """splitmix64 finalizer on uint64 scalars or arrays (wraps mod 2^64)."""
     z = np.array(z, dtype=np.uint64)  # a copy: the input is never written
     tmp = np.empty_like(z)
-    with np.errstate(over="ignore"):
-        np.right_shift(z, _S30, out=tmp)
-        z ^= tmp
-        z *= _M1
-        np.right_shift(z, _S27, out=tmp)
-        z ^= tmp
-        z *= _M2
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _M1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _M2
     np.right_shift(z, _S31, out=tmp)
     z ^= tmp
     return z[()]
 
 
+def _output(seed: int, i: int) -> int:
+    """output[i] of the stream of seed, in Python ints (no numpy scalars)."""
+    z = (seed + (i + 1) * int(GOLDEN)) & _MASK
+    z ^= z >> 30
+    z = z * int(_M1) & _MASK
+    z ^= z >> 27
+    z = z * int(_M2) & _MASK
+    return z ^ (z >> 31)
+
+
 def substream_seed(seed: int, tag: int) -> int:
     """Derive an independent stream seed from (seed, tag), deterministically."""
-    with np.errstate(over="ignore"):
-        z = mix64(np.uint64(seed) + GOLDEN * np.uint64(np.int64(tag) + 1))
-    return int(z ^ _SUBSTREAM_SALT)
+    return _output(int(np.uint64(seed)), tag) ^ _SUBSTREAM_SALT
 
 
 class Stream:
     """Stateful view of the counter-mode splitmix64 stream for one seed."""
 
     def __init__(self, seed: int):
-        self.seed = np.uint64(seed)
-        self.counter = np.uint64(0)
+        self.seed = int(np.uint64(seed))  # a seed outside [0, 2^64) raises
+        self.counter = 0
 
     def u64(self, n: int) -> np.ndarray:
-        idx = np.arange(1, n + 1, dtype=np.uint64) + self.counter
-        self.counter += np.uint64(n)
-        with np.errstate(over="ignore"):
-            return mix64(self.seed + GOLDEN * idx)
+        c, self.counter = self.counter, self.counter + n
+        idx = np.arange(c + 1, c + n + 1, dtype=np.uint64)
+        return mix64(idx * GOLDEN + np.uint64(self.seed))
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         u = (self.u64(n) >> _S11).astype(np.float64) * 2.0 ** -53
@@ -107,7 +114,8 @@ def rank_keys(seed: int, n: int, k: int) -> np.ndarray:
     if not 0 <= n <= 1 << 62:
         raise ValueError(f"n must be in [0, 2^62], got {n}")
     h = np.uint64(max(1, ((n - 1).bit_length() + 1) // 2))
-    keys, top = Stream(seed).u64(4), np.uint64(n)
+    seed, top = int(np.uint64(seed)), np.uint64(n)
+    keys = np.array([_output(seed, i) for i in range(4)], dtype=np.uint64)
     y = _feistel(np.arange(min(k, n), dtype=np.uint64), keys, h)
     out = np.flatnonzero(y >= top)
     while out.size:

@@ -125,37 +125,30 @@ def _central_diff(v: np.ndarray, axis: int, h: float) -> np.ndarray:
 _BOUNDARY_SUPPORT = "support touches the box boundary; enlarge the box"
 
 
-def _require_interior_support(f: GridFunction) -> None:
+def _field(f: GridFunction, axis: int) -> np.ndarray:
+    """Xf (axis 0) or Yf (axis 1), built in one fresh writable array: the
+    t-derivative term is made and added one x-slab at a time, with the
+    float operations a whole-grid df/dt would take on each sample."""
     if not f._margin_zero(2):
         raise ValueError(_BOUNDARY_SUPPORT)
+    out = _central_diff(f.values, axis, f.h)
+    # -y/2 for Xf: adding the negated product subtracts it, bit for bit
+    half = f.axis_centers(1 - axis) / 2.0
+    for a, slab in enumerate(f.values):
+        dt = _central_diff(slab, 1, f.h)
+        dt *= -half[:, None] if axis == 0 else half[a]
+        out[a] += dt
+    return out
 
-
-# The fields are built in their one output array: the t-derivative term is
-# made and added one x-slab at a time, with the float operations a
-# whole-grid df/dt would take on each sample, so no second grid exists.
 
 def field_X(f: GridFunction) -> GridFunction:
     """Xf = df/dx - (y/2) df/dt with central differences."""
-    _require_interior_support(f)
-    out = _central_diff(f.values, 0, f.h)
-    half_y = f.axis_centers(1)[:, None] / 2.0
-    for a, slab in enumerate(f.values):
-        dt = _central_diff(slab, 1, f.h)
-        dt *= half_y
-        out[a] -= dt
-    return f.copy_with(out)
+    return f.copy_with(_field(f, 0))
 
 
 def field_Y(f: GridFunction) -> GridFunction:
     """Yf = df/dy + (x/2) df/dt with central differences."""
-    _require_interior_support(f)
-    out = _central_diff(f.values, 1, f.h)
-    half_x = f.axis_centers(0) / 2.0
-    for a, slab in enumerate(f.values):
-        dt = _central_diff(slab, 1, f.h)
-        dt *= half_x[a]
-        out[a] += dt
-    return f.copy_with(out)
+    return f.copy_with(_field(f, 1))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -225,12 +218,12 @@ class LevelDecomposition:
     np.frexp gives each nonzero sample the level e with
     2^{e-1} <= |f| < 2^e; a value exactly 2^{e-1} also belongs to
     F_{e-1}, so a value exactly 2^k lies in both F_k and F_{k+1}.  Each level
-    keeps the flat indices of its samples in C order.  field_X and field_Y
-    run once each, one after the other, and each is reduced from one |field|
-    array to its l1 norm and, per level, to the sum of |Xf| or |Yf| over the
-    level's samples.  The samples are gathered in C order, as a boolean mask
-    gathers them, so each sum is the masked sum bit for bit.  No full-grid
-    array is kept."""
+    keeps the flat indices of its samples in C order.  Xf and Yf are built
+    once each, one after the other, and each is reduced, after taking its
+    absolute value in place, to its l1 norm and, per level, to the sum of
+    |Xf| or |Yf| over the level's samples.  The samples are gathered in C
+    order, as a boolean mask gathers them, so each sum is the masked sum
+    bit for bit.  No full-grid array is kept."""
 
     def __init__(self, f: GridFunction):
         self.h = f.h
@@ -241,17 +234,18 @@ class LevelDecomposition:
         # ||Xf||_1 and ||Yf||_1, and per level the sum of |Yf| (read by the
         # proj_x check, which='x') and of |Xf| (which='y').  The fields exist
         # only for support inside the two-cell margin; a level set lookup
-        # must not fail where field_X would.  A field is dropped as soon as
-        # its absolute value is taken.
+        # must not fail where field_X would.  At most one field grid exists
+        # at a time.
         self._norms = None
         self._mass: Dict[str, Dict[int, float]] = {}
         if f._margin_zero(2):
-            x_norm, self._mass["y"] = self._reduce(np.abs(field_X(f).values))
-            y_norm, self._mass["x"] = self._reduce(np.abs(field_Y(f).values))
+            x_norm, self._mass["y"] = self._reduce(_field(f, 0))
+            y_norm, self._mass["x"] = self._reduce(_field(f, 1))
             self._norms = (x_norm, y_norm)
 
     def _reduce(self, a: np.ndarray) -> Tuple[float, Dict[int, float]]:
-        """lp_norm(g, 1.0) and the per-level sums of |g|, from a = |g|."""
+        """lp_norm(g, 1.0) and the per-level sums of |g|; a = g becomes |g|."""
+        np.abs(a, out=a)
         v = a.ravel()
         return float(a.sum() * self.h ** 3), {
             k: float(v[idx].sum()) for k, idx in self._flat.items()}

@@ -1,14 +1,18 @@
 """Reference implementations the tests compare the library's kernels
-against: each computes the same result the slow, direct way."""
+against, each computing the same result the slow, direct way, and the
+instances and memory probe several test modules share."""
 
 import math
-from typing import List, Optional
+import tracemalloc
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
+from geomlab.acceptance import _maximal_plane_packing
+from geomlab.heisenberg import Plane, ReducedInstance, reduce_to_incidences
 from geomlab.incidence import RichnessField, _clipped, count_bucketed
-from geomlab.measure import (Shape, VoxelSet, _gauge_inside, _grid_box,
-                             _pack3, project_voxels)
+from geomlab.measure import (Box, Shape, VoxelSet, _gauge_inside, _grid_box,
+                             _pack3, project_voxels, voxelize)
 from geomlab.planar import LineFamily, PointSet, Scale, _runs
 from geomlab.sobolev import (GridFunction, LevelCheck, bump, field_X,
                              field_Y, sample_to_grid, sheared_fn,
@@ -16,6 +20,33 @@ from geomlab.sobolev import (GridFunction, LevelCheck, bump, field_X,
 
 # bounding-box centers _voxelize_dense tests at a time
 _CHUNK = 4_000_000
+
+T = TypeVar("T")
+
+
+def traced_peak(fn: Callable[[], T]) -> Tuple[T, int]:
+    """fn()'s result and the peak, in bytes, of the memory tracemalloc
+    traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# reduce-pipeline's model box, voxelized at h = delta / 4
+REDUCE_BOX = Box((0, 0, 0), (0.25, 0.25, 0.0625))
+
+
+def reduced_box_instance(delta: float) -> ReducedInstance:
+    """The planar instance reduce-pipeline counts at delta: the reduction of
+    maximal delta-packings of the model box's two projections."""
+    K = voxelize(REDUCE_BOX, h=delta / 4.0)
+    return reduce_to_incidences(
+        _maximal_plane_packing(project_voxels(K, "x"), delta, Plane.W_X),
+        _maximal_plane_packing(project_voxels(K, "y"), delta, Plane.W_Y),
+        Scale(delta))
 
 
 def _grid_candidates(L: LineFamily, delta: float, radius: float) -> np.ndarray:

@@ -138,6 +138,13 @@ def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
     pytest.param("rich-points", "family = k_star\nks = 2\ndeltas = 1\n",
                  "family k_star is infeasible at every",
                  id="rich-points-every-row-infeasible"),
+    pytest.param("incidence-sweep", "family = random\nn_points = 10\n"
+                 "n_lines = 10\ndeltas = 2^-30\n",
+                 "'deltas': no row counts an incidence",
+                 id="incidence-sweep-random-10x10-counts-nothing"),
+    pytest.param("incidence-sweep", "family = random\ndeltas = 2^-30\n",
+                 "'deltas': no row counts an incidence",
+                 id="incidence-sweep-random-default-counts-nothing"),
 ])
 def test_bad_experiment_values_exit_2(tmp_path, capsys, experiment, body,
                                       needle):
@@ -286,6 +293,18 @@ def test_random_family_configs_exit_0_or_2_or_fail_report(body):
             assert rc in (0, 1) and lines == []
             report = (Path(tmp) / "out" / "report.txt").read_text()
             assert report.endswith(f"result: {('PASS', 'FAIL')[rc]}\n\n")
+
+
+def test_random_sweep_that_breaks_the_band_reports_fail(tmp_path, capsys):
+    # random sets are not sharp: at seed 5 their ratio falls with delta
+    # and the band over the seven default deltas is about 301
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[incidence-sweep]\nfamily = random\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main(["incidence-sweep", "--config", str(ini),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    assert (out / "report.txt").read_text().endswith("result: FAIL\n\n")
 
 
 def test_duality_check_cli(tmp_path):

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from geomlab.incidence import count_naive, max_concurrency
 from geomlab.planar import (LineFamily, Point2, Scale, save_point_set,
                             validate_separation)
 from geomlab.rng import Stream, mix64, rank_keys, substream_seed
-from oracles import _rank_keys_reference
+from oracles import _rank_keys_reference, traced_peak
 
 
 def test_grid_packing_counts():
@@ -191,12 +190,7 @@ def test_random_matches_recorded_fingerprints(args, digest):
 def test_random_memory_does_not_grow_with_cell_count():
     # 2^24 lattice cells for 10 points and 10 lines: ranking every cell at
     # once took a 256 MB peak here
-    tracemalloc.start()
-    try:
-        gen_random(10, 10, 2.0 ** -12, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: gen_random(10, 10, 2.0 ** -12, seed=3))
     assert peak < 64 * 2 ** 20
 
 

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import timeit
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from geomlab.incidence import (angular_split, count_bucketed,
                                k_rich_points, max_concurrency)
 from geomlab.planar import (LineFamily, Point2, PointSet, Scale,
                             point_line_dist)
+from oracles import reduced_box_instance, traced_peak
 
 
 def test_count_single_pairs():
@@ -113,15 +113,23 @@ def test_pairs_memory_grows_with_the_pairs_only():
     # peak was 28 MB.
     delta = 2.0 ** -6
     P, L = gen_rectangle_example(delta, 1.0, 2.0 ** -3)
-    tracemalloc.start()
-    try:
-        rep = count_bucketed(P, L, Scale(delta), with_pairs=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(
+        lambda: count_bucketed(P, L, Scale(delta), with_pairs=True))
     assert rep.count == 175501
     assert rep.pairs.nbytes == 16 * rep.count
     assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_count_only_keeps_no_hit_arrays():
+    # reduce-pipeline's 1317 x 1317 instance at 2^-7.  Building the hit
+    # pairs a count-only call discards, over every tested line at once,
+    # took a traced peak of 12.3 MB.
+    red = reduced_box_instance(2.0 ** -7)
+    assert (len(red.points), len(red.lines)) == (1317, 1317)
+    rep, peak = traced_peak(
+        lambda: count_bucketed(red.points, red.lines, red.scale))
+    assert rep.count == 438153 and rep.pairs is None
+    assert peak <= 6 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_empty_inputs():

@@ -6,7 +6,6 @@ so supersetness is asserted here against brute-force oracles.
 """
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,16 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomlab import incidence, measure
 from geomlab.generators import (gen_grid_packing, gen_random,
                                 gen_rectangle_example)
+from geomlab.heisenberg import Plane, VerticalPlanePoint
 from geomlab.incidence import (_Columns, _first_come, _float_margin,
                                _greedy_separated, _layout, count_bucketed,
                                count_naive, grid_richness)
-from geomlab.measure import VoxelSet, load_voxelset, save_voxelset
+from geomlab.measure import (Box, TubeIntersection, UnionShape, VoxelSet,
+                             load_voxelset, project_voxels, save_voxelset,
+                             shape_zoo, voxelize)
 from geomlab.planar import LineFamily, PointSet, Scale, _first_true, _min_pair
 from geomlab.rng import Stream
 from oracles import (_greedy_separated_reference, _grid_candidates,
-                     _grid_richness_reference)
+                     _grid_richness_reference, traced_peak)
 
 
 def test_grid_candidate_pruning_is_a_superset():
@@ -159,12 +162,7 @@ def test_grid_richness_memory_stays_small():
     # few MB, where expanding the band rows and recounting took ~128 MB
     delta = 2.0 ** -6
     _, L = gen_rectangle_example(delta, 1.0, math.sqrt(delta))
-    tracemalloc.start()
-    try:
-        field = grid_richness(L, Scale(delta))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    field, peak = traced_peak(lambda: grid_richness(L, Scale(delta)))
     assert field.coords.shape[0] == 15232
     assert peak < 16 * 2 ** 20
 
@@ -480,6 +478,50 @@ def test_bucketed_equals_naive_in_several_groups():
     naive = count_naive(P, L, s, with_pairs=True)
     assert count_bucketed(P, L, s, with_pairs=True).same_as(naive)
     assert count_bucketed(P, L, s).same_as(naive)
+
+
+def test_blocked_kernels_equal_one_pass(monkeypatch):
+    # blocks of 3 spans, 5 columns and 7 tested lines split every call
+    # below into many blocks (a voxelize block is then one i-row, and a
+    # window of more than 7 lines is a block of its own); each output must
+    # equal the one the default sizes give in one pass
+    stream = Stream(2024)
+    shapes = list(shape_zoo().values())
+    for nbox in (1, 2, 4):  # unions of random boxes, as isoperimetric's
+        shapes.append(UnionShape(*(Box(stream.uniform(3, -0.3, 0.3),
+                                       stream.uniform(3, 0.1, 0.35))
+                                   for _ in range(nbox))))
+    delta = 2.0 ** -4  # tube-volume's pair of tubes
+    tubes = TubeIntersection(VerticalPlanePoint(Plane.W_X, 0.2, -0.1),
+                             VerticalPlanePoint(Plane.W_Y, -0.3, -0.16),
+                             2.0 * delta, np.full(3, -0.6), np.full(3, 0.6))
+    grids = [(sh, 1 / 16) for sh in shapes] + [(tubes, delta / 4.0)]
+    instances = [gen_random(300, 300, 2.0 ** -5, seed=seed)
+                 for seed in (1, 2)]
+    instances.append(gen_rectangle_example(2.0 ** -5, 1.0, 0.25))
+
+    def outputs():
+        out = []
+        for sh, h in grids:
+            K = voxelize(sh, h)
+            assert len(K)
+            out += [K.spans] + [project_voxels(K, which).occupied
+                                for which in ("x", "y")]
+        for P, L in instances:
+            for with_pairs in (False, True):
+                rep = count_bucketed(P, L, Scale(P.delta), with_pairs)
+                assert rep.count
+                out += [rep.richness, rep.pairs]
+        return out
+
+    want = outputs()
+    monkeypatch.setattr(measure, "_PROJECT_SPANS", 3)
+    monkeypatch.setattr(measure, "_VOXELIZE_COLUMNS", 5)
+    monkeypatch.setattr(incidence, "_TEST_LINES", 7)
+    got = outputs()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_rle_empty_round_trip(tmp_path):

@@ -23,8 +23,8 @@ from geomlab.measure import (Box, DifferenceShape, DilatedShape, KoranyiBall,
                              tube_intersection_volume, voxelize,
                              weak_isoperimetric_ratio)
 from geomlab.rng import Stream
-from oracles import (_boundary_reference, _h3_surrogate_reference,
-                     _voxelize_dense)
+from oracles import (REDUCE_BOX, _boundary_reference, _h3_surrogate_reference,
+                     _voxelize_dense, traced_peak)
 
 LW_BOX = 8.0 * 5.0 ** (-4.0 / 3.0)
 
@@ -340,8 +340,9 @@ def test_interval_voxelize_matches_dense_on_float_faces(monkeypatch):
 def test_interval_voxelize_memory_fresh_process():
     # the box at h = r/128 is 8.4M voxels but 65k spans; the dense path
     # peaked above 1 GB.  The two tubes at delta = 2^-4 have a bounding box
-    # of 1.6M centers, on which the dense path reached about 232 MB.
-    # VmHWM, not ru_maxrss: a child's ru_maxrss keeps the high-water mark
+    # of 1.6M centers, on which the dense path reached about 232 MB.  The
+    # box read 56 MB while voxelize and the projections took every column
+    # and span in one pass.  VmHWM, not ru_maxrss: a child's ru_maxrss keeps the high-water mark
     # of the process that started it
     box = ("from geomlab.measure import Box, project_voxels, voxelize\n"
            "r = 0.5\n"
@@ -359,10 +360,28 @@ def test_interval_voxelize_memory_fresh_process():
             "           if line.startswith('VmHWM:')))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    for script, bound_mb in ((box, 150.0), (tubes, 80.0)):
+    for script, bound_mb in ((box, 50.0), (tubes, 80.0)):
         out = subprocess.run([sys.executable, "-c", script + peak], env=env,
                              check=True, capture_output=True, text=True).stdout
         assert int(out) / 1024 < bound_mb, script
+
+
+# reduce-pipeline's box at delta = 2^-7 (h = 2^-9): 4.2M voxels in 65,536
+# spans.  Voxelizing every column in one pass peaked at 12.7 MB traced, and
+# projecting every span in one pass at 19.1 MB.
+
+def test_reduce_box_voxelize_memory_bounded():
+    K, peak = traced_peak(lambda: voxelize(REDUCE_BOX, h=2.0 ** -9))
+    assert len(K) == 4194304 and len(K.spans) == 65536
+    assert peak <= 10 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_reduce_box_projection_memory_bounded():
+    K = voxelize(REDUCE_BOX, h=2.0 ** -9)
+    for which in ("x", "y"):
+        region, peak = traced_peak(lambda: project_voxels(K, which))
+        assert len(region) == 20608
+        assert peak <= 6 * 2 ** 20, f"{which}: {peak / 2 ** 20:.1f} MB"
 
 
 def test_projection_needs_oversample_two():

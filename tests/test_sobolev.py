@@ -1,7 +1,6 @@
 """Tests for the discrete horizontal calculus and the Sobolev checks."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from geomlab.sobolev import (FUNCTION_ZOO, GridFunction, bump,
                              shear_change_of_variables, smoothed_box,
                              zoo_function)
 from oracles import (_function_zoo_reference, _level_mask,
-                     _levelset_lemma_check_reference)
+                     _levelset_lemma_check_reference, traced_peak)
 
 
 def patch(fn, h=1 / 16, ext=(0.5, 0.5, 0.5)):
@@ -114,19 +113,14 @@ def test_lp_norm_refinement_consistency():
     assert vals[1] == pytest.approx(vals[0], rel=0.01)
 
 
-def test_gns_check_working_memory_bounded_by_three_grids():
+def test_gns_check_working_memory_bounded_by_two_grids():
     # the bump of the benchmark's gns task; gns_check builds the level
-    # decomposition, which holds one field and its |field| at a time
+    # decomposition, which takes each field's absolute value in place
     w = 0.75
     f = sample_to_grid(bump((w, w, 2 * w / 3)), 1 / 64,
                        (w + 0.05, w + 0.05, 2 * w / 3 + 0.05))
-    tracemalloc.start()
-    try:
-        gns_check(f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * f.values.nbytes
+    _, peak = traced_peak(lambda: gns_check(f))
+    assert peak <= 2 * f.values.nbytes
 
 
 def test_gns_zero_function():
@@ -397,23 +391,22 @@ def test_level_checks_match_mask_reference_random(f):
 
 
 def test_fields_computed_once_per_function(monkeypatch):
-    calls = {"X": 0, "Y": 0}
+    # the field kernel, which field_X and field_Y wrap, per axis
+    calls = {0: 0, 1: 0}
+    kernel = S._field
 
-    def counted(name, fn):
-        def wrapper(f):
-            calls[name] += 1
-            return fn(f)
-        return wrapper
+    def counted(f, axis):
+        calls[axis] += 1
+        return kernel(f, axis)
 
-    monkeypatch.setattr(S, "field_X", counted("X", S.field_X))
-    monkeypatch.setattr(S, "field_Y", counted("Y", S.field_Y))
+    monkeypatch.setattr(S, "_field", counted)
     f = sample_to_grid(bump((0.5, 0.5, 0.35)), 1 / 32, (0.55, 0.55, 0.4))
     gns_check(f)
     for k in f.decomposition.levels:
         for which in ("x", "y"):
             levelset_lemma_check(f, k, which)
     level_sets(f)
-    assert calls == {"X": 1, "Y": 1}
+    assert calls == {0: 1, 1: 1}
 
 
 def test_load_gridfunction_rejects_corrupt_files(tmp_path):
