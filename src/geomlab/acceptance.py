@@ -337,9 +337,7 @@ def isoperimetric(trials: int, h: float, stream: Stream) -> RunResult:
 
 def _maximal_plane_packing(region, delta: float, plane) -> list:
     from .incidence import _greedy_separated
-    centers = region.centers()
-    order = np.lexsort((centers[:, 1], centers[:, 0]))
-    pts = centers[order]
+    pts = region.centers()  # sorted by (u, t)
     kept = _greedy_separated(pts, delta)
     return [hg.VerticalPlanePoint(plane, float(u), float(t))
             for u, t in pts[kept]]

@@ -21,7 +21,7 @@ import numpy as np
 from .heisenberg import (Plane, VerticalPlanePoint, _line_through,
                          dist_to_horizontal_line)
 from .incidence import _first_come
-from .planar import _CellHash, _first_true
+from .planar import _CellHash, _first_true, _runs
 
 _PACK_OFF = np.int64(1) << np.int64(20)
 _PACK_MUL = np.int64(1) << np.int64(21)
@@ -30,59 +30,35 @@ _PACK_MUL = np.int64(1) << np.int64(21)
 _Runs = Tuple[np.ndarray, np.ndarray]
 
 
-def _pack2(ij: np.ndarray) -> np.ndarray:
-    return (ij[:, 0] + _PACK_OFF) * _PACK_MUL + (ij[:, 1] + _PACK_OFF)
-
-
-def _pack3(ijk: np.ndarray) -> np.ndarray:
-    return ((ijk[:, 0] + _PACK_OFF) * _PACK_MUL
-            + (ijk[:, 1] + _PACK_OFF)) * _PACK_MUL + (ijk[:, 2] + _PACK_OFF)
-
-
-def _canonical(idx: np.ndarray, width: int) -> np.ndarray:
-    """The rows of idx sorted by packed key, duplicates dropped.  Rows whose
-    keys already increase strictly are returned as they are, without a sort
-    or a copy."""
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1, width)
-    if idx.shape[0] == 0:
-        return idx
-    key = _pack3(idx) if width == 3 else _pack2(idx)
-    if np.all(key[1:] > key[:-1]):
-        return idx
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    keep = np.ones(key.size, dtype=bool)
-    keep[1:] = key[1:] != key[:-1]
-    return idx[order][keep]
+def _pack(idx: np.ndarray) -> np.ndarray:
+    """int64 keys of the rows of idx, 21 bits a column, that sort like the
+    rows; exact for indices in [-2^20, 2^20)."""
+    key = idx[:, 0] + _PACK_OFF
+    for col in idx.T[1:]:
+        key = key * _PACK_MUL + (col + _PACK_OFF)
+    return key
 
 
 _RANGE = "voxel indices must lie in [-2^20, 2^20)"
 
 
-def _check_range(idx: np.ndarray) -> None:
-    """Packed keys are exact only for indices in [-2^20, 2^20)."""
-    if idx.size and (idx.min() < -_PACK_OFF or idx.max() >= _PACK_OFF):
-        raise ValueError(_RANGE)
-
-
 def _check_spans(spans: np.ndarray) -> None:
-    if np.any(spans[:, 3] <= 0):
+    """Packed keys are exact only for indices in [-2^20, 2^20)."""
+    if np.any(spans[:, -1] <= 0):
         raise ValueError("span length must be positive")
-    _check_range(spans[:, :3])
-    if np.any(spans[:, 3] > _PACK_OFF - spans[:, 2]):
+    if spans.size and (spans[:, :-1].min() < -_PACK_OFF
+                       or spans[:, :-1].max() >= _PACK_OFF
+                       or np.any(spans[:, -1] > _PACK_OFF - spans[:, -2])):
         raise ValueError(_RANGE)
 
 
-def _rle_spans(occ: np.ndarray) -> np.ndarray:
-    """k-spans (i, j, k0, klen) of a canonical (sorted, unique) occupied array."""
-    if occ.shape[0] == 0:
-        return np.empty((0, 4), dtype=np.int64)
-    same_col = np.zeros(occ.shape[0], dtype=bool)
-    same_col[1:] = ((occ[1:, 0] == occ[:-1, 0]) & (occ[1:, 1] == occ[:-1, 1])
-                    & (occ[1:, 2] == occ[:-1, 2] + 1))
-    starts = np.nonzero(~same_col)[0]
-    lens = np.diff(np.append(starts, occ.shape[0]))
-    return np.column_stack([occ[starts, 0], occ[starts, 1], occ[starts, 2], lens])
+def _sides(h, ht) -> Tuple[float, float]:
+    """(h, ht) as floats, ht = h when None; both must be finite and positive."""
+    ht = h if ht is None else ht
+    if not all(math.isfinite(v) and v > 0 for v in (h, ht)):
+        raise ValueError(f"h and ht must be finite and positive, got "
+                         f"h={h!r}, ht={ht!r}")
+    return float(h), float(ht)
 
 
 def _sweep(runs: List[_Runs], keep: Callable[..., np.ndarray]) -> _Runs:
@@ -98,93 +74,117 @@ def _sweep(runs: List[_Runs], keep: Callable[..., np.ndarray]) -> _Runs:
 
 
 def _column_runs(spans: np.ndarray):
-    """The distinct (i, j) columns of the spans, sorted, and the spans as
-    runs of keys c * m + (k - base), c the index of the span's column; m
-    leaves a gap of one key between columns, so runs never merge across."""
-    _, first, c = np.unique(_pack2(spans[:, :2]), return_index=True,
+    """The distinct columns of the spans, sorted, and the spans as runs of
+    keys c * m + (k - base), c the index of the span's column; m leaves a
+    gap of one key between columns, so runs never merge across."""
+    _, first, c = np.unique(_pack(spans[:, :-2]), return_index=True,
                             return_inverse=True)
-    base = int(spans[:, 2].min())
-    m = int((spans[:, 2] + spans[:, 3]).max()) - base + 1
-    lo = c * m + (spans[:, 2] - base)
-    return spans[first, :2], m, base, (lo, lo + spans[:, 3])
+    base = int(spans[:, -2].min())
+    m = int((spans[:, -2] + spans[:, -1]).max()) - base + 1
+    lo = c * m + (spans[:, -2] - base)
+    return spans[first, :-2], m, base, (lo, lo + spans[:, -1])
 
 
 def _spans_of_runs(col_ij: np.ndarray, m: int, base: int, runs: _Runs) -> np.ndarray:
-    """k-spans (i, j, k0, klen) of runs of keys c * m + (k - base), where
-    col_ij[c] is the (i, j) of column c."""
+    """Spans (cell..., k0, klen) of runs of keys c * m + (k - base), where
+    col_ij[c] is the column c."""
     lo, end = runs
     c = lo // m
     return np.column_stack([col_ij[c], lo - c * m + base, end - lo])
 
 
-def _canonical_spans(spans) -> np.ndarray:
-    """Sorted maximal k-spans covering the given spans; spans already in
-    that form are returned as they are."""
-    spans = np.array(spans, dtype=np.int64).reshape(-1, 4)
+def _canonical_spans(spans: np.ndarray) -> np.ndarray:
+    """Sorted maximal spans (cell..., k0, klen) covering the rows of the
+    int64 array spans.  Spans already in that form are returned as they
+    are, sorted disjoint ones are joined where they touch in one column,
+    and any others merged by a sweep."""
     _check_spans(spans)
-    col = _pack2(spans[:, :2])
-    k0, end = spans[:, 2], spans[:, 2] + spans[:, 3]
-    if np.all((col[1:] > col[:-1]) | ((col[1:] == col[:-1]) & (k0[1:] > end[:-1]))):
-        return spans
+    col = _pack(spans[:, :-2])
+    k0, end = spans[:, -2], spans[:, -2] + spans[:, -1]
+    same = col[1:] == col[:-1]
+    gap = k0[1:] - end[:-1]
+    if np.all((col[1:] > col[:-1]) | (same & (gap >= 0))):
+        touch = same & (gap == 0)
+        if not touch.any():
+            return spans
+        first = np.flatnonzero(np.append(True, ~touch))
+        joined = spans[first]
+        joined[:, -1] = end[np.append(first[1:], len(spans)) - 1] - joined[:, -2]
+        return joined
     col_ij, m, base, runs = _column_runs(spans)
     return _spans_of_runs(col_ij, m, base, _sweep([runs], lambda n: n > 0))
 
 
-class VoxelSet:
-    """Occupancy set of voxels [i h, (i+1) h) x [j h, (j+1) h) x [k ht, (k+1) ht).
+class _SpanSet:
+    """A set of grid cells, stored as its spans (cell..., k0, klen): the
+    maximal runs k0 <= k < k0 + klen along the last axis of one column,
+    sorted by (cell..., k0).  A cell has _axes indices, each in
+    [-2^20, 2^20), the range of the packed keys; cells have side ht on the
+    last axis and h on the others.  A set is immutable, so what is
+    computed from it can be kept in _memo and computed once."""
 
-    The set is stored as its k-spans (i, j, k0, klen): the maximal runs
-    k0 <= k < k0 + klen of one (i, j) column, sorted by (i, j, k0).  Every
-    index lies in [-2^20, 2^20), the range of the packed keys.  A set is
-    immutable, so boundary and project_voxels keep what they compute from
-    it in _memo and compute it once."""
+    _axes = 3
 
     def __init__(self, occupied, h: float, ht: Optional[float] = None):
-        occ = np.asarray(occupied, dtype=np.int64).reshape(-1, 3)
-        _check_range(occ)
-        self._init(_rle_spans(_canonical(occ, 3)), h, ht)
+        cells = np.asarray(occupied, dtype=np.int64).reshape(-1, self._axes)
+        self._init(_canonical_spans(np.insert(cells, self._axes, 1, axis=1)), h, ht)
 
     @classmethod
-    def from_spans(cls, spans, h: float, ht: Optional[float] = None) -> "VoxelSet":
-        """The voxels of the k-spans (i, j, k0, klen), given in any order;
-        overlapping and adjacent spans merge."""
-        K = cls.__new__(cls)
-        K._init(_canonical_spans(spans), h, ht)
-        return K
+    def from_spans(cls, spans, h: float, ht: Optional[float] = None, **fields):
+        """The cells of the spans, given in any order; overlapping and
+        adjacent spans merge.  fields are the attributes a subclass adds,
+        such as a PlaneRegion's plane."""
+        return cls._of(np.array(spans, dtype=np.int64).reshape(-1, cls._axes + 1),
+                       h, ht, **fields)
+
+    @classmethod
+    def _of(cls, spans: np.ndarray, h: float, ht: Optional[float] = None, **fields):
+        """from_spans without the copy, for an int64 spans array that no
+        one else holds: the set may keep it, read-only."""
+        S = cls.__new__(cls)
+        vars(S).update(fields)
+        S._init(_canonical_spans(spans), h, ht)
+        return S
 
     def _init(self, spans: np.ndarray, h: float, ht: Optional[float]) -> None:
-        self.h = float(h)
-        self.ht = self.h if ht is None else float(ht)
+        self.h, self.ht = _sides(h, ht)
         spans.setflags(write=False)
         self.spans = spans
-        self._len = int(spans[:, 3].sum())
-        self._centers = None
+        self._len = int(spans[:, -1].sum())
         self._memo: dict = {}
 
     def __len__(self) -> int:
         return self._len
 
-    def volume(self) -> float:
-        return len(self) * self.h * self.h * self.ht
-
     @cached_property
     def occupied(self) -> np.ndarray:
-        """The (i, j, k) of every voxel, sorted; read-only, expanded from the
+        """The indices of every cell, sorted; read-only, expanded from the
         spans on first use."""
-        i, j, k0, klen = self.spans.T
-        occ = np.column_stack([np.repeat(i, klen), np.repeat(j, klen),
-                               _expand_runs(k0, k0 + klen - 1)])
+        klen = self.spans[:, -1]
+        occ = np.column_stack([np.repeat(self.spans[:, :-2], klen, axis=0),
+                               _runs(self.spans[:, -2], klen)])
         occ.setflags(write=False)
         return occ
 
     def centers(self) -> np.ndarray:
-        """The voxel centers in the order of occupied; read-only, computed
+        """The cell centers in the order of occupied; read-only, computed
         on first use."""
-        if self._centers is None:
-            scale = np.array([self.h, self.h, self.ht])
-            self._centers = (self.occupied + 0.5) * scale[None, :]
-            self._centers.setflags(write=False)
         return self._centers
+
+    @cached_property
+    def _centers(self) -> np.ndarray:
+        sides = np.array([self.h] * (self._axes - 1) + [self.ht])
+        centers = (self.occupied + 0.5) * sides
+        centers.setflags(write=False)
+        return centers
+
+
+class VoxelSet(_SpanSet):
+    """Occupancy set of voxels [i h, (i+1) h) x [j h, (j+1) h) x [k ht, (k+1) ht),
+    stored as its k-spans (i, j, k0, klen)."""
+
+    def volume(self) -> float:
+        return len(self) * self.h * self.h * self.ht
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +476,7 @@ def voxelize(shape: Shape, h: float, ht: Optional[float] = None) -> VoxelSet:
     the runs of cells it contains in each column, at a cost that goes with
     the columns, not with the centers of the box, in sorted blocks of
     whole i-rows, about _VOXELIZE_COLUMNS columns each."""
-    ht = h if ht is None else ht
-    if not all(math.isfinite(v) and v > 0 for v in (h, ht)):
-        raise ValueError(f"h and ht must be finite and positive, got "
-                         f"h={h!r}, ht={ht!r}")
+    h, ht = _sides(h, ht)
     box = _grid_box(shape, h, ht)
     if box is None:
         return VoxelSet(np.empty((0, 3), dtype=np.int64), h, ht)
@@ -494,33 +491,26 @@ def voxelize(shape: Shape, h: float, ht: Optional[float] = None) -> VoxelSet:
                              lambda c, t: t / ht - 0.5, k0, k1)
         spans.append(_spans_of_runs(np.column_stack([ii, jj]), cols.m, k0,
                                     shape.t_intervals(cols)))
-    return VoxelSet.from_spans(np.concatenate(spans), h, ht)
+    spans = np.concatenate(spans)  # frees the blocks before the set is built
+    return VoxelSet._of(spans, h, ht)
 
 
 # ---------------------------------------------------------------------------
 # Plane regions and vertical projections
 
-class PlaneRegion:
+class PlaneRegion(_SpanSet):
     """Occupancy set of cells [i h, (i+1) h) x [k ht, (k+1) ht) of a
-    vertical plane, coordinates (u, t), with indices in [-2^20, 2^20)."""
+    vertical plane, coordinates (u, t), stored as its t-spans
+    (u, t0, tlen)."""
+
+    _axes = 2
 
     def __init__(self, plane: Plane, occupied, h: float, ht: Optional[float] = None):
         self.plane = plane
-        self.h = float(h)
-        self.ht = self.h if ht is None else float(ht)
-        occupied = np.asarray(occupied, dtype=np.int64).reshape(-1, 2)
-        _check_range(occupied)
-        self.occupied = _canonical(occupied, 2)
-        self.occupied.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.occupied.shape[0]
+        super().__init__(occupied, h, ht)
 
     def area(self) -> float:
         return len(self) * self.h * self.ht
-
-    def centers(self) -> np.ndarray:
-        return (self.occupied + 0.5) * np.array([self.h, self.ht])[None, :]
 
     def dilated(self, steps: int = 1) -> "PlaneRegion":
         if steps < 0:
@@ -537,8 +527,8 @@ class PlaneRegion:
         _check_same_grid(self, other)
         if len(other) == 0:
             return True
-        mine = _pack2(self.occupied)
-        theirs = _pack2(other.occupied)
+        mine = _pack(self.occupied)
+        theirs = _pack(other.occupied)
         pos = np.searchsorted(mine, theirs)
         ok = pos < mine.size
         ok[ok] &= mine[pos[ok]] == theirs[ok]
@@ -555,31 +545,21 @@ def _check_same_grid(a: PlaneRegion, b: PlaneRegion) -> None:
 def _dilated_covers(region: PlaneRegion, other: PlaneRegion) -> bool:
     """region.dilated(1).covers(other), without building the dilation:
     whether every cell of other has one of its 3 x 3 neighbours in region.
-    The neighbours in column u + du have the packed keys from
-    key + du * _PACK_MUL - 1 to key + du * _PACK_MUL + 1, so each du is one
-    search in the sorted keys of region.  At t = -2^20 or 2^20 - 1 the
-    range stops at t: one key further is the end of the next column."""
+    A t-span of region, widened by one cell at both ends within
+    [-2^20, 2^20), is a run of packed keys of its column u, and shifted by
+    -+_PACK_MUL one of column u -+ 1 (below or above every cell's key for
+    a column past the range); one sweep finds the keys of other that none
+    of these runs covers."""
     _check_same_grid(region, other)
-    if len(other) == 0:
-        return True
-    mine = _pack2(region.occupied)
-    key = _pack2(other.occupied)
-    t = other.occupied[:, 1]
-    lo = key - (t > -_PACK_OFF)
-    hi = key + (t < _PACK_OFF - 1)
-    for du in (0, -1, 1):
-        pos = np.searchsorted(mine, lo + du * _PACK_MUL)
-        near = pos < mine.size
-        near[near] = mine[pos[near]] <= hi[near] + du * _PACK_MUL
-        lo, hi = lo[~near], hi[~near]
-    return lo.size == 0
-
-
-def _expand_runs(start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Concatenation of the integer ranges [start, end], in order."""
-    lens = end - start + 1
-    before = np.cumsum(lens) - lens
-    return np.repeat(start - before, lens) + np.arange(int(lens.sum()))
+    u, t0, tlen = region.spans.T
+    col = (u + _PACK_OFF) * _PACK_MUL + _PACK_OFF
+    shift = np.array([[-1], [0], [1]]) * _PACK_MUL
+    near = ((shift + col + np.maximum(t0 - 1, -_PACK_OFF)).ravel(),
+            (shift + col + np.minimum(t0 + tlen + 1, _PACK_OFF)).ravel())
+    key = _pack(other.spans[:, :2])
+    left, _ = _sweep([near, (key, key + other.spans[:, 2])],
+                     lambda n, o: (n == 0) & (o > 0))
+    return left.size == 0
 
 
 def project_voxels(K: VoxelSet, which: str, oversample: int = 2) -> PlaneRegion:
@@ -594,8 +574,9 @@ def project_voxels(K: VoxelSet, which: str, oversample: int = 2) -> PlaneRegion:
     +-2^20 packing range, so the cells hit form one run from the cell of
     the first sample to the cell of the last.  Both ends (and u) use the
     sampler's exact float expressions; the runs of each u column are merged
-    and expanded, giving the same cells as binning every sample.  A cell
-    whose t index leaves the packing range raises ValueError.
+    into the region's t-spans, which hold the cells of binning every
+    sample.  A cell whose t index leaves the packing range raises
+    ValueError.
 
     The region is computed once per (K, which, oversample) and kept on K,
     so the PlaneRegion returned may be shared: treat it as read-only."""
@@ -632,7 +613,8 @@ def _merged(key_lo: np.ndarray, key_hi: np.ndarray) -> _Runs:
 def _project_spans(K: VoxelSet, plane: Plane, oversample: int) -> PlaneRegion:
     """The projection kernel of project_voxels.  The spans are read in
     blocks of _PROJECT_SPANS, each merged into runs of packed cell keys;
-    the runs of several blocks are merged once more."""
+    the runs of several blocks are merged once more, and the runs are the
+    region's spans: no cell is expanded."""
     if K.spans.shape[0] == 0:
         return PlaneRegion(plane, np.empty((0, 2), dtype=np.int64), K.h, K.ht)
     s = oversample
@@ -666,10 +648,10 @@ def _project_spans(K: VoxelSet, plane: Plane, oversample: int) -> PlaneRegion:
             (u_key + np.floor(hi / K.ht).astype(np.int64)).ravel()))
     lo, hi = (runs[0] if len(runs) == 1 else
               _merged(*(np.concatenate(r) for r in zip(*runs))))
-    keys = _expand_runs(lo, hi)
-    cells = np.column_stack([keys // _PACK_MUL - _PACK_OFF,
-                             keys % _PACK_MUL - _PACK_OFF])
-    return PlaneRegion(plane, cells, K.h, K.ht)
+    # each run lies in one u column: it is a t-span of that column
+    u = lo // _PACK_MUL
+    spans = np.column_stack([u - _PACK_OFF, lo - u * _PACK_MUL - _PACK_OFF, hi - lo + 1])
+    return PlaneRegion._of(spans, K.h, K.ht, plane=plane)
 
 
 def lw_ratio(K: VoxelSet, oversample: int = 2) -> float:
@@ -739,14 +721,14 @@ def _span_boundary(E: VoxelSet) -> VoxelSet:
     shrunk spans and all four neighbor-column runs overlap: where the five
     lists of runs, each of disjoint runs, cover a key five times."""
     col_ij, m, base, (lo, end) = _column_runs(E.spans)
-    cols = _pack2(col_ij)
+    cols = _pack(col_ij)
     i, j, k0, klen = E.spans.T
     inner = klen > 2
     full_lo, full_end = [lo[inner] + 1], [end[inner] - 1]
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         # a span of column (i, j) is neighbor to column (i - di, j - dj)
         it, jt = i - di, j - dj
-        want = _pack2(np.column_stack([it, jt]))
+        want = _pack(np.column_stack([it, jt]))
         pos = np.minimum(np.searchsorted(cols, want), cols.size - 1)
         # jt out of range would alias another column's packed key
         hit = (cols[pos] == want) & (jt >= -_PACK_OFF) & (jt < _PACK_OFF)
@@ -755,7 +737,7 @@ def _span_boundary(E: VoxelSet) -> VoxelSet:
         full_end.append(key + klen[hit])
     full = np.concatenate(full_lo), np.concatenate(full_end)
     on = _sweep([(lo, end), full], lambda e, n: (e > 0) & (n < 5))
-    return VoxelSet.from_spans(_spans_of_runs(col_ij, m, base, on), E.h, E.ht)
+    return VoxelSet._of(_spans_of_runs(col_ij, m, base, on), E.h, E.ht)
 
 
 def _gauge_inside(cx, cy, ct, px, py, pt, rho: float):
@@ -840,9 +822,10 @@ def save_voxelset(K: VoxelSet, path) -> None:
 
 
 def load_voxelset(path) -> VoxelSet:
-    """Read a file written by save_voxelset.  A short header or payload, a
-    span length below 1, or an index outside [-2^20, 2^20) raises a
-    ValueError that names the file; overlapping or unsorted spans merge."""
+    """Read a file written by save_voxelset.  A short header, h or ht not
+    finite and positive, a payload other than 32 bytes a span, a span
+    length below 1 or an index outside [-2^20, 2^20) raises a ValueError
+    that names the file; overlapping or unsorted spans merge."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a voxel-set file")
@@ -851,12 +834,11 @@ def load_voxelset(path) -> VoxelSet:
     if len(header) < 24:
         raise ValueError(f"{path}: truncated voxel-set header")
     h, ht, nspans = struct.unpack("<ddQ", header)
-    if len(payload) < nspans * 32:
+    if len(payload) != nspans * 32:
         raise ValueError(f"{path}: {nspans} spans need {nspans * 32} bytes, "
                          f"found {len(payload)}")
-    spans = np.frombuffer(payload[:nspans * 32], dtype="<i8").reshape(-1, 4)
     try:
-        return VoxelSet.from_spans(spans, h, ht)
+        return VoxelSet.from_spans(np.frombuffer(payload, dtype="<i8"), h, ht)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -266,7 +266,7 @@ class LevelDecomposition:
         starts = np.flatnonzero(first)
         i, j = np.divmod(col[starts], self._ny)
         o0, o1, o2 = self.origin
-        return VoxelSet.from_spans(
+        return VoxelSet._of(
             np.column_stack([i + o0, j + o1, kk[starts] + o2,
                              np.diff(starts, append=idx.size)]), self.h)
 

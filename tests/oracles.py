@@ -12,7 +12,7 @@ from geomlab.acceptance import _maximal_plane_packing
 from geomlab.heisenberg import Plane, ReducedInstance, reduce_to_incidences
 from geomlab.incidence import RichnessField, _clipped, count_bucketed
 from geomlab.measure import (Box, Shape, VoxelSet, _gauge_inside, _grid_box,
-                             _pack3, project_voxels, voxelize)
+                             _pack, project_voxels, voxelize)
 from geomlab.planar import LineFamily, PointSet, Scale, _runs
 from geomlab.sobolev import (GridFunction, LevelCheck, bump, field_X,
                              field_Y, sample_to_grid, sheared_fn,
@@ -186,10 +186,10 @@ def _boundary_reference(E: VoxelSet) -> VoxelSet:
     of the span kernel."""
     if len(E) == 0:
         return E
-    keys = _pack3(E.occupied)
+    keys = _pack(E.occupied)
     on_boundary = np.zeros(len(E), dtype=bool)
     for shift in _NEIGHBORS6:
-        nb = _pack3(E.occupied + shift[None, :])
+        nb = _pack(E.occupied + shift[None, :])
         pos = np.searchsorted(keys, nb)
         present = pos < keys.size
         present[present] &= keys[pos[present]] == nb[present]
