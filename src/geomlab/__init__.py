@@ -6,18 +6,16 @@ __version__ = "0.1.0"
 
 from .planar import (LineAB, LineFamily, Point2, PointSet, Scale,
                      dual_line_to_point, dual_point_to_line, is_incident,
-                     line_metric, point_line_dist, validate_separation)
-from .incidence import (IncidenceReport, RichPointResult, angular_split,
-                        count_bucketed, count_incidences, count_naive,
-                        k_rich_points, max_concurrency, normalized_ratio)
-from .heisenberg import (HPoint, Plane, VerticalPlanePoint, dilate, h_inv,
-                         h_mul, horizontal_fiber, koranyi_dist, koranyi_norm,
-                         proj_x, proj_y, project_fiber_to_line,
+                     point_line_dist, validate_separation)
+from .incidence import (IncidenceReport, RichPointResult, count_bucketed,
+                        count_incidences, count_naive, k_rich_points,
+                        max_concurrency, normalized_ratio)
+from .heisenberg import (Plane, VerticalPlanePoint, dilate, gauge4, h_inv,
+                         h_mul, proj_x, proj_y, project_fiber_to_line,
                          reduce_to_incidences, tube_inclusion_check)
 from .measure import (Box, KoranyiBall, PlaneRegion, VoxelSet, boundary,
                       boundary_projection_inclusion, h3_surrogate, lw_ratio,
                       project_voxels, tube_intersection_volume, voxelize,
                       weak_isoperimetric_ratio)
-from .sobolev import (GridFunction, field_X, field_Y, gns_check, level_sets,
-                      levelset_lemma_check, lp_norm, sample_to_grid,
-                      shear_change_of_variables)
+from .sobolev import (GridFunction, field_X, field_Y, gns_check,
+                      levelset_lemma_check, lp_norm, sample_to_grid)

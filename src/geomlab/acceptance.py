@@ -517,33 +517,26 @@ def criterion_6():
     P = stream.uniform(3 * n, -1.0, 1.0).reshape(3, n)
     Q = stream.uniform(3 * n, -1.0, 1.0).reshape(3, n)
     R = stream.uniform(3 * n, -1.0, 1.0).reshape(3, n)
+    deviations = []
 
-    def mul(p, q):
-        return np.array([p[0] + q[0], p[1] + q[1],
-                         p[2] + q[2] + 0.5 * (p[0] * q[1] - p[1] * q[0])])
+    def deviate(got, want):
+        deviations.append(float(np.max(np.abs(np.subtract(got, want)))))
 
-    worst = 0.0
-    lhs = mul(mul(P, Q), R)
-    rhs = mul(P, mul(Q, R))
-    worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    deviate(hg.h_mul(hg.h_mul(P, Q), R), hg.h_mul(P, hg.h_mul(Q, R)))
     # inverse and identity
-    inv = -P
-    worst = max(worst, float(np.max(np.abs(mul(P, inv)))))
+    deviate(hg.h_mul(P, hg.h_inv(P)), 0.0)
     # unique decomposition p = embed(proj_x p) * (0, y, 0)
-    wx = np.array([P[0], np.zeros(n), P[2] - P[0] * P[1] / 2.0])
-    rec = mul(wx, np.array([np.zeros(n), P[1], np.zeros(n)]))
-    worst = max(worst, float(np.max(np.abs(rec - P))))
+    u, t = hg.proj_x(P)
+    deviate(hg.h_mul((u, 0.0, t), (0.0, P[1], 0.0)), P)
     # dilation commutes with projections
     lam = 1.7
-    dil = np.array([lam * P[0], lam * P[1], lam * lam * P[2]])
-    proj_dil = np.array([dil[0], np.zeros(n), dil[2] - dil[0] * dil[1] / 2.0])
-    dil_proj = np.array([lam * wx[0], np.zeros(n), lam * lam * wx[2]])
-    worst = max(worst, float(np.max(np.abs(proj_dil - dil_proj))))
+    lam_u, _, lam_t = hg.dilate(lam, (u, 0.0, t))
+    deviate(hg.proj_x(hg.dilate(lam, P)), (lam_u, lam_t))
     # fiber of (a, 0, b) projects onto the line {(y, a y + b)}
     a, b, yv = P[0], P[2], Q[1]
-    fiber_t = b + a * yv / 2.0  # t-coordinate of w * (0, y, 0)
-    projy_t = fiber_t + a * yv / 2.0
-    worst = max(worst, float(np.max(np.abs(projy_t - (a * yv + b)))))
+    _, projy_t = hg.proj_y(hg.h_mul((a, 0.0, b), (0.0, yv, 0.0)))
+    deviate(projy_t, a * yv + b)
+    worst = max(deviations)
     return (worst <= tol,
             f"worst deviation {worst:.2e} over {n} samples (tol {tol:.0e})")
 

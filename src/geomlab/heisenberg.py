@@ -46,13 +46,6 @@ class Plane(str, Enum):
 
 
 @dataclass(frozen=True)
-class HPoint:
-    x: float
-    y: float
-    t: float
-
-
-@dataclass(frozen=True)
 class VerticalPlanePoint:
     """Point of a vertical plane: (u, 0, t) in W_x or (0, u, t) in W_y."""
 
@@ -60,56 +53,49 @@ class VerticalPlanePoint:
     u: float
     t: float
 
-    def embed(self) -> HPoint:
-        if self.plane == Plane.W_X:
-            return HPoint(self.u, 0.0, self.t)
-        return HPoint(0.0, self.u, self.t)
+
+# The group law on arrays.  A point p is a triple (x, y, t) of arrays or
+# floats that broadcast together (a (3, n) array unpacks as one); every
+# result is a tuple of arrays.  Criterion 6 checks these functions, and the
+# kernels that compute the same floats call them.
+
+def h_mul(p, q):
+    """The product p * q."""
+    (x, y, t), (u, v, s) = p, q
+    return x + u, y + v, t + s + 0.5 * (x * v - y * u)
 
 
-ORIGIN = HPoint(0.0, 0.0, 0.0)
+def h_inv(p):
+    """The inverse of p, -p."""
+    x, y, t = p
+    return -x, -y, -t
 
 
-def h_mul(p: HPoint, q: HPoint) -> HPoint:
-    return HPoint(p.x + q.x, p.y + q.y,
-                  p.t + q.t + 0.5 * (p.x * q.y - p.y * q.x))
-
-
-def h_inv(p: HPoint) -> HPoint:
-    return HPoint(-p.x, -p.y, -p.t)
-
-
-def dilate(lam: float, p: HPoint) -> HPoint:
+def dilate(lam: float, p):
+    """The dilation (lam x, lam y, lam^2 t), lam > 0."""
     if lam <= 0.0:
         raise ValueError(f"dilation factor must be positive, got {lam}")
-    return HPoint(lam * p.x, lam * p.y, lam * lam * p.t)
+    x, y, t = p
+    return lam * x, lam * y, lam * lam * t
 
 
-def proj_x(p: HPoint) -> VerticalPlanePoint:
-    return VerticalPlanePoint(Plane.W_X, p.x, p.t - p.x * p.y / 2.0)
+def proj_x(p):
+    """proj_x p = (x, 0, t - x y / 2), as its coordinates (u, t) in W_x."""
+    x, y, t = p
+    return x, t - x * y / 2.0
 
 
-def proj_y(p: HPoint) -> VerticalPlanePoint:
-    return VerticalPlanePoint(Plane.W_Y, p.y, p.t + p.x * p.y / 2.0)
+def proj_y(p):
+    """proj_y p = (0, y, t + x y / 2), as its coordinates (u, t) in W_y."""
+    x, y, t = p
+    return y, t + x * y / 2.0
 
 
-def koranyi_norm(p: HPoint) -> float:
-    return ((p.x * p.x + p.y * p.y) ** 2 + 16.0 * p.t * p.t) ** 0.25
-
-
-def koranyi_dist(p: HPoint, q: HPoint) -> float:
-    return koranyi_norm(h_mul(h_inv(q), p))
-
-
-def horizontal_fiber(w: VerticalPlanePoint):
-    """The fiber of w under its projection, as the map s -> w * (axis point s).
-
-    For w in W_x the fiber runs along the y-axis: s -> (u, s, t + u s / 2);
-    for w in W_y along the x-axis: s -> (s, u, t - u s / 2).
-    """
-    base = w.embed()
-    if w.plane == Plane.W_X:
-        return lambda s: h_mul(base, HPoint(0.0, s, 0.0))
-    return lambda s: h_mul(base, HPoint(s, 0.0, 0.0))
+def gauge4(p):
+    """The quartic gauge (x^2 + y^2)^2 + 16 t^2: the fourth power of the
+    gauge norm, so the gauge ball of radius r is gauge4 <= r^4."""
+    x, y, t = p
+    return (x * x + y * y) ** 2 + 16.0 * t * t
 
 
 def project_fiber_to_line(w: VerticalPlanePoint) -> LineAB:
@@ -125,18 +111,6 @@ class ReducedInstance:
     points: PointSet
     lines: LineFamily
     scale: Scale  # carries the incidence multiplier 1 + A
-
-    def save(self, directory, generator: str = "reduction", seed=None) -> None:
-        """Write the planar instance in the shared CSV formats, stamping the
-        incidence multiplier into both sidecar metadata records."""
-        from pathlib import Path
-
-        from .planar import save_line_family, save_point_set
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        extra = {"multiplier": self.scale.multiplier}
-        save_point_set(self.points, d / "points.csv", generator, seed, extra)
-        save_line_family(self.lines, d / "lines.csv", generator, seed, extra)
 
 
 def reduce_to_incidences(P_x: Sequence[VerticalPlanePoint],
@@ -201,11 +175,12 @@ def tube_inclusion_check(w: VerticalPlanePoint, s: Scale, samples: int = 20000,
     du, dt = rad * np.cos(ang), rad * np.sin(ang)
     axis = stream.uniform(samples, -1.0, 1.0)
     u, t = w.u + du, w.t + dt
+    # the fiber point (u, 0, t) * (0, axis, 0) projects to (u, 0, t), and
+    # (0, u, t) * (axis, 0, 0) to (0, u, t)
     if w.plane == Plane.W_X:
-        # p = (u', s, t' + u' s / 2) projects to (u', 0, t')
-        pts = np.column_stack([u, axis, t + u * axis / 2.0])
+        pts = np.column_stack(h_mul((u, 0.0, t), (0.0, axis, 0.0)))
     else:
-        pts = np.column_stack([axis, u, t - u * axis / 2.0])
+        pts = np.column_stack(h_mul((0.0, u, t), (axis, 0.0, 0.0)))
     inside = np.all(np.abs(pts) <= CUBE, axis=1)
     pts = pts[inside]
     if pts.shape[0] == 0:
@@ -228,10 +203,8 @@ def measure_core_projection_constant(s: Scale, samples: int = 20000,
         rad = s.delta * np.sqrt(stream.uniform(samples))
         du, dt = rad * np.cos(ang), rad * np.sin(ang)
         ys = stream.uniform(samples, -1.0, 1.0)
-        # tube point (a+du, y, b+dt+(a+du) y/2), projected by proj_y
-        px = a + du
-        pt = b + dt + px * ys / 2.0
-        proj_t = pt + px * ys / 2.0  # proj_y t-coordinate
+        # the tube point (a + du, 0, b + dt) * (0, y, 0), projected by proj_y
+        _, proj_t = proj_y(h_mul((a + du, 0.0, b + dt), (0.0, ys, 0.0)))
         # distance to {(y, a y + b)} in the (y, t)-plane
         vert = np.abs(a * ys + b - proj_t)
         dist = vert / math.hypot(1.0, a)

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .planar import (LineFamily, Point2, PointSet, Scale, _CellHash,
-                     _check_finite, _first_true, _runs, is_incident)
+                     _check_finite, _first_true, _runs)
 
 
 def normalized_ratio(count: int, n_points: int, n_lines: int, delta: float) -> float:
@@ -64,23 +64,6 @@ class IncidenceReport:
         if self.pairs is not None and other.pairs is not None:
             return np.array_equal(self.pairs, other.pairs)
         return True
-
-    def richness_histogram(self) -> dict:
-        vals, counts = np.unique(self.richness, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
-
-    def to_json_dict(self) -> dict:
-        hist = self.richness_histogram()
-        top = max(hist, default=0)
-        return {"count": self.count,
-                "ratio": self.normalized_ratio,
-                "k_histogram": [hist.get(k, 0) for k in range(top + 1)]}
-
-    def save_json(self, path) -> None:
-        import json
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _incidence_mask(px, py, la, lb, radius):
@@ -697,23 +680,3 @@ def k_rich_points(L: LineFamily, k: int, s: Scale,
     pts = PointSet(rich[kept], s.delta)
     const = len(pts) * k ** 3 * L.epsilon / len(L) ** 2
     return RichPointResult(k, pts, const, field.used_multiplier)
-
-
-def angular_split(L_at_p: LineFamily, p: Point2, s: Scale):
-    """Split lines through p into the bottom and top slope quartiles and
-    report the minimum pairwise angle between the two groups, with
-    angle(l1, l2) = |arctan a1 - arctan a2|."""
-    n = len(L_at_p)
-    if n < 2:
-        raise ValueError(f"need at least 2 lines, got {n}")
-    for i, l in enumerate(L_at_p):
-        if not is_incident(p, l, s):
-            raise ValueError(f"line {i} is not incident to {p} at radius {s.radius}")
-    slopes = L_at_p.params[:, 0]
-    order = np.argsort(slopes, kind="stable")
-    q = math.ceil(n / 4)
-    bottom = order[:q]
-    top = order[n - q:]
-    ang = np.arctan(slopes)
-    min_angle = float(np.min(np.abs(ang[bottom][:, None] - ang[top][None, :])))
-    return bottom.tolist(), top.tolist(), min_angle

@@ -19,7 +19,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .heisenberg import (Plane, VerticalPlanePoint, _line_through,
-                         dist_to_horizontal_line)
+                         dist_to_horizontal_line, gauge4, h_inv, h_mul, proj_x,
+                         proj_y)
 from .incidence import _first_come
 from .planar import _CellHash, _first_true, _runs
 
@@ -304,11 +305,7 @@ class KoranyiBall(Shape):
             raise ValueError("radius must be positive")
 
     def contains(self, pts):
-        dx = pts[:, 0] - self.center[0]
-        dy = pts[:, 1] - self.center[1]
-        dt = (pts[:, 2] - self.center[2]
-              + 0.5 * (self.center[1] * pts[:, 0] - self.center[0] * pts[:, 1]))
-        return (dx * dx + dy * dy) ** 2 + 16.0 * dt * dt <= self.radius ** 4
+        return gauge4(h_mul(h_inv(self.center), pts.T)) <= self.radius ** 4
 
     def bounds(self):
         r = self.radius
@@ -368,15 +365,18 @@ class DifferenceShape(Shape):
 
 
 class ShearedShape(Shape):
-    """Image of a shape under (x, y, t) -> (x, y, t + sign * x y / 2)."""
+    """Image of a shape under (x, y, t) -> (x, y, t + sign * x y / 2).
+
+    The preimage height t - sign x y / 2 is the t of proj_x(sign x, y, t),
+    and t + sign x y / 2 that of proj_y(sign x, y, t), bit for bit."""
 
     def __init__(self, shape: Shape, sign: float = 1.0):
         self.shape, self.sign = shape, float(sign)
 
     def contains(self, pts):
-        pre = pts.copy()
-        pre[:, 2] -= self.sign * pts[:, 0] * pts[:, 1] / 2.0
-        return self.shape.contains(pre)
+        x, y, t = pts.T
+        _, pre_t = proj_x((self.sign * x, y, t))
+        return self.shape.contains(np.column_stack([x, y, pre_t]))
 
     def bounds(self):
         lo, hi = self.shape.bounds()
@@ -385,9 +385,10 @@ class ShearedShape(Shape):
                 np.array([hi[0], hi[1], hi[2] + m]))
 
     def t_intervals(self, cols):
-        shift = self.sign * cols.x * cols.y / 2.0
+        sx, y = self.sign * cols.x, cols.y
         return self.shape.t_intervals(cols.mapped(
-            cols.x, cols.y, lambda c, t: t - shift[c], lambda c, t: t + shift[c]))
+            cols.x, y, lambda c, t: proj_x((sx[c], y[c], t))[1],
+            lambda c, t: proj_y((sx[c], y[c], t))[1]))
 
 
 class DilatedShape(Shape):
@@ -512,28 +513,6 @@ class PlaneRegion(_SpanSet):
     def area(self) -> float:
         return len(self) * self.h * self.ht
 
-    def dilated(self, steps: int = 1) -> "PlaneRegion":
-        if steps < 0:
-            raise ValueError("dilation steps must be >= 0")
-        if len(self) == 0 or steps == 0:
-            return self
-        offs = np.arange(-steps, steps + 1)
-        di, dj = np.meshgrid(offs, offs, indexing="ij")
-        shifts = np.column_stack([di.ravel(), dj.ravel()])
-        grown = (self.occupied[:, None, :] + shifts[None, :, :]).reshape(-1, 2)
-        return PlaneRegion(self.plane, grown, self.h, self.ht)
-
-    def covers(self, other: "PlaneRegion") -> bool:
-        _check_same_grid(self, other)
-        if len(other) == 0:
-            return True
-        mine = _pack(self.occupied)
-        theirs = _pack(other.occupied)
-        pos = np.searchsorted(mine, theirs)
-        ok = pos < mine.size
-        ok[ok] &= mine[pos[ok]] == theirs[ok]
-        return bool(np.all(ok))
-
 
 def _check_same_grid(a: PlaneRegion, b: PlaneRegion) -> None:
     if a.plane != b.plane or (a.h, a.ht) != (b.h, b.ht):
@@ -543,23 +522,27 @@ def _check_same_grid(a: PlaneRegion, b: PlaneRegion) -> None:
 
 
 def _dilated_covers(region: PlaneRegion, other: PlaneRegion) -> bool:
-    """region.dilated(1).covers(other), without building the dilation:
-    whether every cell of other has one of its 3 x 3 neighbours in region.
-    A t-span of region, widened by one cell at both ends within
-    [-2^20, 2^20), is a run of packed keys of its column u, and shifted by
-    -+_PACK_MUL one of column u -+ 1 (below or above every cell's key for
-    a column past the range); one sweep finds the keys of other that none
-    of these runs covers."""
+    """Whether every cell of other has one of its 3 x 3 neighbours in
+    region, without building region's dilation.  A t-span of region,
+    widened by one cell at both ends within [-2^20, 2^20), is a run of
+    packed keys of its column u, and shifted by -+_PACK_MUL one of column
+    u -+ 1 (below or above every cell's key for a column past the range).
+    These runs are merged once, and a span of other is covered when the
+    merged run starting at or before its first key reaches past its last."""
     _check_same_grid(region, other)
+    if not len(other):
+        return True
+    if not len(region):
+        return False
     u, t0, tlen = region.spans.T
     col = (u + _PACK_OFF) * _PACK_MUL + _PACK_OFF
     shift = np.array([[-1], [0], [1]]) * _PACK_MUL
-    near = ((shift + col + np.maximum(t0 - 1, -_PACK_OFF)).ravel(),
-            (shift + col + np.minimum(t0 + tlen + 1, _PACK_OFF)).ravel())
+    # half-open runs: _merged joins those that overlap or touch
+    lo, end = _merged((shift + col + np.maximum(t0 - 1, -_PACK_OFF)).ravel(),
+                      (shift + col + np.minimum(t0 + tlen + 1, _PACK_OFF)).ravel())
     key = _pack(other.spans[:, :2])
-    left, _ = _sweep([near, (key, key + other.spans[:, 2])],
-                     lambda n, o: (n == 0) & (o > 0))
-    return left.size == 0
+    at = np.searchsorted(lo, key, "right") - 1
+    return bool(np.all((at >= 0) & (end[at] >= key + other.spans[:, 2])))
 
 
 def project_voxels(K: VoxelSet, which: str, oversample: int = 2) -> PlaneRegion:

@@ -122,11 +122,6 @@ class LineFamily:
             yield LineAB(float(row[0]), float(row[1]))
 
 
-def line_metric(l1: LineAB, l2: LineAB) -> float:
-    """Distance |(a1, b1) - (a2, b2)| between the parameter pairs."""
-    return math.hypot(l1.a - l2.a, l1.b - l2.b)
-
-
 def point_line_dist(p: Point2, l: LineAB) -> float:
     """Euclidean distance from p to the (infinite) line."""
     return abs(l.a * p.x + l.b - p.y) / math.sqrt(1.0 + l.a * l.a)
@@ -359,26 +354,25 @@ def _write_csv(path: Path, header: Tuple[str, str], coords: np.ndarray,
         fh.write("\n")
 
 
-def save_point_set(ps: PointSet, path, generator: str = "", seed=None,
-                   extra_meta: Optional[dict] = None) -> None:
+def save_point_set(ps: PointSet, path, generator: str = "", seed=None) -> None:
     meta = {"delta": ps.delta, "epsilon": None, "generator": generator, "seed": seed}
-    meta.update(extra_meta or {})
     _write_csv(Path(path), ("x", "y"), ps.coords, meta)
 
 
-def save_line_family(lf: LineFamily, path, generator: str = "", seed=None,
-                     extra_meta: Optional[dict] = None) -> None:
+def save_line_family(lf: LineFamily, path, generator: str = "", seed=None) -> None:
     meta = {"delta": None, "epsilon": lf.epsilon, "generator": generator, "seed": seed}
-    meta.update(extra_meta or {})
     _write_csv(Path(path), ("a", "b"), lf.params, meta)
 
 
 def _read_csv(path: Path, header: Tuple[str, str],
               scale: str) -> Tuple[np.ndarray, float]:
-    """The coordinates of a CSV written by _write_csv, and the value of
-    `scale` in its sidecar, which must be a finite number > 0."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    """The coordinates of a CSV written by _write_csv, each finite, and the
+    value of `scale` in its sidecar, which must be a finite number > 0."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: not a CSV file: {exc}") from None
     if not rows or tuple(rows[0]) != header:
         raise ValueError(f"{path}: expected header {header}")
     coords = np.empty((len(rows) - 1, 2))
@@ -391,6 +385,9 @@ def _read_csv(path: Path, header: Tuple[str, str],
         except ValueError:
             raise ValueError(f"{path}: row {n + 1} is not numeric: "
                              f"{','.join(row)!r}") from None
+        if not np.isfinite(coords[n]).all():
+            raise ValueError(f"{path}: row {n + 1} is not finite: "
+                             f"{','.join(row)!r}")
     meta_path = _meta_path(Path(path))
     with open(meta_path) as fh:
         try:

@@ -80,10 +80,6 @@ class Stream:
         u = (self.u64(n) >> _S11).astype(np.float64) * 2.0 ** -53
         return lo + (hi - lo) * u
 
-    def integers(self, n: int, bound: int) -> np.ndarray:
-        """n integers in [0, bound), as floor(uniform * bound)."""
-        return np.minimum((self.uniform(n) * bound).astype(np.int64), bound - 1)
-
 
 def _feistel(x: np.ndarray, keys: np.ndarray, h: np.uint64) -> np.ndarray:
     """The 4-round Feistel permutation of [0, 2^(2h)) with round keys keys,

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .heisenberg import proj_x
 from .measure import VoxelSet, project_voxels
 
 
@@ -288,13 +289,6 @@ def level_range(f: GridFunction) -> range:
     return range(ks[0], ks[-1] + 1) if ks else range(0)
 
 
-def level_sets(f: GridFunction) -> List[Tuple[int, VoxelSet]]:
-    """All nonempty dyadic levels F_k = {2^{k-1} <= |f| <= 2^k} as voxel
-    sets (values exactly 2^k belong to both F_k and F_{k+1})."""
-    d = f.decomposition
-    return [(k, d.voxels(k)) for k in d.levels]
-
-
 @dataclass(frozen=True)
 class LevelCheck:
     k: int
@@ -315,40 +309,6 @@ def levelset_lemma_check(f: GridFunction, k: int, which: str = "x",
 
 
 # ---------------------------------------------------------------------------
-# The unit-Jacobian shear (x, y, t) -> (x, y, t + xy/2)
-
-def shear_change_of_variables(f: GridFunction, sign: float = 1.0) -> GridFunction:
-    """Resample f composed with the shear: g(x, y, t) = f(x, y, t + sign*xy/2),
-    by linear interpolation along t.  Rejects inputs whose sheared support
-    would leave the box."""
-    nx, ny, nz = f.values.shape
-    xs = f.axis_centers(0)
-    ys = f.axis_centers(1)
-    shift = sign * np.outer(xs, ys) / 2.0 / f.h  # in t-index units
-    # source support per column must stay inside [1, nz-2] after shifting
-    nonzero = f.values != 0.0
-    active = nonzero.any(axis=2)
-    if active.any():
-        kmin = np.argmax(nonzero, axis=2)
-        kmax = nz - 1 - np.argmax(nonzero[:, :, ::-1], axis=2)
-        lo = (kmin - shift)[active]
-        hi = (kmax - shift)[active]
-        # interpolation spreads support by one cell on each side
-        if lo.min() < 2.0 or hi.max() > nz - 3.0:
-            raise ValueError("sheared support would leave the box")
-    pos = np.arange(nz, dtype=np.float64)[None, None, :] + shift[:, :, None]
-    base = np.floor(pos)
-    w = pos - base
-    base = base.astype(np.int64)
-    lo_ok = (base >= 0) & (base <= nz - 1)
-    hi_ok = (base + 1 >= 0) & (base + 1 <= nz - 1)
-    v_lo = np.take_along_axis(f.values, np.clip(base, 0, nz - 1), axis=2)
-    v_hi = np.take_along_axis(f.values, np.clip(base + 1, 0, nz - 1), axis=2)
-    out = (1.0 - w) * v_lo * lo_ok + w * v_hi * hi_ok
-    return f.copy_with(out)
-
-
-# ---------------------------------------------------------------------------
 # Test-function zoo: closed-form C^1 bumps with exact compact support.
 
 def bump(widths=(0.75, 0.75, 0.5), center=(0.0, 0.0, 0.0), amplitude=1.0):
@@ -364,12 +324,13 @@ def bump(widths=(0.75, 0.75, 0.5), center=(0.0, 0.0, 0.0), amplitude=1.0):
     return fn
 
 
-def sheared_fn(fn, sign: float = -1.0):
-    """fn composed with the inverse shear: the image of fn under the shear."""
+def sheared_fn(fn):
+    """The image of fn under the shear (x, y, t) -> (x, y, t + x y / 2):
+    fn composed with the inverse shear, whose t is that of proj_x."""
 
     def out(pts: np.ndarray) -> np.ndarray:
         q = pts.copy()
-        q[:, 2] = pts[:, 2] + sign * pts[:, 0] * pts[:, 1] / 2.0
+        q[:, 2] = proj_x(pts.T)[1]
         return fn(q)
 
     return out
@@ -432,9 +393,9 @@ def save_gridfunction(f: GridFunction, path) -> None:
 
 def load_gridfunction(path) -> GridFunction:
     """Read a file written by save_gridfunction.  A header that is not a
-    JSON object with integer dims and origin and a positive finite h, or a
-    payload whose length does not match dims, raises a ValueError that
-    names the file."""
+    JSON object with integer dims and origin and a positive finite h, a
+    payload whose length does not match dims, or a sample that is not
+    finite raises a ValueError that names the file."""
     with open(path, "rb") as fh:
         head = fh.readline()
         raw = fh.read()
@@ -453,9 +414,11 @@ def load_gridfunction(path) -> GridFunction:
     if len(raw) != need:
         raise ValueError(f"{path}: payload has {len(raw)} bytes, "
                          f"dims {dims} need {need}")
+    values = np.frombuffer(raw, dtype="<f8").reshape(dims)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: samples must be finite")
     try:
-        return GridFunction(np.frombuffer(raw, dtype="<f8").reshape(dims),
-                            h, tuple(origin))
+        return GridFunction(values, h, tuple(origin))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

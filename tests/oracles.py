@@ -11,8 +11,9 @@ import numpy as np
 from geomlab.acceptance import _maximal_plane_packing
 from geomlab.heisenberg import Plane, ReducedInstance, reduce_to_incidences
 from geomlab.incidence import RichnessField, _clipped, count_bucketed
-from geomlab.measure import (Box, Shape, VoxelSet, _gauge_inside, _grid_box,
-                             _pack, project_voxels, voxelize)
+from geomlab.measure import (Box, PlaneRegion, Shape, VoxelSet, _check_same_grid,
+                             _gauge_inside, _grid_box, _pack, project_voxels,
+                             voxelize)
 from geomlab.planar import LineFamily, PointSet, Scale, _runs
 from geomlab.sobolev import (GridFunction, LevelCheck, bump, field_X,
                              field_Y, sample_to_grid, sheared_fn,
@@ -195,6 +196,34 @@ def _boundary_reference(E: VoxelSet) -> VoxelSet:
         present[present] &= keys[pos[present]] == nb[present]
         on_boundary |= ~present
     return VoxelSet(E.occupied[on_boundary], E.h, E.ht)
+
+
+def dilated(region: PlaneRegion, steps: int = 1) -> PlaneRegion:
+    """The region grown by steps cells in u and t, every grown cell listed:
+    with covers, the oracle of measure._dilated_covers."""
+    if steps < 0:
+        raise ValueError("dilation steps must be >= 0")
+    if len(region) == 0 or steps == 0:
+        return region
+    offs = np.arange(-steps, steps + 1)
+    di, dj = np.meshgrid(offs, offs, indexing="ij")
+    shifts = np.column_stack([di.ravel(), dj.ravel()])
+    grown = (region.occupied[:, None, :] + shifts[None, :, :]).reshape(-1, 2)
+    return PlaneRegion(region.plane, grown, region.h, region.ht)
+
+
+def covers(region: PlaneRegion, other: PlaneRegion) -> bool:
+    """Whether every cell of other is a cell of region, one packed key at a
+    time."""
+    _check_same_grid(region, other)
+    if len(other) == 0:
+        return True
+    mine = _pack(region.occupied)
+    theirs = _pack(other.occupied)
+    pos = np.searchsorted(mine, theirs)
+    ok = pos < mine.size
+    ok[ok] &= mine[pos[ok]] == theirs[ok]
+    return bool(np.all(ok))
 
 
 def _h3_surrogate_reference(B: VoxelSet) -> float:

@@ -7,116 +7,121 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomlab.heisenberg import (CORE_PROJ_CONST, HPoint, Plane,
-                                VerticalPlanePoint, dilate,
-                                dist_to_horizontal_line, h_inv,
-                                h_mul, horizontal_fiber, koranyi_dist,
-                                koranyi_norm,
-                                measure_core_projection_constant, proj_x,
-                                proj_y, project_fiber_to_line,
+from geomlab import acceptance as A
+from geomlab import heisenberg as H
+from geomlab.heisenberg import (CORE_PROJ_CONST, Plane, VerticalPlanePoint,
+                                dilate, dist_to_horizontal_line, gauge4,
+                                h_inv, h_mul, measure_core_projection_constant,
+                                proj_x, proj_y, project_fiber_to_line,
                                 reduce_to_incidences, tube_inclusion_check)
 from geomlab.planar import LineAB, Scale
 
 coord = st.floats(-1.0, 1.0)
-ORIGIN = HPoint(0.0, 0.0, 0.0)
-
-
-def hp(draw_triplet):
-    return HPoint(*draw_triplet)
-
-
 triples = st.tuples(coord, coord, coord)
+ORIGIN = (0.0, 0.0, 0.0)
 
 
-def close(p: HPoint, q: HPoint, tol=1e-12):
-    return (abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol
-            and abs(p.t - q.t) <= tol)
+def close(p, q, tol=1e-12):
+    return bool(np.all(np.abs(np.subtract(p, q)) <= tol))
 
 
 def test_group_law_examples():
-    p = HPoint(0.3, -0.2, 0.7)
+    p = (0.3, -0.2, 0.7)
     assert h_mul(p, ORIGIN) == p
-    assert h_mul(HPoint(1, 0, 0), HPoint(0, 1, 0)) == HPoint(1, 1, 0.5)
-    assert h_mul(HPoint(1, 1, 0), HPoint(-1, -1, 0)) == HPoint(0, 0, 0.0)
+    assert h_mul((1, 0, 0), (0, 1, 0)) == (1, 1, 0.5)
+    assert h_mul((1, 1, 0), (-1, -1, 0)) == (0, 0, 0.0)
+
+
+def test_group_law_broadcasts():
+    # a (3, n) array is n points; a triple of floats broadcasts against it
+    P = np.array([[0.3, 1.0], [-0.2, 0.0], [0.7, 0.0]])
+    x, y, t = h_mul(P, (0.0, 1.0, 0.0))
+    assert x.tolist() == [0.3, 1.0] and y.tolist() == [0.8, 1.0]
+    assert t.tolist() == [0.7 + 0.15, 0.5]
+    assert [a.tolist() for a in h_inv(P)] == (-P).tolist()
 
 
 def test_inverse_examples():
-    assert h_inv(ORIGIN) == HPoint(-0.0, -0.0, -0.0)
-    assert h_inv(HPoint(1, 2, 3)) == HPoint(-1, -2, -3)
+    assert h_inv(ORIGIN) == (-0.0, -0.0, -0.0)
+    assert h_inv((1, 2, 3)) == (-1, -2, -3)
 
 
 @given(triples)
-def test_inverse_is_two_sided(t):
-    q = hp(t)
+def test_inverse_is_two_sided(q):
     assert close(h_mul(h_inv(q), q), ORIGIN)
     assert close(h_mul(q, h_inv(q)), ORIGIN)
 
 
 @given(triples, triples, triples)
-def test_associativity(a, b, c):
-    p, q, r = hp(a), hp(b), hp(c)
+def test_associativity(p, q, r):
     assert close(h_mul(h_mul(p, q), r), h_mul(p, h_mul(q, r)))
 
 
+def _matrix(p):
+    """The upper unitriangular matrix of p, [[1, x, t + xy/2], [0, 1, y],
+    [0, 0, 1]]: a faithful representation of the group."""
+    x, y, t = p
+    return np.array([[1.0, x, t + x * y / 2.0], [0.0, 1.0, y], [0.0, 0.0, 1.0]])
+
+
+@given(triples, triples)
+def test_product_is_matrix_multiplication(p, q):
+    # checks the twist's sign and factor against a formula that shares
+    # nothing with h_mul's
+    assert np.allclose(_matrix(h_mul(p, q)), _matrix(p) @ _matrix(q),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(_matrix(h_inv(p)), np.linalg.inv(_matrix(p)),
+                       rtol=0, atol=1e-12)
+
+
 def test_dilation_examples():
-    p = HPoint(0.5, -0.25, 0.125)
+    p = (0.5, -0.25, 0.125)
     assert dilate(1.0, p) == p
-    assert dilate(2.0, HPoint(1, 1, 1)) == HPoint(2, 2, 4)
+    assert dilate(2.0, (1, 1, 1)) == (2, 2, 4)
     with pytest.raises(ValueError):
         dilate(0.0, p)
 
 
 @given(st.floats(0.1, 4.0), triples, triples)
-def test_dilation_is_a_homomorphism(lam, a, b):
-    p, q = hp(a), hp(b)
+def test_dilation_is_a_homomorphism(lam, p, q):
     lhs = dilate(lam, h_mul(p, q))
     rhs = h_mul(dilate(lam, p), dilate(lam, q))
     assert close(lhs, rhs, tol=1e-11)
 
 
 def test_projection_formulas():
-    w = proj_x(HPoint(0.4, 0.0, -0.3))
-    assert w == VerticalPlanePoint(Plane.W_X, 0.4, -0.3)
-    assert proj_y(HPoint(1, 1, 0)) == VerticalPlanePoint(Plane.W_Y, 1, 0.5)
-    assert proj_x(HPoint(1, 1, 0)) == VerticalPlanePoint(Plane.W_X, 1, -0.5)
+    assert proj_x((0.4, 0.0, -0.3)) == (0.4, -0.3)
+    assert proj_y((1, 1, 0)) == (1, 0.5)
+    assert proj_x((1, 1, 0)) == (1, -0.5)
 
 
 @given(triples)
-def test_unique_decomposition(t):
-    p = hp(t)
-    w = proj_x(p)
-    rec = h_mul(w.embed(), HPoint(0.0, p.y, 0.0))
+def test_unique_decomposition(p):
+    u, t = proj_x(p)
+    rec = h_mul((u, 0.0, t), (0.0, p[1], 0.0))
     assert close(rec, p)
 
 
 @given(triples, st.floats(0.1, 3.0))
-def test_dilations_commute_with_projections(t, lam):
-    p = hp(t)
-    w = proj_x(p)
-    lhs = proj_x(dilate(lam, p))
-    rhs = VerticalPlanePoint(w.plane, lam * w.u, lam * lam * w.t)
-    assert lhs.plane == rhs.plane
-    assert abs(lhs.u - rhs.u) <= 1e-12 and abs(lhs.t - rhs.t) <= 1e-12
+def test_dilations_commute_with_projections(p, lam):
+    u, t = proj_x(p)
+    assert close(proj_x(dilate(lam, p)), (lam * u, lam * lam * t))
 
 
-@given(st.sampled_from([Plane.W_X, Plane.W_Y]), coord, coord)
-def test_projection_retracts_embedding(plane, u, t):
-    w = VerticalPlanePoint(plane, u, t)
-    back = proj_x(w.embed()) if plane == Plane.W_X else proj_y(w.embed())
-    assert back == w
+@given(coord, coord)
+def test_projection_retracts_embedding(u, t):
+    assert proj_x((u, 0.0, t)) == (u, t)
+    assert proj_y((0.0, u, t)) == (u, t)
 
 
 def test_fiber_examples():
-    f0 = horizontal_fiber(VerticalPlanePoint(Plane.W_X, 0.0, 0.0))
-    assert f0(1.0) == HPoint(0.0, 1.0, 0.0)
-    f1 = horizontal_fiber(VerticalPlanePoint(Plane.W_X, 1.0, 0.0))
-    assert f1(1.0) == HPoint(1.0, 1.0, 0.5)
+    # the fiber of w = (u, 0, t) in W_x is s -> w * (0, s, 0)
+    assert h_mul(ORIGIN, (0.0, 1.0, 0.0)) == (0.0, 1.0, 0.0)
+    assert h_mul((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) == (1.0, 1.0, 0.5)
     # the projection is constant along its fibers
-    w = VerticalPlanePoint(Plane.W_X, 0.3, -0.6)
-    for s in np.linspace(-1, 1, 17):
-        q = horizontal_fiber(w)(float(s))
-        back = proj_x(q)
-        assert abs(back.u - w.u) <= 1e-15 and abs(back.t - w.t) <= 1e-12
+    s = np.linspace(-1, 1, 17)
+    u, t = proj_x(h_mul((0.3, 0.0, -0.6), (0.0, s, 0.0)))
+    assert np.all(np.abs(u - 0.3) <= 1e-15) and close(t, -0.6)
 
 
 def test_project_fiber_to_line():
@@ -130,35 +135,35 @@ def test_project_fiber_to_line():
 def test_fiber_projects_onto_the_line():
     w = VerticalPlanePoint(Plane.W_X, 0.7, -0.4)
     line = project_fiber_to_line(w)
-    for s in np.linspace(-1, 1, 33):
-        q = proj_y(horizontal_fiber(w)(float(s)))
-        # (y, t) coordinates of the projection lie on {t = a y + b}
-        assert abs(line.a * q.u + line.b - q.t) <= 1e-14
+    y, t = proj_y(h_mul((w.u, 0.0, w.t), (0.0, np.linspace(-1, 1, 33), 0.0)))
+    # (y, t) coordinates of the projection lie on {t = a y + b}
+    assert np.all(np.abs(line.a * y + line.b - t) <= 1e-14)
 
 
 @given(coord, coord, coord, coord)
 def test_fiber_line_map_is_an_isometry(a1, b1, a2, b2):
     w1 = VerticalPlanePoint(Plane.W_X, a1, b1)
     w2 = VerticalPlanePoint(Plane.W_X, a2, b2)
-    from geomlab.planar import line_metric
-    d_lines = line_metric(project_fiber_to_line(w1), project_fiber_to_line(w2))
+    l1, l2 = project_fiber_to_line(w1), project_fiber_to_line(w2)
+    d_lines = math.hypot(l1.a - l2.a, l1.b - l2.b)
     d_plane = math.hypot(a1 - a2, b1 - b2)
     assert d_lines == d_plane
 
 
 def test_koranyi_norm():
-    assert koranyi_norm(ORIGIN) == 0.0
-    assert koranyi_norm(HPoint(1, 0, 0)) == 1.0
-    p = HPoint(0.3, -0.7, 0.2)
-    assert koranyi_norm(h_inv(p)) == koranyi_norm(p)
-    assert koranyi_norm(dilate(3.0, p)) == pytest.approx(3 * koranyi_norm(p),
-                                                         rel=1e-12)
+    # gauge4 is the fourth power of the Koranyi norm
+    assert gauge4(ORIGIN) == 0.0
+    assert gauge4((1, 0, 0)) == 1.0 and gauge4((0, 0, 0.25)) == 1.0
+    p = (0.3, -0.7, 0.2)
+    assert gauge4(h_inv(p)) == gauge4(p)
+    assert gauge4(dilate(3.0, p)) == pytest.approx(3 ** 4 * gauge4(p),
+                                                   rel=1e-12)
 
 
 def test_koranyi_dist_left_invariant():
-    p, q, g = HPoint(0.1, 0.2, 0.3), HPoint(-0.4, 0.5, -0.6), HPoint(0.7, 0.8, 0.9)
-    d0 = koranyi_dist(p, q)
-    d1 = koranyi_dist(h_mul(g, p), h_mul(g, q))
+    p, q, g = (0.1, 0.2, 0.3), (-0.4, 0.5, -0.6), (0.7, 0.8, 0.9)
+    d0 = gauge4(h_mul(h_inv(q), p))
+    d1 = gauge4(h_mul(h_inv(h_mul(g, q)), h_mul(g, p)))
     assert d1 == pytest.approx(d0, rel=1e-12)
 
 
@@ -203,20 +208,6 @@ def test_reduce_to_incidences():
         reduce_to_incidences(close_pair, P_y, s)
 
 
-def test_reduced_instance_save_stamps_multiplier(tmp_path):
-    import json
-    s = Scale(2.0 ** -5)
-    P_x = [VerticalPlanePoint(Plane.W_X, 0.0, 0.0),
-           VerticalPlanePoint(Plane.W_X, 0.5, 0.25)]
-    P_y = [VerticalPlanePoint(Plane.W_Y, 0.25, -0.25)]
-    red = reduce_to_incidences(P_x, P_y, s)
-    red.save(tmp_path, seed=3)
-    meta = json.loads((tmp_path / "lines.csv.meta.json").read_text())
-    assert meta["multiplier"] == red.scale.multiplier
-    meta_p = json.loads((tmp_path / "points.csv.meta.json").read_text())
-    assert meta_p["multiplier"] == red.scale.multiplier
-
-
 def test_packing_count_tracks_projected_area():
     # covering step of the reduction: a maximal delta-separated subset of a
     # projected region has delta^2 * cardinality within a constant of the
@@ -237,9 +228,28 @@ def test_packing_count_tracks_projected_area():
 
 def test_dist_to_horizontal_line():
     w = VerticalPlanePoint(Plane.W_X, 0.5, 0.0)
-    fiber = horizontal_fiber(w)
-    pts = np.array([[q.x, q.y, q.t] for q in map(fiber, np.linspace(-1, 1, 9))])
+    fiber = h_mul((w.u, 0.0, w.t), (0.0, np.linspace(-1, 1, 9), 0.0))
+    pts = np.column_stack(np.broadcast_arrays(*fiber))
     assert np.all(dist_to_horizontal_line(pts, w) <= 1e-14)
     off = pts + np.array([[0.0, 0.0, 0.1]])
     d = dist_to_horizontal_line(off, w)
     assert np.all(d > 0.09) and np.all(d <= 0.1 + 1e-12)
+
+
+def test_criterion_6_fails_on_a_sign_slip(monkeypatch):
+    # criterion 6 checks the library's own product and projections: a twist
+    # of the wrong sign in either fails it
+    assert A.criterion_6().passed
+
+    def mul_flipped(p, q):
+        (x, y, t), (u, v, s) = p, q
+        return x + u, y + v, t + s - 0.5 * (x * v - y * u)
+
+    def proj_x_flipped(p):
+        x, y, t = p
+        return x, t + x * y / 2.0
+
+    for name, slip in (("h_mul", mul_flipped), ("proj_x", proj_x_flipped)):
+        with monkeypatch.context() as m:
+            m.setattr(H, name, slip)
+            assert not A.criterion_6().passed, name

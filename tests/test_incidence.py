@@ -1,4 +1,4 @@
-"""Tests for the counting engines, rich points, and angular splitting."""
+"""Tests for the counting engines and rich points."""
 
 import dataclasses
 import math
@@ -13,9 +13,8 @@ from geomlab.generators import (gen_concurrent_star, gen_grid_packing,
                                 gen_kstar, gen_random, gen_rectangle_example,
                                 gen_tube_example)
 from geomlab import incidence
-from geomlab.incidence import (angular_split, count_bucketed,
-                               count_incidences, count_naive, grid_richness,
-                               k_rich_points, max_concurrency)
+from geomlab.incidence import (count_bucketed, count_incidences, count_naive,
+                               grid_richness, k_rich_points, max_concurrency)
 from geomlab.planar import (LineFamily, Point2, PointSet, Scale,
                             point_line_dist)
 from oracles import reduced_box_instance, traced_peak
@@ -256,20 +255,10 @@ def test_bucketed_equals_naive_on_ties(inst):
 def test_richness_histogram_and_ratio():
     P, L = gen_tube_example(2.0 ** -8)
     rep = count_naive(P, L, Scale(2.0 ** -8))
-    hist = rep.richness_histogram()
-    assert sum(k * v for k, v in hist.items()) == rep.count
+    hist = np.bincount(rep.richness)
+    assert sum(k * v for k, v in enumerate(hist)) == rep.count
     assert rep.normalized_ratio == pytest.approx(
         rep.count / (len(P) ** (2 / 3) * len(L) ** (2 / 3) * (2.0 ** -8) ** (-1 / 3)))
-
-
-def test_report_json_round_trip(tmp_path):
-    import json
-    P, L = gen_tube_example(2.0 ** -7)
-    rep = count_bucketed(P, L, Scale(2.0 ** -7))
-    rep.save_json(tmp_path / "rep.json")
-    data = json.loads((tmp_path / "rep.json").read_text())
-    assert data["count"] == rep.count
-    assert sum(k * v for k, v in enumerate(data["k_histogram"])) == rep.count
 
 
 def test_normalized_ratio_band_across_families():
@@ -365,45 +354,3 @@ def test_richness_ceiling():
     field = grid_richness(fam, Scale(delta))
     ceiling = min(len(fam), int(4.0 / delta))
     assert field.richness.max(initial=0) <= ceiling
-
-
-# ---------------------------------------------------------------------------
-# angular split
-
-def test_angular_split_four_lines():
-    delta = 0.05
-    slopes = [-0.3, -0.1, 0.1, 0.3]
-    fam = LineFamily([(a, 0.0) for a in slopes], epsilon=0.1)
-    i1, i2, ang = angular_split(fam, Point2(0, 0), Scale(delta))
-    assert [float(fam.params[i, 0]) for i in i1] == [-0.3]
-    assert [float(fam.params[i, 0]) for i in i2] == [0.3]
-    assert ang == pytest.approx(2 * math.atan(0.3), rel=1e-12)
-
-
-def test_angular_split_two_lines():
-    fam = LineFamily([(0.2, 0.0), (-0.2, 0.0)], epsilon=0.1)
-    i1, i2, ang = angular_split(fam, Point2(0, 0), Scale(0.05))
-    assert len(i1) == len(i2) == 1
-    assert ang == pytest.approx(2 * math.atan(0.2), rel=1e-12)
-
-
-def test_angular_split_concurrent_star_gap():
-    eps = 2.0 ** -8
-    n = 64
-    fam = gen_concurrent_star(n, eps)
-    s = Scale(eps, eps)
-    i1, i2, ang = angular_split(fam, Point2(0, 0), s)
-    # exhaustive oracle over the two groups
-    a = fam.params[:, 0]
-    gaps = [abs(math.atan(a[i]) - math.atan(a[j])) for i in i1 for j in i2]
-    assert ang == pytest.approx(min(gaps), rel=1e-12)
-    assert ang >= 0.1 * n * eps
-
-
-def test_angular_split_rejects_non_incident():
-    fam = LineFamily([(0.0, 0.9), (0.1, 0.0)], epsilon=0.1)
-    with pytest.raises(ValueError):
-        angular_split(fam, Point2(0, 0), Scale(0.01))
-    single = LineFamily([(0.0, 0.0)], epsilon=0.1)
-    with pytest.raises(ValueError):
-        angular_split(single, Point2(0, 0), Scale(0.01))

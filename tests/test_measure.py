@@ -13,10 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geomlab import measure as M
-from geomlab.heisenberg import Plane, VerticalPlanePoint
+from geomlab.heisenberg import (Plane, VerticalPlanePoint, gauge4, h_inv,
+                                h_mul, proj_x, proj_y)
 from geomlab.measure import (Box, DifferenceShape, DilatedShape, KoranyiBall,
                              PlaneRegion, ShearedShape, TubeIntersection,
-                             UnionShape, VoxelSet, _dilated_covers, boundary,
+                             UnionShape, VoxelSet, _dilated_covers,
+                             _gauge_inside, boundary,
                              boundary_projection_inclusion, h3_surrogate,
                              load_voxelset, lw_ratio, project_voxels,
                              save_voxelset, shape_zoo,
@@ -24,7 +26,7 @@ from geomlab.measure import (Box, DifferenceShape, DilatedShape, KoranyiBall,
                              weak_isoperimetric_ratio)
 from geomlab.rng import Stream
 from oracles import (REDUCE_BOX, _boundary_reference, _h3_surrogate_reference,
-                     _voxelize_dense, traced_peak)
+                     _voxelize_dense, covers, dilated, traced_peak)
 
 LW_BOX = 8.0 * 5.0 ** (-4.0 / 3.0)
 
@@ -97,12 +99,7 @@ def _sampled_projection(K, which, s=2):
     offs = np.column_stack([ox.ravel(), oy.ravel(), ot.ravel()])
     scale = np.array([K.h, K.h, K.ht])
     pts = (K.occupied[:, None, :] + offs[None, :, :]).reshape(-1, 3) * scale[None, :]
-    if which == "x":
-        u = pts[:, 0]
-        t = pts[:, 2] - pts[:, 0] * pts[:, 1] / 2.0
-    else:
-        u = pts[:, 1]
-        t = pts[:, 2] + pts[:, 0] * pts[:, 1] / 2.0
+    u, t = (proj_x if which == "x" else proj_y)(pts.T)
     iu = np.floor(u / K.h).astype(np.int64)
     it = np.floor(t / K.ht).astype(np.int64)
     return np.unique(np.column_stack([iu, it]), axis=0)
@@ -661,6 +658,23 @@ def test_h3_surrogate_matches_reference_when_balls_are_thinner_than_columns():
         assert h3_surrogate(B) == _h3_surrogate_reference(B)
 
 
+def test_gauge_inside_is_the_gauge_ball():
+    # _gauge_inside computes the twist as cy dx - cx dy, not as the
+    # product's cy px - cx py, so only far from the sphere must it agree
+    # with the gauge of c^-1 p; a sign slip in its twist would not
+    rng = np.random.default_rng(6)
+    c, off = rng.uniform(-1.0, 1.0, (2, 3, 200_000))
+    for rho in (0.3, 0.9):
+        # c * q for q in the box around the origin that holds its gauge ball
+        p = h_mul(c, off * np.array([[rho], [rho], [rho * rho / 4.0]]))
+        g = gauge4(h_mul(h_inv(c), p))
+        clear = np.abs(g - rho ** 4) > 1e-12 * rho ** 4
+        assert clear.mean() > 0.999
+        got = _gauge_inside(*c, *p, rho)
+        assert np.array_equal(got[clear], g[clear] <= rho ** 4)
+        assert 0.2 < got.mean() < 0.8
+
+
 def test_boundary_projection_inclusion_cases():
     solid = voxelize(Box((0, 0, 0), (0.4, 0.3, 0.2)), h=1 / 24)
     assert boundary_projection_inclusion(solid)
@@ -821,11 +835,11 @@ def test_load_voxelset_zero_spans(tmp_path):
 def test_plane_region_ops():
     reg = PlaneRegion(Plane.W_X, [(0, 0), (1, 0)], h=0.5)
     assert reg.area() == pytest.approx(0.5)
-    grown = reg.dilated(1)
-    assert grown.covers(reg)
-    assert not reg.covers(grown)
+    grown = dilated(reg, 1)
+    assert covers(grown, reg)
+    assert not covers(reg, grown)
     with pytest.raises(ValueError, match="steps"):
-        reg.dilated(-1)
+        dilated(reg, -1)
 
 
 def test_covers_needs_the_same_plane_and_grid():
@@ -833,10 +847,10 @@ def test_covers_needs_the_same_plane_and_grid():
     px, py = project_voxels(K, "x"), project_voxels(K, "y")
     fine = project_voxels(voxelize(Box((0, 0, 0), (0.3, 0.3, 0.1)), 1 / 32), "x")
     aniso = PlaneRegion(Plane.W_X, px.occupied, px.h, px.ht / 2)
-    assert px.covers(px) and _dilated_covers(px, px)
+    assert covers(px, px) and _dilated_covers(px, px)
     for a, b in ((px, py), (py, px), (px, fine), (fine, px), (px, aniso)):
         with pytest.raises(ValueError, match="different planes or grids"):
-            a.covers(b)
+            covers(a, b)
         with pytest.raises(ValueError, match="different planes or grids"):
             _dilated_covers(a, b)
 
@@ -883,7 +897,7 @@ def test_dilated_covers_equals_dilation(case):
     assert _dilated_covers(b, a) == want
     if ((b.occupied > -_EDGE) & (b.occupied < _EDGE - 1)).all():
         # the dilation stays in the packing range
-        assert b.dilated(1).covers(a) == want
+        assert covers(dilated(b, 1), a) == want
 
 
 def test_plane_region_rejects_cells_outside_the_packing_range():
@@ -895,7 +909,7 @@ def test_plane_region_rejects_cells_outside_the_packing_range():
             PlaneRegion(Plane.W_X, [cell], 0.1)
     edge = PlaneRegion(Plane.W_X, [(0, 2 ** 20 - 1)], 0.1)
     with pytest.raises(ValueError, match=r"2\^20"):
-        edge.dilated(1)
+        dilated(edge, 1)
 
 
 def test_dilated_covers_stays_in_its_column():
@@ -913,15 +927,16 @@ def test_dilated_covers_edge_cases():
     one = PlaneRegion(Plane.W_X, [(5, -3)], 0.1)
     assert _dilated_covers(empty, empty) and _dilated_covers(one, empty)
     assert not _dilated_covers(empty, one)
-    assert empty.dilated(1).covers(empty) and not empty.dilated(1).covers(one)
+    assert covers(dilated(empty, 1), empty)
+    assert not covers(dilated(empty, 1), one)
     ring = PlaneRegion(Plane.W_X, [(5 + di, -3 + dj) for di in (-1, 0, 1)
                                    for dj in (-1, 0, 1)], 0.1)
     far = PlaneRegion(Plane.W_X, [(7, -3), (5, -5), (3, -1)], 0.1)
-    assert _dilated_covers(one, ring) and one.dilated(1).covers(ring)
+    assert _dilated_covers(one, ring) and covers(dilated(one, 1), ring)
     for cell in far.occupied:
         lone = PlaneRegion(Plane.W_X, [cell], 0.1)
         assert not _dilated_covers(one, lone)
-        assert not one.dilated(1).covers(lone)
+        assert not covers(dilated(one, 1), lone)
 
 
 _ANCHORS = [-_EDGE, 0, _EDGE - 6]

@@ -4,28 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geomlab.planar import (LineAB, LineFamily, Point2, PointSet, Scale,
                             _CellHash, _min_pair,
                             dual_line_to_point, dual_point_to_line,
-                            is_incident, line_metric, load_line_family,
+                            is_incident, load_line_family,
                             load_point_set, point_line_dist, save_line_family,
                             save_point_set, validate_separation)
 from geomlab.generators import gen_grid_packing
 
 coord = st.floats(-1.0, 1.0)
 scales = st.floats(2.0 ** -10, 0.5)
-
-
-def test_line_metric_examples():
-    assert line_metric(LineAB(0, 0), LineAB(0, 0)) == 0.0
-    assert line_metric(LineAB(0, 0), LineAB(0, 1)) == 1.0
-    # 3-4-5 triangle, cross-checked against the defining formula
-    d = line_metric(LineAB(0.3, 0.4), LineAB(0, 0))
-    assert d == pytest.approx(math.hypot(0.3, 0.4), rel=1e-15)
-    assert d == pytest.approx(0.5, rel=1e-12)
 
 
 def test_point_line_dist_examples():
@@ -86,14 +77,6 @@ def test_vertical_euclidean_sandwich(x, y, a, b):
     d = point_line_dist(p, l)
     assert d <= vert + 1e-15
     assert vert <= math.sqrt(2) * d + 1e-15
-
-
-@given(*([coord] * 6))
-def test_line_metric_is_a_metric(a1, b1, a2, b2, a3, b3):
-    l1, l2, l3 = LineAB(a1, b1), LineAB(a2, b2), LineAB(a3, b3)
-    assert line_metric(l1, l2) == line_metric(l2, l1)
-    assert (line_metric(l1, l2) == 0) == ((a1, b1) == (a2, b2))
-    assert line_metric(l1, l3) <= line_metric(l1, l2) + line_metric(l2, l3) + 1e-15
 
 
 def test_validate_separation_examples():
@@ -266,10 +249,18 @@ def test_csv_loader_rejects_bad_rows(tmp_path):
         "blank.csv": "x,y\n0.125,-0.5\n\n",
         "junk.csv": "x,y\n0.125,abc\n",
         "empty_cell.csv": "x,y\n,0.3\n",
+        # these loaded, and count_incidences then failed without naming
+        # the file where count_naive counted them
+        "nan.csv": "x,y\n0.125,-0.5\nnan,0.5\n",
+        "inf.csv": "x,y\ninf,0.5\n",
+        # found by test_csv_loader_fuzz: the first loaded as inf, the
+        # second raised a UnicodeDecodeError that did not name the file
+        "overflow.csv": "x,y\n0.7,1e4300\n",
+        "not_utf8.csv": b"x,y\n0.1\xe15,-0.5\n",
     }
     for name, body in bodies.items():
         path = tmp_path / name
-        path.write_text(body)
+        path.write_bytes(body if isinstance(body, bytes) else body.encode())
         (tmp_path / (name + ".meta.json")).write_text(meta)
         with pytest.raises(ValueError, match=name):
             load_point_set(path)
@@ -297,3 +288,41 @@ def test_csv_loader_rejects_bad_sidecars(tmp_path, meta, save, load):
     with pytest.raises(ValueError) as info:
         load(path)
     assert str(info.value).startswith(f"{sidecar}: ")
+
+
+_FUZZ_POINTS = PointSet([(0.125, -0.5), (0.7, 1e300), (-1.0, 1e-300)], delta=0.25)
+_FUZZ_LINES = LineFamily([(0.5, -0.25), (-1.0, 1.0)], epsilon=0.5)
+
+
+@settings(max_examples=150, deadline=1000, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([(save_point_set, load_point_set, _FUZZ_POINTS),
+                        (save_line_family, load_line_family, _FUZZ_LINES)]),
+       st.booleans(),
+       st.lists(st.tuples(st.integers(0, 200),
+                          st.sampled_from(b"0123456789.,-+eEinfa\n\r\"{} ")
+                          | st.integers(0, 255)), max_size=4),
+       st.just(0) | st.integers(0, 60), st.binary(max_size=8))
+def test_csv_loader_fuzz(tmp_path, kind, sidecar, edits, cut, junk):
+    # a saved CSV, or its sidecar, with bytes overwritten (most of them by
+    # digits, signs, separators and the letters of nan and inf), cut by
+    # some bytes and with junk appended, either loads with finite
+    # coordinates and a finite scale > 0 or raises a ValueError whose
+    # message starts with the file's path
+    save, load, obj = kind
+    path = tmp_path / "fuzz.csv"
+    save(obj, path)
+    target = tmp_path / "fuzz.csv.meta.json" if sidecar else path
+    data = bytearray(target.read_bytes())
+    for pos, byte in edits:
+        if pos < len(data):
+            data[pos] = byte
+    target.write_bytes(bytes(data[:len(data) - cut]) + junk)
+    try:
+        got = load(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}")
+        return
+    coords = got.coords if save is save_point_set else got.params
+    scale = got.delta if save is save_point_set else got.epsilon
+    assert np.isfinite(coords).all() and math.isfinite(scale) and scale > 0

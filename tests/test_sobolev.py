@@ -4,18 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geomlab import sobolev as S
+from geomlab.heisenberg import h_inv, h_mul, proj_y
 from geomlab.measure import VoxelSet
 from geomlab.sobolev import (FUNCTION_ZOO, GridFunction, bump,
                              dilated_fn, field_X, field_Y,
-                             gns_check, level_range, level_sets,
+                             gns_check, level_range,
                              levelset_lemma_check, load_gridfunction, lp_norm,
-                             sample_to_grid, save_gridfunction,
-                             shear_change_of_variables, smoothed_box,
-                             zoo_function)
+                             sample_to_grid, save_gridfunction, sheared_fn,
+                             smoothed_box, zoo_function)
 from oracles import (_function_zoo_reference, _level_mask,
                      _levelset_lemma_check_reference, traced_peak)
 
@@ -72,7 +72,8 @@ def test_field_rejects_boundary_support():
     with pytest.raises(ValueError):
         field_X(f)
     # the level sets need no field; the checks that read one fail as it does
-    assert [k for k, _ in level_sets(f)] == [0, 1]
+    d = f.decomposition
+    assert d.levels == (0, 1) and all(len(d.voxels(k)) for k in d.levels)
     for check in (lambda: gns_check(f), lambda: levelset_lemma_check(f, 1)):
         with pytest.raises(ValueError, match="support touches"):
             check()
@@ -150,18 +151,19 @@ def test_gns_dilation_invariance():
 
 def test_level_sets_examples():
     z = patch(lambda pts: np.zeros(pts.shape[0]))
-    assert level_sets(z) == []
+    assert z.decomposition.levels == ()
     one = GridFunction(np.pad(np.ones((3, 3, 3)), 2), h=0.125)
-    ks = [k for k, _ in level_sets(one)]
     # |f| = 1 = 2^0 sits on the closed boundary of both bands k=0 and k=1
-    assert ks == [0, 1]
+    assert one.decomposition.levels == (0, 1)
+    assert all(len(one.decomposition.voxels(k)) == 27 for k in (0, 1))
 
 
 def test_level_sets_reconstruct_l43_mass():
     f = patch(bump((0.45, 0.4, 0.3)), h=1 / 32)
     total = float((np.abs(f.values) ** (4 / 3)).sum() * f.h ** 3)
-    by_levels = sum(2.0 ** (4 * k / 3) * len(vs) * f.h ** 3
-                    for k, vs in level_sets(f))
+    d = f.decomposition
+    by_levels = sum(2.0 ** (4 * k / 3) * len(d.voxels(k)) * f.h ** 3
+                    for k in d.levels)
     # dyadic reconstruction matches the integral within the band factor
     assert total <= by_levels * 2.0 ** (4 / 3)
     assert by_levels <= total * 2.0 ** (4 / 3) * 1.05  # closed-edge overlap
@@ -204,12 +206,17 @@ def test_levelset_lemma_rejects_empty_level():
 
 
 def test_shear_preserves_l1_and_inverts():
-    f = sample_to_grid(bump((0.5, 0.5, 0.3)), 1 / 48, (0.55, 0.55, 0.6))
-    sh = shear_change_of_variables(f)
+    # the shear has unit Jacobian, so the sheared bump keeps its l1 mass,
+    # and sheared_fn undoes the shear (x, y, t) -> (x, y, t + xy/2) of its
+    # argument
+    fn = bump((0.5, 0.5, 0.3))
+    f = sample_to_grid(fn, 1 / 48, (0.55, 0.55, 0.6))
+    sh = sample_to_grid(sheared_fn(fn), 1 / 48, (0.55, 0.55, 0.6))
     assert lp_norm(sh, 1.0) == pytest.approx(lp_norm(f, 1.0), rel=0.03)
-    back = shear_change_of_variables(sh, sign=-1.0)
-    l1_err = float(np.abs(back.values - f.values).sum() * f.h ** 3)
-    assert l1_err <= 0.05 * lp_norm(f, 1.0)
+    pts = np.random.default_rng(4).uniform(-0.6, 0.6, (10_000, 3))
+    x, y, _ = pts.T
+    forward = np.column_stack([x, y, proj_y(pts.T)[1]])
+    assert np.allclose(sheared_fn(fn)(forward), fn(pts), rtol=0, atol=1e-12)
 
 
 def test_shear_nearly_fixes_t_independent_profiles():
@@ -222,17 +229,31 @@ def test_shear_nearly_fixes_t_independent_profiles():
         return w * (1 - u * u) ** 2
 
     f = sample_to_grid(plateau, 1 / 32, (0.15, 0.15, 0.7))
-    sh = shear_change_of_variables(f)
+    sh = sample_to_grid(sheared_fn(plateau), 1 / 32, (0.15, 0.15, 0.7))
     drift = float(np.abs(sh.values - f.values).sum() * f.h ** 3)
-    assert drift <= 0.01 * lp_norm(f, 1.0)
+    assert 0.0 < drift <= 0.01 * lp_norm(f, 1.0)
 
 
-def test_shear_rejects_overflow():
-    # wide xy support shifts far corners by ~0.3 in t, past the box margin
-    f = sample_to_grid(smoothed_box((0.8, 0.8, 0.4), 0.125), 1 / 24,
-                       (0.95, 0.95, 0.5))
-    with pytest.raises(ValueError):
-        shear_change_of_variables(f)
+def test_fields_differentiate_along_the_group_law():
+    # Xf(p) and Yf(p) are the derivatives at s = 0 of f(p * (s, 0, 0)) and
+    # f(p * (0, s, 0)): the fields' twist terms checked against the product.
+    # On this C^3 bump the stencils are off by 1.7% of max |Xf| and |Yf|; a
+    # twist of the wrong sign in either field is off by over 20%
+    bump_c1 = bump((0.4, 0.4, 0.3), center=(0.1, -0.15, 0.05))
+
+    def fn(pts):
+        return bump_c1(pts) ** 2
+
+    f = sample_to_grid(fn, 1 / 32, (0.55, 0.6, 0.4))
+    grid = np.meshgrid(*(f.axis_centers(a) for a in range(3)), indexing="ij")
+    p = tuple(g.ravel() for g in grid)
+    s = 1e-6
+    for field, step in ((field_X, (s, 0.0, 0.0)), (field_Y, (0.0, s, 0.0))):
+        ahead = fn(np.column_stack(h_mul(p, step)))
+        behind = fn(np.column_stack(h_mul(p, h_inv(step))))
+        want = (ahead - behind) / (2.0 * s)
+        err = np.abs(field(f).values.ravel() - want).max()
+        assert err <= 0.04 * np.abs(want).max(), field.__name__
 
 
 def test_gridfunction_serialization(tmp_path):
@@ -310,7 +331,8 @@ def _mask_level_sets(f):
 
 
 def _assert_matches_masks(f):
-    got = level_sets(f)
+    d = f.decomposition
+    got = [(k, d.voxels(k)) for k in d.levels]
     want = _mask_level_sets(f)
     assert [k for k, _ in got] == [k for k, _ in want]
     for (_, vs), (_, idx) in zip(got, want):
@@ -405,7 +427,7 @@ def test_fields_computed_once_per_function(monkeypatch):
     for k in f.decomposition.levels:
         for which in ("x", "y"):
             levelset_lemma_check(f, k, which)
-    level_sets(f)
+        f.decomposition.voxels(k)
     assert calls == {0: 1, 1: 1}
 
 
@@ -421,9 +443,48 @@ def test_load_gridfunction_rejects_corrupt_files(tmp_path):
         "nokey.grid": b'{"dims": [1, 1, 1], "h": 0.5}\n' + b"\0" * 8,
         "badh.grid": head.replace(b'"h": ', b'"h": -') + b"\n" + payload,
         "nojson.grid": b"not a header\n" + payload,
+        # loaded, and only gns_check failed, without naming the file
+        "nan_sample.grid": head + b"\n" + np.full(len(payload) // 8, np.nan).tobytes(),
     }
     for name, body in cases.items():
         path = tmp_path / name
         path.write_bytes(body)
         with pytest.raises(ValueError, match=str(path)):
             load_gridfunction(path)
+
+
+_FUZZ_GRID = GridFunction(np.pad([[[1.5, -1.7e308]]], 1), 0.25, (-2, 0, 3))
+
+
+@settings(max_examples=150, deadline=1000, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.integers(0, 52) | st.integers(53, 340),
+                          st.sampled_from(b"0123456789.,-+e[]{}: ")
+                          | st.integers(0, 255)), max_size=3),
+       st.lists(st.tuples(st.sampled_from([17, 18]) | st.integers(0, 35),
+                          st.sampled_from([math.nan, math.inf, -math.inf,
+                                           -0.0, 5e-324, 1.7e308])), max_size=2),
+       st.just(0) | st.integers(0, 200), st.just(b"") | st.binary(max_size=8))
+def test_load_gridfunction_fuzz(tmp_path, edits, samples, cut, junk):
+    # a saved file of 36 samples behind a 53-byte header, with bytes
+    # overwritten (in the header or the payload), samples (half of them the
+    # two inside the boundary layer, 17 and 18) overwritten by non-finite,
+    # signed-zero, subnormal or huge values, cut by some bytes
+    # and with junk appended, either loads with finite samples, a zero
+    # boundary layer and a finite h > 0 or raises a ValueError whose
+    # message starts with the file's path
+    path = tmp_path / "fuzz.grid"
+    save_gridfunction(_FUZZ_GRID, path)
+    data = bytearray(path.read_bytes())
+    for i, value in samples:
+        data[53 + 8 * i:61 + 8 * i] = np.float64(value).tobytes()
+    for pos, byte in edits:
+        data[pos] = byte
+    path.write_bytes(bytes(data[:len(data) - cut]) + junk)
+    try:
+        f = load_gridfunction(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert np.isfinite(f.values).all() and f._margin_zero(1)
+    assert math.isfinite(f.h) and f.h > 0
