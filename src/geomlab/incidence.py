@@ -1,9 +1,12 @@
 """Incidence counting engines and rich-point extraction.
 
 Two counters with identical output: a brute-force counter testing every
-(point, line) pair, and a column engine.  The engine visits the points in
-strips of x, split into groups of consecutive points, and keys the lines
-at a reference abscissa x_r of each group: a line (a, b) has key
+(point, line) pair, in blocks of a bounded number of pairs, and
+count_bucketed.  count_bucketed hands a call of at most _EXHAUSTIVE_PAIRS
+pairs to the brute-force kernel, and a larger one to a column engine,
+whose fixed cost only pays off above that size.  The engine visits the
+points in strips of x, split into groups of consecutive points, and keys
+the lines at a reference abscissa x_r of each group: a line (a, b) has key
 a x_r + b, its height there, and the lines are sorted by (slope column,
 key).  A point (x, y) meets (a, b) at radius r iff the key lies within
 r sqrt(1 + a^2) of y - a (x - x_r), so per point and column a binary search
@@ -66,36 +69,83 @@ class IncidenceReport:
         return True
 
 
-def _incidence_mask(px, py, la, lb, radius):
-    """Boolean (n_pts, n_lines) mask of closed incidences."""
-    vert = np.abs(np.outer(px, la) + lb[None, :] - py[:, None])
-    thr = radius * np.sqrt(1.0 + la * la)
-    return vert <= thr[None, :]
+# (point, line) pairs _count_exhaustive tests at a time.  Its buffers, 64
+# kB of floats and 8 kB of flags, stay below glibc's 128 kB mmap threshold,
+# so they come from the heap and do not move that threshold.  Larger blocks
+# save little: random 362 x 362 with pairs took 0.90, 0.80, 0.85 and 0.75
+# ms at 2^12 to 2^15 pairs a block (best of 7 runs of 3 calls).
+_BLOCK_PAIRS = 1 << 13
+
+
+def _count_exhaustive(P: PointSet, L: LineFamily, s: Scale,
+                      with_pairs: bool) -> IncidenceReport:
+    """Exact count over all |P| * |L| pairs, tested in blocks of at most
+    _BLOCK_PAIRS pairs: whole rows of points when a row fits in a block,
+    else one point against runs of lines.  A line (a, b) meets a point
+    (x, y) iff |(x a + b) - y| <= r sqrt(1 + a a), in this operation order.
+    A hit's key point * m + line is its index in the row-major n x m
+    matrix, so the keys of the blocks, taken in order, are sorted."""
+    n, m = len(P), len(L)
+    richness = np.zeros(n, dtype=np.int64)
+    keys = [np.zeros(0, dtype=np.int64)]
+    if n and m:
+        px, py = P.coords[:, 0], P.coords[:, 1]
+        la, lb = L.params[:, 0], L.params[:, 1]
+        thr = s.radius * np.sqrt(1.0 + la * la)
+        rows, cols = max(1, _BLOCK_PAIRS // m), min(m, _BLOCK_PAIRS)
+        buf = np.empty(rows * cols)
+        hit = np.empty(rows * cols, dtype=bool)
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            x, y = px[lo:hi], py[lo:hi, None]
+            for c0 in range(0, m, cols):
+                c1 = min(m, c0 + cols)
+                vert = buf[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
+                inc = hit[:vert.size].reshape(vert.shape)
+                np.multiply.outer(x, la[c0:c1], out=vert)
+                vert += lb[c0:c1]
+                vert -= y
+                np.abs(vert, out=vert)
+                np.less_equal(vert, thr[c0:c1], out=inc)
+                if with_pairs:
+                    # a block is whole rows, or one row: its flat indices
+                    # are the keys less lo * m + c0
+                    found = np.flatnonzero(inc)
+                    found += lo * m + c0
+                    keys.append(found)
+                else:
+                    richness[lo:hi] += np.count_nonzero(inc, axis=1)
+    key = None
+    if with_pairs:
+        key = np.concatenate(keys)
+        del keys
+        richness = np.bincount(key // m, minlength=n)
+    return _report(richness, key, m, s)
+
+
+def _report(richness: np.ndarray, key: Optional[np.ndarray], m: int,
+            s: Scale) -> IncidenceReport:
+    """The IncidenceReport of the richness and, unless key is None, of the
+    pairs whose sorted keys point * m + line it holds (their lexicographic
+    order)."""
+    pairs = None
+    if key is not None:
+        pairs = np.empty((key.size, 2), dtype=np.int64)
+        np.divmod(key, m, out=(pairs[:, 0], pairs[:, 1]))
+    count = int(richness.sum())
+    return IncidenceReport(count, richness,
+                           normalized_ratio(count, richness.size, m, s.delta),
+                           pairs)
 
 
 def count_naive(P: PointSet, L: LineFamily, s: Scale,
                 with_pairs: bool = False) -> IncidenceReport:
     """Exact count over all |P| * |L| pairs (the oracle engine); with_pairs,
-    the incident (point, line) pairs as IncidenceReport describes them."""
-    n, m = len(P), len(L)
-    richness = np.zeros(n, dtype=np.int64)
-    chunks = [np.empty((0, 2), dtype=np.int64)]
-    if n and m:
-        px, py = P.coords[:, 0], P.coords[:, 1]
-        la, lb = L.params[:, 0], L.params[:, 1]
-        chunk = max(1, int(4e6) // max(m, 1))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            mask = _incidence_mask(px[lo:hi], py[lo:hi], la, lb, s.radius)
-            richness[lo:hi] = mask.sum(axis=1)
-            if with_pairs:
-                hits = np.argwhere(mask).astype(np.int64, copy=False)
-                hits[:, 0] += lo
-                chunks.append(hits)
-    pairs = np.concatenate(chunks) if with_pairs else None
-    count = int(richness.sum())
-    return IncidenceReport(count, richness,
-                           normalized_ratio(count, n, m, s.delta), pairs)
+    the incident (point, line) pairs as IncidenceReport describes them.
+    It tests the pairs in blocks of _BLOCK_PAIRS, so besides its output,
+    and the 8-byte keys of the pairs, it holds 72 kB whatever |P| * |L|
+    is."""
+    return _count_exhaustive(P, L, s, with_pairs)
 
 
 # Largest coordinate or radius magnitude the column engine accepts: below
@@ -110,6 +160,28 @@ _CHUNK_PAIRS = 1 << 19
 _GROUP_POINTS = 2048
 # Lines _Columns.count tests exactly at a time, in whole windows
 _TEST_LINES = 1 << 16
+# Largest number n m of (point, line) pairs count_bucketed tests
+# exhaustively.  Below it the column path's fixed cost, a _Columns build
+# and about a hundred numpy calls, outweighs the pairs it skips.  Whole
+# instances of each family, exhaustive kernel vs column path, ms, min of 9
+# in-process calls (2 cores, numpy 2.4):
+#
+#   instance                        n m    with pairs     count only
+#   tube 2^-16                   66,049   1.32 vs 6.23   0.55 vs 0.85
+#   tube 2^-16.5                 93,025   1.51 vs 4.98   0.56 vs 0.54
+#   tube 2^-17                  131,769   2.35 vs 7.38   0.77 vs 0.59
+#   random 362 x 362, 2^-10     131,044   0.70 vs 1.13   0.77 vs 1.06
+#   random 512 x 512, 2^-7      262,144   1.41 vs 1.73   1.57 vs 1.64
+#   random 600 x 600, 2^-11     360,000   1.99 vs 1.99   2.27 vs 2.39
+#   rectangle 2^-5, 1/2 x 1/4   167,841   1.60 vs 3.19   1.34 vs 1.56
+#   rectangle 2^-4, 1 x 1       201,433   1.58 vs 3.09   1.68 vs 1.86
+#   k-star 32 x 64, 2^-12       131,072   1.05 vs 2.56   1.07 vs 2.31
+#   k-star 16 x 128, 2^-12      262,144   2.03 vs 2.61   1.75 vs 1.71
+#
+# The tube counted without pairs, whose windows are all counted by index
+# difference, crosses first, near 93k pairs; the other families cross
+# between 2^17 and 2^19 pairs.
+_EXHAUSTIVE_PAIRS = 1 << 16
 
 
 def _float_margin(px, py, la, lb, radius: float, x_ref: float) -> float:
@@ -213,9 +285,10 @@ class _Columns:
             v[s] = v[src]
 
     def count(self, x: np.ndarray, y: np.ndarray, margin: float,
-              with_pairs: bool):
-        """Richness of the points (x, y) and, with_pairs, their incidences
-        as (point, slot) arrays (None without).
+              base: Optional[np.ndarray] = None):
+        """Richness of the points (x, y) and, given base, the list of
+        arrays of the keys base[point] + line of their incidences (None
+        without base).
 
         With d = x - x_ref, a line (a, b) of key Y = a x_ref + b is incident
         iff e(a) - t(a) <= Y <= e(a) + t(a), for e(a) = y - a d and the
@@ -232,7 +305,7 @@ class _Columns:
         the pairs are wanted, its lines are tested on (a, b, x, y) as
         count_naive tests them, in blocks of whole windows that hold about
         _TEST_LINES lines (or one longer window)."""
-        k = x.size
+        k, with_pairs = x.size, base is not None
         richness = np.zeros(k, dtype=np.int64)
         d = x - self.x_ref if self.x_ref else x
         q = np.empty((2, k))
@@ -262,7 +335,7 @@ class _Columns:
         first, length, pt = (np.concatenate(w) for w in zip(*tested))
         cuts = np.searchsorted(np.cumsum(length), np.arange(
             _TEST_LINES, length.sum(), _TEST_LINES), "right").tolist()
-        bounds, hits = [0, *cuts, first.size], []
+        bounds, keys = [0, *cuts, first.size], []
         for lo, hi in zip(bounds, bounds[1:]):
             slot = _runs(first[lo:hi], length[lo:hi])
             p = np.repeat(pt[lo:hi], length[lo:hi])
@@ -272,11 +345,12 @@ class _Columns:
             np.abs(vert, out=vert)
             hit = vert <= self.thr[slot]
             if with_pairs:
-                hits.append((p[hit], slot[hit]))
-            richness -= np.bincount(p[~hit], minlength=k)
-        if not with_pairs:
-            return richness, None, None
-        return (richness, *(np.concatenate(h) for h in zip(*hits)))
+                key = base[p[hit]]
+                key += self.line[slot[hit]]
+                keys.append(key)
+            np.logical_not(hit, out=hit)
+            richness -= np.bincount(p[hit], minlength=k)
+        return richness, keys if with_pairs else None
 
 
 def _layout(n: int, m: int, radius: float, a_span: float,
@@ -303,19 +377,31 @@ def _layout(n: int, m: int, radius: float, a_span: float,
 
 def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
                    with_pairs: bool = False) -> IncidenceReport:
-    """Same output as count_naive for every finite input, via the slope
-    columns of _Columns.  Raises ValueError for coordinates or a radius
-    that are not finite or exceed 2**255 in magnitude."""
+    """Same output as count_naive for every finite input.  A call of at
+    most _EXHAUSTIVE_PAIRS (point, line) pairs tests them all, with
+    count_naive's kernel; a larger one goes through the slope columns of
+    _Columns.  Raises ValueError for coordinates or a radius that are not
+    finite or exceed 2**255 in magnitude, whatever the size."""
+    n, m = len(P), len(L)
+    if n and m and not all(np.all(np.abs(v) <= _MAX_MAGNITUDE) for v in
+                           (P.coords, L.params, s.radius)):
+        raise ValueError("count_bucketed needs finite coordinates and "
+                         "radius of magnitude at most 2**255")
+    if n * m <= _EXHAUSTIVE_PAIRS:
+        return _count_exhaustive(P, L, s, with_pairs)
+    return _count_columns(P, L, s, with_pairs)
+
+
+def _count_columns(P: PointSet, L: LineFamily, s: Scale,
+                   with_pairs: bool = False) -> IncidenceReport:
+    """count_bucketed's column path, for any size of input count_bucketed
+    accepts."""
     n, m = len(P), len(L)
     richness = np.zeros(n, dtype=np.int64)
     keys = [np.zeros(0, dtype=np.int64)]
     if n and m:
         px, py = P.coords[:, 0], P.coords[:, 1]
         la, lb = L.params[:, 0], L.params[:, 1]
-        if not all(np.all(np.abs(v) <= _MAX_MAGNITUDE) for v in
-                   (px, py, la, lb, s.radius)):
-            raise ValueError("count_bucketed needs finite coordinates and "
-                             "radius of magnitude at most 2**255")
         groups, width = _layout(n, m, s.radius, float(la.max() - la.min()),
                                 float(px.max() - px.min())
                                 if n > _CHUNK_POINTS else 0.0)
@@ -338,21 +424,18 @@ def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
             cols.key_at(x_ref)
             for lo in range(bounds[g], bounds[g + 1], chunk):
                 idx = porder[lo:min(lo + chunk, bounds[g + 1])]
-                rich, pt, slot = cols.count(px[idx], py[idx], margin,
-                                            with_pairs)
+                rich, found = cols.count(px[idx], py[idx], margin,
+                                         idx * m if with_pairs else None)
                 richness[idx] = rich
                 if with_pairs:
-                    keys.append(idx[pt] * m + cols.line[slot])
-    pairs = None
+                    keys += found
+    key = None
     if with_pairs:
-        # point * m + line, sorted, is the lexicographic order of the pairs
+        # the blocks' keys go before the pairs are built
         key = np.concatenate(keys)
+        del keys
         key.sort()
-        pairs = np.empty((key.size, 2), dtype=np.int64)
-        np.divmod(key, m, out=(pairs[:, 0], pairs[:, 1]))
-    count = int(richness.sum())
-    return IncidenceReport(count, richness,
-                           normalized_ratio(count, n, m, s.delta), pairs)
+    return _report(richness, key, m, s)
 
 
 def count_incidences(P: PointSet, L: LineFamily, s: Scale,

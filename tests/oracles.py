@@ -10,7 +10,8 @@ import numpy as np
 
 from geomlab.acceptance import _maximal_plane_packing
 from geomlab.heisenberg import Plane, ReducedInstance, reduce_to_incidences
-from geomlab.incidence import RichnessField, _clipped, count_bucketed
+from geomlab.incidence import (IncidenceReport, RichnessField, _clipped,
+                               count_bucketed, normalized_ratio)
 from geomlab.measure import (Box, PlaneRegion, Shape, VoxelSet, _check_same_grid,
                              _gauge_inside, _grid_box, _pack, project_voxels,
                              voxelize)
@@ -87,6 +88,36 @@ def _grid_richness_reference(L: LineFamily, s: Scale) -> RichnessField:
     rep = count_bucketed(PointSet(cand, s.delta), L,
                          Scale(s.delta, s.epsilon, used))
     return RichnessField(cand, rep.richness, used)
+
+
+def _count_naive_one_pass(P: PointSet, L: LineFamily, s: Scale,
+                          with_pairs: bool = False) -> IncidenceReport:
+    """count_naive as it tested the pairs before its blocked kernel: all
+    of them at once, up to 4M a chunk, with the same float operations.
+    The reference of the blocked kernel, and the brute force the engine's
+    speed bound was set against."""
+    n, m = len(P), len(L)
+    richness = np.zeros(n, dtype=np.int64)
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    if n and m:
+        px, py = P.coords[:, 0], P.coords[:, 1]
+        la, lb = L.params[:, 0], L.params[:, 1]
+        thr = s.radius * np.sqrt(1.0 + la * la)
+        chunk = max(1, int(4e6) // m)
+        for lo in range(0, n, chunk):
+            hi = min(n, lo + chunk)
+            vert = np.abs(np.outer(px[lo:hi], la) + lb[None, :]
+                          - py[lo:hi, None])
+            mask = vert <= thr[None, :]
+            richness[lo:hi] = mask.sum(axis=1)
+            if with_pairs:
+                hits = np.argwhere(mask).astype(np.int64, copy=False)
+                hits[:, 0] += lo
+                chunks.append(hits)
+    pairs = np.concatenate(chunks) if with_pairs else None
+    count = int(richness.sum())
+    return IncidenceReport(count, richness,
+                           normalized_ratio(count, n, m, s.delta), pairs)
 
 
 def _greedy_separated_reference(coords: np.ndarray, delta: float) -> np.ndarray:

@@ -13,11 +13,12 @@ from geomlab.generators import (gen_concurrent_star, gen_grid_packing,
                                 gen_kstar, gen_random, gen_rectangle_example,
                                 gen_tube_example)
 from geomlab import incidence
-from geomlab.incidence import (count_bucketed, count_incidences, count_naive,
-                               grid_richness, k_rich_points, max_concurrency)
+from geomlab.incidence import (_count_columns, count_bucketed,
+                               count_incidences, count_naive, grid_richness,
+                               k_rich_points, max_concurrency)
 from geomlab.planar import (LineFamily, Point2, PointSet, Scale,
                             point_line_dist)
-from oracles import reduced_box_instance, traced_peak
+from oracles import _count_naive_one_pass, reduced_box_instance, traced_peak
 
 
 def test_count_single_pairs():
@@ -64,7 +65,7 @@ def _pair_instances():
 def test_pairs_are_sorted_int64_rows_equal_in_both_engines():
     for P, L, s in _pair_instances():
         naive = count_naive(P, L, s, with_pairs=True)
-        bucketed = count_bucketed(P, L, s, with_pairs=True)
+        bucketed = _count_columns(P, L, s, with_pairs=True)
         for rep in (naive, bucketed):
             assert rep.pairs.dtype == np.int64
             assert rep.pairs.shape == (rep.count, 2) and rep.count > 0
@@ -76,8 +77,10 @@ def test_pairs_are_sorted_int64_rows_equal_in_both_engines():
                                               minlength=len(P)),
                                   rep.richness)
         assert np.array_equal(naive.pairs, bucketed.pairs)
-        assert count_bucketed(P, L, s).pairs is None
-        assert count_naive(P, L, s).pairs is None
+        assert np.array_equal(count_bucketed(P, L, s, with_pairs=True).pairs,
+                              naive.pairs)
+        for engine in (count_naive, count_bucketed, _count_columns):
+            assert engine(P, L, s).pairs is None
 
 
 def test_no_pairs_give_an_empty_int64_array():
@@ -88,7 +91,7 @@ def test_no_pairs_give_an_empty_int64_array():
              (P, LineFamily(np.empty((0, 2)), 0.1)),
              (PointSet([(0.0, 0.9)], 0.1), L)]  # no hits
     for P, L in cases:
-        for engine in (count_naive, count_bucketed):
+        for engine in (count_naive, count_bucketed, _count_columns):
             rep = engine(P, L, s, with_pairs=True)
             assert rep.count == 0
             assert rep.pairs.shape == (0, 2) and rep.pairs.dtype == np.int64
@@ -109,14 +112,26 @@ def test_same_as_compares_every_pair():
 def test_pairs_memory_grows_with_the_pairs_only():
     # rectangle-pairs at 2^-6: 585 points, 5285 lines, 175,501 pairs, 2.8 MB
     # as int64.  Held as Python tuples they took 19 MB and the call's traced
-    # peak was 28 MB.
+    # peak was 28 MB; holding the (point, slot) hits of every tested block,
+    # their concatenation and then the keys at once, it was 8.7 MB.
     delta = 2.0 ** -6
     P, L = gen_rectangle_example(delta, 1.0, 2.0 ** -3)
     rep, peak = traced_peak(
         lambda: count_bucketed(P, L, Scale(delta), with_pairs=True))
     assert rep.count == 175501
     assert rep.pairs.nbytes == 16 * rep.count
-    assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak < 7e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_oracle_memory_is_its_output_and_one_block():
+    # the same call through the oracle: testing all 3.1M pairs at once
+    # took a traced peak of 49 MB
+    delta = 2.0 ** -6
+    P, L = gen_rectangle_example(delta, 1.0, 2.0 ** -3)
+    rep, peak = traced_peak(
+        lambda: count_naive(P, L, Scale(delta), with_pairs=True))
+    assert rep.count == 175501
+    assert peak < 6e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_count_only_keeps_no_hit_arrays():
@@ -154,13 +169,30 @@ def test_engines_agree_exactly_on_random_instances():
         P, L = gen_random(n, n, delta, seed=31 + i)
         s = Scale(delta)
         a = count_naive(P, L, s, with_pairs=True)
-        b = count_bucketed(P, L, s, with_pairs=True)
+        b = _count_columns(P, L, s, with_pairs=True)
         assert a.same_as(b)
         assert a.count == int(a.richness.sum())
         assert len(a.pairs) == a.count
         # kernel path (no pairs) must agree as well
-        k = count_bucketed(P, L, s)
+        k = _count_columns(P, L, s)
         assert k.count == a.count and np.array_equal(k.richness, a.richness)
+
+
+def test_blocked_oracle_equals_the_one_pass_test():
+    # whole rows a block (m <= 2^13) and rows split into runs of lines
+    tube = gen_tube_example(2.0 ** -32)
+    cases = [(*gen_rectangle_example(2.0 ** -5, 1.0, 2.0 ** -2.5),
+              Scale(2.0 ** -5)),
+             (PointSet(tube[0].coords[:3], 2.0 ** -32),
+              LineFamily(tube[1].params[:20000], 2.0 ** -32),
+              Scale(2.0 ** -32))]
+    cases += _pair_instances()
+    for P, L, s in cases:
+        for with_pairs in (False, True):
+            want = _count_naive_one_pass(P, L, s, with_pairs)
+            got = count_naive(P, L, s, with_pairs)
+            assert got.count and got.same_as(want)
+            assert (got.pairs is None) == (not with_pairs)
 
 
 def test_count_monotone_in_scale_and_inputs():
@@ -191,10 +223,12 @@ def test_bucketed_outruns_naive_on_large_instances(make):
     # grid x grid: 4225 x 4225 ~ 18M pairs in one group; random: 10000 x
     # 2000 = 20M pairs, more than one chunk of points, so in several groups
     # keyed at their own x.  The binary searches skip almost all pairs.
+    # Brute force is timed as the one-pass test this bound was set against.
     P, L, s = make()
     count_bucketed(P, L, s)  # first call: page in numpy's code paths
     tb = min(timeit.repeat(lambda: count_bucketed(P, L, s), number=1, repeat=3))
-    tn = min(timeit.repeat(lambda: count_naive(P, L, s), number=1, repeat=3))
+    tn = min(timeit.repeat(lambda: _count_naive_one_pass(P, L, s),
+                           number=1, repeat=3))
     assert count_bucketed(P, L, s).same_as(count_naive(P, L, s))
     assert tn >= 5.0 * tb, f"expected >=5x speedup, got {tn / tb:.2f}x"
 
@@ -207,10 +241,10 @@ def test_bucketed_equals_naive_outside_parameter_square():
                    [(1.2, -0.2), (-1.5, 1.0), (0.0, 3.0), (40.0, -7.5)]):
         L = LineFamily(params, epsilon=0.1)
         naive = count_naive(P, L, s, with_pairs=True)
-        assert count_bucketed(P, L, s, with_pairs=True).same_as(naive)
-        assert count_bucketed(P, L, s).same_as(naive)
-    assert count_bucketed(P, LineFamily([(1.2, -0.2)], 0.1), s).count == 2
-    assert count_bucketed(P, LineFamily([(-1.5, 1.0)], 0.1), s).count == 1
+        assert _count_columns(P, L, s, with_pairs=True).same_as(naive)
+        assert _count_columns(P, L, s).same_as(naive)
+    assert _count_columns(P, LineFamily([(1.2, -0.2)], 0.1), s).count == 2
+    assert _count_columns(P, LineFamily([(-1.5, 1.0)], 0.1), s).count == 1
     # input beyond the engine's domain is refused, never miscounted
     L = LineFamily([(0.0, 0.0)], epsilon=0.1)
     for bad in (math.nan, math.inf, 2.0 ** 300):
@@ -218,6 +252,55 @@ def test_bucketed_equals_naive_outside_parameter_square():
             count_bucketed(PointSet([(bad, 0.0)], 0.1), L, s)
         with pytest.raises(ValueError, match="finite coordinates"):
             count_bucketed(P, LineFamily([(0.0, bad)], 0.1), s)
+
+
+def _at_the_cut():
+    """(name, P, L, scale) with n m equal to the cut and one above it; the
+    cut, 2^16, and 2^16 + 1, a prime, are 256 x 256 and 1 x 65537."""
+    cut = incidence._EXHAUSTIVE_PAIRS
+    assert cut == 2 ** 16
+
+    def take(P, L, n, m):
+        return (PointSet(P.coords[:n], P.delta),
+                LineFamily(L.params[:m], L.epsilon))
+
+    delta = 2.0 ** -8
+    P, L = gen_random(cut + 1, cut + 1, 2.0 ** -9, seed=5)
+    tube = gen_tube_example(2.0 ** -32)  # 65,537 points and lines
+    rect = gen_rectangle_example(delta, 1.0, 1.0)  # 66,049 x 164,737
+    small = gen_rectangle_example(2.0 ** -6, 0.125, 0.125)  # 81 x 1625
+    cases = [("random", take(P, L, 256, 256), 2.0 ** -9),
+             ("random", take(P, L, 1, cut + 1), 2.0 ** -9),
+             ("random", take(P, L, cut + 1, 1), 2.0 ** -9),
+             ("tube", take(*tube, 1, cut), 2.0 ** -32),
+             ("tube", take(*tube, cut, 1), 2.0 ** -32),
+             ("tube", take(*tube, 1, cut + 1), 2.0 ** -32),
+             ("tube", take(*tube, cut + 1, 1), 2.0 ** -32),
+             ("rectangle", take(*small, 64, 1024), 2.0 ** -6),
+             ("rectangle", take(*rect, 1, cut + 1), delta),
+             ("rectangle", take(*rect, cut + 1, 1), delta)]
+    return [(name, P, L, Scale(d)) for name, (P, L), d in cases]
+
+
+def test_the_cut_picks_the_path_and_both_equal_the_oracle(monkeypatch):
+    called = []
+    for path in ("_count_exhaustive", "_count_columns"):
+        def spy(*args, _path=path, _fn=getattr(incidence, path)):
+            called.append(_path)
+            return _fn(*args)
+        monkeypatch.setattr(incidence, path, spy)
+    cut = incidence._EXHAUSTIVE_PAIRS
+    for name, P, L, s in _at_the_cut():
+        nm = len(P) * len(L)
+        assert nm in (cut, cut + 1)
+        naive = count_naive(P, L, s, with_pairs=True)
+        assert naive.count, name
+        for with_pairs in (False, True):
+            called.clear()
+            assert count_bucketed(P, L, s, with_pairs).same_as(naive), name
+            assert called == ["_count_exhaustive" if nm <= cut
+                              else "_count_columns"], (name, nm)
+            assert _count_columns(P, L, s, with_pairs).same_as(naive), name
 
 
 _dyadic = st.integers(-64, 64).map(lambda i: i / 64.0)
@@ -248,8 +331,8 @@ def _tie_instances(draw):
 def test_bucketed_equals_naive_on_ties(inst):
     P, L, s = inst
     naive = count_naive(P, L, s, with_pairs=True)
-    assert count_bucketed(P, L, s, with_pairs=True).same_as(naive)
-    assert count_bucketed(P, L, s).same_as(naive)
+    assert _count_columns(P, L, s, with_pairs=True).same_as(naive)
+    assert _count_columns(P, L, s).same_as(naive)
 
 
 def test_richness_histogram_and_ratio():

@@ -17,8 +17,8 @@ from geomlab import incidence, measure
 from geomlab.generators import (gen_grid_packing, gen_random,
                                 gen_rectangle_example)
 from geomlab.heisenberg import Plane, VerticalPlanePoint
-from geomlab.incidence import (_Columns, _first_come, _float_margin,
-                               _greedy_separated, _layout, count_bucketed,
+from geomlab.incidence import (_Columns, _count_columns, _first_come,
+                               _float_margin, _greedy_separated, _layout,
                                count_naive, grid_richness)
 from geomlab.measure import (Box, TubeIntersection, UnionShape, VoxelSet,
                              load_voxelset, project_voxels, save_voxelset,
@@ -401,7 +401,7 @@ def test_bucketed_numpy_path_multi_chunk():
     L = LineFamily(gen_grid_packing(2.0 ** -4).coords, epsilon=2.0 ** -4)
     s = Scale(delta)
     a = count_naive(P, L, s, with_pairs=True)
-    b = count_bucketed(P, L, s, with_pairs=True)
+    b = _count_columns(P, L, s, with_pairs=True)
     assert a.same_as(b)
     assert len(P) > 15625  # above one chunk (8192 points)
 
@@ -457,14 +457,15 @@ def test_columns_keyed_anywhere_count_like_naive(case):
     for x_ref in refs:
         cols.key_at(x_ref)
         margin = _float_margin(px, py, la, lb, s.radius, x_ref)
-        for with_pairs in (False, True):
-            rich, pt, slot = cols.count(px, py, margin, with_pairs)
+        for base in (None, np.arange(len(P)) * len(L)):
+            rich, keys = cols.count(px, py, margin, base)
             assert np.array_equal(rich, naive.richness)
-            if with_pairs:
-                line = cols.line[slot]
-                order = np.lexsort((line, pt))
-                assert np.array_equal(np.column_stack([pt, line])[order],
-                                      naive.pairs)
+            if base is None:
+                assert keys is None
+            else:
+                key = np.sort(np.concatenate(keys))
+                assert np.array_equal(key, naive.pairs[:, 0] * len(L)
+                                      + naive.pairs[:, 1])
 
 
 def test_bucketed_equals_naive_in_several_groups():
@@ -476,15 +477,16 @@ def test_bucketed_equals_naive_in_several_groups():
                         float(np.ptp(P.coords[:, 0])))
     assert groups >= 3
     naive = count_naive(P, L, s, with_pairs=True)
-    assert count_bucketed(P, L, s, with_pairs=True).same_as(naive)
-    assert count_bucketed(P, L, s).same_as(naive)
+    assert _count_columns(P, L, s, with_pairs=True).same_as(naive)
+    assert _count_columns(P, L, s).same_as(naive)
 
 
 def test_blocked_kernels_equal_one_pass(monkeypatch):
-    # blocks of 3 spans, 5 columns and 7 tested lines split every call
-    # below into many blocks (a voxelize block is then one i-row, and a
-    # window of more than 7 lines is a block of its own); each output must
-    # equal the one the default sizes give in one pass
+    # blocks of 3 spans, 5 columns, 7 tested lines and 7 exhaustively
+    # tested pairs split every call below into many blocks (a voxelize
+    # block is then one i-row, a window of more than 7 lines is a block of
+    # its own, and an exhaustive block is part of one point's row); each
+    # output must equal the one the default sizes give
     stream = Stream(2024)
     shapes = list(shape_zoo().values())
     for nbox in (1, 2, 4):  # unions of random boxes, as isoperimetric's
@@ -509,15 +511,17 @@ def test_blocked_kernels_equal_one_pass(monkeypatch):
                                 for which in ("x", "y")]
         for P, L in instances:
             for with_pairs in (False, True):
-                rep = count_bucketed(P, L, Scale(P.delta), with_pairs)
-                assert rep.count
-                out += [rep.richness, rep.pairs]
+                for engine in (_count_columns, count_naive):
+                    rep = engine(P, L, Scale(P.delta), with_pairs)
+                    assert rep.count
+                    out += [rep.richness, rep.pairs]
         return out
 
     want = outputs()
     monkeypatch.setattr(measure, "_PROJECT_SPANS", 3)
     monkeypatch.setattr(measure, "_VOXELIZE_COLUMNS", 5)
     monkeypatch.setattr(incidence, "_TEST_LINES", 7)
+    monkeypatch.setattr(incidence, "_BLOCK_PAIRS", 7)
     got = outputs()
     assert len(got) == len(want)
     for a, b in zip(got, want):
