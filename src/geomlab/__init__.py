@@ -4,15 +4,14 @@ volume bound, and the horizontal Sobolev inequality in the Heisenberg group."""
 
 __version__ = "0.1.0"
 
-from .planar import (LineAB, LineFamily, Point2, PointSet, Scale,
-                     dual_line_to_point, dual_point_to_line, is_incident,
-                     point_line_dist, validate_separation)
+from .planar import (LineFamily, Point2, PointSet, Scale, dual_lines,
+                     dual_points, incident, threshold, validate_separation)
 from .incidence import (IncidenceReport, RichPointResult, count_bucketed,
                         count_incidences, count_naive, k_rich_points,
                         max_concurrency, normalized_ratio)
 from .heisenberg import (Plane, VerticalPlanePoint, dilate, gauge4, h_inv,
-                         h_mul, proj_x, proj_y, project_fiber_to_line,
-                         reduce_to_incidences, tube_inclusion_check)
+                         h_mul, proj_x, proj_y, reduce_to_incidences,
+                         tube_inclusion_check)
 from .measure import (Box, KoranyiBall, PlaneRegion, VoxelSet, boundary,
                       boundary_projection_inclusion, h3_surrogate, lw_ratio,
                       project_voxels, tube_intersection_volume, voxelize,

@@ -26,9 +26,8 @@ from .measure import (Box, DilatedShape, UnionShape,
                       boundary_projection_inclusion, lw_ratio, project_voxels,
                       shape_zoo, tube_intersection_volume, voxelize,
                       weak_isoperimetric_ratio)
-from .planar import (LineAB, LineFamily, Point2, PointSet, Scale,
-                     dual_line_to_point, dual_point_to_line, is_incident,
-                     validate_separation)
+from .planar import (LineFamily, Point2, PointSet, Scale, dual_lines,
+                     dual_points, incident, threshold, validate_separation)
 from .rng import Stream, substream_seed
 from .sobolev import (FUNCTION_ZOO, GridFunction, bump, dilated_fn, field_X,
                       gns_check, levelset_lemma_check, sample_to_grid,
@@ -54,15 +53,6 @@ class RunResult:
     rows: List[dict]
     summary: dict
     report_lines: List[str]
-
-
-def _map_rows(fn: Callable, items: Sequence, threads: int) -> List:
-    if threads > 1:
-        # imported here, so that importing this module loads no thread pool
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +97,16 @@ def sweep_family(name: str, seed: int = 0, **params
 
 def incidence_sweep(deltas: Sequence[float],
                     family: Callable[[int, float], tuple],
-                    verify: bool = False, threads: int = 1) -> RunResult:
+                    verify: bool = False) -> RunResult:
     """Incidences of family(i, delta) at the i-th delta, asserted equal to
     the oracle's when verify; ratio band <= 100 over the rows that count
     incidences, EmptyGrid when none does."""
-    def one_row(item):
-        i, delta = item
+    rows = []
+    for i, delta in enumerate(deltas):
         P, L = family(i, delta)
         rep = count_incidences(P, L, Scale(delta), verify=verify)
-        return {"delta": delta, "n_points": len(P), "n_lines": len(L),
-                "count": rep.count, "ratio": rep.normalized_ratio}
-
-    rows = _map_rows(one_row, list(enumerate(deltas)), threads)
+        rows.append({"delta": delta, "n_points": len(P), "n_lines": len(L),
+                     "count": rep.count, "ratio": rep.normalized_ratio})
     ratios = [r["ratio"] for r in rows if r["ratio"] > 0]
     if not ratios:
         raise EmptyGrid("no row counts an incidence")
@@ -168,37 +156,51 @@ def rich_points(deltas: Sequence[float], epsilon_ratios: Sequence[float],
                      [f"measured bound-constant ceiling {ceiling:.4f}"])
 
 
+# Largest number of pairs a duality-check batch may draw, checked before
+# any work: the batch's four uniform draws then take 32 MB.
+DUALITY_PAIRS_MAX = 1 << 20
+
+
 def duality_check(delta: float, pairs: int, stream: Stream,
                   target: Optional[int] = None) -> RunResult:
     """Each delta-incident random pair must dualize to a 2 delta-incident
-    one; with a target, draw batches until `target` pairs are checked."""
-    s1, s2 = Scale(delta), Scale(delta, multiplier=2.0)
+    one; with a target, draw batches until `target` pairs are checked.
+    A batch draws `pairs` points (x, y) and lines (a, y - a x + off), off
+    uniform in [-delta, delta), keeps the lines of the parameter square and
+    tests the pairs, then their duals, with planar.incident."""
+    r1, r2 = Scale(delta).radius, Scale(delta, multiplier=2.0).radius
     checked = failures = 0
     while True:
         xs = stream.uniform(pairs, -1.0, 1.0)
         ys = stream.uniform(pairs, -1.0, 1.0)
         aa = stream.uniform(pairs, -1.0, 1.0)
         off = stream.uniform(pairs, -delta, delta)
-        for i in range(pairs):
-            p = Point2(float(xs[i]), float(ys[i]))
-            b = p.y - aa[i] * p.x + off[i]
-            if abs(b) > 1.0:
-                continue
-            l = LineAB(float(aa[i]), float(b))
-            if not is_incident(p, l, s1):
-                continue
-            checked += 1
-            if not is_incident(dual_line_to_point(l), dual_point_to_line(p),
-                               s2):
-                failures += 1
-            if checked == target:
-                break
+        bb = ys - aa * xs + off
+        keep = np.abs(bb) <= 1.0
+        xs, ys, aa, bb = xs[keep], ys[keep], aa[keep], bb[keep]
+        hit = np.flatnonzero(incident(xs, ys, aa, bb, threshold(aa, r1)))
+        if target is not None and checked < target:
+            hit = hit[:target - checked]
+        P = PointSet(np.column_stack([xs[hit], ys[hit]]), delta)
+        L = LineFamily(np.column_stack([aa[hit], bb[hit]]), delta)
+        dual_P, dual_L = dual_points(L).coords, dual_lines(P).params
+        ok = incident(dual_P[:, 0], dual_P[:, 1], dual_L[:, 0], dual_L[:, 1],
+                      threshold(dual_L[:, 0], r2))
+        checked += hit.size
+        failures += hit.size - int(np.count_nonzero(ok))
         if target is None or checked >= target:
             break
     rows = [{"delta": delta, "pairs_checked": checked, "failures": failures}]
     return RunResult(failures == 0, rows,
                      {"checked": checked, "failures": failures},
                      [f"{checked} incident pairs, {failures} dual failures"])
+
+
+# Smallest epsilon of star_bound: gen_greedy_concurrent scans about
+# 16 / epsilon candidate columns of about 5 lines each, so at 2^-12 a row
+# takes about 1 s and 50 MB (2^-14: 4 s and 190 MB; far smaller epsilons
+# overflow its lattice)
+STAR_EPSILON_MIN = 2.0 ** -12
 
 
 def star_bound(epsilons: Sequence[float],
@@ -245,21 +247,23 @@ def lw_sweep(hs: Sequence[float], scale: float) -> RunResult:
                      [f"Loomis-Whitney ratio ceiling {ceiling:.4f} (<= 2)"])
 
 
-def tube_volume(deltas: Sequence[float], threads: int = 1) -> RunResult:
+# Smallest delta of tube_volume: voxels h = delta / 4 wide index the cube
+# [-1 - h, 1 + h] within measure's [-2^20, 2^20)
+TUBE_DELTA_MIN = 2.0 ** -17
+
+
+def tube_volume(deltas: Sequence[float]) -> RunResult:
     """Two fixed tubes' intersection volume / delta^3; spread <= 4."""
     a, b, c = 0.2, -0.1, -0.3
     wx = hg.VerticalPlanePoint(hg.Plane.W_X, a, b)
     wy = hg.VerticalPlanePoint(hg.Plane.W_Y, c, b + a * c)
-
-    def one_row(delta):
+    rows = []
+    for delta in deltas:
         v = tube_intersection_volume(wx, wy, delta)
-        return {"delta": delta, "volume": v, "normalized": v / delta ** 3}
-
-    rows = _map_rows(one_row, deltas, threads)
-    empty = [r["delta"] for r in rows if r["volume"] == 0.0]
-    if empty:  # the tubes meet, so only a grid step too coarse gives 0
-        raise EmptyGrid(f"too coarse at delta={empty[0]:g}: the tube "
-                        f"intersection voxelizes to an empty set")
+        if v == 0.0:  # the tubes meet, so only a grid step too coarse gives 0
+            raise EmptyGrid(f"too coarse at delta={delta:g}: the tube "
+                            f"intersection voxelizes to an empty set")
+        rows.append({"delta": delta, "volume": v, "normalized": v / delta ** 3})
     vals = [r["normalized"] for r in rows]
     spread = max(vals) / min(vals)
     ok = spread <= 4.0 and max(vals) <= 1000.0
@@ -501,10 +505,8 @@ def criterion_5():
     # separation transfer: a delta-separated point set dualizes to a
     # delta-separated line family (distances are equal by construction)
     P, L = gen_random(400, 400, 2.0 ** -6, seed=4242)
-    dual_lines = LineFamily([dual_point_to_line(p) for p in P], epsilon=P.delta)
-    dual_points = PointSet([(l.a, l.b) for l in L], delta=L.epsilon)
-    sep_ok = (validate_separation(dual_lines).ok
-              and validate_separation(dual_points).ok)
+    sep_ok = (validate_separation(dual_lines(P)).ok
+              and validate_separation(dual_points(L)).ok)
     return (res.ok and res.summary["checked"] >= target and sep_ok,
             f"{res.report_lines[0]}; "
             f"separation transfer {'ok' if sep_ok else 'BROKEN'}")

@@ -9,8 +9,7 @@ Options and defaults are in EXPERIMENTS; numbers may be plain floats,
 powers "2^-7" or fractions "1/64" of either, lists whitespace separated.
 An option the experiment does not read is a configuration error;
 incidence-sweep also reads its family's keys in acceptance.SWEEP_FAMILIES.
-Identical configs give byte-identical CSV output, whatever LAB_THREADS
-(rows are collected in order, then one writer writes them).
+Identical configs give byte-identical CSV output.
 
 Exit codes: 0 all asserted invariants passed, 1 invariant violation,
 2 configuration error.
@@ -23,7 +22,6 @@ import configparser
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -90,8 +88,9 @@ class ExperimentConfig:
                               f"value must be a finite number {limits}")
         return vals
 
-    def ints(self, key: str, lo: float = 1) -> List[int]:
-        vals = self.floats(key, lo)
+    def ints(self, key: str, lo: float = 1,
+             hi: float = math.inf) -> List[int]:
+        vals = self.floats(key, lo, hi)
         if not all(v.is_integer() for v in vals):
             raise ConfigError(f"{self.experiment}: option {key!r}: every "
                               f"value must be a whole number")
@@ -105,8 +104,8 @@ class ExperimentConfig:
     def scalar(self, key: str, hi: float = math.inf) -> float:
         return self._single(key, self.floats(key, hi=hi))
 
-    def count(self, key: str) -> int:
-        return self._single(key, self.ints(key))
+    def count(self, key: str, hi: float = math.inf) -> int:
+        return self._single(key, self.ints(key, hi=hi))
 
     def choice(self, key: str, allowed: tuple) -> str:
         value = self.options[key]
@@ -143,16 +142,7 @@ def load_config(experiment: str, path: Optional[str], out_dir: str,
     # checks every experiment shares; each entry of EXPERIMENTS checks the
     # ranges of its own options as it reads them, before any work
     cfg.seed  # raises ConfigError unless the seed is an integer in range
-    _lab_threads()
     return cfg
-
-
-def _lab_threads() -> int:
-    raw = os.environ.get("LAB_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"LAB_THREADS must be an integer, got {raw!r}") from None
 
 
 def _fmt(v) -> str:
@@ -255,8 +245,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         {"family": "tube", "deltas": "2^-6 2^-7 2^-8 2^-9 2^-10 2^-11 2^-12",
          "seed": "12345"},
         lambda c: _on_grid(c, "deltas", lambda: A.incidence_sweep(
-            c.floats("deltas", hi=1.0), _sweep_family(c), c.verify,
-            _lab_threads())),
+            c.floats("deltas", hi=1.0), _sweep_family(c), c.verify)),
         _SWEEP_KEYS),
     "rich-points": Experiment(
         {"family": "rectangle", "deltas": "2^-4 2^-5 2^-6", "ks": "2 4 8 16",
@@ -264,19 +253,23 @@ EXPERIMENTS: Dict[str, Experiment] = {
         _rich_points),
     "duality-check": Experiment(
         {"delta": "2^-7", "pairs": "10000", "seed": "12345"},
-        lambda c: A.duality_check(c.scalar("delta", hi=1.0), c.count("pairs"),
-                                  Stream(substream_seed(c.seed, 5)))),
+        lambda c: A.duality_check(
+            c.scalar("delta", hi=1.0),
+            c.count("pairs", hi=A.DUALITY_PAIRS_MAX),
+            Stream(substream_seed(c.seed, 5)))),
     "star-bound": Experiment(
         {"epsilons": "2^-4 2^-5 2^-6 2^-7 2^-8", "seed": "12345"},
-        lambda c: A.star_bound(c.floats("epsilons", hi=1.0))),
+        lambda c: A.star_bound(c.floats("epsilons", lo=A.STAR_EPSILON_MIN,
+                                        hi=1.0))),
     "lw-sweep": Experiment(
         {"hs": "1/48 1/64", "scale": "0.5", "seed": "12345"},
         lambda c: _on_grid(c, "hs", lambda: A.lw_sweep(c.floats("hs"),
                                                       c.scalar("scale")))),
     "tube-volume": Experiment(
         {"deltas": "2^-4 2^-5 2^-6 2^-7", "seed": "12345"},
-        lambda c: _on_grid(c, "deltas", lambda: A.tube_volume(
-            c.floats("deltas"), _lab_threads()))),
+        lambda c: _on_grid(c, "deltas",
+                           lambda: A.tube_volume(
+                               c.floats("deltas", lo=A.TUBE_DELTA_MIN)))),
     "sobolev-check": Experiment(
         {"function": "bump", "width": "0.75", "h": "1/64", "seed": "12345"},
         _sobolev_check),

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .incidence import _greedy_separated
-from .planar import LineFamily, Point2, PointSet, _runs
+from .planar import LineFamily, Point2, PointSet, _runs, threshold
 from .rng import Stream, rank_keys, substream_seed
 
 Region = Tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
@@ -168,7 +168,7 @@ def gen_greedy_concurrent(epsilon: float, delta: float,
     x0, y0 = through.x, through.y
     step = epsilon / 8.0
     a = _lattice_1d(-1.0, 1.0, step)
-    half = delta * np.array([math.hypot(1.0, ai) for ai in a])
+    half = threshold(a, delta)
     bc = y0 - a * x0
     lo = np.maximum(-1.0, bc - half)
     hi = np.minimum(1.0, bc + half)

@@ -26,7 +26,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .planar import LineAB, LineFamily, PointSet, Scale, validate_separation
+from .planar import LineFamily, PointSet, Scale, validate_separation
 from .rng import Stream
 
 # Q0 in the group is the cube [-1, 1]^3
@@ -98,14 +98,6 @@ def gauge4(p):
     return (x * x + y * y) ** 2 + 16.0 * t * t
 
 
-def project_fiber_to_line(w: VerticalPlanePoint) -> LineAB:
-    """proj_y(w * L_y) for w = (a, 0, b) is the line {(y, a y + b)} of the
-    (y, t)-plane; symmetrically for w in W_y."""
-    if abs(w.u) > 1.0 or abs(w.t) > 1.0:
-        raise ValueError(f"plane point ({w.u}, {w.t}) outside the unit square")
-    return LineAB(w.u, w.t)
-
-
 @dataclass
 class ReducedInstance:
     points: PointSet
@@ -120,9 +112,12 @@ def reduce_to_incidences(P_x: Sequence[VerticalPlanePoint],
     """Turn delta-separated plane point sets into the planar instance whose
     (1 + A) delta-incidences dominate pairs of intersecting preimage tubes.
 
-    P_x points (a, 0, b) become the lines {(y, a y + b)}; P_y points are
-    re-read as planar points (y, t).  Parameter distances equal the plane
-    distances, so separations transfer exactly.
+    P_x points (a, 0, b) become the lines {(y, a y + b)}: proj_y maps the
+    fiber w * L_y of w = (a, 0, b) onto that line of the (y, t)-plane.  P_y
+    points are re-read as planar points (y, t).  Parameter distances equal
+    the plane distances, so separations transfer exactly.  Raises
+    ValueError for a P_x point outside the unit square, whose line leaves
+    the parameter square.
     """
     for w in P_x:
         if w.plane != Plane.W_X:
@@ -130,7 +125,11 @@ def reduce_to_incidences(P_x: Sequence[VerticalPlanePoint],
     for w in P_y:
         if w.plane != Plane.W_Y:
             raise ValueError("P_y must contain W_y points")
-    lines = LineFamily([project_fiber_to_line(w) for w in P_x], epsilon=s.delta)
+    lines = LineFamily([(w.u, w.t) for w in P_x], epsilon=s.delta)
+    bad = np.flatnonzero((np.abs(lines.params) > 1.0).any(axis=1))
+    if bad.size:
+        raise ValueError(f"plane point {tuple(lines.params[bad[0]].tolist())} "
+                         f"outside the unit square")
     points = PointSet([(w.u, w.t) for w in P_y], delta=s.delta)
     for obj, name in ((points, "P_y"), (lines, "P_x")):
         rep = validate_separation(obj)

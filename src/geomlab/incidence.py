@@ -36,7 +36,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .planar import (LineFamily, Point2, PointSet, Scale, _CellHash,
-                     _check_finite, _first_true, _runs)
+                     _check_finite, _first_true, _runs, incident, threshold)
 
 
 def normalized_ratio(count: int, n_points: int, n_lines: int, delta: float) -> float:
@@ -80,33 +80,29 @@ _BLOCK_PAIRS = 1 << 13
 def _count_exhaustive(P: PointSet, L: LineFamily, s: Scale,
                       with_pairs: bool) -> IncidenceReport:
     """Exact count over all |P| * |L| pairs, tested in blocks of at most
-    _BLOCK_PAIRS pairs: whole rows of points when a row fits in a block,
-    else one point against runs of lines.  A line (a, b) meets a point
-    (x, y) iff |(x a + b) - y| <= r sqrt(1 + a a), in this operation order.
-    A hit's key point * m + line is its index in the row-major n x m
-    matrix, so the keys of the blocks, taken in order, are sorted."""
+    _BLOCK_PAIRS pairs by planar.incident, in two buffers it reuses: whole
+    rows of points when a row fits in a block, else one point against runs
+    of lines.  A hit's key point * m + line is its index in the row-major
+    n x m matrix, so the keys of the blocks, taken in order, are sorted."""
     n, m = len(P), len(L)
     richness = np.zeros(n, dtype=np.int64)
     keys = [np.zeros(0, dtype=np.int64)]
     if n and m:
         px, py = P.coords[:, 0], P.coords[:, 1]
         la, lb = L.params[:, 0], L.params[:, 1]
-        thr = s.radius * np.sqrt(1.0 + la * la)
+        thr = threshold(la, s.radius)
         rows, cols = max(1, _BLOCK_PAIRS // m), min(m, _BLOCK_PAIRS)
         buf = np.empty(rows * cols)
         hit = np.empty(rows * cols, dtype=bool)
         for lo in range(0, n, rows):
             hi = min(n, lo + rows)
-            x, y = px[lo:hi], py[lo:hi, None]
+            x, y = px[lo:hi, None], py[lo:hi, None]
             for c0 in range(0, m, cols):
                 c1 = min(m, c0 + cols)
                 vert = buf[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
                 inc = hit[:vert.size].reshape(vert.shape)
-                np.multiply.outer(x, la[c0:c1], out=vert)
-                vert += lb[c0:c1]
-                vert -= y
-                np.abs(vert, out=vert)
-                np.less_equal(vert, thr[c0:c1], out=inc)
+                incident(x, y, la[c0:c1], lb[c0:c1], thr[c0:c1], out=inc,
+                         work=vert)
                 if with_pairs:
                     # a block is whole rows, or one row: its flat indices
                     # are the keys less lo * m + c0
@@ -158,8 +154,10 @@ _MAX_MAGNITUDE = 2.0 ** 255
 _CHUNK_POINTS = 8192
 _CHUNK_PAIRS = 1 << 19
 _GROUP_POINTS = 2048
-# Lines _Columns.count tests exactly at a time, in whole windows
-_TEST_LINES = 1 << 16
+# Lines _Columns.count tests exactly at a time, in whole windows.  A block
+# holds about 65 bytes a line: its slots and points, the five operands it
+# gathers for planar.incident, their distances and the flags.
+_TEST_LINES = 1 << 15
 # Largest number n m of (point, line) pairs count_bucketed tests
 # exhaustively.  Below it the column path's fixed cost, a _Columns build
 # and about a hundred numpy calls, outweighs the pairs it skips.  Whole
@@ -251,8 +249,7 @@ class _Columns:
         # keyed at x_ref = 0 the keys are the intercepts: key_at copies
         # them before it moves x_ref
         self.key, self.x_ref = self.b, 0.0
-        # the brute-force engine's threshold, in its operation order
-        self.thr = radius * np.sqrt(1.0 + self.a * self.a)
+        self.thr = threshold(self.a, radius)
         a_lo = np.minimum.reduceat(a, first)
         a_hi = np.maximum.reduceat(a, first)
         self.a_lo = a_lo.tolist()
@@ -260,8 +257,8 @@ class _Columns:
         abs_hi = np.maximum(np.abs(a_lo), np.abs(a_hi))
         abs_lo = np.where((a_lo <= 0.0) & (a_hi >= 0.0), 0.0,
                           np.minimum(np.abs(a_lo), np.abs(a_hi)))
-        self.t_hi = (radius * np.sqrt(1.0 + abs_hi * abs_hi)).tolist()
-        self.t_lo = (radius * np.sqrt(1.0 + abs_lo * abs_lo)).tolist()
+        self.t_hi = threshold(abs_hi, radius).tolist()
+        self.t_lo = threshold(abs_lo, radius).tolist()
 
     def key_at(self, x_ref: float) -> None:
         """Key the lines at x = x_ref and sort each column by key again.
@@ -302,8 +299,8 @@ class _Columns:
         hits, counted by index difference, when its first line is at or
         above the inner start and its last line below the inner end (past
         a column's ends the sentinels keep both true); otherwise, or when
-        the pairs are wanted, its lines are tested on (a, b, x, y) as
-        count_naive tests them, in blocks of whole windows that hold about
+        the pairs are wanted, its lines are tested on (a, b, x, y) by
+        planar.incident, in blocks of whole windows that hold about
         _TEST_LINES lines (or one longer window)."""
         k, with_pairs = x.size, base is not None
         richness = np.zeros(k, dtype=np.int64)
@@ -339,11 +336,8 @@ class _Columns:
         for lo, hi in zip(bounds, bounds[1:]):
             slot = _runs(first[lo:hi], length[lo:hi])
             p = np.repeat(pt[lo:hi], length[lo:hi])
-            vert = self.a[slot] * x[p]
-            vert += self.b[slot]
-            vert -= y[p]
-            np.abs(vert, out=vert)
-            hit = vert <= self.thr[slot]
+            hit = incident(x[p], y[p], self.a[slot], self.b[slot],
+                           self.thr[slot])
             if with_pairs:
                 key = base[p[hit]]
                 key += self.line[slot[hit]]
@@ -455,8 +449,8 @@ def max_concurrency(L: LineFamily, p: Point2, s: Scale) -> int:
     if not p.in_unit_square():
         raise ValueError(f"query point {p} outside the unit square")
     a, b = L.params[:, 0], L.params[:, 1]
-    vert = np.abs(a * p.x + b - p.y)
-    return int(np.count_nonzero(vert <= s.radius * np.sqrt(1.0 + a * a)))
+    return int(np.count_nonzero(incident(p.x, p.y, a, b,
+                                         threshold(a, s.radius))))
 
 
 @dataclass
@@ -662,8 +656,10 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
 
     Lines and columns go in blocks of about _GRID_BLOCK entries.  For a
     line (a, b) and column x, yc = a x + b and the threshold
-    t = r sqrt(1 + a a) are computed as count_naive computes them, and the
-    rows y = xs[j] it counts are those with -t <= yc - y <= t.  As xs does
+    t = threshold(a, r) are computed as planar.incident computes them, and
+    the rows y = xs[j] it counts are those with -t <= yc - y <= t: the one
+    place that writes the incidence test in another form, an interval of
+    rows, which the tests check against count_naive.  As xs does
     not decrease and float subtraction is monotone, yc - xs[j] does not
     increase with j, so those rows are one interval [j_lo, j_end), its
     ends the first rows with yc - xs[j] <= t and < -t.  The band is the
@@ -698,7 +694,7 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
             return below(np.subtract(yc[s], x, out=x), t[s])
         return pred
 
-    thr = (radius * np.sqrt(1.0 + la * la))[:, None]
+    thr = threshold(la, radius)[:, None]
     half = thr + delta
     width = npts + 1  # a difference array's row: rows 0..n-1 and an end
     cols = min(npts, _GRID_COLUMNS)

@@ -651,15 +651,20 @@ def lw_ratio(K: VoxelSet, oversample: int = 2) -> float:
 # ---------------------------------------------------------------------------
 # Tubes
 
+# The tube constant A1 of tube_intersection_volume: its tubes have radius
+# A1 delta
+TUBE_CONST = 2.0
+
+
 def tube_intersection_volume(w_x: VerticalPlanePoint, w_y: VerticalPlanePoint,
-                             delta: float, tube_const: float = 2.0,
-                             h: Optional[float] = None) -> float:
+                             delta: float) -> float:
     """Volume of the intersection of the two Euclidean (A1 delta)-tubes
-    around the horizontal lines through w_x and w_y, inside the cube."""
+    around the horizontal lines through w_x and w_y, inside the cube,
+    voxelized at h = delta / 4."""
     if w_x.plane != Plane.W_X or w_y.plane != Plane.W_Y:
         raise ValueError("expected one W_x point and one W_y point")
-    h = delta / 4.0 if h is None else h
-    radius = tube_const * delta
+    h = delta / 4.0
+    radius = TUBE_CONST * delta
     p1, d1 = _line_through(w_x)
     p2, d2 = _line_through(w_y)
     # closest approach of the two core lines

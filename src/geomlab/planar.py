@@ -3,9 +3,11 @@
 Lines are stored by their (slope, intercept) coordinates, restricted to
 |a| <= 1 and |b| <= 1; the distance between two lines is the Euclidean
 distance of their parameter pairs.  A point is delta-incident to a line
-when it lies in the closed Euclidean delta-neighborhood of the line.
-The affine duality (x, y) -> {Y = -x X + y} exchanges points and lines
-while preserving separation exactly and incidence up to a factor 2.
+when it lies in the closed Euclidean delta-neighborhood of the line, which
+`incident` tests as |(x a + b) - y| <= delta sqrt(1 + a a), in that float
+operation order.  The affine duality (x, y) -> {Y = -x X + y} exchanges
+points and lines while preserving separation exactly and incidence up to
+a factor 2.
 
 All comparisons on separations are exact float comparisons: generators
 in this package construct configurations with slack, never relying on a
@@ -31,14 +33,6 @@ class Point2:
 
     def in_unit_square(self) -> bool:
         return abs(self.x) <= 1.0 and abs(self.y) <= 1.0
-
-
-@dataclass(frozen=True)
-class LineAB:
-    """The line {(X, Y): Y = a X + b}."""
-
-    a: float
-    b: float
 
 
 @dataclass(frozen=True)
@@ -79,10 +73,7 @@ class PointSet:
     """Finite set of points declared pairwise >= delta apart."""
 
     def __init__(self, points, delta: float):
-        if len(points) and isinstance(points[0], Point2):
-            coords = np.array([(p.x, p.y) for p in points], dtype=np.float64)
-        else:
-            coords = _as_coords(points)
+        coords = _as_coords(points)
         coords.setflags(write=False)
         self.coords = coords
         self.delta = float(delta)
@@ -90,23 +81,13 @@ class PointSet:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    def __getitem__(self, i: int) -> Point2:
-        return Point2(float(self.coords[i, 0]), float(self.coords[i, 1]))
-
-    def __iter__(self):
-        for row in self.coords:
-            yield Point2(float(row[0]), float(row[1]))
-
 
 class LineFamily:
     """Finite family of lines declared pairwise >= epsilon apart in the
     parameter metric."""
 
     def __init__(self, lines, epsilon: float):
-        if len(lines) and isinstance(lines[0], LineAB):
-            params = np.array([(l.a, l.b) for l in lines], dtype=np.float64)
-        else:
-            params = _as_coords(lines)
+        params = _as_coords(lines)
         params.setflags(write=False)
         self.params = params
         self.epsilon = float(epsilon)
@@ -114,35 +95,44 @@ class LineFamily:
     def __len__(self) -> int:
         return self.params.shape[0]
 
-    def __getitem__(self, i: int) -> LineAB:
-        return LineAB(float(self.params[i, 0]), float(self.params[i, 1]))
 
-    def __iter__(self):
-        for row in self.params:
-            yield LineAB(float(row[0]), float(row[1]))
-
-
-def point_line_dist(p: Point2, l: LineAB) -> float:
-    """Euclidean distance from p to the (infinite) line."""
-    return abs(l.a * p.x + l.b - p.y) / math.sqrt(1.0 + l.a * l.a)
+def threshold(a, radius: float):
+    """The right side r sqrt(1 + a a) of the incidence test of lines of
+    slopes a at the radius r."""
+    return radius * np.sqrt(1.0 + a * a)
 
 
-def is_incident(p: Point2, l: LineAB, s: Scale) -> bool:
-    """Closed condition: distance <= C * delta. Boundary ties count."""
-    return point_line_dist(p, l) <= s.radius
+def incident(x, y, a, b, thr, out=None, work=None):
+    """Whether the points (x, y) are incident to the lines (a, b),
+    elementwise with broadcasting: |(x a + b) - y| <= thr, in this
+    operation order, for thr = threshold(a, r).  This is the one incidence
+    test of the package: both engines, max_concurrency and duality_check
+    call it, so that they count the same incidences bit for bit.  x a must
+    be an array of the result's shape.  The float array work, when given,
+    receives the distances |(x a + b) - y| and the bool array out the
+    result, so a caller testing block after block allocates nothing."""
+    vert = np.multiply(x, a, out=work)
+    vert += b
+    vert -= y
+    np.abs(vert, out=vert)
+    return np.less_equal(vert, thr, out=out)
 
 
-def dual_point_to_line(p: Point2) -> LineAB:
-    """(x, y) -> {Y = -x X + y}.  Defined only for points of the unit square
-    (otherwise the dual line leaves the parameter square)."""
-    if not p.in_unit_square():
-        raise ValueError(f"point {p} outside the unit square has no dual line here")
-    return LineAB(-p.x, p.y)
+def dual_lines(P: PointSet) -> LineFamily:
+    """The dual lines {Y = -x X + y} of the points (x, y) of P, as epsilon =
+    P.delta apart as the points are.  Raises ValueError for a point outside
+    the unit square, whose dual line leaves the parameter square."""
+    bad = np.flatnonzero(~(np.abs(P.coords) <= 1.0).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {tuple(P.coords[bad[0]].tolist())} outside "
+                         f"the unit square has no dual line here")
+    return LineFamily(np.column_stack([-P.coords[:, 0], P.coords[:, 1]]),
+                      P.delta)
 
 
-def dual_line_to_point(l: LineAB) -> Point2:
-    """{Y = a X + b} -> (a, b)."""
-    return Point2(l.a, l.b)
+def dual_points(L: LineFamily) -> PointSet:
+    """The dual points (a, b) of the lines {Y = a X + b} of L."""
+    return PointSet(L.params, L.epsilon)
 
 
 @dataclass(frozen=True)

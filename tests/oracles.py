@@ -16,6 +16,7 @@ from geomlab.measure import (Box, PlaneRegion, Shape, VoxelSet, _check_same_grid
                              _gauge_inside, _grid_box, _pack, project_voxels,
                              voxelize)
 from geomlab.planar import LineFamily, PointSet, Scale, _runs
+from geomlab.rng import Stream
 from geomlab.sobolev import (GridFunction, LevelCheck, bump, field_X,
                              field_Y, sample_to_grid, sheared_fn,
                              smoothed_box)
@@ -118,6 +119,35 @@ def _count_naive_one_pass(P: PointSet, L: LineFamily, s: Scale,
     count = int(richness.sum())
     return IncidenceReport(count, richness,
                            normalized_ratio(count, n, m, s.delta), pairs)
+
+
+def point_line_dist(x: float, y: float, a: float, b: float) -> float:
+    """Euclidean distance from the point (x, y) to the line {Y = a X + b}:
+    the vertical gap divided by sqrt(1 + a a), the other float form of the
+    test planar.incident makes."""
+    return abs(a * x + b - y) / math.sqrt(1.0 + a * a)
+
+
+def _duality_check_loop(delta: float, pairs: int, stream: Stream,
+                        target: Optional[int] = None) -> Tuple[int, int]:
+    """duality_check's (checked, failures) as the pair-by-pair loop it
+    replaced, testing each pair and its dual by point_line_dist."""
+    checked = failures = 0
+    while True:
+        xs, ys, aa = (stream.uniform(pairs, -1.0, 1.0) for _ in range(3))
+        off = stream.uniform(pairs, -delta, delta)
+        for x, y, a, o in zip(xs.tolist(), ys.tolist(), aa.tolist(),
+                              off.tolist()):
+            b = y - a * x + o
+            if abs(b) > 1.0 or point_line_dist(x, y, a, b) > delta:
+                continue
+            checked += 1
+            # the point (a, b) against the line (-x, y)
+            failures += point_line_dist(a, b, -x, y) > 2.0 * delta
+            if checked == target:
+                break
+        if target is None or checked >= target:
+            return checked, failures
 
 
 def _greedy_separated_reference(coords: np.ndarray, delta: float) -> np.ndarray:

@@ -78,8 +78,8 @@ def test_kstar_planted_incidences():
     assert count_naive(P, L, Scale(delta)).count >= 128
     assert validate_separation(L).ok
     # every center sees exactly its own k lines at radius delta
-    for c in P:
-        assert max_concurrency(L, c, Scale(delta)) >= 16
+    for x, y in P.coords.tolist():
+        assert max_concurrency(L, Point2(x, y), Scale(delta)) >= 16
 
 
 def test_kstar_infeasible_rejected():
@@ -105,7 +105,7 @@ def _greedy_concurrent_loop(epsilon, delta, through=Point2(0.0, 0.0)):
     kept_a, kept_b = [], []
     thr = epsilon * (1.0 + 1e-9)
     for a in _lattice_1d(-1.0, 1.0, step):
-        half = delta * math.hypot(1.0, a)
+        half = delta * math.sqrt(1.0 + a * a)
         bc = y0 - a * x0
         for b in _lattice_1d(max(-1.0, bc - half), min(1.0, bc + half), step):
             if all(math.hypot(a - ka, b - kb) >= thr
@@ -119,6 +119,7 @@ def _greedy_concurrent_loop(epsilon, delta, through=Point2(0.0, 0.0)):
     (4, 0.25, Point2(0.0, 0.0)), (5, 0.25, Point2(0.0, 0.0)),
     (6, 0.25, Point2(0.0, 0.0)), (7, 0.25, Point2(0.0, 0.0)),
     (5, 1.0, Point2(0.0, 0.0)), (6, 0.5, Point2(0.3, -0.2)),
+    pytest.param(math.log2(10.0), 0.25, Point2(0.0, 0.0), id="eps-0.1"),
 ])
 def test_greedy_concurrent_equals_reference_loop(eexp, ratio, through):
     eps = 2.0 ** -eexp

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from geomlab import acceptance as A
@@ -12,9 +12,9 @@ from geomlab import heisenberg as H
 from geomlab.heisenberg import (CORE_PROJ_CONST, Plane, VerticalPlanePoint,
                                 dilate, dist_to_horizontal_line, gauge4,
                                 h_inv, h_mul, measure_core_projection_constant,
-                                proj_x, proj_y, project_fiber_to_line,
-                                reduce_to_incidences, tube_inclusion_check)
-from geomlab.planar import LineAB, Scale
+                                proj_x, proj_y, reduce_to_incidences,
+                                tube_inclusion_check)
+from geomlab.planar import Scale
 
 coord = st.floats(-1.0, 1.0)
 triples = st.tuples(coord, coord, coord)
@@ -124,28 +124,35 @@ def test_fiber_examples():
     assert np.all(np.abs(u - 0.3) <= 1e-15) and close(t, -0.6)
 
 
+def _fiber_lines(*P_x):
+    """The (a, b) parameters of the lines reduce_to_incidences makes of the
+    W_x points P_x, at a scale they are all separated at."""
+    return reduce_to_incidences(P_x, [], Scale(2.0 ** -40)).lines.params
+
+
 def test_project_fiber_to_line():
-    assert project_fiber_to_line(VerticalPlanePoint(Plane.W_X, 0, 0)) == LineAB(0, 0)
-    assert project_fiber_to_line(
-        VerticalPlanePoint(Plane.W_X, 0.5, 0.25)) == LineAB(0.5, 0.25)
-    with pytest.raises(ValueError):
-        project_fiber_to_line(VerticalPlanePoint(Plane.W_X, 1.5, 0.0))
+    assert _fiber_lines(VerticalPlanePoint(Plane.W_X, 0, 0),
+                        VerticalPlanePoint(Plane.W_X, 0.5, 0.25)
+                        ).tolist() == [[0, 0], [0.5, 0.25]]
+    with pytest.raises(ValueError, match=r"\(1.5, 0.0\) outside the unit"):
+        _fiber_lines(VerticalPlanePoint(Plane.W_X, 1.5, 0.0))
 
 
 def test_fiber_projects_onto_the_line():
     w = VerticalPlanePoint(Plane.W_X, 0.7, -0.4)
-    line = project_fiber_to_line(w)
+    (a, b), = _fiber_lines(w)
     y, t = proj_y(h_mul((w.u, 0.0, w.t), (0.0, np.linspace(-1, 1, 33), 0.0)))
     # (y, t) coordinates of the projection lie on {t = a y + b}
-    assert np.all(np.abs(line.a * y + line.b - t) <= 1e-14)
+    assert np.all(np.abs(a * y + b - t) <= 1e-14)
 
 
 @given(coord, coord, coord, coord)
 def test_fiber_line_map_is_an_isometry(a1, b1, a2, b2):
+    assume(math.hypot(a1 - a2, b1 - b2) >= 2.0 ** -40)
     w1 = VerticalPlanePoint(Plane.W_X, a1, b1)
     w2 = VerticalPlanePoint(Plane.W_X, a2, b2)
-    l1, l2 = project_fiber_to_line(w1), project_fiber_to_line(w2)
-    d_lines = math.hypot(l1.a - l2.a, l1.b - l2.b)
+    (u1, v1), (u2, v2) = _fiber_lines(w1, w2)
+    d_lines = math.hypot(u1 - u2, v1 - v2)
     d_plane = math.hypot(a1 - a2, b1 - b2)
     assert d_lines == d_plane
 
@@ -191,7 +198,7 @@ def test_reduce_to_incidences():
     P_x = [VerticalPlanePoint(Plane.W_X, 0.0, 0.0)]
     P_y = [VerticalPlanePoint(Plane.W_Y, 0.25, 0.25)]
     red = reduce_to_incidences(P_x, P_y, s)
-    assert len(red.lines) == 1 and red.lines[0] == LineAB(0.0, 0.0)
+    assert red.lines.params.tolist() == [[0.0, 0.0]]
     assert red.scale.multiplier == 1.0 + CORE_PROJ_CONST
     # separation transfers exactly: the line metric equals the plane metric
     P_x2 = [VerticalPlanePoint(Plane.W_X, 0.0, 0.0),

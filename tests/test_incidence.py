@@ -16,9 +16,9 @@ from geomlab import incidence
 from geomlab.incidence import (_count_columns, count_bucketed,
                                count_incidences, count_naive, grid_richness,
                                k_rich_points, max_concurrency)
-from geomlab.planar import (LineFamily, Point2, PointSet, Scale,
-                            point_line_dist)
-from oracles import _count_naive_one_pass, reduced_box_instance, traced_peak
+from geomlab.planar import LineFamily, Point2, PointSet, Scale
+from oracles import (_count_naive_one_pass, point_line_dist,
+                     reduced_box_instance, traced_peak)
 
 
 def test_count_single_pairs():
@@ -401,8 +401,8 @@ def test_kstar_recovers_planted_centers():
     assert np.all(gaps <= delta)
     # every returned point really is k-rich at the recorded multiplier
     sc = Scale(delta, multiplier=res.used_multiplier)
-    for q in res.points:
-        assert max_concurrency(L, q, sc) >= k
+    for x, y in res.points.coords.tolist():
+        assert max_concurrency(L, Point2(x, y), sc) >= k
 
 
 def test_star_bound_empties_high_k():
@@ -423,7 +423,8 @@ def test_max_concurrency_star():
     assert max_concurrency(fam, Point2(0.0, 0.0), s) == 32
     # brute-force oracle at a far generic point
     far = Point2(math.cos(0.7), math.sin(0.7))
-    brute = sum(point_line_dist(far, l) <= s.radius for l in fam)
+    brute = sum(point_line_dist(far.x, far.y, a, b) <= s.radius
+                for a, b in fam.params.tolist())
     assert max_concurrency(fam, far, s) == brute
     assert brute <= 2
 

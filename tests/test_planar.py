@@ -7,74 +7,109 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from geomlab.planar import (LineAB, LineFamily, Point2, PointSet, Scale,
-                            _CellHash, _min_pair,
-                            dual_line_to_point, dual_point_to_line,
-                            is_incident, load_line_family,
-                            load_point_set, point_line_dist, save_line_family,
-                            save_point_set, validate_separation)
+from geomlab.planar import (LineFamily, PointSet, Scale, _CellHash,
+                            _min_pair, dual_lines, dual_points, incident,
+                            load_line_family, load_point_set,
+                            save_line_family, save_point_set, threshold,
+                            validate_separation)
+from geomlab.acceptance import duality_check
 from geomlab.generators import gen_grid_packing
+from geomlab.rng import Stream
+from oracles import _duality_check_loop, point_line_dist
 
 coord = st.floats(-1.0, 1.0)
 scales = st.floats(2.0 ** -10, 0.5)
 
 
+def _incident(x, y, a, b, s):
+    """planar.incident on one pair, given as floats"""
+    x = np.array([x], dtype=np.float64)
+    return bool(incident(x, y, a, b, threshold(a, s.radius))[0])
+
+
 def test_point_line_dist_examples():
-    assert point_line_dist(Point2(1, 1), LineAB(1, 0)) == 0.0
-    assert point_line_dist(Point2(0, 0.5), LineAB(0, 0)) == 0.5
-    d = point_line_dist(Point2(0, 0), LineAB(1, 1))
+    assert point_line_dist(1, 1, 1, 0) == 0.0
+    assert point_line_dist(0, 0.5, 0, 0) == 0.5
+    d = point_line_dist(0, 0, 1, 1)
     assert d == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
 
 def test_point_line_dist_matches_sampled_minimum():
     # oracle: minimize the distance to dense samples of the line
-    p, l = Point2(0, 0), LineAB(1, 1)
+    (x, y), (a, b) = (0, 0), (1, 1)
     xs = np.linspace(-3, 3, 20001)
-    sampled = np.min(np.hypot(xs - p.x, l.a * xs + l.b - p.y))
-    assert point_line_dist(p, l) == pytest.approx(float(sampled), abs=1e-6)
+    sampled = np.min(np.hypot(xs - x, a * xs + b - y))
+    assert point_line_dist(x, y, a, b) == pytest.approx(float(sampled),
+                                                        abs=1e-6)
 
 
 def test_is_incident_closed_boundary():
     s = Scale(0.1)
-    assert is_incident(Point2(0, 0), LineAB(0, 0), s)
-    assert not is_incident(Point2(0, 0.2), LineAB(0, 0), s)
+    assert _incident(0, 0, 0, 0, s)
+    assert not _incident(0, 0.2, 0, 0, s)
     # ties on the closed neighborhood boundary count as incident
-    assert is_incident(Point2(0, 0.1), LineAB(0, 0), s)
+    assert _incident(0, 0.1, 0, 0, s)
+    # the test is on the Euclidean distance: 0.14 above the line y = x is
+    # 0.099 from it
+    assert _incident(0, 0.14, 1, 0, s)
+    assert not _incident(0, 0.15, 1, 0, s)
+
+
+def test_incident_broadcasts_into_given_buffers():
+    x = np.array([[0.0], [0.5]])
+    y = np.array([[0.0], [0.5]])
+    a, b = np.array([0.0, 1.0, -1.0]), np.array([0.0, 0.0, 1.0])
+    thr = threshold(a, 0.1)
+    want = np.array([[True, True, False], [False, True, True]])
+    assert np.array_equal(incident(x, y, a, b, thr), want)
+    out, work = np.empty((2, 3), dtype=bool), np.empty((2, 3))
+    assert incident(x, y, a, b, thr, out=out, work=work) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(work, np.abs(x * a + b - y))
 
 
 def test_duality_examples():
-    assert dual_point_to_line(Point2(0, 0)) == LineAB(-0.0, 0)
-    assert dual_point_to_line(Point2(0.5, 0.25)) == LineAB(-0.5, 0.25)
-    assert dual_point_to_line(Point2(1, -1)) == LineAB(-1, -1)
-    assert dual_line_to_point(LineAB(0, 0)) == Point2(0, 0)
-    assert dual_line_to_point(LineAB(0.7, -0.2)) == Point2(0.7, -0.2)
-    with pytest.raises(ValueError):
-        dual_point_to_line(Point2(1.5, 0))
+    P = PointSet([(0, 0), (0.5, 0.25), (1, -1)], delta=0.25)
+    L = dual_lines(P)
+    assert L.params.tolist() == [[-0.0, 0], [-0.5, 0.25], [-1, -1]]
+    assert L.epsilon == 0.25
+    M = dual_points(LineFamily([(0, 0), (0.7, -0.2)], epsilon=0.5))
+    assert M.coords.tolist() == [[0, 0], [0.7, -0.2]] and M.delta == 0.5
+    with pytest.raises(ValueError, match="outside the unit square"):
+        dual_lines(PointSet([(0, 0), (1.5, 0)], delta=0.25))
 
 
 @given(coord, coord)
 def test_duality_round_trip(x, y):
-    p = Point2(x, y)
-    l = dual_point_to_line(p)
-    q = dual_line_to_point(l)
+    q = dual_points(dual_lines(PointSet([(x, y)], delta=0.5))).coords[0]
     # parameters are read back with the slope sign flipped
-    assert q.x == -p.x and q.y == p.y
+    assert q[0] == -x and q[1] == y
 
 
 @given(coord, coord, coord, coord, scales)
 def test_duality_incidence_transfer(x, y, a, b, delta):
     """A delta-incidence maps to a 2 delta-incidence of the dual pair."""
-    p, l = Point2(x, y), LineAB(a, b)
-    if is_incident(p, l, Scale(delta)):
-        assert is_incident(dual_line_to_point(l), dual_point_to_line(p),
-                           Scale(delta, multiplier=2.0))
+    if _incident(x, y, a, b, Scale(delta)):
+        (u, v), = dual_points(LineFamily([(a, b)], delta)).coords
+        (c, d), = dual_lines(PointSet([(x, y)], delta)).params
+        assert _incident(u, v, c, d, Scale(delta, multiplier=2.0))
+
+
+@pytest.mark.parametrize("delta, seed, pairs, target", [
+    (2.0 ** -7, 12345, 2000, None), (2.0 ** -7, 99, 1500, 4000),
+    (2.0 ** -3, 1, 3, 7), (0.3, 5, 1000, None), (1.0, 2, 1000, 1000),
+    (1e-9, 3, 1000, None)])
+def test_duality_check_equals_the_pair_loop(delta, seed, pairs, target):
+    res = duality_check(delta, pairs, Stream(seed), target=target)
+    want = _duality_check_loop(delta, pairs, Stream(seed), target=target)
+    assert (res.summary["checked"], res.summary["failures"]) == want
+    assert res.summary["checked"] > 0
 
 
 @given(coord, coord, coord, coord)
 def test_vertical_euclidean_sandwich(x, y, a, b):
-    p, l = Point2(x, y), LineAB(a, b)
     vert = abs(a * x + b - y)
-    d = point_line_dist(p, l)
+    d = point_line_dist(x, y, a, b)
     assert d <= vert + 1e-15
     assert vert <= math.sqrt(2) * d + 1e-15
 
