@@ -43,8 +43,8 @@ GNS_RATIO_CEILING = 0.75
 
 class EmptyGrid(ValueError):
     """An experiment measures nothing at its grid steps or deltas: every
-    set it voxelizes is empty, a set it must measure is, or no row of an
-    incidence sweep counts an incidence."""
+    set it voxelizes is empty, every sample of its grid function is zero,
+    or no row of an incidence sweep counts an incidence."""
 
 
 @dataclass
@@ -250,6 +250,10 @@ def lw_sweep(hs: Sequence[float], scale: float) -> RunResult:
 # Smallest delta of tube_volume: voxels h = delta / 4 wide index the cube
 # [-1 - h, 1 + h] within measure's [-2^20, 2^20)
 TUBE_DELTA_MIN = 2.0 ** -17
+# Largest: in [TUBE_DELTA_MIN, 3/8] volume / delta^3 is 42-43, so no delta
+# in range measures nothing; above, the cube clips the tubes of radius
+# 2 delta, and it falls (35.4 at 1/2, 8 at 1, 1 at 2)
+TUBE_DELTA_MAX = 2.0 ** -2
 
 
 def tube_volume(deltas: Sequence[float]) -> RunResult:
@@ -260,9 +264,6 @@ def tube_volume(deltas: Sequence[float]) -> RunResult:
     rows = []
     for delta in deltas:
         v = tube_intersection_volume(wx, wy, delta)
-        if v == 0.0:  # the tubes meet, so only a grid step too coarse gives 0
-            raise EmptyGrid(f"too coarse at delta={delta:g}: the tube "
-                            f"intersection voxelizes to an empty set")
         rows.append({"delta": delta, "volume": v, "normalized": v / delta ** 3})
     vals = [r["normalized"] for r in rows]
     spread = max(vals) / min(vals)
@@ -300,8 +301,12 @@ def _level_rows(name: str, f: GridFunction) -> Tuple[List[dict], int]:
 
 
 def sobolev_check(name: str, f: GridFunction) -> RunResult:
-    """GNS ratio of f (<= 2) and the level-set lemma rows of f."""
+    """GNS ratio of f (<= 2) and the level-set lemma rows of f; EmptyGrid
+    when every sample of f is zero."""
     g = gns_check(f)
+    if g.lhs == 0.0:
+        raise EmptyGrid(f"too coarse at h={f.h:g}: every sample of {name} "
+                        f"is zero")
     levels, _ = _level_rows(name, f)
     rows = [{"function": name, "h": f.h, "record": "gns",
              "lhs": g.lhs, "rhs": g.rhs, "holds": g.ratio <= 2.0}] + levels
@@ -645,10 +650,9 @@ def criterion_11():
                            (0.55 * lam, 0.55 * lam, 0.4 * lam * lam))
         worst_dil = max(worst_dil, abs(gns_check(g).ratio - base) / base)
     # stencil convergence on a cubic oracle, supported strictly inside
-    def cubic(pts):
-        inside = np.all(np.abs(pts) <= 0.5, axis=1)
-        return np.where(inside, pts[:, 0] ** 3 + pts[:, 1] ** 3 + pts[:, 2] ** 3,
-                        0.0)
+    def cubic(x, y, t):
+        inside = (np.abs(x) <= 0.5) & (np.abs(y) <= 0.5) & (np.abs(t) <= 0.5)
+        return np.where(inside, x ** 3 + y ** 3 + t ** 3, 0.0)
 
     def stencil_error(hh):
         f = sample_to_grid(cubic, hh, (0.52, 0.52, 0.52))

@@ -230,8 +230,8 @@ def _sobolev_check(cfg: ExperimentConfig) -> A.RunResult:
     try:
         f = A.sobolev_function(name, cfg.scalar("h"), cfg.scalar("width"))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return A.sobolev_check(name, f)
+        raise ConfigError(f"sobolev-check: {exc}") from None
+    return _on_grid(cfg, "h", lambda: A.sobolev_check(name, f))
 
 
 class Experiment(NamedTuple):
@@ -267,9 +267,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
                                                       c.scalar("scale")))),
     "tube-volume": Experiment(
         {"deltas": "2^-4 2^-5 2^-6 2^-7", "seed": "12345"},
-        lambda c: _on_grid(c, "deltas",
-                           lambda: A.tube_volume(
-                               c.floats("deltas", lo=A.TUBE_DELTA_MIN)))),
+        lambda c: A.tube_volume(c.floats("deltas", lo=A.TUBE_DELTA_MIN,
+                                         hi=A.TUBE_DELTA_MAX))),
     "sobolev-check": Experiment(
         {"function": "bump", "width": "0.75", "h": "1/64", "seed": "12345"},
         _sobolev_check),

@@ -82,29 +82,32 @@ class GridFunction:
         return LevelDecomposition(self)
 
 
-def sample_to_grid(fn: Callable[[np.ndarray], np.ndarray], h: float,
+# Most samples on one grid: 128 MiB of float64, 2.5 times the largest grid
+# that verify-all samples (6.65M, the bump at h = 1/128), and the fields
+# and level sets of a grid take several times its size again
+SAMPLE_CAP = 2 ** 24
+
+
+def sample_to_grid(fn: Callable[..., np.ndarray], h: float,
                    half_extents: Sequence[float], margin: int = 3) -> GridFunction:
     """Sample an analytic function with support inside the centered box of
     the given half extents onto a grid with `margin` guaranteed zero cells.
 
-    fn maps an (n, 3) array of points to their n values, row by row; it is
-    called once per x-slab of the grid, so memory beyond the grid itself
-    goes with one slab."""
-    ns = [int(math.ceil(e / h)) + margin for e in half_extents]
-    origin = tuple(-n for n in ns)
-    shape = tuple(2 * n for n in ns)
-    xs = (np.arange(shape[0]) + origin[0] + 0.5) * h
-    ys = (np.arange(shape[1]) + origin[1] + 0.5) * h
-    ts = (np.arange(shape[2]) + origin[2] + 0.5) * h
-    gy, gt = np.meshgrid(ys, ts, indexing="ij")
-    yt = np.column_stack([gy.ravel(), gt.ravel()])
-    pts = np.empty((yt.shape[0], 3))
-    vals = np.empty(shape)
+    fn(x, y, t) takes coordinate arrays that broadcast together and returns
+    the values in their broadcast shape; it is called once per x-slab of the
+    grid, with x a float, y a column and t a row; a caller holding (n, 3)
+    point rows calls fn(*pts.T).  A grid of more than SAMPLE_CAP samples
+    raises a ValueError before anything is allocated."""
+    # min keeps inf and nan from math.ceil; a clamped axis is over the cap
+    ns = [math.ceil(min(SAMPLE_CAP, e / h)) + margin for e in half_extents]
+    if 8 * math.prod(ns) > SAMPLE_CAP:
+        raise ValueError(f"the grid at h={h:g} would hold more than "
+                         f"{SAMPLE_CAP} samples")
+    xs, ys, ts = ((np.arange(-n, n) + 0.5) * h for n in ns)
+    vals = np.empty((xs.size, ys.size, ts.size))
     for a, x in enumerate(xs):
-        pts[:, 0] = x
-        pts[:, 1:] = yt
-        vals[a] = np.asarray(fn(pts), dtype=np.float64).reshape(shape[1:])
-    return GridFunction(vals, h, origin)
+        vals[a] = fn(x, ys[:, None], ts)
+    return GridFunction(vals, h, tuple(-n for n in ns))
 
 
 def _central_diff(v: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -313,12 +316,11 @@ def levelset_lemma_check(f: GridFunction, k: int, which: str = "x",
 
 def bump(widths=(0.75, 0.75, 0.5), center=(0.0, 0.0, 0.0), amplitude=1.0):
     """(1 - R^2)_+^2 with R^2 the anisotropically scaled radius."""
-    w = np.asarray(widths, dtype=np.float64)
-    c = np.asarray(center, dtype=np.float64)
+    (wx, wy, wt), (cx, cy, ct) = widths, center
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        q = (pts - c[None, :]) / w[None, :]
-        r2 = (q * q).sum(axis=1)
+    def fn(x, y, t):
+        qx, qy, qt = (x - cx) / wx, (y - cy) / wy, (t - ct) / wt
+        r2 = qx * qx + qy * qy + qt * qt
         return amplitude * np.clip(1.0 - r2, 0.0, None) ** 2
 
     return fn
@@ -327,23 +329,12 @@ def bump(widths=(0.75, 0.75, 0.5), center=(0.0, 0.0, 0.0), amplitude=1.0):
 def sheared_fn(fn):
     """The image of fn under the shear (x, y, t) -> (x, y, t + x y / 2):
     fn composed with the inverse shear, whose t is that of proj_x."""
-
-    def out(pts: np.ndarray) -> np.ndarray:
-        q = pts.copy()
-        q[:, 2] = proj_x(pts.T)[1]
-        return fn(q)
-
-    return out
+    return lambda x, y, t: fn(x, y, proj_x((x, y, t))[1])
 
 
 def dilated_fn(fn, lam: float):
     """fn composed with the inverse dilation (so supports dilate by lam)."""
-
-    def out(pts: np.ndarray) -> np.ndarray:
-        q = pts / np.array([lam, lam, lam * lam])[None, :]
-        return fn(q)
-
-    return out
+    return lambda x, y, t: fn(x / lam, y / lam, t / (lam * lam))
 
 
 def smoothed_box(half=(0.5, 0.5, 0.25), edge: float = 0.25):
@@ -351,10 +342,11 @@ def smoothed_box(half=(0.5, 0.5, 0.25), edge: float = 0.25):
     so the profile vanishes quadratically on the whole boundary (a product
     of edge ramps would vanish to higher order at corners, leaving dyadic
     tail bands unresolvable on any fixed grid)."""
-    a = np.asarray(half, dtype=np.float64)
+    ax, ay, at = half
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        m = np.max(np.abs(pts) / a[None, :], axis=1)
+    def fn(x, y, t):
+        m = np.maximum(np.maximum(np.abs(x) / ax, np.abs(y) / ay),
+                       np.abs(t) / at)
         u = np.clip((m - 1.0) / edge, 0.0, 1.0)  # 0 inside, 1 outside the ramp
         return (1.0 - u * u) ** 2
 
@@ -365,7 +357,7 @@ def smoothed_box(half=(0.5, 0.5, 0.25), edge: float = 0.25):
 # half extents of the box it is sampled on.  A grid is sampled only when
 # zoo_function asks for one, so a caller going through the zoo holds one
 # grid at a time.
-FUNCTION_ZOO: Dict[str, Tuple[Callable[[np.ndarray], np.ndarray],
+FUNCTION_ZOO: Dict[str, Tuple[Callable[..., np.ndarray],
                               Tuple[float, float, float]]] = {
     "bump": (bump((0.75, 0.75, 0.5)), (0.8, 0.8, 0.55)),
     "narrow_bump": (bump((0.4, 0.4, 0.3)), (0.45, 0.45, 0.35)),

@@ -9,7 +9,8 @@ from typing import Callable, List, Optional, Tuple, TypeVar
 import numpy as np
 
 from geomlab.acceptance import _maximal_plane_packing
-from geomlab.heisenberg import Plane, ReducedInstance, reduce_to_incidences
+from geomlab.heisenberg import (Plane, ReducedInstance, proj_x,
+                                reduce_to_incidences)
 from geomlab.incidence import (IncidenceReport, RichnessField, _clipped,
                                count_bucketed, normalized_ratio)
 from geomlab.measure import (Box, PlaneRegion, Shape, VoxelSet, _check_same_grid,
@@ -17,9 +18,7 @@ from geomlab.measure import (Box, PlaneRegion, Shape, VoxelSet, _check_same_grid
                              voxelize)
 from geomlab.planar import LineFamily, PointSet, Scale, _runs
 from geomlab.rng import Stream
-from geomlab.sobolev import (GridFunction, LevelCheck, bump, field_X,
-                             field_Y, sample_to_grid, sheared_fn,
-                             smoothed_box)
+from geomlab.sobolev import GridFunction, LevelCheck, field_X, field_Y
 
 # bounding-box centers _voxelize_dense tests at a time
 _CHUNK = 4_000_000
@@ -326,14 +325,84 @@ def _levelset_lemma_check_reference(f: GridFunction, k: int,
     return LevelCheck(k, lhs, rhs, bool(lhs <= slack * rhs))
 
 
+def _sample_rows_reference(fn: Callable[[np.ndarray], np.ndarray], h: float,
+                           half_extents, margin: int = 3) -> GridFunction:
+    """sample_to_grid with fn mapping an (n, 3) array of points to their n
+    values, called on a meshgrid of point rows per x-slab: the oracle of
+    the sampler that calls fn on broadcast axes."""
+    ns = [int(math.ceil(e / h)) + margin for e in half_extents]
+    origin = tuple(-n for n in ns)
+    shape = tuple(2 * n for n in ns)
+    xs = (np.arange(shape[0]) + origin[0] + 0.5) * h
+    ys = (np.arange(shape[1]) + origin[1] + 0.5) * h
+    ts = (np.arange(shape[2]) + origin[2] + 0.5) * h
+    gy, gt = np.meshgrid(ys, ts, indexing="ij")
+    yt = np.column_stack([gy.ravel(), gt.ravel()])
+    pts = np.empty((yt.shape[0], 3))
+    vals = np.empty(shape)
+    for a, x in enumerate(xs):
+        pts[:, 0] = x
+        pts[:, 1:] = yt
+        vals[a] = np.asarray(fn(pts), dtype=np.float64).reshape(shape[1:])
+    return GridFunction(vals, h, origin)
+
+
+# The zoo functions in their row form, each mapping (n, 3) points to n
+# values: the oracles of sobolev's functions of broadcast axes.
+
+def _bump_rows(widths=(0.75, 0.75, 0.5), center=(0.0, 0.0, 0.0),
+               amplitude=1.0):
+    w = np.asarray(widths, dtype=np.float64)
+    c = np.asarray(center, dtype=np.float64)
+
+    def fn(pts: np.ndarray) -> np.ndarray:
+        q = (pts - c[None, :]) / w[None, :]
+        r2 = (q * q).sum(axis=1)
+        return amplitude * np.clip(1.0 - r2, 0.0, None) ** 2
+
+    return fn
+
+
+def _sheared_rows(fn):
+    def out(pts: np.ndarray) -> np.ndarray:
+        q = pts.copy()
+        q[:, 2] = proj_x(pts.T)[1]
+        return fn(q)
+
+    return out
+
+
+def _dilated_rows(fn, lam: float):
+    def out(pts: np.ndarray) -> np.ndarray:
+        q = pts / np.array([lam, lam, lam * lam])[None, :]
+        return fn(q)
+
+    return out
+
+
+def _smoothed_box_rows(half=(0.5, 0.5, 0.25), edge: float = 0.25):
+    a = np.asarray(half, dtype=np.float64)
+
+    def fn(pts: np.ndarray) -> np.ndarray:
+        m = np.max(np.abs(pts) / a[None, :], axis=1)
+        u = np.clip((m - 1.0) / edge, 0.0, 1.0)
+        return (1.0 - u * u) ** 2
+
+    return fn
+
+
 def _function_zoo_reference(h: float) -> dict:
-    """The function zoo sampled all at once, as a name -> GridFunction
-    dict: the oracle of the lazy FUNCTION_ZOO table."""
+    """The function zoo in row form, sampled all at once by the row sampler,
+    as a name -> GridFunction dict: the oracle of FUNCTION_ZOO and of
+    sample_to_grid."""
     specs = {
-        "bump": (bump((0.75, 0.75, 0.5)), (0.8, 0.8, 0.55)),
-        "narrow_bump": (bump((0.4, 0.4, 0.3)), (0.45, 0.45, 0.35)),
-        "aniso_bump": (bump((0.8, 0.45, 0.35)), (0.85, 0.5, 0.4)),
-        "sheared_bump": (sheared_fn(bump((0.6, 0.6, 0.35))), (0.65, 0.65, 0.6)),
-        "smoothed_box": (smoothed_box((0.5, 0.5, 0.25), 0.25), (0.7, 0.7, 0.4)),
+        "bump": (_bump_rows((0.75, 0.75, 0.5)), (0.8, 0.8, 0.55)),
+        "narrow_bump": (_bump_rows((0.4, 0.4, 0.3)), (0.45, 0.45, 0.35)),
+        "aniso_bump": (_bump_rows((0.8, 0.45, 0.35)), (0.85, 0.5, 0.4)),
+        "sheared_bump": (_sheared_rows(_bump_rows((0.6, 0.6, 0.35))),
+                         (0.65, 0.65, 0.6)),
+        "smoothed_box": (_smoothed_box_rows((0.5, 0.5, 0.25), 0.25),
+                         (0.7, 0.7, 0.4)),
     }
-    return {name: sample_to_grid(fn, h, ext) for name, (fn, ext) in specs.items()}
+    return {name: _sample_rows_reference(fn, h, ext)
+            for name, (fn, ext) in specs.items()}

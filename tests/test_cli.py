@@ -116,12 +116,37 @@ def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
     assert needle in err
 
 
+_TUBE_RANGE = ("'deltas': every value must be a finite number >= 7.62939e-06 "
+               "and <= 0.25")
+
+
 @pytest.mark.parametrize("experiment, body, needle", [
     ("duality-check", "pairs = -5\n", "'pairs'"),
     ("duality-check", "pairs = 5/2\n", "whole number"),
     ("isoperimetric", "trials = 0\n", "'trials'"),
     ("sobolev-check", "h = 0\n", "'h'"),
     ("sobolev-check", "h = -1/64\n", "'h'"),
+    # grids past sobolev.SAMPLE_CAP: the first two raised numpy's
+    # _ArrayMemoryError, the third OverflowError from math.ceil(inf) (exit 1)
+    pytest.param("sobolev-check", "h = 1e-5\n",
+                 "the grid at h=1e-05 would hold more than 16777216 samples",
+                 id="sobolev-check-h-1e-5"),
+    pytest.param("sobolev-check", "width = 100\n",
+                 "the grid at h=0.015625 would hold more than 16777216 "
+                 "samples", id="sobolev-check-width-100"),
+    pytest.param("sobolev-check", "h = 5e-324\n",
+                 "the grid at h=4.94066e-324 would hold more than",
+                 id="sobolev-check-subnormal-h"),
+    # every sample is zero: these reported PASS with gns_ratio 0
+    pytest.param("sobolev-check", "h = 1\n",
+                 "'h': too coarse at h=1: every sample of bump is zero",
+                 id="sobolev-check-h-1"),
+    pytest.param("sobolev-check", "h = 2\n",
+                 "'h': too coarse at h=2: every sample of bump is zero",
+                 id="sobolev-check-h-2"),
+    pytest.param("sobolev-check", "width = 1e-9\n",
+                 "'h': too coarse at h=0.015625: every sample of bump is "
+                 "zero", id="sobolev-check-width-1e-9"),
     ("lw-sweep", "scale = 0\n", "'scale'"),
     ("reduce-pipeline", "deltas = 0.9\n", "<= 0.5"),
     ("star-bound", "epsilons = 2\n", "<= 1"),
@@ -130,11 +155,15 @@ def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
                  id="lw-sweep-hs-too-coarse"),
     pytest.param("isoperimetric", "h = 2\n", "'h': too coarse",
                  id="isoperimetric-h-too-coarse"),
-    pytest.param("tube-volume", "deltas = 100\n", "'deltas': too coarse",
+    # above tube-volume's delta range the cube clips the tubes; these
+    # deltas, which voxelize to empty sets, exited 2 as too coarse, and
+    # 2^-4 2 broke the spread bound (exit 1, FAIL)
+    pytest.param("tube-volume", "deltas = 100\n", _TUBE_RANGE,
                  id="tube-volume-deltas-too-coarse"),
-    pytest.param("tube-volume", "deltas = 2^-4 100\n",
-                 "'deltas': too coarse at delta=100",
+    pytest.param("tube-volume", "deltas = 2^-4 100\n", _TUBE_RANGE,
                  id="tube-volume-one-delta-too-coarse"),
+    pytest.param("tube-volume", "deltas = 2^-4 2\n", _TUBE_RANGE,
+                 id="tube-volume-delta-2-clipped"),
     pytest.param("rich-points", "family = k_star\nks = 2\ndeltas = 1\n",
                  "family k_star is infeasible at every",
                  id="rich-points-every-row-infeasible"),
@@ -157,8 +186,8 @@ def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
                  "0.000244141 and <= 1", id="star-bound-epsilon-1e-300"),
     # below 2^-17 the voxels leave measure's index range: these raised
     # ZeroDivisionError, "h and ht must be finite and positive" and, found
-    # by test_duality_star_and_tube_configs_exit_0_or_2, "voxel indices
-    # must lie in [-2^20, 2^20)" (exit 1)
+    # by test_fuzzed_configs_exit_0_or_2, "voxel indices must lie in
+    # [-2^20, 2^20)" (exit 1)
     pytest.param("tube-volume", "deltas = 1e-300\n",
                  "'deltas': every value must be a finite number >= "
                  "7.62939e-06", id="tube-volume-delta-1e-300"),
@@ -168,8 +197,7 @@ def test_bad_option_values_exit_2(tmp_path, capsys, body, needle):
                  id="tube-volume-delta-2^-25"),
     # found by the same test: volume / delta^3 raised OverflowError (exit 1)
     # before the empty volume was reported
-    pytest.param("tube-volume", "deltas = 1/128 1e200 1e200\n",
-                 "'deltas': too coarse at delta=1e+200",
+    pytest.param("tube-volume", "deltas = 1/128 1e200 1e200\n", _TUBE_RANGE,
                  id="tube-volume-delta-1e200"),
 ])
 def test_bad_experiment_values_exit_2(tmp_path, capsys, experiment, body,
@@ -325,6 +353,23 @@ _FUZZED_OPTIONS = {
         ("deltas", st.one_of(_TOKENS["deltas"], st.sampled_from(
             ["2^-17", "2^-18", "9", "1e200"])), 3),
         ("seed", _TOKENS["seed"], 1)),
+    # h of at least 1/32 and widths of at most 2 keep the grids small; the
+    # extremes are turned away by the sample cap or as all-zero grids, and
+    # the largest grid they allow (width 100 at h = 1) runs in under 2 s
+    "sobolev-check": (
+        ("function", st.sampled_from(
+            ["bump", "narrow_bump", "aniso_bump", "sheared_bump",
+             "smoothed_box", "nope"]), 1),
+        ("width", _mostly(
+            st.sampled_from(["0.25", "0.5", "0.75", "1/3", "2"]),
+            st.sampled_from(["100", "1e-9", "1e300", "5e-324", "0", "-1",
+                             "nan", "abc", ""])), 2),
+        ("h", st.one_of(
+            st.sampled_from(["1/5", "1/8", "1/12", "1/16", "1/32", "2^-3",
+                             "0.3"]),
+            st.sampled_from(["1", "2", "1e-5", "5e-324", "2^-1074", "0",
+                             "-1/64", "inf", "abc", ""])), 2),
+        ("seed", _TOKENS["seed"], 1)),
 }
 
 
@@ -339,13 +384,12 @@ def _fuzzed_bodies(draw):
     return experiment, body
 
 
-@settings(max_examples=100, deadline=5000, derandomize=True, database=None)
+@settings(max_examples=160, deadline=5000, derandomize=True, database=None)
 @given(_fuzzed_bodies())
-def test_duality_star_and_tube_configs_exit_0_or_2(case):
+def test_fuzzed_configs_exit_0_or_2(case):
     # exit 0, or exit 2 with one config error line, never a traceback.
-    # tube-volume may also exit 1 with a FAIL report: deltas of 1 and more
-    # make tubes the cube clips, whose volume / delta^3 breaks the spread
-    # bound, as deltas = 2^-4 2 does
+    # sobolev-check may also exit 1 with a FAIL report: on coarse grids the
+    # level-set lemma fails its slack (the bump at h = 1/5 or 1/6)
     experiment, body = case
     with tempfile.TemporaryDirectory() as tmp:
         ini = Path(tmp) / "cfg.ini"
@@ -360,7 +404,7 @@ def test_duality_star_and_tube_configs_exit_0_or_2(case):
             assert len(lines) == 1 and lines[0].startswith("config error: ")
         else:
             assert lines == []
-            assert rc == 0 or (rc == 1 and experiment == "tube-volume")
+            assert rc == 0 or (rc == 1 and experiment == "sobolev-check")
             report = (Path(tmp) / "out" / "report.txt").read_text()
             assert report.endswith(f"result: {('PASS', 'FAIL')[rc]}\n\n")
 
@@ -369,7 +413,7 @@ def test_duality_star_and_tube_configs_exit_0_or_2(case):
     "epsilons = 1/1936\n", "epsilons = 0.26 0.024511130837167522\n",
     "epsilons = 0.03046441814592374\n"])
 def test_star_bound_passes_at_epsilons_off_the_dyadic_grid(tmp_path, body):
-    # found by test_duality_star_and_tube_configs_exit_0_or_2: the family
+    # found by test_fuzzed_configs_exit_0_or_2: the family
     # was laid in a strip of math.hypot's width, so some of its lines
     # missed the origin by an ulp of the incidence test and the run
     # reported FAIL (exit 1)
@@ -426,7 +470,7 @@ def test_sobolev_check_unknown_function_exits_2_before_sampling(
 
 def test_tube_volume_at_a_coarse_delta_that_still_measures(tmp_path):
     ini = tmp_path / "cfg.ini"
-    ini.write_text("[tube-volume]\ndeltas = 2\n")
+    ini.write_text("[tube-volume]\ndeltas = 1/4\n")
     out = tmp_path / "out"
     assert main(["tube-volume", "--config", str(ini), "--out", str(out)]) == 0
     assert (out / "tube-volume.csv").exists()

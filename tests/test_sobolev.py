@@ -16,30 +16,46 @@ from geomlab.sobolev import (FUNCTION_ZOO, GridFunction, bump,
                              levelset_lemma_check, load_gridfunction, lp_norm,
                              sample_to_grid, save_gridfunction, sheared_fn,
                              smoothed_box, zoo_function)
-from oracles import (_function_zoo_reference, _level_mask,
-                     _levelset_lemma_check_reference, traced_peak)
+from oracles import (_bump_rows, _dilated_rows, _function_zoo_reference,
+                     _level_mask, _levelset_lemma_check_reference,
+                     _sample_rows_reference, _sheared_rows, traced_peak)
 
 
 def patch(fn, h=1 / 16, ext=(0.5, 0.5, 0.5)):
     return sample_to_grid(fn, h, ext)
 
 
+def zero(x, y, t):
+    return 0.0 * (x + y + t)
+
+
 def indicator_patch(values_fn):
     # restrict an unbounded test function to a compactly supported patch
-    def fn(pts):
-        inside = np.all(np.abs(pts) <= 0.4, axis=1)
-        return np.where(inside, values_fn(pts), 0.0)
+    def fn(x, y, t):
+        inside = (np.abs(x) <= 0.4) & (np.abs(y) <= 0.4) & (np.abs(t) <= 0.4)
+        return np.where(inside, values_fn(x, y, t), 0.0)
     return fn
 
 
 def test_fields_vanish_on_zero():
-    z = patch(lambda pts: np.zeros(pts.shape[0]))
+    z = patch(zero)
     assert not np.any(field_X(z).values)
     assert not np.any(field_Y(z).values)
 
 
+def test_sample_to_grid_refuses_grids_over_the_cap():
+    # refused before fn is called: 256 x 256 x 258 samples are 2^24 = 256^3
+    # and two t-layers, and at h = 5e-324 every e / h is inf
+    def fn(x, y, t):
+        raise AssertionError("sampled")
+
+    for h, ext in ((1.0, (128, 128, 129)), (5e-324, (0.5, 0.5, 0.5))):
+        with pytest.raises(ValueError, match="more than 16777216 samples"):
+            sample_to_grid(fn, h, ext, margin=0)
+
+
 def test_fields_exact_on_affine_samples():
-    f = patch(indicator_patch(lambda pts: pts[:, 2]))  # f = t
+    f = patch(indicator_patch(lambda x, y, t: t))
     Xf, Yf = field_X(f), field_Y(f)
     i, j, k = (n // 2 for n in f.values.shape)
     i += 1
@@ -48,7 +64,7 @@ def test_fields_exact_on_affine_samples():
     y = f.axis_centers(1)[j]
     assert Xf.values[i, j, k] == pytest.approx(-y / 2, rel=1e-12)
     assert Yf.values[i, j, k] == pytest.approx(x / 2, rel=1e-12)
-    g = patch(indicator_patch(lambda pts: pts[:, 0]))  # f = x
+    g = patch(indicator_patch(lambda x, y, t: x))
     assert field_X(g).values[i, j, k] == pytest.approx(1.0, rel=1e-12)
     assert field_Y(g).values[i, j, k] == 0.0
 
@@ -80,10 +96,9 @@ def test_field_rejects_boundary_support():
 
 
 def test_stencil_second_order_on_cubic():
-    def cubic(pts):
-        inside = np.all(np.abs(pts) <= 0.5, axis=1)
-        return np.where(inside,
-                        pts[:, 0] ** 3 + pts[:, 1] ** 3 + pts[:, 2] ** 3, 0.0)
+    def cubic(x, y, t):
+        inside = (np.abs(x) <= 0.5) & (np.abs(y) <= 0.5) & (np.abs(t) <= 0.5)
+        return np.where(inside, x ** 3 + y ** 3 + t ** 3, 0.0)
 
     def err(h):
         f = sample_to_grid(cubic, h, (0.52, 0.52, 0.52))
@@ -125,7 +140,7 @@ def test_gns_check_working_memory_bounded_by_two_grids():
 
 
 def test_gns_zero_function():
-    z = patch(lambda pts: np.zeros(pts.shape[0]))
+    z = patch(zero)
     res = gns_check(z)
     assert (res.lhs, res.rhs, res.ratio) == (0.0, 0.0, 0.0)
 
@@ -150,7 +165,7 @@ def test_gns_dilation_invariance():
 
 
 def test_level_sets_examples():
-    z = patch(lambda pts: np.zeros(pts.shape[0]))
+    z = patch(zero)
     assert z.decomposition.levels == ()
     one = GridFunction(np.pad(np.ones((3, 3, 3)), 2), h=0.125)
     # |f| = 1 = 2^0 sits on the closed boundary of both bands k=0 and k=1
@@ -187,7 +202,7 @@ def test_levelset_lemma_on_bump():
 
 def test_levelset_lemma_sharpened_bump():
     # steeper profile: both sides grow, the inequality is retained
-    steep = lambda pts: bump((0.4, 0.4, 0.3))(pts) ** 2
+    steep = lambda x, y, t: bump((0.4, 0.4, 0.3))(x, y, t) ** 2
     f = sample_to_grid(steep, 1 / 48, (0.45, 0.45, 0.35))
     a = np.abs(f.values)
     populated = {k: bool(((a >= 2.0 ** (k - 1)) & (a <= 2.0 ** k)).any())
@@ -215,17 +230,17 @@ def test_shear_preserves_l1_and_inverts():
     assert lp_norm(sh, 1.0) == pytest.approx(lp_norm(f, 1.0), rel=0.03)
     pts = np.random.default_rng(4).uniform(-0.6, 0.6, (10_000, 3))
     x, y, _ = pts.T
-    forward = np.column_stack([x, y, proj_y(pts.T)[1]])
-    assert np.allclose(sheared_fn(fn)(forward), fn(pts), rtol=0, atol=1e-12)
+    assert np.allclose(sheared_fn(fn)(x, y, proj_y(pts.T)[1]), fn(*pts.T),
+                       rtol=0, atol=1e-12)
 
 
 def test_shear_nearly_fixes_t_independent_profiles():
     # xy-support is tight, so the t-shift is tiny and the sheared samples
     # move by less than 1% in l1
-    def plateau(pts):
-        r2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2) / 0.1 ** 2
+    def plateau(x, y, t):
+        r2 = (x ** 2 + y ** 2) / 0.1 ** 2
         w = np.clip(1 - r2, 0, None) ** 2
-        u = np.clip((np.abs(pts[:, 2]) - 0.5) / 0.1, 0.0, 1.0)
+        u = np.clip((np.abs(t) - 0.5) / 0.1, 0.0, 1.0)
         return w * (1 - u * u) ** 2
 
     f = sample_to_grid(plateau, 1 / 32, (0.15, 0.15, 0.7))
@@ -241,16 +256,16 @@ def test_fields_differentiate_along_the_group_law():
     # twist of the wrong sign in either field is off by over 20%
     bump_c1 = bump((0.4, 0.4, 0.3), center=(0.1, -0.15, 0.05))
 
-    def fn(pts):
-        return bump_c1(pts) ** 2
+    def fn(x, y, t):
+        return bump_c1(x, y, t) ** 2
 
     f = sample_to_grid(fn, 1 / 32, (0.55, 0.6, 0.4))
     grid = np.meshgrid(*(f.axis_centers(a) for a in range(3)), indexing="ij")
     p = tuple(g.ravel() for g in grid)
     s = 1e-6
     for field, step in ((field_X, (s, 0.0, 0.0)), (field_Y, (0.0, s, 0.0))):
-        ahead = fn(np.column_stack(h_mul(p, step)))
-        behind = fn(np.column_stack(h_mul(p, h_inv(step))))
+        ahead = fn(*h_mul(p, step))
+        behind = fn(*h_mul(p, h_inv(step)))
         want = (ahead - behind) / (2.0 * s)
         err = np.abs(field(f).values.ravel() - want).max()
         assert err <= 0.04 * np.abs(want).max(), field.__name__
@@ -280,9 +295,9 @@ def test_gns_on_mollified_boxes_tracks_isoperimetry():
 def test_smoothed_box_profile():
     fn = smoothed_box((0.5, 0.5, 0.25), edge=0.25)
     pts = np.array([[0.0, 0.0, 0.0], [0.45, 0.0, 0.0], [0.7, 0.0, 0.0]])
-    vals = fn(pts)
+    vals = fn(*pts.T)
     assert vals[0] == 1.0 and vals[1] == 1.0 and vals[2] == 0.0
-    mid = fn(np.array([[0.5625, 0.0, 0.0]]))[0]  # halfway down the ramp
+    mid = fn(0.5625, 0.0, 0.0)  # halfway down the ramp
     assert 0.0 < mid < 1.0
 
 
@@ -365,12 +380,28 @@ def test_level_indices_do_not_depend_on_the_chunk(monkeypatch):
             assert np.array_equal(got[k], idx)
 
 
-def test_lazy_zoo_matches_eager_zoo():
-    want = _function_zoo_reference(1 / 16)
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_zoo_matches_row_reference(h):
+    # every zoo grid, two dilations of a bump and a bump sheared off its
+    # symmetric centre, sampled on broadcast axes, are bit for bit the
+    # grids that the row sampler makes of their (n, 3) row forms
+    want = _function_zoo_reference(h)
     assert list(FUNCTION_ZOO) == list(want) == [
         "bump", "narrow_bump", "aniso_bump", "sheared_bump", "smoothed_box"]
-    for name, g in want.items():
-        f = zoo_function(name, 1 / 16)
+    pairs = [(zoo_function(name, h), g) for name, g in want.items()]
+    widths = (0.5, 0.5, 0.35)
+    for lam in (0.5, 2.0):
+        ext = (0.55 * lam, 0.55 * lam, 0.4 * lam * lam)
+        pairs.append((
+            sample_to_grid(dilated_fn(bump(widths), lam), h * lam, ext),
+            _sample_rows_reference(_dilated_rows(_bump_rows(widths), lam),
+                                   h * lam, ext)))
+    widths, center, ext = (0.5, 0.5, 0.3), (0.1, -0.15, 0.05), (0.7, 0.7, 0.6)
+    pairs.append((
+        sample_to_grid(sheared_fn(bump(widths, center)), h, ext),
+        _sample_rows_reference(_sheared_rows(_bump_rows(widths, center)),
+                               h, ext)))
+    for f, g in pairs:
         assert (f.h, f.origin) == (g.h, g.origin)
         assert np.array_equal(f.values, g.values)
 
