@@ -317,6 +317,11 @@ def sobolev_check(name: str, f: GridFunction) -> RunResult:
                       f"{'pass' if lemma_ok else 'FAIL'}"])
 
 
+# Most unions isoperimetric may draw, checked before any work: a hundred
+# times the default; at the default h = 1/24 a union takes about 4 ms.
+ISOPERIMETRIC_TRIALS_MAX = 10_000
+
+
 def isoperimetric(trials: int, h: float, stream: Stream) -> RunResult:
     """Boundary projections must cover the projections of random unions
     of one to four boxes."""

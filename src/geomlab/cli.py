@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import __version__
 from . import acceptance as A
+from .planar import GridTooLarge
 from .rng import Stream, substream_seed
 
 
@@ -207,7 +208,9 @@ def _rich_points(cfg: ExperimentConfig) -> A.RunResult:
         raise ConfigError("rich-points: epsilon = ratio * delta exceeds 1 "
                           "for every (delta, ratio) pair")
     family = cfg.choice("family", ("rectangle", "k_star"))
-    res = A.rich_points(deltas, ratios, cfg.ints("ks", lo=2), family)
+    ks = cfg.ints("ks", lo=2)
+    res = _on_grid(cfg, "deltas",
+                   lambda: A.rich_points(deltas, ratios, ks, family))
     if all(r["n_rich"] == "infeasible" for r in res.rows):
         raise ConfigError(f"rich-points: family {family} is infeasible at "
                           f"every (delta, epsilon, k)")
@@ -217,12 +220,16 @@ def _rich_points(cfg: ExperimentConfig) -> A.RunResult:
 def _on_grid(cfg: ExperimentConfig, option: str,
              run: Callable[[], A.RunResult]) -> A.RunResult:
     """Run an experiment at the grid steps or deltas of `option`; a run
-    that measures nothing there (EmptyGrid) is a config error."""
+    that measures nothing there (EmptyGrid), or that asks for a grid or
+    lattice past its cap (GridTooLarge, which several options may cause),
+    is a config error."""
     try:
         return run()
     except A.EmptyGrid as exc:
         raise ConfigError(f"{cfg.experiment}: option {option!r}: "
                           f"{exc}") from None
+    except GridTooLarge as exc:
+        raise ConfigError(f"{cfg.experiment}: {exc}") from None
 
 
 def _sobolev_check(cfg: ExperimentConfig) -> A.RunResult:
@@ -275,13 +282,14 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "isoperimetric": Experiment(
         {"trials": "100", "h": "1/24", "seed": "12345"},
         lambda c: _on_grid(c, "h", lambda: A.isoperimetric(
-            c.count("trials"), c.scalar("h"),
+            c.count("trials", hi=A.ISOPERIMETRIC_TRIALS_MAX), c.scalar("h"),
             Stream(substream_seed(c.seed, 12))))),
     # above delta = 1/2 the box's t half width 1/16 holds no voxel of
     # height delta/4
     "reduce-pipeline": Experiment(
         {"deltas": "2^-4 2^-5 2^-6 2^-7", "seed": "12345"},
-        lambda c: A.reduce_pipeline(c.floats("deltas", hi=0.5))),
+        lambda c: _on_grid(c, "deltas", lambda: A.reduce_pipeline(
+            c.floats("deltas", hi=0.5)))),
     "verify-all": Experiment({"seed": "12345"}, lambda c: A.verify_all()),
 }
 

@@ -14,7 +14,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .incidence import _greedy_separated
-from .planar import LineFamily, Point2, PointSet, _runs, threshold
+from .planar import (GridTooLarge, LineFamily, Point2, PointSet, _runs,
+                     threshold)
 from .rng import Stream, rank_keys, substream_seed
 
 Region = Tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
@@ -22,11 +23,23 @@ Region = Tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
 UNIT_REGION: Region = (-1.0, 1.0, -1.0, 1.0)
 
 
+# Most points of one lattice: 8 MiB of float64.  The largest lattice of
+# the defaults and criteria has 4097 points (star-bound's candidate slopes
+# at epsilon = 2^-8), and star-bound at its smallest epsilon,
+# acceptance.STAR_EPSILON_MIN, asks for 2^16 + 1
+LATTICE_CAP = 2 ** 20
+
+
 def _lattice_1d(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi; GridTooLarge past LATTICE_CAP points."""
     if hi < lo:
         return np.empty(0)
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    steps = (hi - lo) / step + 1e-9
+    if not steps < LATTICE_CAP:  # also refuses inf and nan
+        raise GridTooLarge(f"a lattice of step {step:g} over [{lo:g}, "
+                           f"{hi:g}] would hold more than {LATTICE_CAP} "
+                           f"points")
+    return lo + step * np.arange(int(math.floor(steps)) + 1)
 
 
 def gen_grid_packing(delta: float, region: Region = UNIT_REGION) -> PointSet:

@@ -23,8 +23,9 @@ does not decrease and float subtraction is monotone, yc - xs[j] does not
 increase with j, so the rows with |yc - xs[j]| <= t form one interval.
 Its ends are estimated by floor/ceil and settled against that predicate
 by planar._first_true, and each column adds the interval to a difference
-array whose cumulative sum is the richness.  Blocks of lines x columns
-keep the working memory at a few MB whatever delta is.
+array whose cumulative sum is the richness.  The scan returns the lattice
+points of positive richness, the only ones a k-rich point can be.  Blocks
+of lines x columns keep the working memory at a few MB whatever delta is.
 """
 
 from __future__ import annotations
@@ -632,8 +633,9 @@ def _greedy_separated(coords: np.ndarray, delta: float) -> np.ndarray:
 
 @dataclass
 class RichnessField:
-    """Richness of every delta-grid candidate near the family, at the bumped
-    multiplier; reusable across k thresholds."""
+    """The delta-lattice points of positive richness at the bumped
+    multiplier, in row-major order, with their richness; reusable across
+    k thresholds."""
 
     coords: np.ndarray
     richness: np.ndarray
@@ -647,12 +649,11 @@ _GRID_COLUMNS = 32
 
 
 def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
-    """Richness at multiplier C + 1 of the candidates of the delta-lattice
-    xs = -1 + delta * (0, ..., n - 1) of [-1, 1]^2, n = floor(2 / delta) + 1:
-    the lattice points in the band of a line and every lattice point
-    incident to a line, in row-major (ix, iy) order.  Raises ValueError for
-    line parameters or a radius that are not finite or exceed 2**255 in
-    magnitude.
+    """The points of the delta-lattice xs = -1 + delta * (0, ..., n - 1) of
+    [-1, 1]^2, n = floor(2 / delta) + 1, incident to a line at multiplier
+    C + 1, with their richness, in row-major (ix, iy) order.  Raises
+    ValueError for line parameters or a radius that are not finite or
+    exceed 2**255 in magnitude.
 
     Lines and columns go in blocks of about _GRID_BLOCK entries.  For a
     line (a, b) and column x, yc = a x + b and the threshold
@@ -662,15 +663,11 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
     rows, which the tests check against count_naive.  As xs does
     not decrease and float subtraction is monotone, yc - xs[j] does not
     increase with j, so those rows are one interval [j_lo, j_end), its
-    ends the first rows with yc - xs[j] <= t and < -t.  The band is the
-    rows ceil((yc - t - delta + 1) / delta) to floor((yc + t + delta + 1) /
-    delta), within the radius plus one lattice step; its ends, one row in,
-    are the estimates planar._first_true settles into j_lo and j_end.  Each
-    column adds +1 at j_lo and -1 at j_end to a difference array, and so for
-    the band rows; the cumulative sums over j are the richness and the band
-    cover.  The band holds every incident row unless yc and t are so large
-    that the lattice step added to t is lost to rounding, hence the
-    union."""
+    ends the first rows with yc - xs[j] <= t and < -t.  The rows
+    ceil((yc - t + 1) / delta) and floor((yc + t + 1) / delta) + 1 estimate
+    them, and planar._first_true settles the estimates.  Each column adds
+    +1 at j_lo and -1 at j_end to a difference array, whose cumulative sum
+    over j is the richness."""
     used = s.multiplier + 1.0
     if not len(L):
         return RichnessField(np.empty((0, 2)), np.zeros(0, dtype=np.int64),
@@ -695,7 +692,6 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
         return pred
 
     thr = threshold(la, radius)[:, None]
-    half = thr + delta
     width = npts + 1  # a difference array's row: rows 0..n-1 and an end
     cols = min(npts, _GRID_COLUMNS)
     lines = max(1, _GRID_BLOCK // cols)
@@ -704,38 +700,23 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
         x = xs[c0:c0 + cols]
         base = width * np.arange(x.size)
         rich = np.zeros(x.size * width, dtype=np.int64)
-        band = np.zeros_like(rich)
         for l0 in range(0, len(L), lines):
             sl = slice(l0, l0 + lines)
             yc = la[sl, None] * x
             yc += lb[sl, None]
-            # the band's end rows, as floats
-            lo_f = yc - half[sl]
-            lo_f += 1.0
-            lo_f /= delta
-            np.ceil(lo_f, out=lo_f)
-            hi_f = yc + half[sl]
-            hi_f += 1.0
-            hi_f /= delta
-            np.floor(hi_f, out=hi_f)
-            j_lo = _clipped(lo_f + 1.0, 0, npts)
-            b_lo = _clipped(lo_f, 0, npts)
-            b_end = _clipped(hi_f + 1.0, 0, npts)
-            j_end = _clipped(hi_f, 0, npts)
-            _first_true(rows_past(yc, thr[sl], np.less_equal), j_lo, 0, npts)
-            _first_true(rows_past(yc, -thr[sl], np.less), j_end, 0, npts)
+            t = thr[sl]
+            j_lo = _clipped(np.ceil((yc - t + 1.0) / delta), 0, npts)
+            j_end = _clipped(np.floor((yc + t + 1.0) / delta) + 1.0, 0, npts)
+            _first_true(rows_past(yc, t, np.less_equal), j_lo, 0, npts)
+            _first_true(rows_past(yc, -t, np.less), j_end, 0, npts)
             # j_end >= j_lo as -t <= t, so an empty interval has
-            # j_end == j_lo and its +1 and -1 cancel; so has the band, as
-            # half > 0 makes b_end >= b_lo
-            for end in (j_lo, j_end, b_lo, b_end):
-                end += base
+            # j_end == j_lo and its +1 and -1 cancel
+            j_lo += base
+            j_end += base
             rich += np.bincount(j_lo.ravel(), minlength=rich.size)
             rich -= np.bincount(j_end.ravel(), minlength=rich.size)
-            band += np.bincount(b_lo.ravel(), minlength=band.size)
-            band -= np.bincount(b_end.ravel(), minlength=band.size)
         rich = np.cumsum(rich.reshape(x.size, width)[:, :npts], axis=1)
-        band = np.cumsum(band.reshape(x.size, width)[:, :npts], axis=1)
-        keep = np.flatnonzero((band > 0) | (rich > 0))
+        keep = np.flatnonzero(rich > 0)
         coords.append(np.column_stack([x[keep // npts], xs[keep % npts]]))
         richness.append(rich.ravel()[keep])
     return RichnessField(np.concatenate(coords), np.concatenate(richness),

@@ -22,7 +22,7 @@ from .heisenberg import (Plane, VerticalPlanePoint, _line_through,
                          dist_to_horizontal_line, gauge4, h_inv, h_mul, proj_x,
                          proj_y)
 from .incidence import _first_come
-from .planar import _CellHash, _first_true, _runs
+from .planar import GridTooLarge, _CellHash, _first_true, _runs
 
 _PACK_OFF = np.int64(1) << np.int64(20)
 _PACK_MUL = np.int64(1) << np.int64(21)
@@ -65,7 +65,8 @@ def _sides(h, ht) -> Tuple[float, float]:
 def _sweep(runs: List[_Runs], keep: Callable[..., np.ndarray]) -> _Runs:
     """The keys where keep(*cover) holds, as sorted maximal runs; cover[r]
     counts the runs of runs[r] that contain the key.  keep must be false
-    where nothing is covered."""
+    where nothing is covered.  For predicates that count; a union of runs
+    is _merged's."""
     at = np.unique(np.concatenate([a for pair in runs for a in pair]))
     cover = [np.searchsorted(np.sort(lo), at, "right")
              - np.searchsorted(np.sort(end), at, "right") for lo, end in runs]
@@ -97,23 +98,14 @@ def _spans_of_runs(col_ij: np.ndarray, m: int, base: int, runs: _Runs) -> np.nda
 def _canonical_spans(spans: np.ndarray) -> np.ndarray:
     """Sorted maximal spans (cell..., k0, klen) covering the rows of the
     int64 array spans.  Spans already in that form are returned as they
-    are, sorted disjoint ones are joined where they touch in one column,
-    and any others merged by a sweep."""
+    are, any others merged by _merged."""
     _check_spans(spans)
     col = _pack(spans[:, :-2])
-    k0, end = spans[:, -2], spans[:, -2] + spans[:, -1]
-    same = col[1:] == col[:-1]
-    gap = k0[1:] - end[:-1]
-    if np.all((col[1:] > col[:-1]) | (same & (gap >= 0))):
-        touch = same & (gap == 0)
-        if not touch.any():
-            return spans
-        first = np.flatnonzero(np.append(True, ~touch))
-        joined = spans[first]
-        joined[:, -1] = end[np.append(first[1:], len(spans)) - 1] - joined[:, -2]
-        return joined
+    gap = spans[1:, -2] - spans[:-1, -2] - spans[:-1, -1]
+    if np.all((col[1:] > col[:-1]) | ((col[1:] == col[:-1]) & (gap > 0))):
+        return spans
     col_ij, m, base, runs = _column_runs(spans)
-    return _spans_of_runs(col_ij, m, base, _sweep([runs], lambda n: n > 0))
+    return _spans_of_runs(col_ij, m, base, _merged(*runs))
 
 
 class _SpanSet:
@@ -345,8 +337,8 @@ class UnionShape(Shape):
         return np.min(los, axis=0), np.max(his, axis=0)
 
     def t_intervals(self, cols):
-        parts = [sh.t_intervals(cols) for sh in self.shapes]
-        return _sweep(parts, lambda *n: sum(n) > 0) if parts else _NO_RUNS
+        parts = [sh.t_intervals(cols) for sh in self.shapes] or [_NO_RUNS]
+        return _merged(*(np.concatenate(r) for r in zip(*parts)))
 
 
 class DifferenceShape(Shape):
@@ -458,15 +450,34 @@ class TubeIntersection(Shape):
         return cols.confirm(self, c[near], lo[near], hi[near])
 
 
+# Most (i, j) columns voxelize reads: at one span a column, 256 MiB of
+# spans.  The largest box of the defaults and criteria has 66564 columns
+# (the model box at delta = 2^-7), and reduce-pipeline at delta = 2^-10
+# (4.2M columns) took 11 s and 400 MB.
+VOXELIZE_COLUMN_CAP = 2 ** 23
+
+
+@np.errstate(over="ignore")  # a bound over a tiny side is inf, and refused
 def _grid_box(shape: Shape, h: float, ht: float):
     """The index box [i0, i1) x [j0, j1) x [k0, k1) of the centers voxelize
-    reads, or None for empty bounds."""
+    reads, or None for empty bounds.  Raises GridTooLarge for a box that
+    leaves the packing range [-2^20, 2^20) or holds more than
+    VOXELIZE_COLUMN_CAP columns."""
     lo, hi = shape.bounds()
     if np.any(hi <= lo):
         return None
-    return (int(math.floor(lo[0] / h)) - 1, int(math.ceil(hi[0] / h)) + 1,
-            int(math.floor(lo[1] / h)) - 1, int(math.ceil(hi[1] / h)) + 1,
-            int(math.floor(lo[2] / ht)) - 1, int(math.ceil(hi[2] / ht)) + 1)
+    side = np.array([h, h, ht])
+    lo, hi = np.floor(lo / side) - 1, np.ceil(hi / side) + 1
+    if not (np.all(lo >= -_PACK_OFF) and np.all(hi <= _PACK_OFF)):
+        raise GridTooLarge(f"at h={h:g}, ht={ht:g} the voxel indices of the "
+                           f"shape's box leave [-2^20, 2^20)")
+    i0, j0, k0 = map(int, lo)
+    i1, j1, k1 = map(int, hi)
+    columns = (i1 - i0) * (j1 - j0)
+    if columns > VOXELIZE_COLUMN_CAP:
+        raise GridTooLarge(f"at h={h:g} the shape's box holds {columns} "
+                           f"(i, j) columns, more than {VOXELIZE_COLUMN_CAP}")
+    return i0, i1, j0, j1, k0, k1
 
 
 def voxelize(shape: Shape, h: float, ht: Optional[float] = None) -> VoxelSet:
@@ -476,7 +487,9 @@ def voxelize(shape: Shape, h: float, ht: Optional[float] = None) -> VoxelSet:
     The box is read one (i, j) column at a time: shape.t_intervals gives
     the runs of cells it contains in each column, at a cost that goes with
     the columns, not with the centers of the box, in sorted blocks of
-    whole i-rows, about _VOXELIZE_COLUMNS columns each."""
+    whole i-rows, about _VOXELIZE_COLUMNS columns each.  A box that leaves
+    the packing range or holds more than VOXELIZE_COLUMN_CAP columns raises
+    GridTooLarge before any column is read."""
     h, ht = _sides(h, ht)
     box = _grid_box(shape, h, ht)
     if box is None:
@@ -537,7 +550,6 @@ def _dilated_covers(region: PlaneRegion, other: PlaneRegion) -> bool:
     u, t0, tlen = region.spans.T
     col = (u + _PACK_OFF) * _PACK_MUL + _PACK_OFF
     shift = np.array([[-1], [0], [1]]) * _PACK_MUL
-    # half-open runs: _merged joins those that overlap or touch
     lo, end = _merged((shift + col + np.maximum(t0 - 1, -_PACK_OFF)).ravel(),
                       (shift + col + np.minimum(t0 + tlen + 1, _PACK_OFF)).ravel())
     key = _pack(other.spans[:, :2])
@@ -581,16 +593,17 @@ _PROJECT_SPANS = 1 << 13
 _VOXELIZE_COLUMNS = 1 << 14
 
 
-def _merged(key_lo: np.ndarray, key_hi: np.ndarray) -> _Runs:
-    """The runs [key_lo, key_hi] with those that overlap merged, sorted:
-    by key_lo and a running max of key_hi.  At least one run is given."""
-    order = np.argsort(key_lo, kind="stable")
-    key_lo = key_lo[order]
-    reach = np.maximum.accumulate(key_hi[order])
-    first = np.ones(key_lo.size, dtype=bool)
-    first[1:] = key_lo[1:] > reach[:-1]
-    starts = np.nonzero(first)[0]
-    return key_lo[starts], reach[np.append(starts[1:], key_lo.size) - 1]
+def _merged(lo: np.ndarray, end: np.ndarray) -> _Runs:
+    """The union of the nonempty half-open runs [lo, end) of integer keys,
+    as sorted maximal runs: runs that overlap or touch are joined.  The
+    runs are sorted by lo, and a new one starts where lo passes the
+    running max of end.  No runs give none."""
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    reach = np.maximum.accumulate(end[order])
+    gap = np.flatnonzero(lo[1:] > reach[:-1])
+    return (np.concatenate([lo[:1], lo[gap + 1]]),
+            np.concatenate([reach[gap], reach[-1:]]))
 
 
 def _project_spans(K: VoxelSet, plane: Plane, oversample: int) -> PlaneRegion:
@@ -602,6 +615,9 @@ def _project_spans(K: VoxelSet, plane: Plane, oversample: int) -> PlaneRegion:
         return PlaneRegion(plane, np.empty((0, 2), dtype=np.int64), K.h, K.ht)
     s = oversample
     fr = (2.0 * np.arange(s) + 1.0) / (2.0 * s)
+    # (u, t) keys of 2^21 + 1 a column, one more than _pack's, so that the
+    # end of a run at t cell 2^20 - 1 is not the first key of column u + 1
+    stride = _PACK_MUL + 1
     runs = []
     for start in range(0, K.spans.shape[0], _PROJECT_SPANS):
         i, j, k0, klen = K.spans[start:start + _PROJECT_SPANS].T
@@ -622,18 +638,17 @@ def _project_spans(K: VoxelSet, plane: Plane, oversample: int) -> PlaneRegion:
         if (np.floor(lo.min() / K.ht) < -_PACK_OFF
                 or np.floor(hi.max() / K.ht) >= _PACK_OFF):
             raise ValueError(_RANGE)
-        # in packed (u, t) keys a run is [key_lo, key_hi] and the keys of a
-        # larger u exceed all keys of a smaller one, so merging runs never
-        # joins two columns
-        u_key = (iu + _PACK_OFF) * _PACK_MUL + _PACK_OFF
+        # the keys of a larger u exceed all keys of a smaller one, with a
+        # key between the columns, so merging runs never joins two columns
+        u_key = (iu + _PACK_OFF) * stride + _PACK_OFF
         runs.append(_merged(
             (u_key + np.floor(lo / K.ht).astype(np.int64)).ravel(),
-            (u_key + np.floor(hi / K.ht).astype(np.int64)).ravel()))
-    lo, hi = (runs[0] if len(runs) == 1 else
-              _merged(*(np.concatenate(r) for r in zip(*runs))))
-    # each run lies in one u column: it is a t-span of that column
-    u = lo // _PACK_MUL
-    spans = np.column_stack([u - _PACK_OFF, lo - u * _PACK_MUL - _PACK_OFF, hi - lo + 1])
+            (u_key + np.floor(hi / K.ht).astype(np.int64) + 1).ravel()))
+    lo, end = (runs[0] if len(runs) == 1 else
+               _merged(*(np.concatenate(r) for r in zip(*runs))))
+    # each run lies in one u column: it is a maximal t-span of that column
+    u = lo // stride
+    spans = np.column_stack([u - _PACK_OFF, lo - u * stride - _PACK_OFF, end - lo])
     return PlaneRegion._of(spans, K.h, K.ht, plane=plane)
 
 

@@ -26,6 +26,11 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 
+class GridTooLarge(ValueError):
+    """A grid or lattice that an input asks for exceeds its named cap; it is
+    refused before anything of its size is allocated."""
+
+
 @dataclass(frozen=True)
 class Point2:
     x: float

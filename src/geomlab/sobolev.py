@@ -29,6 +29,7 @@ import numpy as np
 
 from .heisenberg import proj_x
 from .measure import VoxelSet, project_voxels
+from .planar import GridTooLarge
 
 
 class GridFunction:
@@ -97,12 +98,12 @@ def sample_to_grid(fn: Callable[..., np.ndarray], h: float,
     the values in their broadcast shape; it is called once per x-slab of the
     grid, with x a float, y a column and t a row; a caller holding (n, 3)
     point rows calls fn(*pts.T).  A grid of more than SAMPLE_CAP samples
-    raises a ValueError before anything is allocated."""
+    raises GridTooLarge before anything is allocated."""
     # min keeps inf and nan from math.ceil; a clamped axis is over the cap
     ns = [math.ceil(min(SAMPLE_CAP, e / h)) + margin for e in half_extents]
     if 8 * math.prod(ns) > SAMPLE_CAP:
-        raise ValueError(f"the grid at h={h:g} would hold more than "
-                         f"{SAMPLE_CAP} samples")
+        raise GridTooLarge(f"the grid at h={h:g} would hold more than "
+                           f"{SAMPLE_CAP} samples")
     xs, ys, ts = ((np.arange(-n, n) + 0.5) * h for n in ns)
     vals = np.empty((xs.size, ys.size, ts.size))
     for a, x in enumerate(xs):

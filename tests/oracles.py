@@ -77,9 +77,10 @@ def _grid_candidates(L: LineFamily, delta: float, radius: float) -> np.ndarray:
 
 
 def _grid_richness_reference(L: LineFamily, s: Scale) -> RichnessField:
-    """grid_richness by marking the band rows of _grid_candidates and
-    counting them with count_bucketed: the oracle of the lattice scan (it
-    sees only the band, see grid_richness)."""
+    """The band points of _grid_candidates, richness and all, counted with
+    count_bucketed: an oracle of grid_richness wherever it looks.  The band
+    holds points of richness 0, and misses incident rows where adding the
+    lattice step to a huge threshold rounds away."""
     used = s.multiplier + 1.0
     cand = (_grid_candidates(L, s.delta, used * s.delta) if len(L)
             else np.empty((0, 2)))

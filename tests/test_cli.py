@@ -199,6 +199,37 @@ _TUBE_RANGE = ("'deltas': every value must be a finite number >= 7.62939e-06 "
     # before the empty volume was reported
     pytest.param("tube-volume", "deltas = 1/128 1e200 1e200\n", _TUBE_RANGE,
                  id="tube-volume-delta-1e200"),
+    # voxel boxes past the packing range: the first three raised numpy's
+    # _ArrayMemoryError (exit 1), the fourth ran out of memory after 20 s,
+    # and h = 5e-324 raised OverflowError
+    pytest.param("lw-sweep", "scale = 1e10\n",
+                 "lw-sweep: at h=0.0208333, ht=0.0208333 the voxel indices "
+                 "of the shape's box leave [-2^20, 2^20)",
+                 id="lw-sweep-scale-1e10"),
+    pytest.param("lw-sweep", "hs = 1e-7\n",
+                 "lw-sweep: at h=1e-07, ht=1e-07 the voxel indices",
+                 id="lw-sweep-hs-1e-7"),
+    pytest.param("reduce-pipeline", "deltas = 1e-9\n",
+                 "reduce-pipeline: at h=2.5e-10, ht=2.5e-10 the voxel indices",
+                 id="reduce-pipeline-deltas-1e-9"),
+    pytest.param("isoperimetric", "h = 1e-7\n",
+                 "isoperimetric: at h=1e-07, ht=1e-07 the voxel indices",
+                 id="isoperimetric-h-1e-7"),
+    pytest.param("lw-sweep", "hs = 5e-324\n",
+                 "at h=4.94066e-324, ht=4.94066e-324 the voxel indices",
+                 id="lw-sweep-subnormal-hs"),
+    # a box of 10^10 columns ran out of memory after 20 s (exit 1)
+    pytest.param("lw-sweep", "hs = 1e-5\n",
+                 "lw-sweep: at h=1e-05 the shape's box holds 10000400004 "
+                 "(i, j) columns, more than 8388608", id="lw-sweep-hs-1e-5"),
+    # the rectangle family's 10^9 lattice points asked numpy for 7.45 GiB
+    pytest.param("rich-points", "deltas = 1e-9\n",
+                 "rich-points: a lattice of step 1e-09 over [0, 1] would "
+                 "hold more than 1048576 points", id="rich-points-deltas-1e-9"),
+    # 10^12 unions ran for as long as one would wait
+    pytest.param("isoperimetric", "trials = 1000000000000\n",
+                 "'trials': every value must be a finite number >= 1 and "
+                 "<= 10000", id="isoperimetric-trials-1e12"),
 ])
 def test_bad_experiment_values_exit_2(tmp_path, capsys, experiment, body,
                                       needle):
@@ -369,6 +400,19 @@ _FUZZED_OPTIONS = {
                              "0.3"]),
             st.sampled_from(["1", "2", "1e-5", "5e-324", "2^-1074", "0",
                              "-1/64", "inf", "abc", ""])), 2),
+        ("seed", _TOKENS["seed"], 1)),
+    # up to 20 unions at h of at least 1/24 keep the runs short (100, the
+    # default, at 1/24 take about 0.4 s); the extremes are turned away by
+    # the trials bound, the voxelize limits or as all-empty sets
+    "isoperimetric": (
+        ("trials", _mostly(
+            st.integers(1, 20).map(str),
+            st.sampled_from(["0", "-1", "2.5", "10001", "1000000000000",
+                             "1e400", "nan", "abc", ""])), 2),
+        ("h", _mostly(
+            st.sampled_from(["1/8", "1/12", "1/16", "1/24", "0.1", "2^-3"]),
+            st.sampled_from(["1", "2", "1e10", "1e-4", "1e-7", "5e-324",
+                             "0", "-1/24", "inf", "abc", ""])), 2),
         ("seed", _TOKENS["seed"], 1)),
 }
 

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from geomlab.acceptance import sweep_family
-from geomlab.generators import (_lattice_1d, gen_concurrent_star,
+from geomlab.generators import (LATTICE_CAP, _lattice_1d, gen_concurrent_star,
                                 gen_grid_packing, gen_greedy_concurrent,
                                 gen_kstar, gen_random, gen_rectangle_example,
                                 gen_tube_example)
 from geomlab.incidence import count_naive, max_concurrency
-from geomlab.planar import (LineFamily, Point2, Scale, save_point_set,
-                            validate_separation)
+from geomlab.planar import (GridTooLarge, LineFamily, Point2, Scale,
+                            save_point_set, validate_separation)
 from geomlab.rng import Stream, mix64, rank_keys, substream_seed
 from oracles import _rank_keys_reference, traced_peak
 
@@ -22,6 +22,17 @@ def test_grid_packing_counts():
     assert len(gen_grid_packing(0.5)) == 25
     assert len(gen_grid_packing(1.0 - 1e-12)) == 9
     assert len(gen_grid_packing(2.0 ** -3, region=(0, 0.25, 0, 0.125))) == 6
+
+
+def test_lattice_refuses_more_points_than_its_cap():
+    assert _lattice_1d(0.0, LATTICE_CAP - 1.0, 1.0).size == LATTICE_CAP
+    for lo, hi, step in ((0.0, LATTICE_CAP, 1.0), (0.0, 1.0, 1e-9),
+                         (-1.0, 1.0, 5e-324)):
+        with pytest.raises(GridTooLarge, match="more than 1048576 points"):
+            _lattice_1d(lo, hi, step)
+    # the rectangle family at delta = 1e-9 asked numpy for 7.45 GiB
+    with pytest.raises(GridTooLarge, match="step 1e-09 over"):
+        gen_rectangle_example(1e-9, 1.0, math.sqrt(1e-9))
 
 
 def test_grid_packing_empty_region():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from geomlab import measure as M
 from geomlab.heisenberg import (Plane, VerticalPlanePoint, gauge4, h_inv,
                                 h_mul, proj_x, proj_y)
+from geomlab.planar import GridTooLarge
 from geomlab.measure import (Box, DifferenceShape, DilatedShape, KoranyiBall,
                              PlaneRegion, ShearedShape, TubeIntersection,
                              UnionShape, VoxelSet, _dilated_covers,
@@ -49,6 +50,38 @@ def test_voxelize_rejects_bad_sides(h, ht):
     # negative ht gave an empty set
     with pytest.raises(ValueError, match="h and ht must be finite and positive"):
         voxelize(Box((0, 0, 0), (0.3, 0.3, 0.1)), h, ht)
+
+
+def test_voxelize_refuses_boxes_past_its_limits(monkeypatch):
+    ball = KoranyiBall((0, 0, 0), 0.5)
+    # indices past 2^20 asked numpy for terabytes, and 1 / 5e-324 overflowed
+    for h in (1e-7, 5e-324):
+        with pytest.raises(GridTooLarge, match=r"leave \[-2\^20, 2\^20\)"):
+            voxelize(ball, h)
+    with pytest.raises(GridTooLarge, match=r"leave \[-2\^20, 2\^20\)"):
+        voxelize(ball, 0.1, 1e-8)
+    with pytest.raises(GridTooLarge, match="more than 8388608"):
+        voxelize(ball, 1e-4)
+    # the box, one cell of margin included, must lie in [-2^20, 2^20)
+    edge = 2.0 ** 20
+    top = voxelize(Box((edge - 2.0, 0.5, 0.5), (0.9, 0.4, 0.4)), 1.0)
+    assert top.spans.tolist() == [[2 ** 20 - 3, 0, 0, 1],
+                                  [2 ** 20 - 2, 0, 0, 1]]
+    bottom = voxelize(Box((0.5, 0.5, 2.0 - edge), (0.4, 0.4, 0.9)), 1.0)
+    assert bottom.spans.tolist() == [[0, 0, 1 - 2 ** 20, 2]]
+    with pytest.raises(GridTooLarge):
+        voxelize(Box((edge - 1.0, 0.5, 0.5), (0.9, 0.4, 0.4)), 1.0)
+    with pytest.raises(GridTooLarge):
+        voxelize(Box((0.5, 0.5, 1.0 - edge), (0.4, 0.4, 0.9)), 1.0)
+    # the box of i in [-3, 3) and j in [-2, 2) is read at a cap of its 24
+    # columns, and refused at a cap of 23
+    box = Box((0, 0, 0), (0.25, 0.125, 0.125))
+    monkeypatch.setattr(M, "VOXELIZE_COLUMN_CAP", 24)
+    assert np.array_equal(voxelize(box, 1 / 8).spans,
+                          _voxelize_dense(box, 1 / 8).spans)
+    monkeypatch.setattr(M, "VOXELIZE_COLUMN_CAP", 23)
+    with pytest.raises(GridTooLarge, match="holds 24 \\(i, j\\) columns"):
+        voxelize(box, 1 / 8)
 
 
 def test_voxel_volume_examples():
@@ -1009,6 +1042,43 @@ def test_plane_region_spans_stay_in_their_column():
     assert R.spans.tolist() == [[0, _EDGE - 1, 1], [1, -_EDGE, 1]]
     assert np.array_equal(
         PlaneRegion.from_spans(R.spans, 0.1, plane=Plane.W_X).spans, R.spans)
+
+
+def test_projection_keeps_columns_apart_at_the_packing_edge():
+    # the half-open end of a run at t cell 2^20 - 1 of column u is the
+    # packed key of cell -2^20 of column u + 1: the runs stay two spans
+    K = VoxelSet.from_spans([(0, 0, _EDGE - 4, 4), (1, 0, -_EDGE, 3)],
+                            2.0 ** -10, 1.0)
+    assert project_voxels(K, "x").spans.tolist() == [[0, _EDGE - 4, 4],
+                                                     [1, -_EDGE, 3]]
+    assert project_voxels(K, "y").spans.tolist() == [[0, -_EDGE, 3],
+                                                     [0, _EDGE - 4, 4]]
+    _assert_matches_oracle(K)
+
+
+def test_merged_joins_runs_that_overlap_or_touch():
+    lo, end = M._merged(np.array([9, 0, 5, 2, 12, 3]),
+                        np.array([10, 2, 7, 4, 15, 4]))
+    assert (lo.tolist(), end.tolist()) == ([0, 5, 9, 12], [4, 7, 10, 15])
+    none = np.empty(0, dtype=np.int64)
+    assert [r.size for r in M._merged(none, none)] == [0, 0]
+
+
+def test_union_of_touching_and_overlapping_boxes_matches_dense():
+    # over column (0, 0) the first two boxes hold cells 0-1 and 2-3, runs
+    # that touch; the third overlaps both and the fourth, cells 5-6, lies a
+    # cell apart
+    boxes = [Box((0, 0, 0.125), (0.25, 0.25, 0.125)),
+             Box((0.0625, 0, 0.375), (0.25, 0.25, 0.125)),
+             Box((-0.0625, 0.0625, 0.25), (0.125, 0.125, 0.125)),
+             Box((0, 0, 0.75), (0.125, 0.25, 0.0625))]
+    for shapes in (boxes, boxes[::-1], boxes[:2], boxes[1::2], boxes[:1] * 2):
+        U = UnionShape(*shapes)
+        assert np.array_equal(voxelize(U, 1 / 8).spans,
+                              _voxelize_dense(U, 1 / 8).spans)
+    spans = voxelize(UnionShape(*boxes), 1 / 8).spans
+    column = spans[(spans[:, 0] == 0) & (spans[:, 1] == 0)]
+    assert column.tolist() == [[0, 0, 0, 4], [0, 0, 5, 2]]
 
 
 def test_project_voxels_rejects_unknown_planes():
