@@ -28,6 +28,10 @@ UNIT_REGION: Region = (-1.0, 1.0, -1.0, 1.0)
 # at epsilon = 2^-8), and star-bound at its smallest epsilon,
 # acceptance.STAR_EPSILON_MIN, asks for 2^16 + 1
 LATTICE_CAP = 2 ** 20
+# Most points of one 2-D lattice: 256 MiB of (x, y) pairs.  The largest
+# lattice of the defaults, criteria and benchmark has 257^2 = 66,049
+# points (the rectangle family's lines at 2^-7)
+LATTICE_2D_CAP = 2 ** 24
 
 
 def _lattice_1d(lo: float, hi: float, step: float) -> np.ndarray:
@@ -42,6 +46,18 @@ def _lattice_1d(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(int(math.floor(steps)) + 1)
 
 
+def _lattice_2d(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The (x, y) pairs of xs x ys in row-major order, one a row;
+    GridTooLarge past LATTICE_2D_CAP pairs."""
+    if xs.size * ys.size > LATTICE_2D_CAP:
+        raise GridTooLarge(f"a lattice of {xs.size} x {ys.size} points "
+                           f"would hold more than {LATTICE_2D_CAP}")
+    out = np.empty((xs.size, ys.size, 2))
+    out[:, :, 0] = xs[:, None]
+    out[:, :, 1] = ys
+    return out.reshape(-1, 2)
+
+
 def gen_grid_packing(delta: float, region: Region = UNIT_REGION) -> PointSet:
     """Square lattice of spacing exactly delta clipped to the region.
 
@@ -51,12 +67,8 @@ def gen_grid_packing(delta: float, region: Region = UNIT_REGION) -> PointSet:
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     xmin, xmax, ymin, ymax = region
-    xs = _lattice_1d(xmin, xmax, delta)
-    ys = _lattice_1d(ymin, ymax, delta)
-    if xs.size == 0 or ys.size == 0:
-        return PointSet(np.empty((0, 2)), delta)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return PointSet(np.column_stack([gx.ravel(), gy.ravel()]), delta)
+    return PointSet(_lattice_2d(_lattice_1d(xmin, xmax, delta),
+                                _lattice_1d(ymin, ymax, delta)), delta)
 
 
 def gen_tube_example(delta: float) -> Tuple[PointSet, LineFamily]:
@@ -100,16 +112,10 @@ def gen_rectangle_example(delta: float, r: float, s: float,
     eps = delta if epsilon is None else epsilon
     if eps < delta:
         raise ValueError("epsilon must be >= delta")
-    xs = _lattice_1d(0.0, r, delta)
-    ys = _lattice_1d(0.0, s, delta)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    la = _lattice_1d(-1.0, 1.0, eps)
-    lb = _lattice_1d(-1.0, 1.0, eps)
-    ga, gb = np.meshgrid(la, lb, indexing="ij")
-    ga, gb = ga.ravel(), gb.ravel()
-    keep = _dual_region_mask(ga, gb, r, s)
-    lines = np.column_stack([ga[keep], gb[keep]])
+    pts = _lattice_2d(_lattice_1d(0.0, r, delta), _lattice_1d(0.0, s, delta))
+    lattice = _lattice_1d(-1.0, 1.0, eps)
+    lines = _lattice_2d(lattice, lattice)
+    lines = lines[_dual_region_mask(lines[:, 0], lines[:, 1], r, s)]
     return PointSet(pts, delta), LineFamily(lines, eps)
 
 
@@ -131,7 +137,9 @@ def gen_kstar(k: int, m: int, delta: float,
         raise ValueError("epsilon must be >= delta")
     step = max(eps * (1.0 + 1e-9), 2.0 * delta)
     gap = step
-    budget = m * (k - 1) * step + (m - 1) * gap
+    # in floats, where the int m (k - 1) of a huge k could not be converted;
+    # for k, m < 2^53 both round the same exact product
+    budget = m * float(k - 1) * step + (m - 1) * gap
     if budget > 2.0:
         raise ValueError(
             f"infeasible k-star: m={m} windows of {k} slopes at step {step:g} "

@@ -11,10 +11,14 @@ a x_r + b, its height there, and the lines are sorted by (slope column,
 key).  A point (x, y) meets (a, b) at radius r iff the key lies within
 r sqrt(1 + a^2) of y - a (x - x_r), so per point and column a binary search
 finds the window of keys that can meet the point's dual strip; the slopes
-of a column make that window uncertain by (column width) |x - x_r| only.
+of a column make that window uncertain by (slope range) |x - x_r| only.
 A window whose end lines lie inside the strip with a proven float margin
 is counted by index difference; the lines of any other window are tested
-in the brute-force operation order, so counts agree bit for bit.
+in the brute-force operation order, so counts agree bit for bit.  A count
+without pairs whose lines take few distinct slopes, as the lattice
+families' do, gets one column per slope: its windows have no slope
+uncertainty, and only lines within the float margin of a window's end
+are tested.  Other calls get slope columns of fixed width.
 
 Rich points are counted on the delta-lattice xs of [-1, 1]^2 without an
 engine call.  For a line (a, b) and a lattice column x, yc = a x + b and
@@ -36,8 +40,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .planar import (LineFamily, Point2, PointSet, Scale, _CellHash,
-                     _check_finite, _first_true, _runs, incident, threshold)
+from .planar import (GridTooLarge, LineFamily, Point2, PointSet, Scale,
+                     _CellHash, _check_finite, _first_true, _runs, incident,
+                     threshold)
 
 
 def normalized_ratio(count: int, n_points: int, n_lines: int, delta: float) -> float:
@@ -150,11 +155,36 @@ def count_naive(P: PointSet, L: LineFamily, s: Scale,
 _MAX_MAGNITUDE = 2.0 ** 255
 # Points per chunk of count_bucketed: the arrays of one column stay within
 # 64 kB, and a chunk collects at most 2**19 windows for exact tests.  An
-# input of at most one chunk of points is one group keyed at x = 0; larger
-# ones have groups of at least _GROUP_POINTS points (see _layout).
+# input of at most one chunk of points, or of one column per slope, is one
+# group keyed at x = 0; larger ones have groups of at least _GROUP_POINTS
+# points (see _layout).
 _CHUNK_POINTS = 8192
 _CHUNK_PAIRS = 1 << 19
 _GROUP_POINTS = 2048
+# Most distinct slopes, in units of sqrt m, that the m lines of a count
+# without pairs may take and get one column per slope (see _layout).
+# Fixed-width columns number about sqrt m, so per-slope ones cost at most
+# about twice their binary searches, and they save the exact tests of the
+# windows that a column's slope range makes straddle the strip's edges.
+# Count-only calls, fixed-width vs per-slope columns, ms, median of 9
+# interleaved in-process calls (2 cores, numpy 2.4):
+#
+#   instance                      n x m        slopes     fixed  per slope
+#   rectangle 2^-6               585 x  5,285  1.77 sqrt m    8.7     4.7
+#   rectangle 2^-7             1,548 x 19,530  1.84 sqrt m   28.6    17.1
+#   rectangle 2^-6, 1 x 1      4,225 x 10,465  1.26 sqrt m   22.1    18.4
+#   rectangle 2^-7, 1/2 x 1/4  2,145 x 16,673  1.99 sqrt m   29.0    23.2
+#   rectangle 2^-8, 1/4 x 1/8  2,145 x 33,185  2.82 sqrt m   39.1    52.3
+#   grid slopes, random b      1,500 x 20,000  1.99 sqrt m   31.9    41.1
+#   grid slopes, random b      1,500 x 20,000  4.00 sqrt m   36.6    81.1
+#
+# The lattice families gain at up to 2 sqrt m slopes and lose above; lines
+# of random intercepts straddle less and lose already at 2 sqrt m, but no
+# family here has them.  With pairs every nonempty window is tested
+# anyway, so calls with pairs keep fixed-width columns: per-slope ones
+# took 4.45 vs 3.94 ms on the rectangle family at 2^-5, 25.9 vs 22.1 at
+# 2^-6 (median of 15).
+_SLOPE_COLUMNS = 2.0
 # Lines _Columns.count tests exactly at a time, in whole windows.  A block
 # holds about 65 bytes a line: its slots and points, the five operands it
 # gathers for planar.incident, their distances and the flags.
@@ -172,11 +202,13 @@ _TEST_LINES = 1 << 15
 #   random 362 x 362, 2^-10     131,044   0.70 vs 1.13   0.77 vs 1.06
 #   random 512 x 512, 2^-7      262,144   1.41 vs 1.73   1.57 vs 1.64
 #   random 600 x 600, 2^-11     360,000   1.99 vs 1.99   2.27 vs 2.39
-#   rectangle 2^-5, 1/2 x 1/4   167,841   1.60 vs 3.19   1.34 vs 1.56
-#   rectangle 2^-4, 1 x 1       201,433   1.58 vs 3.09   1.68 vs 1.86
+#   rectangle 2^-5, 1/2 x 1/4   167,841   1.60 vs 3.19   0.81 vs 1.27 *
+#   rectangle 2^-4, 1 x 1       201,433   1.58 vs 3.09   0.95 vs 0.80 *
 #   k-star 32 x 64, 2^-12       131,072   1.05 vs 2.56   1.07 vs 2.31
 #   k-star 16 x 128, 2^-12      262,144   2.03 vs 2.61   1.75 vs 1.71
 #
+# * re-measured with one column per slope (_SLOPE_COLUMNS), on a faster
+# run of the machine: the kernel's entries read 1.34 and 1.68 before.
 # The tube counted without pairs, whose windows are all counted by index
 # difference, crosses first, near 93k pairs; the other families cross
 # between 2^17 and 2^19 pairs.
@@ -218,20 +250,21 @@ def _float_margin(px, py, la, lb, radius: float, x_ref: float) -> float:
 
 
 class _Columns:
-    """Lines sorted by (slope column, key) into slots, each column framed by
-    a -inf key slot before it and a +inf one after it.
+    """Lines sorted by (column, key) into slots, each column framed by a
+    -inf key slot before it and a +inf one after it.
 
-    Columns are `width` wide in slope, counted from the smallest slope;
-    only nonempty columns are kept, each with the slope range of the lines
-    it holds.  The key of a line (a, b) is its height a x_ref + b at the
-    reference abscissa x_ref, 0 (the intercept) until key_at moves it.
-    Which column a line is in depends on its slope only, so moving x_ref
-    reorders lines within their columns and keeps every slot of a column
-    in it."""
+    The caller gives each line its column, a nonnegative integer: _layout
+    gives fixed-width slope columns, or one column per distinct slope.
+    Only nonempty columns are kept, each with the slope range [a_lo, a_hi]
+    of the lines it holds, so any assignment counts exactly; a column of
+    one slope has windows without slope uncertainty.  The key of a line
+    (a, b) is its height a x_ref + b at the reference abscissa x_ref, 0
+    (the intercept) until key_at moves it.  Which column a line is in does
+    not depend on x_ref, so moving x_ref reorders lines within their
+    columns and keeps every slot of a column in it."""
 
-    def __init__(self, params: np.ndarray, radius: float, width: float):
+    def __init__(self, params: np.ndarray, radius: float, col: np.ndarray):
         a, b = params[:, 0], params[:, 1]
-        col = np.floor((a - a.min()) / width).astype(np.int64)
         order = np.lexsort((b, col))
         a, b, self.col = a[order], b[order], col[order]
         new = np.diff(self.col, prepend=-1) != 0
@@ -348,26 +381,38 @@ class _Columns:
         return richness, keys if with_pairs else None
 
 
-def _layout(n: int, m: int, radius: float, a_span: float,
-            x_extent: float) -> Tuple[int, float]:
-    """The number of point groups of count_bucketed and the slope width of
-    its columns, for n points spanning x_extent in x, m lines spanning
-    a_span in slope, and the radius r.
+def _layout(px: np.ndarray, la: np.ndarray, radius: float,
+            with_pairs: bool) -> Tuple[int, float, np.ndarray]:
+    """The number of point groups of count_bucketed, the width of the x
+    strips that order its points, and the column of each line, for points
+    of abscissas px, lines of slopes la and the radius r.
 
-    Up to one chunk of points: one group and columns max(r, a_span /
-    sqrt m) wide, at most sqrt m + 1 of them.  Above that, columns twice as
-    wide, which halves the binary searches, and 2 width x_extent / r groups
-    of equal numbers of points.  A group then spans r / (2 width) in x on
-    average; keyed at its middle, a column's window is uncertain by
-    width |x - x_r| <= r / 4, so few windows straddle the strip's edges.
-    Each group re-keys the lines and passes over the columns, so a group
-    keeps at least _GROUP_POINTS points."""
-    width = max(radius, a_span / math.sqrt(m))
-    if n <= _CHUNK_POINTS:
-        return 1, width
-    width *= 2.0
-    groups = min(2.0 * width * x_extent / radius, n // _GROUP_POINTS)
-    return max(1, math.ceil(groups)), width
+    A count-only call whose m lines take at most _SLOPE_COLUMNS sqrt m
+    distinct slopes gets one column per slope and one group: its windows
+    are exact wherever the lines are keyed, so they are keyed at x = 0.
+    Otherwise the columns are max(r, slope span / sqrt m) wide, at most
+    sqrt m + 1 of them, and so are the strips.  Above one chunk of points
+    they are twice as wide, which halves the binary searches, with 2 width
+    (x span) / r groups of equal numbers of points.  A group then spans
+    r / (2 width) in x on average; keyed at its middle, a column's window
+    is uncertain by width |x - x_r| <= r / 4, so few windows straddle the
+    strip's edges.  Each group re-keys the lines and passes over the
+    columns, so a group keeps at least _GROUP_POINTS points."""
+    n, m = px.size, la.size
+    lo = float(la.min())
+    width = max(radius, (float(la.max()) - lo) / math.sqrt(m))
+    if not with_pairs:
+        a = np.sort(la)
+        starts = a[1:][a[1:] != a[:-1]]  # every distinct slope but the least
+        if starts.size + 1 <= _SLOPE_COLUMNS * math.sqrt(m):
+            return 1, width, np.searchsorted(starts, la, "right")
+    groups = 1
+    if n > _CHUNK_POINTS:
+        width *= 2.0
+        groups = max(1, math.ceil(min(
+            2.0 * width * float(px.max() - px.min()) / radius,
+            n // _GROUP_POINTS)))
+    return groups, width, np.floor((la - lo) / width).astype(np.int64)
 
 
 def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
@@ -397,18 +442,17 @@ def _count_columns(P: PointSet, L: LineFamily, s: Scale,
     if n and m:
         px, py = P.coords[:, 0], P.coords[:, 1]
         la, lb = L.params[:, 0], L.params[:, 1]
-        groups, width = _layout(n, m, s.radius, float(la.max() - la.min()),
-                                float(px.max() - px.min())
-                                if n > _CHUNK_POINTS else 0.0)
-        cols = _Columns(L.params, s.radius, width)
-        # points by strips of x one column wide, then by y: the queries
-        # y - a (x - x_ref) of a column then come nearly sorted, which keeps
-        # the branches of the binary searches predictable.  Groups are runs
-        # of this order, each keyed at the middle of its x-range.
+        groups, width, col = _layout(px, la, s.radius, with_pairs)
+        cols = _Columns(L.params, s.radius, col)
+        # points by strips of x, then by y: the queries y - a (x - x_ref) of
+        # a column then come nearly sorted, which keeps the branches of the
+        # binary searches predictable.  Groups are runs of this order, each
+        # keyed at the middle of its x-range unless every column holds one
+        # slope.
         porder = np.lexsort((py, np.floor(px / width)))
         bounds = [n * g // groups for g in range(groups + 1)]
-        refs = [0.0]
-        if n > _CHUNK_POINTS:
+        refs = [0.0] * groups
+        if n > _CHUNK_POINTS and cols.a_hi is not None:
             xs = px[porder]
             refs = [(float(xs[lo:hi].min()) + float(xs[lo:hi].max())) / 2.0
                     for lo, hi in zip(bounds, bounds[1:])]
@@ -642,6 +686,10 @@ class RichnessField:
     used_multiplier: float
 
 
+# Most points of grid_richness's lattice, whose output holds up to 24
+# bytes a point.  The largest lattice of the defaults, criteria and
+# benchmark has 2049^2 = 4,198,401 points (criterion 3's k-stars at 2^-10).
+RICHNESS_LATTICE_CAP = 2 ** 24
 # Lattice entries (line, column) that grid_richness handles at a time, and
 # the lattice columns among them.
 _GRID_BLOCK = 1 << 15
@@ -653,7 +701,8 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
     [-1, 1]^2, n = floor(2 / delta) + 1, incident to a line at multiplier
     C + 1, with their richness, in row-major (ix, iy) order.  Raises
     ValueError for line parameters or a radius that are not finite or
-    exceed 2**255 in magnitude.
+    exceed 2**255 in magnitude, and GridTooLarge for a lattice of more than
+    RICHNESS_LATTICE_CAP points.
 
     Lines and columns go in blocks of about _GRID_BLOCK entries.  For a
     line (a, b) and column x, yc = a x + b and the threshold
@@ -677,6 +726,10 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
     if not all(np.all(np.abs(v) <= _MAX_MAGNITUDE) for v in (la, lb, radius)):
         raise ValueError("grid_richness needs finite line parameters and "
                          "radius of magnitude at most 2**255")
+    # n <= isqrt(cap) iff n^2 <= cap; the test also refuses 2 / delta = inf
+    if not 2.0 / delta < math.isqrt(RICHNESS_LATTICE_CAP):
+        raise GridTooLarge(f"the rich-point lattice at delta={delta:g} would "
+                           f"hold more than {RICHNESS_LATTICE_CAP} points")
     npts = int(math.floor(2.0 / delta)) + 1
     xs = -1.0 + delta * np.arange(npts)
     # x_ext[1 + j] = xs[j], -inf at j = -1 and inf at j = n, as [0, n] needs

@@ -320,8 +320,11 @@ def bump(widths=(0.75, 0.75, 0.5), center=(0.0, 0.0, 0.0), amplitude=1.0):
     (wx, wy, wt), (cx, cy, ct) = widths, center
 
     def fn(x, y, t):
-        qx, qy, qt = (x - cx) / wx, (y - cy) / wy, (t - ct) / wt
-        r2 = qx * qx + qy * qy + qt * qt
+        # a scaled radius past the float range (a subnormal width) lies
+        # outside the support: its overflow to inf gives 0, as it should
+        with np.errstate(over="ignore"):
+            qx, qy, qt = (x - cx) / wx, (y - cy) / wy, (t - ct) / wt
+            r2 = qx * qx + qy * qy + qt * qt
         return amplitude * np.clip(1.0 - r2, 0.0, None) ** 2
 
     return fn

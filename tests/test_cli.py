@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,21 @@ def test_cli_import_loads_no_scipy():
                          env=dict(os.environ, PYTHONPATH=src), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_tiny_bump_width_prints_one_line(tmp_path):
+    # the bump's scaled radius overflowed at width 1e-310, and numpy's
+    # RuntimeWarnings reached stderr before the config error, 9 lines in
+    # all; in-process runs do not show them, as pytest captures warnings
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "geomlab.cli", "sobolev-check", "--width",
+         "1e-310", "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "config error: sobolev-check: option 'h': too coarse at h=0.015625: "
+        "every sample of bump is zero"]
 
 
 def test_unknown_experiment_rejected(tmp_path):
@@ -226,6 +242,24 @@ _TUBE_RANGE = ("'deltas': every value must be a finite number >= 7.62939e-06 "
     pytest.param("rich-points", "deltas = 1e-9\n",
                  "rich-points: a lattice of step 1e-09 over [0, 1] would "
                  "hold more than 1048576 points", id="rich-points-deltas-1e-9"),
+    # the rectangle family's line lattice of 32769^2 points (8 GiB) and
+    # grid_richness's lattice of 2 10^9 squared points (14.9 GiB) raised
+    # numpy's _ArrayMemoryError (exit 1)
+    pytest.param("rich-points", "deltas = 2^-14\n",
+                 "rich-points: a lattice of 32769 x 32769 points would hold "
+                 "more than 16777216", id="rich-points-deltas-2^-14"),
+    pytest.param("rich-points", "family = k_star\ndeltas = 1e-9\n",
+                 "rich-points: the rich-point lattice at delta=1e-09 would "
+                 "hold more than 16777216 points",
+                 id="rich-points-k-star-deltas-1e-9"),
+    # these raised OverflowError (exit 1): 2 / delta is inf, and the k-star
+    # slope budget m (k - 1) step left the float range
+    pytest.param("rich-points", "family = k_star\ndeltas = 5e-324\n",
+                 "rich-points: the rich-point lattice at delta=4.94066e-324",
+                 id="rich-points-k-star-subnormal-deltas"),
+    pytest.param("rich-points", "family = k_star\nks = 1e308\n",
+                 "family k_star is infeasible at every",
+                 id="rich-points-k-star-ks-1e308"),
     # 10^12 unions ran for as long as one would wait
     pytest.param("isoperimetric", "trials = 1000000000000\n",
                  "'trials': every value must be a finite number >= 1 and "
@@ -401,6 +435,25 @@ _FUZZED_OPTIONS = {
             st.sampled_from(["1", "2", "1e-5", "5e-324", "2^-1074", "0",
                              "-1/64", "inf", "abc", ""])), 2),
         ("seed", _TOKENS["seed"], 1)),
+    # deltas of at least 2^-6 keep the rectangle family small (the
+    # default); the extremes are turned away by the lattice caps, as
+    # infeasible k-stars or by the option checks
+    "rich-points": (
+        ("family", st.sampled_from(["rectangle", "k_star", "tube"]), 1),
+        ("deltas", _mostly(
+            st.sampled_from(["2^-2", "2^-4", "2^-5", "2^-6", "1/10", "1/40",
+                             "0.3", "1"]),
+            st.sampled_from(["2^-11", "2^-14", "1e-9", "5e-324", "2^-1074",
+                             "0", "-1", "2", "1e400", "nan", "abc", ""])), 3),
+        ("ks", _mostly(
+            st.sampled_from(["2", "3", "4", "8", "16", "100"]),
+            st.sampled_from(["1", "0", "-1", "2.5", "2^62", "1e308",
+                             "1e400", "nan", "abc", ""])), 3),
+        ("epsilon_ratios", _mostly(
+            st.sampled_from(["1", "2", "4", "16", "1.5"]),
+            st.sampled_from(["0.5", "0", "1e300", "1e400", "5e-324", "nan",
+                             "abc", ""])), 3),
+        ("seed", _TOKENS["seed"], 1)),
     # up to 20 unions at h of at least 1/24 keep the runs short (100, the
     # default, at 1/24 take about 0.4 s); the extremes are turned away by
     # the trials bound, the voxelize limits or as all-empty sets
@@ -431,7 +484,8 @@ def _fuzzed_bodies(draw):
 @settings(max_examples=160, deadline=5000, derandomize=True, database=None)
 @given(_fuzzed_bodies())
 def test_fuzzed_configs_exit_0_or_2(case):
-    # exit 0, or exit 2 with one config error line, never a traceback.
+    # exit 0, or exit 2 with one config error line, never a traceback or
+    # a warning (which a run outside pytest prints to stderr).
     # sobolev-check may also exit 1 with a FAIL report: on coarse grids the
     # level-set lemma fails its slack (the bump at h = 1/5 or 1/6)
     experiment, body = case
@@ -440,9 +494,12 @@ def test_fuzzed_configs_exit_0_or_2(case):
         ini.write_text(body)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
+                contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main([experiment, "--config", str(ini),
                        "--out", str(Path(tmp) / "out")])
+        assert [str(w.message) for w in caught] == []
         lines = err.getvalue().splitlines()
         if rc == 2:
             assert len(lines) == 1 and lines[0].startswith("config error: ")

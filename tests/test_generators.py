@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from geomlab.acceptance import sweep_family
-from geomlab.generators import (LATTICE_CAP, _lattice_1d, gen_concurrent_star,
+from geomlab import generators
+from geomlab.generators import (LATTICE_2D_CAP, LATTICE_CAP, _lattice_1d,
+                                _lattice_2d, gen_concurrent_star,
                                 gen_grid_packing, gen_greedy_concurrent,
                                 gen_kstar, gen_random, gen_rectangle_example,
                                 gen_tube_example)
@@ -33,6 +35,30 @@ def test_lattice_refuses_more_points_than_its_cap():
     # the rectangle family at delta = 1e-9 asked numpy for 7.45 GiB
     with pytest.raises(GridTooLarge, match="step 1e-09 over"):
         gen_rectangle_example(1e-9, 1.0, math.sqrt(1e-9))
+
+
+def test_2d_lattice_refuses_more_points_than_its_cap(monkeypatch):
+    # the rectangle family at delta = 2^-14 meshgridded 32769^2 lines,
+    # 8 GiB, before this cap
+    assert LATTICE_2D_CAP == 2 ** 24
+    with pytest.raises(GridTooLarge, match="a lattice of 32769 x 32769 "
+                       "points would hold more than 16777216"):
+        gen_rectangle_example(2.0 ** -14, 1.0, 2.0 ** -7)
+    monkeypatch.setattr(generators, "LATTICE_2D_CAP", 12)
+    got = _lattice_2d(np.arange(3.0), np.arange(4.0))
+    assert got.tolist() == [[x, y] for x in range(3) for y in range(4)]
+    assert _lattice_2d(np.arange(12.0), np.empty(0)).shape == (0, 2)
+    for nx, ny in ((13, 1), (1, 13), (4, 4)):
+        with pytest.raises(GridTooLarge, match="more than 12"):
+            _lattice_2d(np.arange(float(nx)), np.arange(float(ny)))
+
+
+def test_kstar_of_more_slopes_than_floats_hold_is_infeasible():
+    # m (k - 1) step, an int times a float, raised OverflowError as
+    # m (k - 1) passed the float range
+    for delta in (2.0 ** -8, 5e-324):
+        with pytest.raises(ValueError, match="need slope budget inf > 2"):
+            gen_kstar(10 ** 308, 2, delta)
 
 
 def test_grid_packing_empty_region():

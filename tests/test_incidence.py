@@ -303,6 +303,91 @@ def test_the_cut_picks_the_path_and_both_equal_the_oracle(monkeypatch):
             assert _count_columns(P, L, s, with_pairs).same_as(naive), name
 
 
+def _threshold_family(slopes: int, m: int = 400):
+    """m lines over the given number of slopes (every slope holds m /
+    slopes lines or one more) on dyadic lattices, and the 20 x 20 lattice
+    of points at spacing 2^-5 from the origin, at delta = 2^-5: the lines
+    of slope 0 lie at exactly the radius from many points."""
+    j = np.arange(m)
+    a = -0.5 + (j % slopes) / 64.0
+    b = (j // slopes) / 16.0
+    g = np.arange(20) / 32.0
+    pts = np.column_stack([np.repeat(g, 20), np.tile(g, 20)])
+    delta = 2.0 ** -5
+    return PointSet(pts, delta), LineFamily(np.column_stack([a, b]), delta)
+
+
+def _columns_of(P, L, s, with_pairs):
+    """The column assignment _layout gives the lines: "per-slope",
+    "fixed-width" (as wide as the x strips), or "either" where the two
+    coincide."""
+    la = L.params[:, 0]
+    _, width, col = incidence._layout(P.coords[:, 0], la, s.radius,
+                                      with_pairs)
+    fixed = np.array_equal(col, np.floor((la - la.min()) / width))
+    per_slope = np.array_equal(col, np.unique(la, return_inverse=True)[1])
+    assert fixed or per_slope
+    if fixed and per_slope:
+        return "either"
+    return "fixed-width" if fixed else "per-slope"
+
+
+def _count_only_cases():
+    """(name, P, L, scale) of count-only calls that get per-slope columns,
+    and of the families at and just above the slope threshold, 2 sqrt m
+    distinct slopes: 40 and 41 for 400 lines."""
+    cases = []
+    for dexp in (4, 5, 6, 7):
+        d = 2.0 ** -dexp
+        cases.append((f"rectangle 2^-{dexp}",
+                      *gen_rectangle_example(d, 1.0, math.sqrt(d)), Scale(d)))
+    G = gen_grid_packing(2.0 ** -4)
+    cases.append(("grid-x-grid 2^-4", G, LineFamily(G.coords, 2.0 ** -4),
+                  Scale(2.0 ** -4)))
+    for slopes in (40, 41):
+        cases.append((f"{slopes} slopes", *_threshold_family(slopes),
+                      Scale(2.0 ** -5)))
+    return cases
+
+
+def test_count_only_lattice_families_equal_the_oracle():
+    # per-slope columns: exact windows count every line by index difference
+    # but at lattice ties, which the exact tests settle
+    for name, P, L, s in _count_only_cases():
+        naive = count_naive(P, L, s)
+        assert naive.count, name
+        assert count_bucketed(P, L, s).same_as(naive), name
+        assert _count_columns(P, L, s).same_as(naive), name
+
+
+def test_layout_gives_per_slope_columns_to_count_only_calls_of_few_slopes():
+    # grid-x-grid 2^-4's fixed-width columns, 2^-4 wide, hold one slope
+    # each: there the two assignments coincide
+    assert 2.0 * math.sqrt(400) == 40
+    cases = _count_only_cases()
+    assert {name: _columns_of(P, L, s, False) for name, P, L, s in cases} == {
+        "rectangle 2^-4": "per-slope", "rectangle 2^-5": "per-slope",
+        "rectangle 2^-6": "per-slope", "rectangle 2^-7": "per-slope",
+        "grid-x-grid 2^-4": "either", "40 slopes": "per-slope",
+        "41 slopes": "fixed-width"}
+    # with pairs every call keeps fixed-width columns, as does a random
+    # family, whose m lines take m slopes
+    assert {name: _columns_of(P, L, s, True) for name, P, L, s in cases} == {
+        name: "either" if name.startswith("grid") else "fixed-width"
+        for name, *_ in cases}
+    P, L = gen_random(3000, 3000, 2.0 ** -7, seed=3)
+    for with_pairs in (False, True):
+        assert _columns_of(P, L, Scale(2.0 ** -7), with_pairs) == "fixed-width"
+    # the count-only rectangle at 2^-6: 129 slopes, one a column, keyed at
+    # x = 0 in one group
+    d = 2.0 ** -6
+    P, L = gen_rectangle_example(d, 1.0, math.sqrt(d))
+    groups, _, col = incidence._layout(P.coords[:, 0], L.params[:, 0],
+                                       Scale(d).radius, False)
+    cols = incidence._Columns(L.params, Scale(d).radius, col)
+    assert groups == 1 and cols.starts.size == 129 and cols.a_hi is None
+
+
 _dyadic = st.integers(-64, 64).map(lambda i: i / 64.0)
 _point = st.one_of(st.sampled_from([(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0),
                                     (1.0, 1.0)]),

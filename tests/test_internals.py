@@ -23,7 +23,8 @@ from geomlab.incidence import (_Columns, _count_columns, _first_come,
 from geomlab.measure import (Box, TubeIntersection, UnionShape, VoxelSet,
                              load_voxelset, project_voxels, save_voxelset,
                              shape_zoo, voxelize)
-from geomlab.planar import LineFamily, PointSet, Scale, _first_true, _min_pair
+from geomlab.planar import (GridTooLarge, LineFamily, PointSet, Scale,
+                            _first_true, _min_pair)
 from geomlab.rng import Stream
 from oracles import (_greedy_separated_reference, _grid_candidates,
                      _grid_richness_reference, traced_peak)
@@ -163,6 +164,21 @@ def test_grid_richness_memory_stays_small():
     field, peak = traced_peak(lambda: grid_richness(L, Scale(delta)))
     assert field.coords.shape[0] == 15123
     assert peak < 16 * 2 ** 20
+
+
+def test_grid_richness_refuses_lattices_past_its_cap():
+    # at delta = 1e-9 the lattice of 2 10^9 + 1 points a side asked numpy
+    # for 14.9 GiB; at 5e-324, 2 / delta is inf
+    assert incidence.RICHNESS_LATTICE_CAP == 4096 ** 2
+    L = LineFamily([(0.5, 0.1), (0.0, 0.0)], 2.0 ** -4)
+    for delta in (1e-9, 5e-324, 2.0 ** -11):  # 2^-11: 4097^2 points
+        with pytest.raises(GridTooLarge, match="more than 16777216 points"):
+            grid_richness(L, Scale(delta))
+    # just above 2^-11 the lattice holds 4096^2 points, the cap
+    delta = 2.0 ** -11 * (1.0 + 2.0 ** -52)
+    field = grid_richness(L, Scale(delta))
+    assert np.array_equal(np.unique(field.coords[:, 0]),
+                          -1.0 + delta * np.arange(4096))
 
 
 @pytest.mark.parametrize("line, mult", [
@@ -413,8 +429,9 @@ _coord = st.one_of(st.floats(-1.0, 1.0), _dyadic, _huge)
 
 @st.composite
 def _keyed_cases(draw):
-    """Points, lines, a scale, a column width and the abscissas at which
-    the columns are keyed one after the other."""
+    """Points, lines, a scale, the column of each line (slope columns of
+    a drawn width, or one column per slope) and the abscissas at which the
+    columns are keyed one after the other."""
     xs = draw(st.lists(_coord, min_size=1, max_size=12))
     if draw(st.booleans()):  # all points at one x
         xs = [xs[0]] * len(xs)
@@ -431,15 +448,19 @@ def _keyed_cases(draw):
         side = draw(st.sampled_from([1.0, -1.0]))
         lines.append((a, y - a * x + side * s.radius * math.sqrt(1.0 + a * a)))
     a = np.array([a for a, _ in lines])
-    width = max(s.radius, float(a.max() - a.min()) / math.sqrt(a.size))
-    width *= draw(st.sampled_from([1.0, 2.0, 8.0, 1e-3]))
+    if draw(st.booleans()):
+        col = np.unique(a, return_inverse=True)[1]
+    else:
+        width = max(s.radius, float(a.max() - a.min()) / math.sqrt(a.size))
+        width *= draw(st.sampled_from([1.0, 2.0, 8.0, 1e-3]))
+        col = np.floor((a - a.min()) / width).astype(np.int64)
     lo, hi = min(xs), max(xs)
     far = 2.0 ** draw(st.integers(0, 250)) * draw(st.sampled_from([-1, 1]))
     refs = draw(st.lists(st.one_of(
         st.just(0.0), st.floats(0.0, 1.0).map(lambda f: lo + f * (hi - lo)),
         st.just(far * (1.0 + max(abs(lo), abs(hi))) / 2.0)),
         min_size=1, max_size=3))
-    return (PointSet(pts, delta), LineFamily(lines, delta), s, width,
+    return (PointSet(pts, delta), LineFamily(lines, delta), s, col,
             [min(max(r, -2.0 ** 255), 2.0 ** 255) for r in refs])
 
 
@@ -447,11 +468,11 @@ def _keyed_cases(draw):
 @given(_keyed_cases())
 def test_columns_keyed_anywhere_count_like_naive(case):
     # keyed at 0, inside the points' x-range or far outside it, in turn
-    P, L, s, width, refs = case
+    P, L, s, col, refs = case
     naive = count_naive(P, L, s, with_pairs=True)
     px, py = P.coords[:, 0], P.coords[:, 1]
     la, lb = L.params[:, 0], L.params[:, 1]
-    cols = _Columns(L.params, s.radius, width)
+    cols = _Columns(L.params, s.radius, col)
     for x_ref in refs:
         cols.key_at(x_ref)
         margin = _float_margin(px, py, la, lb, s.radius, x_ref)
@@ -470,9 +491,7 @@ def test_bucketed_equals_naive_in_several_groups():
     delta = 2.0 ** -7
     P, L = gen_random(12000, 2000, delta, seed=41)
     s = Scale(delta)
-    groups, _ = _layout(len(P), len(L), s.radius,
-                        float(np.ptp(L.params[:, 0])),
-                        float(np.ptp(P.coords[:, 0])))
+    groups, _, _ = _layout(P.coords[:, 0], L.params[:, 0], s.radius, False)
     assert groups >= 3
     naive = count_naive(P, L, s, with_pairs=True)
     assert _count_columns(P, L, s, with_pairs=True).same_as(naive)
