@@ -26,8 +26,9 @@ from .measure import (Box, DilatedShape, UnionShape,
                       boundary_projection_inclusion, lw_ratio, project_voxels,
                       shape_zoo, tube_intersection_volume, voxelize,
                       weak_isoperimetric_ratio)
-from .planar import (LineFamily, Point2, PointSet, Scale, dual_lines,
-                     dual_points, incident, threshold, validate_separation)
+from .planar import (GridTooLarge, LineFamily, Point2, PointSet, Scale,
+                     dual_lines, dual_points, incident, threshold,
+                     validate_separation)
 from .rng import Stream, substream_seed
 from .sobolev import (FUNCTION_ZOO, GridFunction, bump, dilated_fn, field_X,
                       gns_check, levelset_lemma_check, sample_to_grid,
@@ -226,6 +227,14 @@ def star_bound(epsilons: Sequence[float],
                       if ok else "band violated"])
 
 
+# Smallest scale of lw_sweep.  Below about 1.5e-162 the zoo's t half widths
+# r^2 / 2 underflow to 0, which Box refuses (a ValueError, exit 1).  Already
+# at 2^-20 every shape lies within |t| <= 1.5 r^2 = 1.5 2^-40, which holds
+# no cell center (k + 1/2) h of a grid within voxelize's column cap
+# (h > 2^-32), so every shape is empty.
+LW_SCALE_MIN = 2.0 ** -20
+
+
 def lw_sweep(hs: Sequence[float], scale: float) -> RunResult:
     """Loomis-Whitney ratio of the shape zoo; ceiling <= 2."""
     rows = []
@@ -273,15 +282,41 @@ def tube_volume(deltas: Sequence[float]) -> RunResult:
                      [f"volume/delta^3 spread {spread:.2f} (<= 4)"])
 
 
+# Fewest samples per smallest half-width of the support (that half-width
+# over the grid step h) at which sobolev_function samples.  Coarser grids
+# fail the level-set lemma's slack 1.25 at shallow levels: the bump at
+# h = 1/5 at level -2, at 1/8.75 at level -5.  Scanning q = half-width / h
+# at steps of 1/8 over [2, 16], 1/32 over [10, 20], 1/64 over [14, 24] and
+# 1/4 over [16, 40] (1/32 over [17.5, 40] for aniso_bump), the bump at
+# widths 1/3 to 2 last failed at q = 4.4, the bump of width 1/4 at 12.0,
+# sheared_bump at 11.6, narrow_bump at 13.1 and smoothed_box at 14.6.
+# aniso_bump still fails now and then above 16 (at q = 17.3, 17.5 and
+# 26.1), each time at its deepest checked level (k = -19 to -25), whose
+# shell is far thinner than h.  The GNS ratio never failed.
+SOBOLEV_SAMPLES_MIN = 16
+# The smallest half-width of the support of each zoo function but the bump,
+# whose width sobolev_function takes (its smallest is 2 width / 3)
+_HALF_WIDTHS = {"narrow_bump": 0.3, "aniso_bump": 0.35, "sheared_bump": 0.35,
+                "smoothed_box": 0.3125}
+
+
 def sobolev_function(name: str, h: float, width: float) -> GridFunction:
-    """The bump of half widths (width, width, 2 width/3) or a zoo function."""
+    """The bump of half widths (width, width, 2 width/3) or a zoo function,
+    sampled at step h.  Raises ValueError for an unknown name and for a grid
+    of fewer than SOBOLEV_SAMPLES_MIN samples per smallest half-width."""
+    if name not in FUNCTION_ZOO:
+        raise ValueError(f"unknown function {name!r}; "
+                         f"choose bump or one of {sorted(FUNCTION_ZOO)}")
+    half = 2 * width / 3 if name == "bump" else _HALF_WIDTHS[name]
+    if not h <= half / SOBOLEV_SAMPLES_MIN:
+        raise ValueError(f"too coarse at h={h:g}: {name} needs h <= "
+                         f"{half / SOBOLEV_SAMPLES_MIN:g}, "
+                         f"{SOBOLEV_SAMPLES_MIN} samples per half-width "
+                         f"{half:g} of its support")
     if name == "bump":
         return sample_to_grid(bump((width, width, 2 * width / 3)), h,
                               (width + 0.05, width + 0.05,
                                2 * width / 3 + 0.05))
-    if name not in FUNCTION_ZOO:
-        raise ValueError(f"unknown function {name!r}; "
-                         f"choose bump or one of {sorted(FUNCTION_ZOO)}")
     return zoo_function(name, h)
 
 
@@ -364,6 +399,9 @@ def reduce_pipeline(deltas: Sequence[float]) -> RunResult:
     box = Box((0, 0, 0), (0.25, 0.25, 0.0625))
     rows = []
     for delta in deltas:
+        if delta / 4.0 == 0.0:  # a grid of side 0 would be unbounded
+            raise GridTooLarge(f"at delta={delta:g} the voxel side delta/4 "
+                               f"underflows to 0")
         K = voxelize(box, h=delta / 4.0)
         P_x = _maximal_plane_packing(project_voxels(K, "x"), delta, hg.Plane.W_X)
         P_y = _maximal_plane_packing(project_voxels(K, "y"), delta, hg.Plane.W_Y)

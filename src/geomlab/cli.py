@@ -102,8 +102,8 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment}: {key!r} must be a single value")
         return vals[0]
 
-    def scalar(self, key: str, hi: float = math.inf) -> float:
-        return self._single(key, self.floats(key, hi=hi))
+    def scalar(self, key: str, lo: float = 0.0, hi: float = math.inf) -> float:
+        return self._single(key, self.floats(key, lo, hi))
 
     def count(self, key: str, hi: float = math.inf) -> int:
         return self._single(key, self.ints(key, hi=hi))
@@ -270,8 +270,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
                                         hi=1.0))),
     "lw-sweep": Experiment(
         {"hs": "1/48 1/64", "scale": "0.5", "seed": "12345"},
-        lambda c: _on_grid(c, "hs", lambda: A.lw_sweep(c.floats("hs"),
-                                                      c.scalar("scale")))),
+        lambda c: _on_grid(c, "hs", lambda: A.lw_sweep(
+            c.floats("hs"), c.scalar("scale", lo=A.LW_SCALE_MIN)))),
     "tube-volume": Experiment(
         {"deltas": "2^-4 2^-5 2^-6 2^-7", "seed": "12345"},
         lambda c: A.tube_volume(c.floats("deltas", lo=A.TUBE_DELTA_MIN,

@@ -543,11 +543,15 @@ def _first_come(n: int, near: Callable, pred: Callable) -> np.ndarray:
 
     The batch size follows the share of its rows a batch keeps.  Batches
     start at _DIRECT rows and grow fourfold while they keep every row, so
-    a sparse input is decided in a few vectorised steps.  A batch keeping
-    at least 1/8 of its rows is followed by one of _DIRECT rows.  Below
-    that, one kept row covers most of what follows it, and the scan goes on
-    one row at a time (the first undecided row is always kept), trying a
-    batch of _DIRECT rows again after 1, 2, 4, ... up to 64 rows."""
+    a sparse input is decided in a few vectorised steps.  A grown batch,
+    of more than _DIRECT rows, is kept whole when no pair that pred accepts
+    ends inside it; otherwise it keeps and covers nothing, and the scan
+    restarts at its first row with a batch of _DIRECT rows, which
+    _resolve_small decides.  A batch keeping at least 1/8 of its rows is
+    followed by one of _DIRECT rows.  Below that, one kept row covers most
+    of what follows it, and the scan goes on one row at a time (the first
+    undecided row is always kept), trying a batch of _DIRECT rows again
+    after 1, 2, 4, ... up to 64 rows."""
     covered = np.zeros(n, dtype=bool)
     kept = []
     start, size, wait, backoff = 0, _DIRECT, 0, 1
@@ -570,12 +574,12 @@ def _first_come(n: int, near: Callable, pred: Callable) -> np.ndarray:
             live = j > o
             live &= ~covered[j]
             o, j = o[live], j[live]
-            hit = pred(o, j)
-            o, j = np.searchsorted(rows, o[hit]), j[hit]
-            inner = j < stop
-            keep = _resolve(rows.size, o[inner], np.searchsorted(rows, j[inner]))
-            ahead = ~inner
-            covered[j[ahead][keep[o[ahead]]]] = True
+            j = j[pred(o, j)]
+            if (j < stop).any():
+                start, size = int(rows[0]), _DIRECT
+                continue
+            covered[j] = True
+            keep = np.ones(rows.size, dtype=bool)
         kept.append(rows[keep])
         n_kept = int(np.count_nonzero(keep))
         if rows.size == 1:
@@ -611,25 +615,6 @@ def _resolve_small(rows: np.ndarray, pred: Callable) -> np.ndarray:
         if not bits & kept_bits:
             kept_bits |= 1 << r
     return (kept_bits >> np.arange(u)) & 1 == 1
-
-
-def _resolve(u: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Keep mask of a batch of u rows under the first-come rule, given the
-    accepted pairs (src, dst), src < dst, as local indices.  Each round
-    keeps the open rows that no open row points at, then drops the rows
-    that a kept row points at; the first open row is decided in every
-    round."""
-    state = np.zeros(u, dtype=np.int8)  # 0 open, 1 kept, -1 dropped
-    while True:
-        pointed = np.zeros(u, dtype=bool)
-        pointed[dst] = True
-        state[(state == 0) & ~pointed] = 1
-        state[dst[state[src] == 1]] = -1
-        live = (state[src] == 0) & (state[dst] == 0)
-        if not live.any():
-            state[state == 0] = 1
-            return state == 1
-        src, dst = src[live], dst[live]
 
 
 def _hypot_below(dx: np.ndarray, dy: np.ndarray, bound: float) -> np.ndarray:
@@ -690,6 +675,17 @@ class RichnessField:
 # bytes a point.  The largest lattice of the defaults, criteria and
 # benchmark has 2049^2 = 4,198,401 points (criterion 3's k-stars at 2^-10).
 RICHNESS_LATTICE_CAP = 2 ** 24
+# Most (line, lattice column) entries grid_richness scans, each a few dozen
+# float operations.  One in-process call on the rectangle family (CPU time):
+#     delta  ratio  entries  time
+#     2^-7   x1     2^22.3   0.17 s
+#     2^-8   x1     2^25.2   0.97 s
+#     2^-9   x4     2^24.1   0.58 s
+#     2^-9   x1     2^28.1   10 s (a whole CLI run)
+# The largest call in use is 2^19.4 entries (the rectangle at 2^-6 x1: the
+# rich-points default, criterion 3 and planar-large's rich scan); the k-star
+# calls take at most 2^16.
+RICHNESS_WORK_CAP = 2 ** 26
 # Lattice entries (line, column) that grid_richness handles at a time, and
 # the lattice columns among them.
 _GRID_BLOCK = 1 << 15
@@ -702,7 +698,8 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
     C + 1, with their richness, in row-major (ix, iy) order.  Raises
     ValueError for line parameters or a radius that are not finite or
     exceed 2**255 in magnitude, and GridTooLarge for a lattice of more than
-    RICHNESS_LATTICE_CAP points.
+    RICHNESS_LATTICE_CAP points or a scan of more than RICHNESS_WORK_CAP
+    (line, lattice column) entries.
 
     Lines and columns go in blocks of about _GRID_BLOCK entries.  For a
     line (a, b) and column x, yc = a x + b and the threshold
@@ -731,6 +728,10 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
         raise GridTooLarge(f"the rich-point lattice at delta={delta:g} would "
                            f"hold more than {RICHNESS_LATTICE_CAP} points")
     npts = int(math.floor(2.0 / delta)) + 1
+    if len(L) * npts > RICHNESS_WORK_CAP:
+        raise GridTooLarge(f"the rich-point scan at delta={delta:g} would "
+                           f"take {len(L)} lines x {npts} lattice columns, "
+                           f"more than {RICHNESS_WORK_CAP} entries")
     xs = -1.0 + delta * np.arange(npts)
     # x_ext[1 + j] = xs[j], -inf at j = -1 and inf at j = n, as [0, n] needs
     x_ext = np.concatenate([[-np.inf], xs, [np.inf]])

@@ -187,10 +187,9 @@ class _VoxelColumns:
     """The (i, j) columns of a voxelization grid, as one shape sees them.
 
     x[c], y[c] are the center of column c and t(c, k) the center height of
-    its cell k after the pre-maps of the enclosing shapes, computed with the
-    same float operations as their contains; k_of(c, t) is the real cell
-    index of height t, up to rounding.  Cells run over k0 <= k < k1, and a
-    run of cells is a run of keys c * m + (k - k0)."""
+    its cell k after the pre-maps of the enclosing shapes; k_of(c, t) is the
+    real cell index of height t, up to rounding.  Cells run over
+    k0 <= k < k1, and a run of cells is a run of keys c * m + (k - k0)."""
 
     def __init__(self, x, y, t, k_of, k0: int, k1: int):
         self.x, self.y, self.t, self.k_of = x, y, t, k_of
@@ -205,8 +204,8 @@ class _VoxelColumns:
 
     def confirm(self, shape: "Shape", c: np.ndarray, t_lo: np.ndarray,
                 t_hi: np.ndarray) -> _Runs:
-        """Runs of the cells of columns c that shape contains, given the
-        heights [t_lo, t_hi] of the shape in each column up to rounding.
+        """Runs of the cells of columns c that the leaf shape contains, given
+        the heights [t_lo, t_hi] of the shape in each column up to rounding.
 
         contains is a monotone float composition in t, so a column's
         accepted cells are one interval [a, b].  _first_true finds a in
@@ -255,15 +254,21 @@ _NO_RUNS: _Runs = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 class Shape:
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    """A region of the group for the center-rule voxelizer.
+
+    Every shape has bounds and t_intervals.  The leaf shapes (Box,
+    KoranyiBall, TubeIntersection) also have contains(pts), the predicate
+    cols.confirm settles their heights against.  The composite shapes
+    (UnionShape, DifferenceShape, ShearedShape, DilatedShape) have no
+    contains: they decide membership only through their parts' runs."""
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def t_intervals(self, cols: _VoxelColumns) -> _Runs:
-        """The runs of grid cells this shape contains, column by column: its
-        heights in each column, settled against contains by cols.confirm."""
+        """The runs of grid cells this shape contains, column by column: a
+        leaf's heights in each column, settled against its contains by
+        cols.confirm, or the runs of a composite's parts, combined."""
         raise NotImplementedError
 
 
@@ -323,12 +328,6 @@ class UnionShape(Shape):
     def __init__(self, *shapes: Shape):
         self.shapes = list(shapes)
 
-    def contains(self, pts):
-        mask = np.zeros(pts.shape[0], dtype=bool)
-        for sh in self.shapes:
-            mask |= sh.contains(pts)
-        return mask
-
     def bounds(self):
         if not self.shapes:
             z = np.zeros(3)
@@ -344,9 +343,6 @@ class UnionShape(Shape):
 class DifferenceShape(Shape):
     def __init__(self, plus: Shape, minus: Shape):
         self.plus, self.minus = plus, minus
-
-    def contains(self, pts):
-        return self.plus.contains(pts) & ~self.minus.contains(pts)
 
     def bounds(self):
         return self.plus.bounds()
@@ -364,11 +360,6 @@ class ShearedShape(Shape):
 
     def __init__(self, shape: Shape, sign: float = 1.0):
         self.shape, self.sign = shape, float(sign)
-
-    def contains(self, pts):
-        x, y, t = pts.T
-        _, pre_t = proj_x((self.sign * x, y, t))
-        return self.shape.contains(np.column_stack([x, y, pre_t]))
 
     def bounds(self):
         lo, hi = self.shape.bounds()
@@ -390,10 +381,6 @@ class DilatedShape(Shape):
         if lam <= 0:
             raise ValueError("dilation factor must be positive")
         self.shape, self.lam = shape, float(lam)
-
-    def contains(self, pts):
-        pre = pts / np.array([self.lam, self.lam, self.lam * self.lam])[None, :]
-        return self.shape.contains(pre)
 
     def bounds(self):
         lo, hi = self.shape.bounds()

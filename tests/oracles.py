@@ -13,9 +13,10 @@ from geomlab.heisenberg import (Plane, ReducedInstance, proj_x,
                                 reduce_to_incidences)
 from geomlab.incidence import (IncidenceReport, RichnessField, _clipped,
                                count_bucketed, normalized_ratio)
-from geomlab.measure import (Box, PlaneRegion, Shape, VoxelSet, _check_same_grid,
-                             _gauge_inside, _grid_box, _pack, project_voxels,
-                             voxelize)
+from geomlab.measure import (Box, DifferenceShape, DilatedShape, PlaneRegion,
+                             Shape, ShearedShape, UnionShape, VoxelSet,
+                             _check_same_grid, _gauge_inside, _grid_box, _pack,
+                             project_voxels, voxelize)
 from geomlab.planar import LineFamily, PointSet, Scale, _runs
 from geomlab.rng import Stream
 from geomlab.sobolev import GridFunction, LevelCheck, field_X, field_Y
@@ -176,6 +177,28 @@ def _greedy_separated_reference(coords: np.ndarray, delta: float) -> np.ndarray:
     return np.asarray(kept, dtype=np.int64)
 
 
+def contains(shape: Shape, pts: np.ndarray) -> np.ndarray:
+    """Whether shape holds each row (x, y, t) of pts: the leaf shapes' own
+    contains, composed through unions, differences, shears and dilations
+    with the float expressions of their pre-maps."""
+    if isinstance(shape, UnionShape):
+        mask = np.zeros(pts.shape[0], dtype=bool)
+        for sh in shape.shapes:
+            mask |= contains(sh, pts)
+        return mask
+    if isinstance(shape, DifferenceShape):
+        return contains(shape.plus, pts) & ~contains(shape.minus, pts)
+    if isinstance(shape, ShearedShape):
+        x, y, t = pts.T
+        _, pre_t = proj_x((shape.sign * x, y, t))
+        return contains(shape.shape, np.column_stack([x, y, pre_t]))
+    if isinstance(shape, DilatedShape):
+        lam = shape.lam
+        pre = pts / np.array([lam, lam, lam * lam])[None, :]
+        return contains(shape.shape, pre)
+    return shape.contains(pts)
+
+
 def _voxelize_dense(shape: Shape, h: float,
                     ht: Optional[float] = None) -> VoxelSet:
     """voxelize by testing every center of the bounding box, _CHUNK at a
@@ -194,7 +217,7 @@ def _voxelize_dense(shape: Shape, h: float,
         ts = (np.arange(ka, kb) + 0.5) * ht
         gx, gy, gt = np.meshgrid(xs, ys, ts, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
-        mask = shape.contains(pts)
+        mask = contains(shape, pts)
         if mask.any():
             ii, jj, kk = np.unravel_index(np.nonzero(mask)[0],
                                           (xs.size, ys.size, kb - ka))

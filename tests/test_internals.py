@@ -181,6 +181,24 @@ def test_grid_richness_refuses_lattices_past_its_cap():
                           -1.0 + delta * np.arange(4096))
 
 
+def test_grid_richness_refuses_scans_past_its_work_cap(monkeypatch):
+    # the rectangle family at 2^-9 with epsilon = delta: 285,978 lines x
+    # 1025 lattice columns, 2^28.1 entries, took 10 s
+    assert incidence.RICHNESS_WORK_CAP == 2 ** 26
+    delta = 2.0 ** -9
+    lines = np.column_stack([np.linspace(-1, 1, 2 ** 26 // 1025 + 1),
+                             np.zeros(2 ** 26 // 1025 + 1)])
+    with pytest.raises(GridTooLarge, match="65473 lines x 1025 lattice "
+                       "columns, more than 67108864 entries"):
+        grid_richness(LineFamily(lines, delta), Scale(delta))
+    # the cap is on lines x columns: 33 columns at 1/16
+    monkeypatch.setattr(incidence, "RICHNESS_WORK_CAP", 33 * 10)
+    L = LineFamily(lines[:10], 1.0 / 16)
+    assert grid_richness(L, Scale(1.0 / 16)).coords.shape[0] > 0
+    with pytest.raises(GridTooLarge, match="11 lines x 33 lattice columns"):
+        grid_richness(LineFamily(lines[:11], 1.0 / 16), Scale(1.0 / 16))
+
+
 @pytest.mark.parametrize("line, mult", [
     ((math.nan, 0.0), 1.0), ((0.5, math.inf), 1.0), ((2.0 ** 256, 0.0), 1.0),
     ((0.5, -2.0 ** 256), 1.0), ((0.5, 0.0), 2.0 ** 300)])
@@ -365,10 +383,12 @@ def _first_come_loop(n, related):
 
 
 @pytest.mark.parametrize("density", [0.0, 0.002, 0.02, 0.2, 0.9])
-@pytest.mark.parametrize("head", [0, 300])
+@pytest.mark.parametrize("head", [0, 100, 300])
 def test_first_come_equals_loop_on_random_relations(density, head):
     # an abstract relation, one-sided and without geometry; `head` rows
-    # relate to nothing, so the batches grow large before the related rows
+    # relate to nothing, so the batches grow (32, 128, 512, ... rows) before
+    # the related rows, and the batch of 128 or 512 rows that meets them is
+    # rescanned
     n = 700
     stream = Stream(int(density * 1000) + head)
     related = (stream.uniform(n * n, 0.0, 1.0) < density).reshape(n, n)
@@ -381,10 +401,12 @@ def test_first_come_equals_loop_on_random_relations(density, head):
     assert np.array_equal(got, _first_come_loop(n, related))
 
 
-@pytest.mark.parametrize("head", [0, 2000])
+@pytest.mark.parametrize("head", [0, 2000, 6000])
 def test_first_come_chains(head):
-    # each row relates to the next three: every fourth row is kept, one
-    # per round when the chain falls inside a large batch
+    # each row relates to the next three: every fourth row is kept.  The
+    # first `head` rows relate to nothing, so the batches grow through 32,
+    # 128, 512, 2048 and 4096 rows, and the chain starts inside the batch of
+    # 2048 or 4096 rows, which is rescanned from its first row
     n = head + 3000
 
     def near(rows):

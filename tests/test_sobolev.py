@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geomlab import sobolev as S
+from geomlab.acceptance import sobolev_check, sobolev_function
 from geomlab.heisenberg import h_inv, h_mul, proj_y
 from geomlab.measure import VoxelSet
 from geomlab.sobolev import (FUNCTION_ZOO, GridFunction, bump,
@@ -212,6 +213,21 @@ def test_levelset_lemma_sharpened_bump():
             continue
         assert levelset_lemma_check(f, k, "x").holds
         assert levelset_lemma_check(f, k, "y").holds
+
+
+def test_levelset_lemma_fails_on_the_coarse_bump_grid():
+    # at h = 1/5, 2.5 samples per half-width of the bump, the lemma fails
+    # its slack 1.25 at level -2; sobolev_function refuses that grid, and
+    # the library still reports the FAIL
+    f = zoo_function("bump", 1 / 5)
+    res = sobolev_check("bump", f)
+    assert (res.ok, res.summary["lemma_ok"]) == (False, False)
+    assert res.summary["gns_ratio"] <= 2.0
+    assert [r["record"] for r in res.rows if not r["holds"]] == [
+        "level_-2_x", "level_-2_y"]
+    with pytest.raises(ValueError, match="too coarse at h=0.2: bump needs "
+                       "h <= 0.03125"):
+        sobolev_function("bump", 1 / 5, 0.75)
 
 
 def test_levelset_lemma_rejects_empty_level():
