@@ -26,8 +26,8 @@ from .measure import (Box, DilatedShape, UnionShape,
                       boundary_projection_inclusion, lw_ratio, project_voxels,
                       shape_zoo, tube_intersection_volume, voxelize,
                       weak_isoperimetric_ratio)
-from .planar import (GridTooLarge, LineFamily, Point2, PointSet, Scale,
-                     dual_lines, dual_points, incident, threshold,
+from .planar import (BadInput, GridTooLarge, LineFamily, Point2, PointSet,
+                     Scale, dual_lines, dual_points, incident, threshold,
                      validate_separation)
 from .rng import Stream, substream_seed
 from .sobolev import (FUNCTION_ZOO, GridFunction, bump, dilated_fn, field_X,
@@ -42,10 +42,14 @@ RICH_CONSTANT_CEILING = 40.0
 GNS_RATIO_CEILING = 0.75
 
 
-class EmptyGrid(ValueError):
-    """An experiment measures nothing at its grid steps or deltas: every
-    set it voxelizes is empty, every sample of its grid function is zero,
-    or no row of an incidence sweep counts an incidence."""
+class EmptyGrid(BadInput):
+    """An experiment measures nothing at the grid steps or deltas of its
+    parameter option: every set it voxelizes is empty, every sample of its
+    grid function is zero, or no row of an incidence sweep counts an
+    incidence."""
+
+    def __init__(self, option: str, why: str):
+        super().__init__(f"option {option!r}: {why}")
 
 
 @dataclass
@@ -71,13 +75,13 @@ def sweep_family(name: str, seed: int = 0, **params
     absent r = 1, s = sqrt(delta), epsilon = delta, and n_points and n_lines
     are up to 500, drawn from a stream per row."""
     if name not in SWEEP_FAMILIES:
-        raise ValueError(f"unknown family {name!r}")
+        raise BadInput(f"unknown family {name!r}")
     stray = [repr(key) for key in params if key not in SWEEP_FAMILIES[name]]
     missing = [key for key in ("k", "m") if key not in params]
     if stray:
-        raise ValueError(f"family {name!r} reads no {', '.join(stray)}")
+        raise BadInput(f"family {name!r} reads no {', '.join(stray)}")
     if name == "k_star" and missing:
-        raise ValueError(f"family 'k_star' needs {', '.join(missing)}")
+        raise BadInput(f"family 'k_star' needs {', '.join(missing)}")
     get = params.get
 
     def family(i, delta):
@@ -110,7 +114,7 @@ def incidence_sweep(deltas: Sequence[float],
                      "count": rep.count, "ratio": rep.normalized_ratio})
     ratios = [r["ratio"] for r in rows if r["ratio"] > 0]
     if not ratios:
-        raise EmptyGrid("no row counts an incidence")
+        raise EmptyGrid("deltas", "no row counts an incidence")
     band = max(ratios) / min(ratios)
     return RunResult(band <= 100.0, rows,
                      {"ratio_band": band, "engine": "bucketed",
@@ -122,7 +126,9 @@ def rich_points(deltas: Sequence[float], epsilon_ratios: Sequence[float],
                 ks: Sequence[int], family: str = "rectangle", r: float = 1.0,
                 s: Optional[float] = None) -> RunResult:
     """k-rich points of the r x s rectangle family (s = sqrt(delta) when
-    None) or of k-stars at epsilon = ratio * delta <= 1."""
+    None) or of k-stars at epsilon = ratio * delta <= 1.  Raises BadInput
+    when no (delta, ratio) pair has epsilon <= 1 or every k-star row is
+    infeasible."""
     rows = []
     for delta in deltas:
         for ratio in epsilon_ratios:
@@ -149,6 +155,12 @@ def rich_points(deltas: Sequence[float], epsilon_ratios: Sequence[float],
                              "n_rich": len(res.points),
                              "bound_constant": res.bound_constant,
                              "multiplier": res.used_multiplier})
+    if not rows:
+        raise BadInput("epsilon = ratio * delta exceeds 1 for every "
+                       "(delta, ratio) pair")
+    if all(r["n_rich"] == "infeasible" for r in rows):
+        raise BadInput(f"family {family} is infeasible at every "
+                       f"(delta, epsilon, k)")
     consts = [r["bound_constant"] for r in rows
               if isinstance(r["bound_constant"], float)]
     ceiling = max(consts) if consts else 0.0
@@ -250,7 +262,8 @@ def lw_sweep(hs: Sequence[float], scale: float) -> RunResult:
                          "area_y": project_voxels(K, "y").area(),
                          "lw_ratio": ratio})
     if not rows:
-        raise EmptyGrid("too coarse: every shape voxelizes to an empty set")
+        raise EmptyGrid("hs", "too coarse: every shape voxelizes to an "
+                        "empty set")
     ceiling = max(r["lw_ratio"] for r in rows)
     return RunResult(ceiling <= 2.0, rows, {"measured_ceiling": ceiling},
                      [f"Loomis-Whitney ratio ceiling {ceiling:.4f} (<= 2)"])
@@ -302,17 +315,17 @@ _HALF_WIDTHS = {"narrow_bump": 0.3, "aniso_bump": 0.35, "sheared_bump": 0.35,
 
 def sobolev_function(name: str, h: float, width: float) -> GridFunction:
     """The bump of half widths (width, width, 2 width/3) or a zoo function,
-    sampled at step h.  Raises ValueError for an unknown name and for a grid
+    sampled at step h.  Raises BadInput for an unknown name and for a grid
     of fewer than SOBOLEV_SAMPLES_MIN samples per smallest half-width."""
     if name not in FUNCTION_ZOO:
-        raise ValueError(f"unknown function {name!r}; "
-                         f"choose bump or one of {sorted(FUNCTION_ZOO)}")
+        raise BadInput(f"unknown function {name!r}; "
+                       f"choose bump or one of {sorted(FUNCTION_ZOO)}")
     half = 2 * width / 3 if name == "bump" else _HALF_WIDTHS[name]
     if not h <= half / SOBOLEV_SAMPLES_MIN:
-        raise ValueError(f"too coarse at h={h:g}: {name} needs h <= "
-                         f"{half / SOBOLEV_SAMPLES_MIN:g}, "
-                         f"{SOBOLEV_SAMPLES_MIN} samples per half-width "
-                         f"{half:g} of its support")
+        raise BadInput(f"too coarse at h={h:g}: {name} needs h <= "
+                       f"{half / SOBOLEV_SAMPLES_MIN:g}, "
+                       f"{SOBOLEV_SAMPLES_MIN} samples per half-width "
+                       f"{half:g} of its support")
     if name == "bump":
         return sample_to_grid(bump((width, width, 2 * width / 3)), h,
                               (width + 0.05, width + 0.05,
@@ -340,8 +353,8 @@ def sobolev_check(name: str, f: GridFunction) -> RunResult:
     when every sample of f is zero."""
     g = gns_check(f)
     if g.lhs == 0.0:
-        raise EmptyGrid(f"too coarse at h={f.h:g}: every sample of {name} "
-                        f"is zero")
+        raise EmptyGrid("h", f"too coarse at h={f.h:g}: every sample of "
+                        f"{name} is zero")
     levels, _ = _level_rows(name, f)
     rows = [{"function": name, "h": f.h, "record": "gns",
              "lhs": g.lhs, "rhs": g.rhs, "holds": g.ratio <= 2.0}] + levels
@@ -375,8 +388,8 @@ def isoperimetric(trials: int, h: float, stream: Stream) -> RunResult:
                      "inclusion": boundary_projection_inclusion(E),
                      "iso_ratio": weak_isoperimetric_ratio(E)})
     if not rows:
-        raise EmptyGrid("too coarse: every box union voxelizes to an empty "
-                        "set")
+        raise EmptyGrid("h", "too coarse: every box union voxelizes to an "
+                        "empty set")
     fails = sum(not r["inclusion"] for r in rows)
     ratios = [r["iso_ratio"] for r in rows]
     return RunResult(fails == 0, rows,
@@ -386,6 +399,7 @@ def isoperimetric(trials: int, h: float, stream: Stream) -> RunResult:
 
 
 def _maximal_plane_packing(region, delta: float, plane) -> list:
+    # imported here so perfbench's wrap of incidence._greedy_separated sees it
     from .incidence import _greedy_separated
     pts = region.centers()  # sorted by (u, t)
     kept = _greedy_separated(pts, delta)

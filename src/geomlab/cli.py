@@ -12,7 +12,9 @@ incidence-sweep also reads its family's keys in acceptance.SWEEP_FAMILIES.
 Identical configs give byte-identical CSV output.
 
 Exit codes: 0 all asserted invariants passed, 1 invariant violation,
-2 configuration error.
+2 configuration error: a bad option, config file or --out, or input the
+experiment refuses (planar.BadInput); one line on stderr, before any
+artifact is written.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -30,7 +33,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import __version__
 from . import acceptance as A
-from .planar import GridTooLarge
+from .planar import BadInput
 from .rng import Stream, substream_seed
 
 
@@ -126,10 +129,15 @@ def load_config(experiment: str, path: Optional[str], out_dir: str,
     options = dict(exp.defaults)
     if path is not None:
         parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise ConfigError(f"cannot read config file {path}")
-        if parser.has_section(experiment):
-            options.update({k: v for k, v in parser.items(experiment)})
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError(f"cannot read config file {path}")
+            if parser.has_section(experiment):
+                options.update(parser.items(experiment))
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # flattened: a missing section header's message spans 3 lines
+            raise ConfigError(f"config file {path}: "
+                              + " ".join(str(exc).split())) from None
     if extra:
         options.update({k: v for k, v in extra.items() if v is not None})
     if seed is not None:
@@ -139,7 +147,14 @@ def load_config(experiment: str, path: Optional[str], out_dir: str,
     if unknown:
         raise ConfigError(f"{experiment}: unknown option "
                           + ", ".join(map(repr, unknown)))
-    cfg = ExperimentConfig(experiment, options, Path(out_dir), verify)
+    # the nearest existing one of out_dir and its parents must be a
+    # writable directory; checked before any work, and nothing is created
+    out = Path(out_dir)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {out_dir}: {nearest} is not a writable "
+                          f"directory")
+    cfg = ExperimentConfig(experiment, options, out, verify)
     # checks every experiment shares; each entry of EXPERIMENTS checks the
     # ranges of its own options as it reads them, before any work
     cfg.seed  # raises ConfigError unless the seed is an integer in range
@@ -187,10 +202,7 @@ def _sweep_family(cfg: ExperimentConfig):
     params = {key: (cfg.scalar if key in ("epsilon", "r", "s")
                     else cfg.count)(key)
               for key in _SWEEP_KEYS if key in cfg.options}
-    try:
-        make = A.sweep_family(name, cfg.seed, **params)
-    except ValueError as exc:
-        raise ConfigError(f"incidence-sweep: {exc}") from None
+    make = A.sweep_family(name, cfg.seed, **params)
 
     def family(i, delta):
         try:
@@ -199,46 +211,6 @@ def _sweep_family(cfg: ExperimentConfig):
             raise ConfigError(f"incidence-sweep at delta={delta:g}: "
                               f"{exc}") from None
     return family
-
-
-def _rich_points(cfg: ExperimentConfig) -> A.RunResult:
-    deltas = cfg.floats("deltas", hi=1.0)
-    ratios = cfg.floats("epsilon_ratios", lo=1.0)
-    if min(deltas) * min(ratios) > 1.0:
-        raise ConfigError("rich-points: epsilon = ratio * delta exceeds 1 "
-                          "for every (delta, ratio) pair")
-    family = cfg.choice("family", ("rectangle", "k_star"))
-    ks = cfg.ints("ks", lo=2)
-    res = _on_grid(cfg, "deltas",
-                   lambda: A.rich_points(deltas, ratios, ks, family))
-    if all(r["n_rich"] == "infeasible" for r in res.rows):
-        raise ConfigError(f"rich-points: family {family} is infeasible at "
-                          f"every (delta, epsilon, k)")
-    return res
-
-
-def _on_grid(cfg: ExperimentConfig, option: str,
-             run: Callable[[], A.RunResult]) -> A.RunResult:
-    """Run an experiment at the grid steps or deltas of `option`; a run
-    that measures nothing there (EmptyGrid), or that asks for a grid or
-    lattice past its cap (GridTooLarge, which several options may cause),
-    is a config error."""
-    try:
-        return run()
-    except A.EmptyGrid as exc:
-        raise ConfigError(f"{cfg.experiment}: option {option!r}: "
-                          f"{exc}") from None
-    except GridTooLarge as exc:
-        raise ConfigError(f"{cfg.experiment}: {exc}") from None
-
-
-def _sobolev_check(cfg: ExperimentConfig) -> A.RunResult:
-    name = cfg.options["function"]
-    try:
-        f = A.sobolev_function(name, cfg.scalar("h"), cfg.scalar("width"))
-    except ValueError as exc:
-        raise ConfigError(f"sobolev-check: {exc}") from None
-    return _on_grid(cfg, "h", lambda: A.sobolev_check(name, f))
 
 
 class Experiment(NamedTuple):
@@ -251,13 +223,16 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "incidence-sweep": Experiment(
         {"family": "tube", "deltas": "2^-6 2^-7 2^-8 2^-9 2^-10 2^-11 2^-12",
          "seed": "12345"},
-        lambda c: _on_grid(c, "deltas", lambda: A.incidence_sweep(
-            c.floats("deltas", hi=1.0), _sweep_family(c), c.verify)),
+        lambda c: A.incidence_sweep(c.floats("deltas", hi=1.0),
+                                    _sweep_family(c), c.verify),
         _SWEEP_KEYS),
     "rich-points": Experiment(
         {"family": "rectangle", "deltas": "2^-4 2^-5 2^-6", "ks": "2 4 8 16",
          "epsilon_ratios": "1 4 16", "seed": "12345"},
-        _rich_points),
+        lambda c: A.rich_points(c.floats("deltas", hi=1.0),
+                                c.floats("epsilon_ratios", lo=1.0),
+                                c.ints("ks", lo=2),
+                                c.choice("family", ("rectangle", "k_star")))),
     "duality-check": Experiment(
         {"delta": "2^-7", "pairs": "10000", "seed": "12345"},
         lambda c: A.duality_check(
@@ -270,33 +245,36 @@ EXPERIMENTS: Dict[str, Experiment] = {
                                         hi=1.0))),
     "lw-sweep": Experiment(
         {"hs": "1/48 1/64", "scale": "0.5", "seed": "12345"},
-        lambda c: _on_grid(c, "hs", lambda: A.lw_sweep(
-            c.floats("hs"), c.scalar("scale", lo=A.LW_SCALE_MIN)))),
+        lambda c: A.lw_sweep(c.floats("hs"),
+                             c.scalar("scale", lo=A.LW_SCALE_MIN))),
     "tube-volume": Experiment(
         {"deltas": "2^-4 2^-5 2^-6 2^-7", "seed": "12345"},
         lambda c: A.tube_volume(c.floats("deltas", lo=A.TUBE_DELTA_MIN,
                                          hi=A.TUBE_DELTA_MAX))),
     "sobolev-check": Experiment(
         {"function": "bump", "width": "0.75", "h": "1/64", "seed": "12345"},
-        _sobolev_check),
+        lambda c: A.sobolev_check(c.options["function"], A.sobolev_function(
+            c.options["function"], c.scalar("h"), c.scalar("width")))),
     "isoperimetric": Experiment(
         {"trials": "100", "h": "1/24", "seed": "12345"},
-        lambda c: _on_grid(c, "h", lambda: A.isoperimetric(
+        lambda c: A.isoperimetric(
             c.count("trials", hi=A.ISOPERIMETRIC_TRIALS_MAX), c.scalar("h"),
-            Stream(substream_seed(c.seed, 12))))),
+            Stream(substream_seed(c.seed, 12)))),
     # above delta = 1/2 the box's t half width 1/16 holds no voxel of
     # height delta/4
     "reduce-pipeline": Experiment(
         {"deltas": "2^-4 2^-5 2^-6 2^-7", "seed": "12345"},
-        lambda c: _on_grid(c, "deltas", lambda: A.reduce_pipeline(
-            c.floats("deltas", hi=0.5)))),
+        lambda c: A.reduce_pipeline(c.floats("deltas", hi=0.5))),
     "verify-all": Experiment({"seed": "12345"}, lambda c: A.verify_all()),
 }
 
 
 def run(cfg: ExperimentConfig) -> int:
     t0 = time.time()
-    res = EXPERIMENTS[cfg.experiment].run(cfg)
+    try:
+        res = EXPERIMENTS[cfg.experiment].run(cfg)
+    except BadInput as exc:
+        raise ConfigError(f"{cfg.experiment}: {exc}") from None
     write_artifacts(cfg, res)
     status = "PASS" if res.ok else "FAIL"
     print(f"{cfg.experiment}: {status} ({time.time() - t0:.1f}s), "

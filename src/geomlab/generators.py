@@ -157,16 +157,14 @@ def gen_kstar(k: int, m: int, delta: float,
             f"infeasible k-star: centers at spacing {spacing:g} "
             f"cannot be {2 * delta * k:g}-separated")
     cx = -span / 2.0 + spacing * (np.arange(m) + 0.5)
-    cy = np.zeros(m)
-    slopes = []
-    intercepts = []
+    # row c: star c's k slopes and their intercepts through (cx[c], 0);
+    # 0.0 - x, not -x, so that an intercept of 0 is +0.0
     a0 = -budget / 2.0
-    for c in range(m):
-        a = a0 + c * ((k - 1) * step + gap) + step * np.arange(k)
-        slopes.append(a)
-        intercepts.append(cy[c] - a * cx[c])
-    lines = np.column_stack([np.concatenate(slopes), np.concatenate(intercepts)])
-    pts = np.column_stack([cx, cy])
+    window = (k - 1) * step + gap
+    a = a0 + np.arange(m)[:, None] * window + step * np.arange(k)
+    b = 0.0 - a * cx[:, None]
+    lines = np.column_stack([a.ravel(), b.ravel()])
+    pts = np.column_stack([cx, np.zeros(m)])
     return PointSet(pts, delta), LineFamily(lines, eps)
 
 

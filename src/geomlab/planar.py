@@ -26,7 +26,11 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 
-class GridTooLarge(ValueError):
+class BadInput(ValueError):
+    """An input the package refuses before doing its work."""
+
+
+class GridTooLarge(BadInput):
     """A grid or lattice that an input asks for exceeds its named cap; it is
     refused before anything of its size is allocated."""
 

@@ -353,6 +353,63 @@ def test_missing_config_file_exits_2(tmp_path):
     assert rc == 2
 
 
+# each raised a configparser.Error or UnicodeDecodeError (exit 1, a
+# traceback of 16 to 26 lines)
+@pytest.mark.parametrize("data", [
+    pytest.param(b"hs = 1/48\n", id="no-section-header"),
+    pytest.param(b"[lw-sweep]\nhs = 1/48\nhs = 1/64\n", id="duplicate-option"),
+    pytest.param(b"[lw-sweep]\nhs = 1/48\n[lw-sweep]\nscale = 0.5\n",
+                 id="duplicate-section"),
+    pytest.param(b"[lw-sweep]\nhs = %(x)s\n", id="interpolation"),
+    pytest.param(b"[lw-sweep]\nhs = 1/48 \xff\n", id="non-utf-8-byte"),
+])
+def test_malformed_config_file_exits_2(tmp_path, capsys, data):
+    ini = tmp_path / "cfg.ini"
+    ini.write_bytes(data)
+    err = _exits_2_with_one_line(capsys, [
+        "lw-sweep", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert err.startswith(f"config error: config file {ini}: ")
+    assert not (tmp_path / "out").exists()
+
+
+# both raised FileExistsError or NotADirectoryError (exit 1) once the
+# experiment had run
+@pytest.mark.parametrize("sub", [pytest.param("", id="a-file"),
+                                 pytest.param("sub", id="under-a-file")])
+def test_unusable_out_exits_2_before_running(tmp_path, capsys, monkeypatch,
+                                             sub):
+    from geomlab import acceptance
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran the experiment")
+
+    monkeypatch.setattr(acceptance, "duality_check", no_run)
+    file = tmp_path / "file"
+    file.write_text("")
+    out = file / sub if sub else file
+    err = _exits_2_with_one_line(capsys, ["duality-check", "--out", str(out)])
+    assert f"--out {out}: {file} is not a writable directory" in err
+
+
+@pytest.mark.parametrize("experiment, function", [
+    ("star-bound", "star_bound"), ("tube-volume", "tube_volume"),
+    ("duality-check", "duality_check")])
+def test_refused_input_of_every_experiment_exits_2(tmp_path, capsys,
+                                                   monkeypatch, experiment,
+                                                   function):
+    from geomlab import acceptance
+    from geomlab.planar import GridTooLarge
+
+    def refuse(*args, **kwargs):
+        raise GridTooLarge("a lattice past its cap")
+
+    monkeypatch.setattr(acceptance, function, refuse)
+    err = _exits_2_with_one_line(capsys, [
+        experiment, "--out", str(tmp_path / "out")])
+    assert err == f"config error: {experiment}: a lattice past its cap\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_incidence_sweep_run_and_artifacts(tmp_path):
     ini = tmp_path / "cfg.ini"
     ini.write_text("[incidence-sweep]\ndeltas = 2^-6 2^-7 2^-8\n")
