@@ -127,8 +127,11 @@ def rich_points(deltas: Sequence[float], epsilon_ratios: Sequence[float],
                 s: Optional[float] = None) -> RunResult:
     """k-rich points of the r x s rectangle family (s = sqrt(delta) when
     None) or of k-stars at epsilon = ratio * delta <= 1.  Raises BadInput
-    when no (delta, ratio) pair has epsilon <= 1 or every k-star row is
-    infeasible."""
+    for another family, when no (delta, ratio) pair has epsilon <= 1 or
+    when every k-star row is infeasible."""
+    if family not in ("rectangle", "k_star"):
+        raise BadInput(f"unknown family {family!r}; "
+                       f"choose rectangle or k_star")
     rows = []
     for delta in deltas:
         for ratio in epsilon_ratios:

@@ -12,7 +12,6 @@ iff its center lies inside the shape.
 from __future__ import annotations
 
 import math
-import struct
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -582,15 +581,15 @@ _VOXELIZE_COLUMNS = 1 << 14
 
 def _merged(lo: np.ndarray, end: np.ndarray) -> _Runs:
     """The union of the nonempty half-open runs [lo, end) of integer keys,
-    as sorted maximal runs: runs that overlap or touch are joined.  The
-    runs are sorted by lo, and a new one starts where lo passes the
-    running max of end.  No runs give none."""
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    reach = np.maximum.accumulate(end[order])
-    gap = np.flatnonzero(lo[1:] > reach[:-1])
+    as sorted maximal runs: runs that overlap or touch are joined.  With
+    the starts and the ends each sorted, the keys of [end[i], lo[i + 1])
+    lie past i + 1 ends and before the (i + 2)-th start, so no run holds
+    them: a gap follows end[i] exactly where lo[i + 1] > end[i].  No runs
+    give none."""
+    lo, end = np.sort(lo), np.sort(end)
+    gap = np.flatnonzero(lo[1:] > end[:-1])
     return (np.concatenate([lo[:1], lo[gap + 1]]),
-            np.concatenate([reach[gap], reach[-1:]]))
+            np.concatenate([end[gap], end[-1:]]))
 
 
 def _project_spans(K: VoxelSet, plane: Plane, oversample: int) -> PlaneRegion:
@@ -791,46 +790,6 @@ def weak_isoperimetric_ratio(E: VoxelSet) -> float:
     if len(E) == 0:
         raise ValueError("isoperimetric ratio of an empty set")
     return E.volume() ** 0.75 / h3_surrogate(boundary(E))
-
-
-# ---------------------------------------------------------------------------
-# Serialization: run-length-encoded binary.
-#
-# Binary layout (little endian): magic b"VXL1", float64 h, float64 ht,
-# uint64 nspans, then per span int64 i, int64 j, int64 k0, int64 klen,
-# spans sorted lexicographically.
-
-_MAGIC = b"VXL1"
-
-
-def save_voxelset(K: VoxelSet, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<dd", K.h, K.ht))
-        fh.write(struct.pack("<Q", K.spans.shape[0]))
-        fh.write(K.spans.astype("<i8").tobytes())
-
-
-def load_voxelset(path) -> VoxelSet:
-    """Read a file written by save_voxelset.  A short header, h or ht not
-    finite and positive, a payload other than 32 bytes a span, a span
-    length below 1 or an index outside [-2^20, 2^20) raises a ValueError
-    that names the file; overlapping or unsorted spans merge."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a voxel-set file")
-        header = fh.read(24)
-        payload = fh.read()
-    if len(header) < 24:
-        raise ValueError(f"{path}: truncated voxel-set header")
-    h, ht, nspans = struct.unpack("<ddQ", header)
-    if len(payload) != nspans * 32:
-        raise ValueError(f"{path}: {nspans} spans need {nspans * 32} bytes, "
-                         f"found {len(payload)}")
-    try:
-        return VoxelSet.from_spans(np.frombuffer(payload, dtype="<i8"), h, ht)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

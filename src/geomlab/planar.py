@@ -16,11 +16,8 @@ fudge epsilon here.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -331,81 +328,3 @@ def validate_separation(obj: Union[PointSet, LineFamily]) -> SeparationReport:
     dmin, pair = _min_pair(coords)
     return SeparationReport(ok=bool(dmin >= bound), bound=bound,
                             min_distance=dmin, pair=pair)
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization: one row per element plus a sidecar JSON metadata record.
-
-def _meta_path(path: Path) -> Path:
-    return path.with_suffix(path.suffix + ".meta.json")
-
-
-def _write_csv(path: Path, header: Tuple[str, str], coords: np.ndarray,
-               metadata: dict) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in coords:
-            w.writerow([repr(float(row[0])), repr(float(row[1]))])
-    with open(_meta_path(path), "w") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def save_point_set(ps: PointSet, path, generator: str = "", seed=None) -> None:
-    meta = {"delta": ps.delta, "epsilon": None, "generator": generator, "seed": seed}
-    _write_csv(Path(path), ("x", "y"), ps.coords, meta)
-
-
-def save_line_family(lf: LineFamily, path, generator: str = "", seed=None) -> None:
-    meta = {"delta": None, "epsilon": lf.epsilon, "generator": generator, "seed": seed}
-    _write_csv(Path(path), ("a", "b"), lf.params, meta)
-
-
-def _read_csv(path: Path, header: Tuple[str, str],
-              scale: str) -> Tuple[np.ndarray, float]:
-    """The coordinates of a CSV written by _write_csv, each finite, and the
-    value of `scale` in its sidecar, which must be a finite number > 0."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValueError(f"{path}: not a CSV file: {exc}") from None
-    if not rows or tuple(rows[0]) != header:
-        raise ValueError(f"{path}: expected header {header}")
-    coords = np.empty((len(rows) - 1, 2))
-    for n, row in enumerate(rows[1:]):
-        if len(row) != 2:
-            raise ValueError(f"{path}: row {n + 1} has {len(row)} fields, "
-                             f"expected 2")
-        try:
-            coords[n] = float(row[0]), float(row[1])
-        except ValueError:
-            raise ValueError(f"{path}: row {n + 1} is not numeric: "
-                             f"{','.join(row)!r}") from None
-        if not np.isfinite(coords[n]).all():
-            raise ValueError(f"{path}: row {n + 1} is not finite: "
-                             f"{','.join(row)!r}")
-    meta_path = _meta_path(Path(path))
-    with open(meta_path) as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{meta_path}: not JSON: {exc}") from None
-    value = meta.get(scale) if isinstance(meta, dict) else None
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not math.isfinite(value) or value <= 0):
-        raise ValueError(f"{meta_path}: expected a JSON object whose "
-                         f"{scale!r} is a finite number > 0")
-    return coords.reshape(-1, 2), float(value)
-
-
-def load_point_set(path) -> PointSet:
-    coords, delta = _read_csv(Path(path), ("x", "y"), "delta")
-    return PointSet(coords, delta=delta)
-
-
-def load_line_family(path) -> LineFamily:
-    coords, epsilon = _read_csv(Path(path), ("a", "b"), "epsilon")
-    return LineFamily(coords, epsilon=epsilon)

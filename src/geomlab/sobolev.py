@@ -18,7 +18,6 @@ enters only through mollified indicators.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -375,50 +374,3 @@ def zoo_function(name: str, h: float) -> GridFunction:
     """The zoo function `name` sampled at grid step h."""
     fn, extents = FUNCTION_ZOO[name]
     return sample_to_grid(fn, h, extents)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: JSON header line + raw little-endian float64 samples.
-
-def save_gridfunction(f: GridFunction, path) -> None:
-    header = {"dims": list(f.values.shape), "h": f.h, "origin": list(f.origin)}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(f.values.astype("<f8").tobytes(order="C"))
-
-
-def load_gridfunction(path) -> GridFunction:
-    """Read a file written by save_gridfunction.  A header that is not a
-    JSON object with integer dims and origin and a positive finite h, a
-    payload whose length does not match dims, or a sample that is not
-    finite raises a ValueError that names the file."""
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        raw = fh.read()
-    try:
-        header = json.loads(head)
-    except ValueError:
-        header = None
-    if not isinstance(header, dict) or sorted(header) != ["dims", "h", "origin"]:
-        raise ValueError(f"{path}: header must be a JSON object with keys "
-                         f"dims, h and origin")
-    dims, h, origin = header["dims"], header["h"], header["origin"]
-    if not (_int_triple(dims) and min(dims) >= 0 and _int_triple(origin)
-            and type(h) in (int, float) and math.isfinite(h) and h > 0):
-        raise ValueError(f"{path}: bad header {header}")
-    need = 8 * math.prod(dims)
-    if len(raw) != need:
-        raise ValueError(f"{path}: payload has {len(raw)} bytes, "
-                         f"dims {dims} need {need}")
-    values = np.frombuffer(raw, dtype="<f8").reshape(dims)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: samples must be finite")
-    try:
-        return GridFunction(values, h, tuple(origin))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _int_triple(v) -> bool:
-    return (isinstance(v, list) and len(v) == 3
-            and all(type(x) is int for x in v))

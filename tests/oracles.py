@@ -262,6 +262,19 @@ def _rank_keys_reference(seed: int, n: int, k: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def _merged_reference(lo: np.ndarray,
+                      end: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """measure._merged by sorting the runs by lo and starting a new run
+    where lo passes the running max of end: the oracle of the kernel that
+    sorts the starts and the ends apart."""
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    reach = np.maximum.accumulate(end[order])
+    gap = np.flatnonzero(lo[1:] > reach[:-1])
+    return (np.concatenate([lo[:1], lo[gap + 1]]),
+            np.concatenate([reach[gap], reach[-1:]]))
+
+
 _NEIGHBORS6 = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                         [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.int64)
 

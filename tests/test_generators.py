@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geomlab.acceptance import sweep_family
+from geomlab.acceptance import rich_points, sweep_family
 from geomlab import generators
 from geomlab.generators import (LATTICE_2D_CAP, LATTICE_CAP, _lattice_1d,
                                 _lattice_2d, gen_concurrent_star,
@@ -14,8 +14,8 @@ from geomlab.generators import (LATTICE_2D_CAP, LATTICE_CAP, _lattice_1d,
                                 gen_kstar, gen_random, gen_rectangle_example,
                                 gen_tube_example)
 from geomlab.incidence import count_naive, max_concurrency
-from geomlab.planar import (GridTooLarge, LineFamily, Point2, Scale,
-                            save_point_set, validate_separation)
+from geomlab.planar import (BadInput, GridTooLarge, LineFamily, Point2,
+                            Scale, validate_separation)
 from geomlab.rng import Stream, mix64, rank_keys, substream_seed
 from oracles import _rank_keys_reference, traced_peak
 
@@ -254,16 +254,13 @@ def test_random_empty_and_feasibility():
         gen_random(10 ** 6, 1, 2.0 ** -4, seed=1)
 
 
-def test_random_separation_and_determinism(tmp_path):
+def test_random_separation_and_determinism():
     P1, L1 = gen_random(1000, 1000, 2.0 ** -8, seed=2024)
     P2, L2 = gen_random(1000, 1000, 2.0 ** -8, seed=2024)
-    assert np.array_equal(P1.coords, P2.coords)
-    assert np.array_equal(L1.params, L2.params)
     assert validate_separation(P1).ok and validate_separation(L1).ok
-    # byte-identical serialized output
-    save_point_set(P1, tmp_path / "a.csv", generator="random", seed=2024)
-    save_point_set(P2, tmp_path / "b.csv", generator="random", seed=2024)
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # bit-identical coordinates, signed zeros included
+    assert P1.coords.tobytes() == P2.coords.tobytes()
+    assert L1.params.tobytes() == L2.params.tobytes()
     P3, _ = gen_random(1000, 1000, 2.0 ** -8, seed=2025)
     assert not np.array_equal(P1.coords, P3.coords)
 
@@ -278,6 +275,12 @@ def test_sweep_family_reads_only_its_keys():
                                  ("k_star", {"k": 3}, "needs m")]:
         with pytest.raises(ValueError, match=needle):
             sweep_family(name, **params)
+
+
+def test_rich_points_refuses_an_unknown_family():
+    # it raised UnboundLocalError: no generator ran, so no lines were set
+    with pytest.raises(BadInput, match="unknown family 'nope'"):
+        rich_points([2.0 ** -4], [1], [2], "nope")
 
 
 @pytest.mark.parametrize("make", [

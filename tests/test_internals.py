@@ -20,9 +20,8 @@ from geomlab.heisenberg import Plane, VerticalPlanePoint
 from geomlab.incidence import (_Columns, _count_columns, _first_come,
                                _float_margin, _greedy_separated, _layout,
                                count_naive, grid_richness)
-from geomlab.measure import (Box, TubeIntersection, UnionShape, VoxelSet,
-                             load_voxelset, project_voxels, save_voxelset,
-                             shape_zoo, voxelize)
+from geomlab.measure import (Box, TubeIntersection, UnionShape,
+                             project_voxels, shape_zoo, voxelize)
 from geomlab.planar import (GridTooLarge, LineFamily, PointSet, Scale,
                             _first_true, _min_pair)
 from geomlab.rng import Stream
@@ -565,10 +564,3 @@ def test_blocked_kernels_equal_one_pass(monkeypatch):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
-
-
-def test_rle_empty_round_trip(tmp_path):
-    K = VoxelSet(np.empty((0, 3)), h=0.25, ht=0.125)
-    save_voxelset(K, tmp_path / "e.vxl")
-    K2 = load_voxelset(tmp_path / "e.vxl")
-    assert len(K2) == 0 and K2.h == 0.25 and K2.ht == 0.125

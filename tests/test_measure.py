@@ -2,14 +2,13 @@
 
 import math
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomlab import measure as M
@@ -21,13 +20,13 @@ from geomlab.measure import (Box, DifferenceShape, DilatedShape, KoranyiBall,
                              UnionShape, VoxelSet, _dilated_covers,
                              _gauge_inside, boundary,
                              boundary_projection_inclusion, h3_surrogate,
-                             load_voxelset, lw_ratio, project_voxels,
-                             save_voxelset, shape_zoo,
+                             lw_ratio, project_voxels, shape_zoo,
                              tube_intersection_volume, voxelize,
                              weak_isoperimetric_ratio)
 from geomlab.rng import Stream
 from oracles import (REDUCE_BOX, _boundary_reference, _h3_surrogate_reference,
-                     _voxelize_dense, covers, dilated, traced_peak)
+                     _merged_reference, _voxelize_dense, covers, dilated,
+                     traced_peak)
 
 LW_BOX = 8.0 * 5.0 ** (-4.0 / 3.0)
 
@@ -50,6 +49,8 @@ def test_voxelize_rejects_bad_sides(h, ht):
     # negative ht gave an empty set
     with pytest.raises(ValueError, match="h and ht must be finite and positive"):
         voxelize(Box((0, 0, 0), (0.3, 0.3, 0.1)), h, ht)
+    with pytest.raises(ValueError, match="h and ht must be finite and positive"):
+        VoxelSet.from_spans([(0, 0, 0, 3)], h, ht)
 
 
 def test_voxelize_refuses_boxes_past_its_limits(monkeypatch):
@@ -741,53 +742,7 @@ def test_weak_isoperimetric_ratio_stability():
 
 
 # ---------------------------------------------------------------------------
-# set algebra and serialization
-
-def test_rle_round_trip(tmp_path):
-    sh = UnionShape(Box((0, 0, 0), (0.3, 0.2, 0.1)),
-                    Box((0.4, 0, 0), (0.1, 0.1, 0.05)))
-    K = voxelize(sh, 1 / 32, 1 / 64)
-    path = tmp_path / "k.vxl"
-    save_voxelset(K, path)
-    K2 = load_voxelset(path)
-    assert K2.h == K.h and K2.ht == K.ht
-    assert np.array_equal(K2.spans, K.spans)
-    assert np.array_equal(K2.occupied, K.occupied)
-
-
-def _write_vxl(path, spans, nspans=None, cut=0, h=0.1, ht=0.1, extra=b""):
-    spans = np.asarray(spans, dtype="<i8").reshape(-1, 4)
-    n = spans.shape[0] if nspans is None else nspans
-    data = b"VXL1" + struct.pack("<ddQ", h, ht, n) + spans.tobytes() + extra
-    path.write_bytes(data[:len(data) - cut])
-    return path
-
-
-def test_load_voxelset_rejects_corrupt_files(tmp_path):
-    good = [(0, 0, 0, 3), (0, 1, -2, 1)]
-    K = load_voxelset(_write_vxl(tmp_path / "good.vxl", good))
-    assert len(K) == 4
-    cases = {
-        "truncated.vxl": dict(spans=good, cut=5),
-        "missing.vxl": dict(spans=good, nspans=3),
-        "zero_len.vxl": dict(spans=[(0, 0, 0, 3), (1, 0, 0, 0)]),
-        "negative_len.vxl": dict(spans=[(1, 0, 0, -3)]),
-        "header.vxl": dict(spans=[], cut=4),
-        "huge_len.vxl": dict(spans=[(0, 0, 0, 2 ** 40)]),
-        "far_column.vxl": dict(spans=[(2 ** 21, 0, 0, 1)]),
-        "past_top.vxl": dict(spans=[(0, 0, 2 ** 20 - 2, 3)]),
-        # these loaded, with a volume of nan, +0.003, inf and 0
-        "nan_h.vxl": dict(spans=good, h=math.nan),
-        "negative_h.vxl": dict(spans=good, h=-0.1),
-        "inf_ht.vxl": dict(spans=good, ht=math.inf),
-        "zero_sides.vxl": dict(spans=good, h=0.0, ht=0.0),
-        "trailing.vxl": dict(spans=good, extra=bytes(8)),
-    }
-    for name, kw in cases.items():
-        path = _write_vxl(tmp_path / name, **kw)
-        with pytest.raises(ValueError, match=name):
-            load_voxelset(path)
-
+# set algebra
 
 def _swept(spans):
     """spans merged by _sweep alone: the reference of _canonical_spans."""
@@ -797,41 +752,10 @@ def _swept(spans):
     return M._spans_of_runs(col, m, base, M._sweep([runs], lambda n: n > 0))
 
 
-_FUZZ_SET = VoxelSet.from_spans([(0, 0, 0, 3), (0, 1, -2, 1), (-5, 2, 7, 2)],
-                                0.1, 0.05)
-
-
-@settings(max_examples=150, deadline=1000, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.sampled_from([10, 11, 18, 19]) | st.integers(0, 123),
-                          st.sampled_from([0, 0x7F, 0x80, 0xFF])
-                          | st.integers(0, 255)), max_size=4),
-       st.just(0) | st.integers(0, 124), st.binary(max_size=8))
-def test_load_voxelset_fuzz(tmp_path, edits, cut, junk):
-    # a saved 124-byte file with bytes overwritten (half of them among the
-    # sign and exponent bytes 10, 11, 18 and 19 of h and ht, half of them
-    # by a sign or exponent pattern), cut by some bytes and with junk
-    # appended, either loads as a canonical set on a valid grid or raises
-    # a ValueError that names the file
-    path = tmp_path / "fuzz.vxl"
-    save_voxelset(_FUZZ_SET, path)
-    data = bytearray(path.read_bytes())
-    for pos, byte in edits:
-        data[pos] = byte
-    path.write_bytes(bytes(data[:len(data) - cut]) + junk)
-    try:
-        K = load_voxelset(path)
-    except ValueError as exc:
-        assert str(exc).startswith(f"{path}: ")
-        return
-    assert all(math.isfinite(v) and v > 0 for v in (K.h, K.ht))
-    assert np.array_equal(_swept(K.spans), K.spans)
-
-
-def test_load_voxelset_merges_unsorted_overlapping_spans(tmp_path):
+def test_from_spans_merges_unsorted_overlapping_spans():
     spans = [(0, 0, 2, 3), (0, 0, 0, 3), (0, 0, 5, 1), (-1, 0, 0, 1),
              (0, 1, 0, 2), (0, 1, 3, 1)]
-    K = load_voxelset(_write_vxl(tmp_path / "messy.vxl", spans))
+    K = VoxelSet.from_spans(spans, h=0.1)
     assert K.spans.tolist() == [[-1, 0, 0, 1], [0, 0, 0, 6], [0, 1, 0, 2],
                                 [0, 1, 3, 1]]
     ijk = [(i, j, k) for i, j, k0, n in spans for k in range(k0, k0 + n)]
@@ -844,8 +768,13 @@ def test_voxelset_rejects_indices_outside_packing_range():
             VoxelSet([bad], h=0.1)
     edge = [(-2 ** 20, 2 ** 20 - 1, -2 ** 20), (2 ** 20 - 1, 0, 2 ** 20 - 1)]
     assert len(VoxelSet(edge, h=0.1)) == 2
-    with pytest.raises(ValueError, match=r"2\^20"):
-        VoxelSet.from_spans([(0, 0, 2 ** 20 - 1, 2)], h=0.1)
+    for bad in [(0, 0, 2 ** 20 - 1, 2), (0, 0, 2 ** 20 - 2, 3),
+                (0, 0, 0, 2 ** 40), (2 ** 21, 0, 0, 1)]:
+        with pytest.raises(ValueError, match=r"2\^20"):
+            VoxelSet.from_spans([bad], h=0.1)
+    for bad in [[(0, 0, 0, 3), (1, 0, 0, 0)], [(1, 0, 0, -3)]]:
+        with pytest.raises(ValueError, match="span length must be positive"):
+            VoxelSet.from_spans(bad, h=0.1)
 
 
 def test_projection_rejects_cells_outside_packing_range():
@@ -860,9 +789,11 @@ def test_projection_rejects_cells_outside_packing_range():
         assert set(project_voxels(near, which).occupied[:, 0]) == {1000}
 
 
-def test_load_voxelset_zero_spans(tmp_path):
-    K = load_voxelset(_write_vxl(tmp_path / "empty.vxl", []))
-    assert len(K) == 0 and K.h == 0.1
+def test_empty_voxelset_keeps_its_sides():
+    for K in (VoxelSet.from_spans([], h=0.25, ht=0.125),
+              VoxelSet(np.empty((0, 3)), h=0.25, ht=0.125)):
+        assert len(K) == 0 and K.spans.shape == (0, 4)
+        assert K.h == 0.25 and K.ht == 0.125
 
 
 def test_plane_region_ops():
@@ -1062,6 +993,20 @@ def test_merged_joins_runs_that_overlap_or_touch():
     assert (lo.tolist(), end.tolist()) == ([0, 5, 9, 12], [4, 7, 10, 15])
     none = np.empty(0, dtype=np.int64)
     assert [r.size for r in M._merged(none, none)] == [0, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 12)),
+                max_size=30),
+       st.sampled_from([0, -_EDGE, _EDGE - 40]))
+def test_merged_equals_the_running_max_sweep(runs, at):
+    # unsorted runs of length 1 to 12 on a short axis overlap, touch, nest
+    # and repeat; the empty list is drawn too
+    lo = np.array([a for a, _ in runs], dtype=np.int64) + at
+    end = lo + np.array([n for _, n in runs], dtype=np.int64)
+    got, want = M._merged(lo, end), _merged_reference(lo, end)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_union_of_touching_and_overlapping_boxes_matches_dense():

@@ -4,14 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomlab.planar import (LineFamily, PointSet, Scale, _CellHash,
                             _min_pair, dual_lines, dual_points, incident,
-                            load_line_family, load_point_set,
-                            save_line_family, save_point_set, threshold,
-                            validate_separation)
+                            threshold, validate_separation)
 from geomlab.acceptance import duality_check
 from geomlab.generators import gen_grid_packing
 from geomlab.rng import Stream
@@ -259,105 +257,3 @@ def test_scale_validation():
         Scale(0.1, multiplier=0.5)
     s = Scale(0.25)
     assert s.epsilon == 0.25 and s.radius == 0.25
-
-
-def test_csv_round_trip(tmp_path):
-    ps = PointSet([(0.125, -0.5), (0.7, 0.3)], delta=0.25)
-    lf = LineFamily([(0.5, -0.25), (-1.0, 1.0)], epsilon=0.5)
-    save_point_set(ps, tmp_path / "pts.csv", generator="unit", seed=7)
-    save_line_family(lf, tmp_path / "lns.csv", generator="unit", seed=7)
-    ps2 = load_point_set(tmp_path / "pts.csv")
-    lf2 = load_line_family(tmp_path / "lns.csv")
-    assert np.array_equal(ps.coords, ps2.coords) and ps2.delta == ps.delta
-    assert np.array_equal(lf.params, lf2.params) and lf2.epsilon == lf.epsilon
-
-
-def test_csv_loader_rejects_bad_rows(tmp_path):
-    ps = PointSet([(0.125, -0.5), (0.7, 0.3)], delta=0.25)
-    save_point_set(ps, tmp_path / "pts.csv", generator="unit", seed=7)
-    lf = LineFamily([(0.5, -0.25)], epsilon=0.5)
-    save_line_family(lf, tmp_path / "lns.csv", generator="unit", seed=7)
-    meta = (tmp_path / "pts.csv.meta.json").read_text()
-    bodies = {
-        "short.csv": "x,y\n0.125,-0.5\n0.7\n",
-        "long.csv": "x,y\n0.125,-0.5,1\n",
-        "blank.csv": "x,y\n0.125,-0.5\n\n",
-        "junk.csv": "x,y\n0.125,abc\n",
-        "empty_cell.csv": "x,y\n,0.3\n",
-        # these loaded, and count_incidences then failed without naming
-        # the file where count_naive counted them
-        "nan.csv": "x,y\n0.125,-0.5\nnan,0.5\n",
-        "inf.csv": "x,y\ninf,0.5\n",
-        # found by test_csv_loader_fuzz: the first loaded as inf, the
-        # second raised a UnicodeDecodeError that did not name the file
-        "overflow.csv": "x,y\n0.7,1e4300\n",
-        "not_utf8.csv": b"x,y\n0.1\xe15,-0.5\n",
-    }
-    for name, body in bodies.items():
-        path = tmp_path / name
-        path.write_bytes(body if isinstance(body, bytes) else body.encode())
-        (tmp_path / (name + ".meta.json")).write_text(meta)
-        with pytest.raises(ValueError, match=name):
-            load_point_set(path)
-    bad_lines = tmp_path / "lines_short.csv"
-    bad_lines.write_text("a,b\n0.5\n")
-    (tmp_path / "lines_short.csv.meta.json").write_text(
-        (tmp_path / "lns.csv.meta.json").read_text())
-    with pytest.raises(ValueError, match="lines_short.csv"):
-        load_line_family(bad_lines)
-
-
-@pytest.mark.parametrize("meta", ['{not json', '{"epsilon": null}',
-                                  '{"delta": null}', '[1, 2]',
-                                  '{"delta": 0, "epsilon": Infinity}'])
-@pytest.mark.parametrize("save, load", [(save_point_set, load_point_set),
-                                        (save_line_family, load_line_family)])
-def test_csv_loader_rejects_bad_sidecars(tmp_path, meta, save, load):
-    path = tmp_path / "set.csv"
-    if save is save_point_set:
-        save(PointSet([(0.125, -0.5)], delta=0.25), path)
-    else:
-        save(LineFamily([(0.5, -0.25)], epsilon=0.5), path)
-    sidecar = tmp_path / "set.csv.meta.json"
-    sidecar.write_text(meta)
-    with pytest.raises(ValueError) as info:
-        load(path)
-    assert str(info.value).startswith(f"{sidecar}: ")
-
-
-_FUZZ_POINTS = PointSet([(0.125, -0.5), (0.7, 1e300), (-1.0, 1e-300)], delta=0.25)
-_FUZZ_LINES = LineFamily([(0.5, -0.25), (-1.0, 1.0)], epsilon=0.5)
-
-
-@settings(max_examples=150, deadline=1000, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from([(save_point_set, load_point_set, _FUZZ_POINTS),
-                        (save_line_family, load_line_family, _FUZZ_LINES)]),
-       st.booleans(),
-       st.lists(st.tuples(st.integers(0, 200),
-                          st.sampled_from(b"0123456789.,-+eEinfa\n\r\"{} ")
-                          | st.integers(0, 255)), max_size=4),
-       st.just(0) | st.integers(0, 60), st.binary(max_size=8))
-def test_csv_loader_fuzz(tmp_path, kind, sidecar, edits, cut, junk):
-    # a saved CSV, or its sidecar, with bytes overwritten (most of them by
-    # digits, signs, separators and the letters of nan and inf), cut by
-    # some bytes and with junk appended, either loads with finite
-    # coordinates and a finite scale > 0 or raises a ValueError whose
-    # message starts with the file's path
-    save, load, obj = kind
-    path = tmp_path / "fuzz.csv"
-    save(obj, path)
-    target = tmp_path / "fuzz.csv.meta.json" if sidecar else path
-    data = bytearray(target.read_bytes())
-    for pos, byte in edits:
-        if pos < len(data):
-            data[pos] = byte
-    target.write_bytes(bytes(data[:len(data) - cut]) + junk)
-    try:
-        got = load(path)
-    except ValueError as exc:
-        assert str(exc).startswith(f"{path}")
-        return
-    coords = got.coords if save is save_point_set else got.params
-    scale = got.delta if save is save_point_set else got.epsilon
-    assert np.isfinite(coords).all() and math.isfinite(scale) and scale > 0

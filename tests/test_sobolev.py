@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomlab import sobolev as S
@@ -14,9 +14,8 @@ from geomlab.measure import VoxelSet
 from geomlab.sobolev import (FUNCTION_ZOO, GridFunction, bump,
                              dilated_fn, field_X, field_Y,
                              gns_check, level_range,
-                             levelset_lemma_check, load_gridfunction, lp_norm,
-                             sample_to_grid, save_gridfunction, sheared_fn,
-                             smoothed_box, zoo_function)
+                             levelset_lemma_check, lp_norm, sample_to_grid,
+                             sheared_fn, smoothed_box, zoo_function)
 from oracles import (_bump_rows, _dilated_rows, _function_zoo_reference,
                      _level_mask, _levelset_lemma_check_reference,
                      _sample_rows_reference, _sheared_rows, traced_peak)
@@ -287,14 +286,6 @@ def test_fields_differentiate_along_the_group_law():
         assert err <= 0.04 * np.abs(want).max(), field.__name__
 
 
-def test_gridfunction_serialization(tmp_path):
-    f = sample_to_grid(bump((0.4, 0.4, 0.3)), 1 / 24, (0.45, 0.45, 0.35))
-    save_gridfunction(f, tmp_path / "f.grid")
-    g = load_gridfunction(tmp_path / "f.grid")
-    assert g.h == f.h and g.origin == f.origin
-    assert np.array_equal(g.values, f.values)
-
-
 def test_gns_on_mollified_boxes_tracks_isoperimetry():
     # the horizontal-gradient mass of a smoothed indicator stands in for the
     # perimeter; the volume^{3/4}-to-perimeter direction stays bounded
@@ -321,6 +312,28 @@ def test_gridfunction_values_read_only():
     f = patch(bump((0.4, 0.4, 0.3)))
     with pytest.raises(ValueError):
         f.values[3, 3, 3] = 1.0
+
+
+def test_gridfunction_refuses_a_nonzero_boundary_layer():
+    core = np.pad([[[1.5, -1.7e308]]], 1)
+    assert GridFunction(core, 0.25, (-2, 0, 3)).origin == (-2, 0, 3)
+    for axis in range(3):
+        for end in (0, -1):
+            face = [slice(None)] * 3
+            face[axis] = end
+            signed_zero = core.copy()
+            signed_zero[tuple(face)] = -0.0
+            GridFunction(signed_zero, 0.25)
+            for value in (5e-324, math.nan, math.inf):
+                bad = core.copy()
+                bad[tuple(face)][0, 0] = value
+                with pytest.raises(ValueError, match="boundary layer"):
+                    GridFunction(bad, 0.25)
+    # a box of no interior must be all zero
+    with pytest.raises(ValueError, match="boundary layer"):
+        GridFunction(np.ones((2, 3, 3)), 0.25)
+    with pytest.raises(ValueError, match="3d array"):
+        GridFunction(np.zeros((3, 3)), 0.25)
 
 
 def _field_reference(f, which):
@@ -476,62 +489,3 @@ def test_fields_computed_once_per_function(monkeypatch):
             levelset_lemma_check(f, k, which)
         f.decomposition.voxels(k)
     assert calls == {0: 1, 1: 1}
-
-
-def test_load_gridfunction_rejects_corrupt_files(tmp_path):
-    f = sample_to_grid(bump((0.4, 0.4, 0.3)), 1 / 24, (0.45, 0.45, 0.35))
-    good = tmp_path / "f.grid"
-    save_gridfunction(f, good)
-    data = good.read_bytes()
-    head, _, payload = data.partition(b"\n")
-    cases = {
-        "short.grid": data[:-80],
-        "long.grid": data + b"\0" * 8,
-        "nokey.grid": b'{"dims": [1, 1, 1], "h": 0.5}\n' + b"\0" * 8,
-        "badh.grid": head.replace(b'"h": ', b'"h": -') + b"\n" + payload,
-        "nojson.grid": b"not a header\n" + payload,
-        # loaded, and only gns_check failed, without naming the file
-        "nan_sample.grid": head + b"\n" + np.full(len(payload) // 8, np.nan).tobytes(),
-    }
-    for name, body in cases.items():
-        path = tmp_path / name
-        path.write_bytes(body)
-        with pytest.raises(ValueError, match=str(path)):
-            load_gridfunction(path)
-
-
-_FUZZ_GRID = GridFunction(np.pad([[[1.5, -1.7e308]]], 1), 0.25, (-2, 0, 3))
-
-
-@settings(max_examples=150, deadline=1000, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.integers(0, 52) | st.integers(53, 340),
-                          st.sampled_from(b"0123456789.,-+e[]{}: ")
-                          | st.integers(0, 255)), max_size=3),
-       st.lists(st.tuples(st.sampled_from([17, 18]) | st.integers(0, 35),
-                          st.sampled_from([math.nan, math.inf, -math.inf,
-                                           -0.0, 5e-324, 1.7e308])), max_size=2),
-       st.just(0) | st.integers(0, 200), st.just(b"") | st.binary(max_size=8))
-def test_load_gridfunction_fuzz(tmp_path, edits, samples, cut, junk):
-    # a saved file of 36 samples behind a 53-byte header, with bytes
-    # overwritten (in the header or the payload), samples (half of them the
-    # two inside the boundary layer, 17 and 18) overwritten by non-finite,
-    # signed-zero, subnormal or huge values, cut by some bytes
-    # and with junk appended, either loads with finite samples, a zero
-    # boundary layer and a finite h > 0 or raises a ValueError whose
-    # message starts with the file's path
-    path = tmp_path / "fuzz.grid"
-    save_gridfunction(_FUZZ_GRID, path)
-    data = bytearray(path.read_bytes())
-    for i, value in samples:
-        data[53 + 8 * i:61 + 8 * i] = np.float64(value).tobytes()
-    for pos, byte in edits:
-        data[pos] = byte
-    path.write_bytes(bytes(data[:len(data) - cut]) + junk)
-    try:
-        f = load_gridfunction(path)
-    except ValueError as exc:
-        assert str(exc).startswith(f"{path}: ")
-        return
-    assert np.isfinite(f.values).all() and f._margin_zero(1)
-    assert math.isfinite(f.h) and f.h > 0
