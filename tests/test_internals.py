@@ -20,7 +20,7 @@ from geomlab.heisenberg import Plane, VerticalPlanePoint
 from geomlab.incidence import (_Columns, _count_columns, _first_come,
                                _float_margin, _greedy_separated, _layout,
                                count_naive, grid_richness)
-from geomlab.measure import (Box, TubeIntersection, UnionShape,
+from geomlab.measure import (Box, TubeIntersection, UnionShape, VoxelSet,
                              project_voxels, shape_zoo, voxelize)
 from geomlab.planar import (GridTooLarge, LineFamily, PointSet, Scale,
                             _first_true, _min_pair)
@@ -564,3 +564,12 @@ def test_blocked_kernels_equal_one_pass(monkeypatch):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_rle_empty_round_trip():
+    # an empty set, rebuilt from its run-length spans, is still empty and
+    # keeps both sides
+    K = VoxelSet(np.empty((0, 3)), h=0.25, ht=0.125)
+    K2 = VoxelSet.from_spans(K.spans, K.h, K.ht)
+    assert len(K2) == 0 and K2.spans.shape == (0, 4)
+    assert K2.h == 0.25 and K2.ht == 0.125

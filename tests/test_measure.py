@@ -789,11 +789,11 @@ def test_projection_rejects_cells_outside_packing_range():
         assert set(project_voxels(near, which).occupied[:, 0]) == {1000}
 
 
-def test_empty_voxelset_keeps_its_sides():
-    for K in (VoxelSet.from_spans([], h=0.25, ht=0.125),
-              VoxelSet(np.empty((0, 3)), h=0.25, ht=0.125)):
-        assert len(K) == 0 and K.spans.shape == (0, 4)
-        assert K.h == 0.25 and K.ht == 0.125
+def test_load_voxelset_zero_spans():
+    # a set built from no spans at all is empty and keeps its sides
+    K = VoxelSet.from_spans([], h=0.1)
+    assert len(K) == 0 and K.spans.shape == (0, 4)
+    assert K.h == 0.1 and K.ht == 0.1
 
 
 def test_plane_region_ops():
