@@ -484,8 +484,9 @@ def _random_instance_params(i: int):
 @_criterion(1, "oracle equivalence")
 def criterion_1():
     """count_bucketed's column path equals count_naive exactly on 100
-    seeded instances.  count_bucketed itself hands most of these small
-    instances to the oracle's kernel, so the path is called directly."""
+    seeded instances.  With pairs, count_bucketed itself hands every one
+    of these instances, at most 500 x 500 pairs, to the oracle's kernel,
+    so the path is called directly."""
     mismatches = 0
     for i in range(100):
         delta, n, m = _random_instance_params(i)

@@ -291,8 +291,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--verify", action="store_true",
-                    help="incidence-sweep: also count each row with the "
-                         "brute-force oracle and assert equality")
+                    help="incidence-sweep: count each row with the column "
+                         "engine and the brute-force oracle and assert "
+                         "equality")
     ap.add_argument("--function", default=None, help="sobolev-check function")
     ap.add_argument("--width", default=None, help="sobolev-check bump width")
     ap.add_argument("--h", dest="h", default=None, help="grid resolution")

@@ -2,9 +2,11 @@
 
 Two counters with identical output: a brute-force counter testing every
 (point, line) pair, in blocks of a bounded number of pairs, and
-count_bucketed.  count_bucketed hands a call of at most _EXHAUSTIVE_PAIRS
-pairs to the brute-force kernel, and a larger one to a column engine,
-whose fixed cost only pays off above that size.  The engine visits the
+count_bucketed.  count_bucketed hands a small call to the brute-force
+kernel, and a larger one to a column engine, whose fixed cost only pays
+off above that size.  The cut depends on the mode: _EXHAUSTIVE_PAIRS pairs
+for a count, _EXHAUSTIVE_WITH_PAIRS for a call that lists the pairs, where
+the column path also tests every window it finds.  The engine visits the
 points in strips of x, split into groups of consecutive points, and keys
 the lines at a reference abscissa x_r of each group: a line (a, b) has key
 a x_r + b, its height there, and the lines are sorted by (slope column,
@@ -190,29 +192,53 @@ _SLOPE_COLUMNS = 2.0
 # gathers for planar.incident, their distances and the flags.
 _TEST_LINES = 1 << 15
 # Largest number n m of (point, line) pairs count_bucketed tests
-# exhaustively.  Below it the column path's fixed cost, a _Columns build
-# and about a hundred numpy calls, outweighs the pairs it skips.  Whole
-# instances of each family, exhaustive kernel vs column path, ms, min of 9
-# in-process calls (2 cores, numpy 2.4):
+# exhaustively in a count (_EXHAUSTIVE_PAIRS) and in a call that lists the
+# pairs (_EXHAUSTIVE_WITH_PAIRS).  Below it the column path's fixed cost,
+# a _Columns build and about a hundred numpy calls, outweighs the pairs it
+# skips.  Whole instances of each family, ms of the exhaustive kernel /
+# the column path, min of 7 in-process calls of each, interleaved (2
+# cores, numpy 2.4; random instances at delta 2^-8; k-star c x k is c
+# centres of k lines):
 #
-#   instance                        n m    with pairs     count only
-#   tube 2^-16                   66,049   1.32 vs 6.23   0.55 vs 0.85
-#   tube 2^-16.5                 93,025   1.51 vs 4.98   0.56 vs 0.54
-#   tube 2^-17                  131,769   2.35 vs 7.38   0.77 vs 0.59
-#   random 362 x 362, 2^-10     131,044   0.70 vs 1.13   0.77 vs 1.06
-#   random 512 x 512, 2^-7      262,144   1.41 vs 1.73   1.57 vs 1.64
-#   random 600 x 600, 2^-11     360,000   1.99 vs 1.99   2.27 vs 2.39
-#   rectangle 2^-5, 1/2 x 1/4   167,841   1.60 vs 3.19   0.81 vs 1.27 *
-#   rectangle 2^-4, 1 x 1       201,433   1.58 vs 3.09   0.95 vs 0.80 *
-#   k-star 32 x 64, 2^-12       131,072   1.05 vs 2.56   1.07 vs 2.31
-#   k-star 16 x 128, 2^-12      262,144   2.03 vs 2.61   1.75 vs 1.71
+#   instance                      n x m     log2 nm  with pairs  count only
+#   tube 2^-16                  257 x  257   16.0   1.07/ 3.27  0.35/0.48
+#   tube 2^-17                  363 x  363   17.0   2.04/ 5.09  0.65/0.52
+#   tube 2^-18                  513 x  513   18.0   3.98/ 8.12  1.30/0.72
+#   tube 2^-19                  725 x  725   19.0   9.30/19.20  2.61/0.96
+#   tube 2^-20                 1025 x 1025   20.0  17.86/39.95  5.90/1.58
+#   tube 2^-21                 1449 x 1449   21.0  46.91/80.88 10.41/1.69
+#   random 256 x 256            256 x  256   16.0   0.45/ 1.29  0.44/1.18
+#   random 362 x 362            362 x  362   17.0   0.92/ 1.78  0.97/1.65
+#   random 512 x 512            512 x  512   18.0   1.77/ 2.37  1.73/2.20
+#   random 724 x 724            724 x  724   19.0   3.33/ 3.24  3.32/2.93
+#   random 250 x 4000           250 x 4000   19.9   5.55/ 5.58  5.73/5.26
+#   random 4000 x 250          4000 x  250   19.9   6.44/ 6.32  6.49/5.80
+#   random 1024 x 1024         1024 x 1024   20.0   6.53/ 4.75  7.20/4.71
+#   random 1448 x 1448         1448 x 1448   21.0  13.27/ 7.43 14.41/6.78
+#   rectangle 2^-5, 1/2 x 1/4   153 x 1097   17.4   1.26/ 2.49  0.86/1.48
+#   rectangle 2^-4, 1 x 1       289 x  697   17.6   1.53/ 2.58  1.29/1.37
+#   rectangle 2^-5, 1 x 2^-2.5  198 x 1431   18.1   1.89/ 2.77  1.52/1.58
+#   rectangle 2^-6, 1/4 x 1/8   153 x 2153   18.3   2.44/ 3.32  2.15/2.14
+#   rectangle 2^-5, 1/2 x 1/2   289 x 1617   18.8   2.79/ 3.06  2.45/1.54
+#   rectangle 2^-6, 1/2 x 1/4   561 x 4241   21.2  13.44/ 9.11 12.77/4.38
+#   rectangle 2^-5, 1 x 1      1089 x 2673   21.5  16.44/ 8.54 14.85/3.09
+#   rectangle 2^-6, 1 x 2^-3    585 x 5285   21.6  14.33/10.62 13.75/4.31
+#   k-star 32 x 64, 2^-12        32 x 2048   16.0   0.32/ 1.14  0.37/1.23
+#   k-star 64 x 32, 2^-12        64 x 2048   17.0   0.65/ 1.33  0.66/1.38
+#   k-star 128 x 16, 2^-12      128 x 2048   18.0   1.13/ 1.40  1.21/1.29
+#   k-star 256 x 8, 2^-12       256 x 2048   19.0   2.27/ 1.84  2.45/1.62
+#   k-star 512 x 4, 2^-12       512 x 2048   20.0   4.57/ 2.49  4.95/2.30
+#   k-star 512 x 8, 2^-13       512 x 4096   21.0   7.72/ 3.73  9.07/3.31
 #
-# * re-measured with one column per slope (_SLOPE_COLUMNS), on a faster
-# run of the machine: the kernel's entries read 1.34 and 1.68 before.
-# The tube counted without pairs, whose windows are all counted by index
-# difference, crosses first, near 93k pairs; the other families cross
-# between 2^17 and 2^19 pairs.
+# Counting only, the tube, whose windows are all counted by index
+# difference, crosses first, between 2^16 and 2^17 pairs; the others cross
+# between 2^18 and 2^19.  Listing pairs, every nonempty window is tested
+# and every hit emitted on both paths, so the kernel's lead lasts longer:
+# the k-star crosses first, between 2^18 and 2^19 pairs, then random near
+# 2^19, the rectangle between 2^18.8 and 2^21.2, and the tube not by 2^21.
+# Each cut is the largest power of two at or below its mode's crossovers.
 _EXHAUSTIVE_PAIRS = 1 << 16
+_EXHAUSTIVE_WITH_PAIRS = 1 << 18
 
 
 def _float_margin(px, py, la, lb, radius: float, x_ref: float) -> float:
@@ -418,18 +444,26 @@ def _layout(px: np.ndarray, la: np.ndarray, radius: float,
 def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
                    with_pairs: bool = False) -> IncidenceReport:
     """Same output as count_naive for every finite input.  A call of at
-    most _EXHAUSTIVE_PAIRS (point, line) pairs tests them all, with
-    count_naive's kernel; a larger one goes through the slope columns of
-    _Columns.  Raises ValueError for coordinates or a radius that are not
-    finite or exceed 2**255 in magnitude, whatever the size."""
-    n, m = len(P), len(L)
-    if n and m and not all(np.all(np.abs(v) <= _MAX_MAGNITUDE) for v in
-                           (P.coords, L.params, s.radius)):
-        raise ValueError("count_bucketed needs finite coordinates and "
-                         "radius of magnitude at most 2**255")
-    if n * m <= _EXHAUSTIVE_PAIRS:
+    most _EXHAUSTIVE_PAIRS (point, line) pairs, or _EXHAUSTIVE_WITH_PAIRS
+    with_pairs, tests them all, with count_naive's kernel; a larger one
+    goes through the slope columns of _Columns.  Raises ValueError for
+    coordinates or a radius that are not finite or exceed 2**255 in
+    magnitude, whatever the size."""
+    _check_magnitude(P, L, s)
+    cut = _EXHAUSTIVE_WITH_PAIRS if with_pairs else _EXHAUSTIVE_PAIRS
+    if len(P) * len(L) <= cut:
         return _count_exhaustive(P, L, s, with_pairs)
     return _count_columns(P, L, s, with_pairs)
+
+
+def _check_magnitude(P: PointSet, L: LineFamily, s: Scale) -> None:
+    """Raise ValueError unless the coordinates and radius of a nonempty
+    instance are finite and at most _MAX_MAGNITUDE in magnitude."""
+    if len(P) and len(L) and not all(
+            np.all(np.abs(v) <= _MAX_MAGNITUDE)
+            for v in (P.coords, L.params, s.radius)):
+        raise ValueError("count_bucketed needs finite coordinates and "
+                         "radius of magnitude at most 2**255")
 
 
 def _count_columns(P: PointSet, L: LineFamily, s: Scale,
@@ -480,12 +514,17 @@ def _count_columns(P: PointSet, L: LineFamily, s: Scale,
 def count_incidences(P: PointSet, L: LineFamily, s: Scale,
                      with_pairs: bool = False,
                      verify: bool = False) -> IncidenceReport:
-    """count_bucketed's report; with verify=True, with pairs and asserted
-    equal to the oracle count_naive's: count, richness and every pair.
-    Raises AssertionError when they differ."""
-    rep = count_bucketed(P, L, s, with_pairs=with_pairs or verify)
-    if verify and not rep.same_as(count_naive(P, L, s, with_pairs=True)):
-        raise AssertionError("bucketed and naive engines disagree")
+    """count_bucketed's report; with verify=True, the column path's report
+    with pairs, asserted equal to the oracle count_naive's: count, richness
+    and every pair.  verify runs the column path at every size, as below
+    its cut count_bucketed would run the oracle's own kernel.  Raises
+    AssertionError when they differ."""
+    if not verify:
+        return count_bucketed(P, L, s, with_pairs=with_pairs)
+    _check_magnitude(P, L, s)
+    rep = _count_columns(P, L, s, with_pairs=True)
+    if not rep.same_as(count_naive(P, L, s, with_pairs=True)):
+        raise AssertionError("column and naive engines disagree")
     return rep
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomlab import incidence
 from geomlab.acceptance import SWEEP_FAMILIES
 from geomlab.cli import (_SWEEP_KEYS, ConfigError, load_config, main,
                          parse_number)
@@ -77,6 +78,24 @@ def test_empty_sweep_list_exits_2(tmp_path):
     rc = main(["incidence-sweep", "--config", str(ini),
                "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_incidence_sweep_verify_runs_the_column_path_on_every_row(
+        tmp_path, monkeypatch):
+    # every default tube row lies below count_bucketed's cut, where only
+    # verify reaches the column path
+    columns, calls = incidence._count_columns, []
+
+    def spy(P, L, s, with_pairs=False):
+        calls.append((len(P), len(L), with_pairs))
+        return columns(P, L, s, with_pairs)
+    monkeypatch.setattr(incidence, "_count_columns", spy)
+    out = tmp_path / "out"
+    assert main(["incidence-sweep", "--verify", "--out", str(out)]) == 0
+    lines = (out / "incidence-sweep.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[5:]]
+    assert len(rows) == 7
+    assert calls == [(int(r[1]), int(r[2]), True) for r in rows]
 
 
 def test_fractions_parse():

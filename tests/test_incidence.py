@@ -53,6 +53,27 @@ def test_count_incidences_verify_asserts_engine_equality(monkeypatch):
         count_incidences(P, L, s, verify=True)
 
 
+def test_verify_checks_the_column_path_below_the_cut(monkeypatch):
+    # 200 x 200 is below both cuts, where count_bucketed runs the oracle's
+    # own kernel: verify must still compare the column path with it
+    P, L = gen_random(200, 200, 2.0 ** -5, seed=3)
+    s = Scale(2.0 ** -5)
+    assert len(P) * len(L) <= incidence._EXHAUSTIVE_PAIRS
+    columns = incidence._count_columns
+
+    def tampered(P, L, s, with_pairs=False):
+        rep = columns(P, L, s, with_pairs)
+        rep.pairs[len(rep.pairs) // 2, 1] += 1
+        return rep
+    monkeypatch.setattr(incidence, "_count_columns", tampered)
+    with pytest.raises(AssertionError, match="disagree"):
+        count_incidences(P, L, s, verify=True)
+    # input beyond the column engine's domain is refused before any count
+    for bad in (math.nan, 2.0 ** 300):
+        with pytest.raises(ValueError, match="finite coordinates"):
+            count_incidences(PointSet([(bad, 0.0)], 0.1), L, s, verify=True)
+
+
 def _pair_instances():
     delta = 2.0 ** -5
     P, L = gen_random(300, 200, delta, seed=7)
@@ -254,11 +275,13 @@ def test_bucketed_equals_naive_outside_parameter_square():
             count_bucketed(P, LineFamily([(0.0, bad)], 0.1), s)
 
 
-def _at_the_cut():
-    """(name, P, L, scale) with n m equal to the cut and one above it; the
-    cut, 2^16, and 2^16 + 1, a prime, are 256 x 256 and 1 x 65537."""
-    cut = incidence._EXHAUSTIVE_PAIRS
-    assert cut == 2 ** 16
+def _at_the_cuts():
+    """(name, P, L, scale) with n m at each cut and one above it.  The
+    count-only cut, 2^16, and 2^16 + 1, a prime, are 256 x 256 and 1 x
+    65537; the with-pairs cut, 2^18, and 2^18 + 1 are 512 x 512, 1 x
+    262145 and 5 x 52429."""
+    cut, listed = incidence._EXHAUSTIVE_PAIRS, incidence._EXHAUSTIVE_WITH_PAIRS
+    assert (cut, listed) == (2 ** 16, 2 ** 18)
 
     def take(P, L, n, m):
         return (PointSet(P.coords[:n], P.delta),
@@ -267,18 +290,23 @@ def _at_the_cut():
     delta = 2.0 ** -8
     P, L = gen_random(cut + 1, cut + 1, 2.0 ** -9, seed=5)
     tube = gen_tube_example(2.0 ** -32)  # 65,537 points and lines
+    long_tube = gen_tube_example(2.0 ** -36)  # 262,145 points and lines
     rect = gen_rectangle_example(delta, 1.0, 1.0)  # 66,049 x 164,737
     small = gen_rectangle_example(2.0 ** -6, 0.125, 0.125)  # 81 x 1625
     cases = [("random", take(P, L, 256, 256), 2.0 ** -9),
              ("random", take(P, L, 1, cut + 1), 2.0 ** -9),
              ("random", take(P, L, cut + 1, 1), 2.0 ** -9),
+             ("random", take(P, L, 512, 512), 2.0 ** -9),
              ("tube", take(*tube, 1, cut), 2.0 ** -32),
              ("tube", take(*tube, cut, 1), 2.0 ** -32),
              ("tube", take(*tube, 1, cut + 1), 2.0 ** -32),
              ("tube", take(*tube, cut + 1, 1), 2.0 ** -32),
+             ("tube", take(*long_tube, 1, listed), 2.0 ** -36),
+             ("tube", take(*long_tube, 1, listed + 1), 2.0 ** -36),
              ("rectangle", take(*small, 64, 1024), 2.0 ** -6),
              ("rectangle", take(*rect, 1, cut + 1), delta),
-             ("rectangle", take(*rect, cut + 1, 1), delta)]
+             ("rectangle", take(*rect, cut + 1, 1), delta),
+             ("rectangle", take(*rect, 5, (listed + 1) // 5), delta)]
     return [(name, P, L, Scale(d)) for name, (P, L), d in cases]
 
 
@@ -289,18 +317,21 @@ def test_the_cut_picks_the_path_and_both_equal_the_oracle(monkeypatch):
             called.append(_path)
             return _fn(*args)
         monkeypatch.setattr(incidence, path, spy)
-    cut = incidence._EXHAUSTIVE_PAIRS
-    for name, P, L, s in _at_the_cut():
+    cut = {False: incidence._EXHAUSTIVE_PAIRS,
+           True: incidence._EXHAUSTIVE_WITH_PAIRS}
+    sizes = set()
+    for name, P, L, s in _at_the_cuts():
         nm = len(P) * len(L)
-        assert nm in (cut, cut + 1)
+        sizes.add(nm)
         naive = count_naive(P, L, s, with_pairs=True)
         assert naive.count, name
         for with_pairs in (False, True):
             called.clear()
             assert count_bucketed(P, L, s, with_pairs).same_as(naive), name
-            assert called == ["_count_exhaustive" if nm <= cut
-                              else "_count_columns"], (name, nm)
+            assert called == ["_count_exhaustive" if nm <= cut[with_pairs]
+                              else "_count_columns"], (name, nm, with_pairs)
             assert _count_columns(P, L, s, with_pairs).same_as(naive), name
+    assert sizes == {cut[False], cut[False] + 1, cut[True], cut[True] + 1}
 
 
 def _threshold_family(slopes: int, m: int = 400):
