@@ -156,12 +156,12 @@ def count_naive(P: PointSet, L: LineFamily, s: Scale,
 # it no product, square or sum in either engine overflows.
 _MAX_MAGNITUDE = 2.0 ** 255
 # Points per chunk of count_bucketed: the arrays of one column stay within
-# 64 kB, and a chunk collects at most 2**19 windows for exact tests.  An
+# 64 kB.  _Columns.count tests a chunk's windows block by block as it finds
+# them, so a chunk holds the same memory at any number of columns.  An
 # input of at most one chunk of points, or of one column per slope, is one
 # group keyed at x = 0; larger ones have groups of at least _GROUP_POINTS
 # points (see _layout).
 _CHUNK_POINTS = 8192
-_CHUNK_PAIRS = 1 << 19
 _GROUP_POINTS = 2048
 # Most distinct slopes, in units of sqrt m, that the m lines of a count
 # without pairs may take and get one column per slope (see _layout).
@@ -187,10 +187,26 @@ _GROUP_POINTS = 2048
 # took 4.45 vs 3.94 ms on the rectangle family at 2^-5, 25.9 vs 22.1 at
 # 2^-6 (median of 15).
 _SLOPE_COLUMNS = 2.0
-# Lines _Columns.count tests exactly at a time, in whole windows.  A block
-# holds about 65 bytes a line: its slots and points, the five operands it
-# gathers for planar.incident, their distances and the flags.
-_TEST_LINES = 1 << 15
+# Lines _Columns.count tests exactly at a time, in whole windows, as soon
+# as the columns it has passed have found that many.  A block holds about
+# 65 bytes a line: its slots and points, the five operands it gathers for
+# planar.incident, their distances and the flags.  Smaller blocks cost
+# numpy calls, larger ones memory.  count_bucketed, ms / MiB of traced
+# peak at each block size, min of 7 interleaved in-process calls, best of
+# two processes (2 cores, numpy 2.4; rectangle 2^-7 is count-only at
+# s = sqrt delta, one column per slope, rectangle 2^-6 lists the pairs at
+# s = 2^-3):
+#
+#   instance                2^11       2^12       2^13       2^14       2^15
+#   random 20000^2, 2^-8  164/2.63   136/2.63   128/2.71   131/3.49   137/5.03
+#   reduce 1317^2, 2^-7   7.8/0.39   6.6/0.52   6.2/0.79   5.7/1.32   6.0/2.39
+#   rectangle 2^-7       16.1/1.70  15.4/1.70  15.2/1.88  16.4/1.91  15.6/1.91
+#   rectangle 2^-6       14.3/5.68  12.5/5.67  11.4/5.67  11.0/5.67  10.5/5.67
+#
+# Below 2^13 lines the random and pair-listing counts slow; above it the
+# peaks grow and no time gains more than 9%.  The rectangle with pairs
+# peaks at its output, 2.8 MB of pairs and their keys.
+_TEST_LINES = 1 << 13
 # Largest number n m of (point, line) pairs count_bucketed tests
 # exhaustively in a count (_EXHAUSTIVE_PAIRS) and in a call that lists the
 # pairs (_EXHAUSTIVE_WITH_PAIRS).  Below it the column path's fixed cost,
@@ -360,14 +376,20 @@ class _Columns:
         above the inner start and its last line below the inner end (past
         a column's ends the sentinels keep both true); otherwise, or when
         the pairs are wanted, its lines are tested on (a, b, x, y) by
-        planar.incident, in blocks of whole windows that hold about
-        _TEST_LINES lines (or one longer window)."""
+        planar.incident.  The windows to test are collected column by
+        column and tested as soon as they hold _TEST_LINES lines, in blocks
+        of whole windows of about that many lines (or one longer window);
+        the windows past the last full block wait for the next columns'.
+        So besides its output the call holds about one block and one
+        column's windows, whatever the number of columns."""
         k, with_pairs = x.size, base is not None
         richness = np.zeros(k, dtype=np.int64)
+        keys = [np.zeros(0, dtype=np.int64)]
         d = x - self.x_ref if self.x_ref else x
         q = np.empty((2, k))
-        # (first slot, length, point) of the windows to test
-        tested = [(np.zeros(0, dtype=np.int64),) * 3]
+        # (first slot, length, point) of the windows not yet tested, and
+        # their number of lines
+        held, lines = [], 0
         for c, (lo, hi) in enumerate(zip(self.starts.tolist(),
                                          self.ends.tolist())):
             e_min = e_max = y - self.a_lo[c] * d
@@ -388,23 +410,43 @@ class _Columns:
                 test |= p1 > p0
             pick = np.flatnonzero(test)
             if pick.size:
-                tested.append((p0[pick] + lo, p1[pick] - p0[pick], pick))
-        first, length, pt = (np.concatenate(w) for w in zip(*tested))
+                held.append((p0[pick] + lo, p1[pick] - p0[pick], pick))
+                lines += int(held[-1][1].sum())
+                if lines >= _TEST_LINES:
+                    held, lines = self._test(held, x, y, base, richness,
+                                             keys)
+        if held:
+            self._test(held, x, y, base, richness, keys, last=True)
+        return richness, keys if with_pairs else None
+
+    def _test(self, held: list, x: np.ndarray, y: np.ndarray,
+              base: Optional[np.ndarray], richness: np.ndarray,
+              keys: list, last: bool = False) -> Tuple[list, int]:
+        """Test the lines of the windows held, (first slot, length, point)
+        triples, on (a, b, x, y), in blocks of whole windows that hold
+        about _TEST_LINES lines (or one longer window): subtract each
+        point's misses from richness and, given base, append the keys
+        base[point] + line of its hits to keys.  Unless last, the windows
+        after the last full block are left untested, and returned as the
+        held windows and their number of lines, to start the next block."""
+        first, length, pt = (np.concatenate(w) for w in zip(*held))
         cuts = np.searchsorted(np.cumsum(length), np.arange(
             _TEST_LINES, length.sum(), _TEST_LINES), "right").tolist()
-        bounds, keys = [0, *cuts, first.size], []
+        bounds = [0, *cuts, first.size] if last else [0, *cuts]
         for lo, hi in zip(bounds, bounds[1:]):
             slot = _runs(first[lo:hi], length[lo:hi])
             p = np.repeat(pt[lo:hi], length[lo:hi])
             hit = incident(x[p], y[p], self.a[slot], self.b[slot],
                            self.thr[slot])
-            if with_pairs:
+            if base is not None:
                 key = base[p[hit]]
                 key += self.line[slot[hit]]
                 keys.append(key)
             np.logical_not(hit, out=hit)
-            richness -= np.bincount(p[hit], minlength=k)
-        return richness, keys if with_pairs else None
+            richness -= np.bincount(p[hit], minlength=richness.size)
+        rest = bounds[-1]
+        return [(first[rest:], length[rest:], pt[rest:])], int(
+            length[rest:].sum())
 
 
 def _layout(px: np.ndarray, la: np.ndarray, radius: float,
@@ -492,11 +534,10 @@ def _count_columns(P: PointSet, L: LineFamily, s: Scale,
                     for lo, hi in zip(bounds, bounds[1:])]
         margin = _float_margin(px, py, la, lb, s.radius,
                                max(abs(r) for r in refs))
-        chunk = max(1, min(_CHUNK_POINTS, _CHUNK_PAIRS // cols.starts.size))
         for g, x_ref in enumerate(refs):
             cols.key_at(x_ref)
-            for lo in range(bounds[g], bounds[g + 1], chunk):
-                idx = porder[lo:min(lo + chunk, bounds[g + 1])]
+            for lo in range(bounds[g], bounds[g + 1], _CHUNK_POINTS):
+                idx = porder[lo:min(lo + _CHUNK_POINTS, bounds[g + 1])]
                 rich, found = cols.count(px[idx], py[idx], margin,
                                          idx * m if with_pairs else None)
                 richness[idx] = rich

@@ -188,9 +188,12 @@ _LEVEL_CHUNK = 1 << 16  # samples labelled at a time
 
 def _level_indices(values: np.ndarray) -> Dict[int, np.ndarray]:
     """The C-order flat indices of the samples of each nonempty level,
-    keyed by level in increasing order.  The samples are labelled one chunk
-    at a time, so the set-up holds little beyond the indices it returns."""
+    keyed by level in increasing order, as int32 when the grid has fewer
+    than 2**31 samples (half the memory of int64).  The samples are
+    labelled one chunk at a time, so the set-up holds little beyond the
+    indices it returns."""
     v = values.reshape(-1)
+    dtype = np.int32 if v.size < 2 ** 31 else np.int64
     pieces: Dict[int, List[np.ndarray]] = defaultdict(list)
     for lo in range(0, v.size, _LEVEL_CHUNK):
         part = v[lo:lo + _LEVEL_CHUNK]
@@ -198,6 +201,7 @@ def _level_indices(values: np.ndarray) -> Dict[int, np.ndarray]:
         vals = np.abs(part[pos])
         if not np.isfinite(vals).all():
             raise ValueError("grid function samples must be finite")
+        pos = pos.astype(dtype)
         pos += lo
         mant, exp = np.frexp(vals)
         exp = exp.astype(np.int16)  # |exponent| <= 1074; sorts by radix
@@ -268,10 +272,12 @@ class LevelDecomposition:
         first = np.ones(idx.size, dtype=bool)
         first[1:] = (idx[1:] != idx[:-1] + 1) | (kk[1:] == 0)
         starts = np.flatnonzero(first)
-        i, j = np.divmod(col[starts], self._ny)
+        # the spans are int64 whatever the dtype of the indices
+        i, j = np.divmod(col[starts].astype(np.int64), self._ny)
         o0, o1, o2 = self.origin
         return VoxelSet._of(
-            np.column_stack([i + o0, j + o1, kk[starts] + o2,
+            np.column_stack([i + o0, j + o1,
+                             kk[starts].astype(np.int64) + o2,
                              np.diff(starts, append=idx.size)]), self.h)
 
     def field_norms(self) -> Tuple[float, float]:

@@ -167,6 +167,41 @@ def test_count_only_keeps_no_hit_arrays():
     assert peak <= 6 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
+def test_count_only_working_memory_is_bounded():
+    # planar-large's count-only random 20000 x 20000 at 2^-8, in 9 groups
+    # of fixed-width columns.  Collecting a chunk's windows over every
+    # column before testing any of them, then testing them in blocks of
+    # 2^15 lines, took a traced peak of 6.1 MiB.
+    delta = 2.0 ** -8
+    P, L = gen_random(20000, 20000, delta, seed=1)
+    rep, peak = traced_peak(lambda: count_bucketed(P, L, Scale(delta)))
+    assert rep.count == 1559699 and rep.pairs is None
+    assert peak <= 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_chunks_do_not_shrink_with_the_columns(monkeypatch):
+    # the count-only rectangle at 2^-7, 1 x 1/4: 4,257 points against 257
+    # per-slope columns.  Chunks cut to 2^19 / 257 points, to bound the
+    # windows collected before any was tested, took 3 passes over the
+    # columns; the whole input is one chunk of _CHUNK_POINTS
+    delta = 2.0 ** -7
+    P, L = gen_rectangle_example(delta, 1.0, 0.25)
+    s = Scale(delta)
+    groups, _, col = incidence._layout(P.coords[:, 0], L.params[:, 0],
+                                       s.radius, False)
+    assert len(P) == 4257 and groups == 1 and np.unique(col).size == 257
+    calls = []
+    count = incidence._Columns.count
+
+    def spy(self, x, *args):
+        calls.append(x.size)
+        return count(self, x, *args)
+
+    monkeypatch.setattr(incidence._Columns, "count", spy)
+    assert count_bucketed(P, L, s).same_as(count_naive(P, L, s))
+    assert calls == [len(P)]
+
+
 def test_empty_inputs():
     s = Scale(0.1)
     empty_p = PointSet(np.empty((0, 2)), delta=0.1)

@@ -409,6 +409,16 @@ def test_level_indices_do_not_depend_on_the_chunk(monkeypatch):
             assert np.array_equal(got[k], idx)
 
 
+def test_level_indices_are_int32_and_spans_int64():
+    # the decomposition holds half the bytes of int64 indices, and the
+    # voxel sets it builds keep the int64 spans VoxelSet expects
+    d = zoo_function("bump", 1 / 16).decomposition
+    assert d.levels
+    for k in d.levels:
+        assert d._flat[k].dtype == np.int32
+        assert d.voxels(k).spans.dtype == np.int64
+
+
 @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
 def test_zoo_matches_row_reference(h):
     # every zoo grid, two dilations of a bump and a bump sheared off its
