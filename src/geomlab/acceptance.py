@@ -19,9 +19,8 @@ import numpy as np
 from . import heisenberg as hg
 from .generators import (gen_greedy_concurrent, gen_kstar, gen_random,
                          gen_rectangle_example, gen_tube_example)
-from .incidence import (_count_columns, count_bucketed, count_incidences,
-                        count_naive, grid_richness, k_rich_points,
-                        max_concurrency)
+from .incidence import (count_bucketed, count_incidences, grid_richness,
+                        k_rich_points, max_concurrency)
 from .measure import (Box, DilatedShape, UnionShape,
                       boundary_projection_inclusion, lw_ratio, project_voxels,
                       shape_zoo, tube_intersection_volume, voxelize,
@@ -32,7 +31,7 @@ from .planar import (BadInput, GridTooLarge, LineFamily, Point2, PointSet,
 from .rng import Stream, substream_seed
 from .sobolev import (FUNCTION_ZOO, GridFunction, bump, dilated_fn, field_X,
                       gns_check, levelset_lemma_check, sample_to_grid,
-                      zoo_function)
+                      sized_bump, zoo_function)
 
 LW_BOX_CONSTANT = 8.0 * 5.0 ** (-4.0 / 3.0)
 
@@ -40,16 +39,6 @@ LW_BOX_CONSTANT = 8.0 * 5.0 ** (-4.0 / 3.0)
 # boundedness against these values, not any paper constant.
 RICH_CONSTANT_CEILING = 40.0
 GNS_RATIO_CEILING = 0.75
-
-
-class EmptyGrid(BadInput):
-    """An experiment measures nothing at the grid steps or deltas of its
-    parameter option: every set it voxelizes is empty, every sample of its
-    grid function is zero, or no row of an incidence sweep counts an
-    incidence."""
-
-    def __init__(self, option: str, why: str):
-        super().__init__(f"option {option!r}: {why}")
 
 
 @dataclass
@@ -73,7 +62,8 @@ def sweep_family(name: str, seed: int = 0, **params
                  ) -> Callable[[int, float], Tuple[PointSet, LineFamily]]:
     """Row i at delta of a family of SWEEP_FAMILIES at its keys params; when
     absent r = 1, s = sqrt(delta), epsilon = delta, and n_points and n_lines
-    are up to 500, drawn from a stream per row."""
+    are up to 500, drawn from a stream per row.  A row its generator
+    refuses raises BadInput naming the delta."""
     if name not in SWEEP_FAMILIES:
         raise BadInput(f"unknown family {name!r}")
     stray = [repr(key) for key in params if key not in SWEEP_FAMILIES[name]]
@@ -84,7 +74,7 @@ def sweep_family(name: str, seed: int = 0, **params
         raise BadInput(f"family 'k_star' needs {', '.join(missing)}")
     get = params.get
 
-    def family(i, delta):
+    def generate(i, delta):
         if name == "tube":
             return gen_tube_example(delta)
         if name == "rectangle":
@@ -97,6 +87,12 @@ def sweep_family(name: str, seed: int = 0, **params
         n = min(500, max(1, int(0.8 * int(min(1.0 / delta, 1024.0)) ** 2)))
         return gen_random(get("n_points", n), get("n_lines", n), delta,
                           substream_seed(seed, i))
+
+    def family(i, delta):
+        try:
+            return generate(i, delta)
+        except ValueError as exc:
+            raise BadInput(f"at delta={delta:g}: {exc}") from None
     return family
 
 
@@ -105,7 +101,7 @@ def incidence_sweep(deltas: Sequence[float],
                     verify: bool = False) -> RunResult:
     """Incidences of family(i, delta) at the i-th delta, asserted equal to
     the oracle's when verify; ratio band <= 100 over the rows that count
-    incidences, EmptyGrid when none does."""
+    incidences; BadInput when none does."""
     rows = []
     for i, delta in enumerate(deltas):
         P, L = family(i, delta)
@@ -114,7 +110,7 @@ def incidence_sweep(deltas: Sequence[float],
                      "count": rep.count, "ratio": rep.normalized_ratio})
     ratios = [r["ratio"] for r in rows if r["ratio"] > 0]
     if not ratios:
-        raise EmptyGrid("deltas", "no row counts an incidence")
+        raise BadInput("option 'deltas': no row counts an incidence")
     band = max(ratios) / min(ratios)
     return RunResult(band <= 100.0, rows,
                      {"ratio_band": band, "engine": "bucketed",
@@ -265,8 +261,8 @@ def lw_sweep(hs: Sequence[float], scale: float) -> RunResult:
                          "area_y": project_voxels(K, "y").area(),
                          "lw_ratio": ratio})
     if not rows:
-        raise EmptyGrid("hs", "too coarse: every shape voxelizes to an "
-                        "empty set")
+        raise BadInput("option 'hs': too coarse: every shape voxelizes to "
+                       "an empty set")
     ceiling = max(r["lw_ratio"] for r in rows)
     return RunResult(ceiling <= 2.0, rows, {"measured_ceiling": ceiling},
                      [f"Loomis-Whitney ratio ceiling {ceiling:.4f} (<= 2)"])
@@ -330,9 +326,8 @@ def sobolev_function(name: str, h: float, width: float) -> GridFunction:
                        f"{SOBOLEV_SAMPLES_MIN} samples per half-width "
                        f"{half:g} of its support")
     if name == "bump":
-        return sample_to_grid(bump((width, width, 2 * width / 3)), h,
-                              (width + 0.05, width + 0.05,
-                               2 * width / 3 + 0.05))
+        fn, extents = sized_bump(width)
+        return sample_to_grid(fn, h, extents)
     return zoo_function(name, h)
 
 
@@ -352,12 +347,12 @@ def _level_rows(name: str, f: GridFunction) -> Tuple[List[dict], int]:
 
 
 def sobolev_check(name: str, f: GridFunction) -> RunResult:
-    """GNS ratio of f (<= 2) and the level-set lemma rows of f; EmptyGrid
+    """GNS ratio of f (<= 2) and the level-set lemma rows of f; BadInput
     when every sample of f is zero."""
     g = gns_check(f)
     if g.lhs == 0.0:
-        raise EmptyGrid("h", f"too coarse at h={f.h:g}: every sample of "
-                        f"{name} is zero")
+        raise BadInput(f"option 'h': too coarse at h={f.h:g}: every sample "
+                       f"of {name} is zero")
     levels, _ = _level_rows(name, f)
     rows = [{"function": name, "h": f.h, "record": "gns",
              "lhs": g.lhs, "rhs": g.rhs, "holds": g.ratio <= 2.0}] + levels
@@ -391,8 +386,8 @@ def isoperimetric(trials: int, h: float, stream: Stream) -> RunResult:
                      "inclusion": boundary_projection_inclusion(E),
                      "iso_ratio": weak_isoperimetric_ratio(E)})
     if not rows:
-        raise EmptyGrid("h", "too coarse: every box union voxelizes to an "
-                        "empty set")
+        raise BadInput("option 'h': too coarse: every box union voxelizes "
+                       "to an empty set")
     fails = sum(not r["inclusion"] for r in rows)
     ratios = [r["iso_ratio"] for r in rows]
     return RunResult(fails == 0, rows,
@@ -483,18 +478,15 @@ def _random_instance_params(i: int):
 
 @_criterion(1, "oracle equivalence")
 def criterion_1():
-    """count_bucketed's column path equals count_naive exactly on 100
-    seeded instances.  With pairs, count_bucketed itself hands every one
-    of these instances, at most 500 x 500 pairs, to the oracle's kernel,
-    so the path is called directly."""
+    """count_incidences(verify=True), the column path asserted equal to
+    count_naive at every size, holds on 100 seeded instances."""
     mismatches = 0
     for i in range(100):
         delta, n, m = _random_instance_params(i)
         P, L = gen_random(n, m, delta, seed=substream_seed(777, i))
-        s = Scale(delta)
-        a = count_naive(P, L, s, with_pairs=True)
-        b = _count_columns(P, L, s, with_pairs=True)
-        if not a.same_as(b):
+        try:
+            count_incidences(P, L, Scale(delta), verify=True)
+        except AssertionError:
             mismatches += 1
     return (mismatches == 0,
             f"100 instances, {mismatches} mismatches "

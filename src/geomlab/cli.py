@@ -8,13 +8,14 @@ Usage:
 Options and defaults are in EXPERIMENTS; numbers may be plain floats,
 powers "2^-7" or fractions "1/64" of either, lists whitespace separated.
 An option the experiment does not read is a configuration error;
-incidence-sweep also reads its family's keys in acceptance.SWEEP_FAMILIES.
-Identical configs give byte-identical CSV output.
+incidence-sweep also reads verify (yes or no; --verify sets yes) and its
+family's keys in acceptance.SWEEP_FAMILIES.  Identical configs give
+byte-identical CSV output.
 
 Exit codes: 0 all asserted invariants passed, 1 invariant violation,
 2 configuration error: a bad option, config file or --out, or input the
-experiment refuses (planar.BadInput); one line on stderr, before any
-artifact is written.
+experiment refuses, each a planar.BadInput that main alone turns into one
+line on stderr, before any artifact is written.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ from . import __version__
 from . import acceptance as A
 from .planar import BadInput
 from .rng import Stream, substream_seed
-
-
-class ConfigError(Exception):
-    pass
 
 
 def parse_number(tok: str) -> float:
@@ -62,19 +59,7 @@ class ExperimentConfig:
     experiment: str
     options: Dict[str, str]
     out_dir: Path
-    verify: bool = False
-
-    @property
-    def seed(self) -> int:
-        raw = self.options.get("seed", "12345")
-        try:
-            seed = int(raw)
-        except ValueError:
-            seed = -1
-        if not 0 <= seed < 2 ** 64:  # the splitmix64 streams take uint64
-            raise ConfigError(f"{self.experiment}: seed must be an integer "
-                              f"in [0, 2^64), got {raw!r}")
-        return seed
+    seed: int
 
     def floats(self, key: str, lo: float = 0.0,
                hi: float = math.inf) -> List[float]:
@@ -82,27 +67,27 @@ class ExperimentConfig:
         try:
             vals = [parse_number(tok) for tok in self.options[key].split()]
         except ValueError as exc:
-            raise ConfigError(f"{self.experiment}: option {key!r}: {exc}") from None
+            raise BadInput(f"option {key!r}: {exc}") from None
         if not vals:
-            raise ConfigError(f"{self.experiment}: option {key!r} is empty")
+            raise BadInput(f"option {key!r} is empty")
         if not all(math.isfinite(v) and v > 0 and lo <= v <= hi for v in vals):
             limits = (f">= {lo:g}" if lo > 0 else "> 0") + (
                 f" and <= {hi:g}" if hi < math.inf else "")
-            raise ConfigError(f"{self.experiment}: option {key!r}: every "
-                              f"value must be a finite number {limits}")
+            raise BadInput(f"option {key!r}: every value must be a finite "
+                           f"number {limits}")
         return vals
 
     def ints(self, key: str, lo: float = 1,
              hi: float = math.inf) -> List[int]:
         vals = self.floats(key, lo, hi)
         if not all(v.is_integer() for v in vals):
-            raise ConfigError(f"{self.experiment}: option {key!r}: every "
-                              f"value must be a whole number")
+            raise BadInput(f"option {key!r}: every value must be a whole "
+                           f"number")
         return [int(v) for v in vals]
 
     def _single(self, key: str, vals: list):
         if len(vals) != 1:
-            raise ConfigError(f"{self.experiment}: {key!r} must be a single value")
+            raise BadInput(f"{key!r} must be a single value")
         return vals[0]
 
     def scalar(self, key: str, lo: float = 0.0, hi: float = math.inf) -> float:
@@ -114,30 +99,30 @@ class ExperimentConfig:
     def choice(self, key: str, allowed: tuple) -> str:
         value = self.options[key]
         if value not in allowed:
-            raise ConfigError(f"{self.experiment}: option {key!r} must be one "
-                              f"of {', '.join(allowed)}; got {value!r}")
+            raise BadInput(f"option {key!r} must be one of "
+                           f"{', '.join(allowed)}; got {value!r}")
         return value
 
 
 def load_config(experiment: str, path: Optional[str], out_dir: str,
-                seed: Optional[int], verify: bool,
+                seed: Optional[int],
                 extra: Optional[Dict[str, str]] = None) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from "
-                          + ", ".join(EXPERIMENTS))
+        raise BadInput(f"unknown experiment {experiment!r}; choose from "
+                       + ", ".join(EXPERIMENTS))
     exp = EXPERIMENTS[experiment]
     options = dict(exp.defaults)
     if path is not None:
         parser = configparser.ConfigParser()
         try:
             if not parser.read(path, encoding="utf-8"):
-                raise ConfigError(f"cannot read config file {path}")
+                raise BadInput(f"cannot read config file {path}")
             if parser.has_section(experiment):
                 options.update(parser.items(experiment))
         except (configparser.Error, UnicodeDecodeError) as exc:
             # flattened: a missing section header's message spans 3 lines
-            raise ConfigError(f"config file {path}: "
-                              + " ".join(str(exc).split())) from None
+            raise BadInput(f"config file {path}: "
+                           + " ".join(str(exc).split())) from None
     if extra:
         options.update({k: v for k, v in extra.items() if v is not None})
     if seed is not None:
@@ -145,20 +130,25 @@ def load_config(experiment: str, path: Optional[str], out_dir: str,
     unknown = [k for k in options
                if k not in exp.defaults and k not in exp.optional]
     if unknown:
-        raise ConfigError(f"{experiment}: unknown option "
-                          + ", ".join(map(repr, unknown)))
+        raise BadInput(f"{experiment}: unknown option "
+                       + ", ".join(map(repr, unknown)))
     # the nearest existing one of out_dir and its parents must be a
     # writable directory; checked before any work, and nothing is created
     out = Path(out_dir)
     nearest = next((p for p in (out, *out.parents) if p.exists()), out)
     if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
-        raise ConfigError(f"--out {out_dir}: {nearest} is not a writable "
-                          f"directory")
-    cfg = ExperimentConfig(experiment, options, out, verify)
-    # checks every experiment shares; each entry of EXPERIMENTS checks the
+        raise BadInput(f"--out {out_dir}: {nearest} is not a writable "
+                       f"directory")
+    # the seed every experiment reads; each entry of EXPERIMENTS checks the
     # ranges of its own options as it reads them, before any work
-    cfg.seed  # raises ConfigError unless the seed is an integer in range
-    return cfg
+    try:
+        seed = int(options["seed"])
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 2 ** 64:  # the splitmix64 streams take uint64
+        raise BadInput(f"{experiment}: seed must be an integer in [0, 2^64), "
+                       f"got {options['seed']!r}")
+    return ExperimentConfig(experiment, options, out, seed)
 
 
 def _fmt(v) -> str:
@@ -198,19 +188,11 @@ _SWEEP_KEYS = sorted({k for keys in A.SWEEP_FAMILIES.values() for k in keys})
 
 def _sweep_family(cfg: ExperimentConfig):
     """acceptance.sweep_family at the config's family and keys."""
-    name = cfg.choice("family", tuple(A.SWEEP_FAMILIES))
     params = {key: (cfg.scalar if key in ("epsilon", "r", "s")
                     else cfg.count)(key)
               for key in _SWEEP_KEYS if key in cfg.options}
-    make = A.sweep_family(name, cfg.seed, **params)
-
-    def family(i, delta):
-        try:
-            return make(i, delta)
-        except ValueError as exc:
-            raise ConfigError(f"incidence-sweep at delta={delta:g}: "
-                              f"{exc}") from None
-    return family
+    return A.sweep_family(cfg.choice("family", tuple(A.SWEEP_FAMILIES)),
+                          cfg.seed, **params)
 
 
 class Experiment(NamedTuple):
@@ -222,9 +204,10 @@ class Experiment(NamedTuple):
 EXPERIMENTS: Dict[str, Experiment] = {
     "incidence-sweep": Experiment(
         {"family": "tube", "deltas": "2^-6 2^-7 2^-8 2^-9 2^-10 2^-11 2^-12",
-         "seed": "12345"},
-        lambda c: A.incidence_sweep(c.floats("deltas", hi=1.0),
-                                    _sweep_family(c), c.verify),
+         "verify": "no", "seed": "12345"},
+        lambda c: A.incidence_sweep(
+            c.floats("deltas", hi=1.0), _sweep_family(c),
+            c.choice("verify", ("yes", "no")) == "yes"),
         _SWEEP_KEYS),
     "rich-points": Experiment(
         {"family": "rectangle", "deltas": "2^-4 2^-5 2^-6", "ks": "2 4 8 16",
@@ -271,10 +254,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
 
 def run(cfg: ExperimentConfig) -> int:
     t0 = time.time()
-    try:
-        res = EXPERIMENTS[cfg.experiment].run(cfg)
-    except BadInput as exc:
-        raise ConfigError(f"{cfg.experiment}: {exc}") from None
+    res = EXPERIMENTS[cfg.experiment].run(cfg)
     write_artifacts(cfg, res)
     status = "PASS" if res.ok else "FAIL"
     print(f"{cfg.experiment}: {status} ({time.time() - t0:.1f}s), "
@@ -291,20 +271,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--verify", action="store_true",
-                    help="incidence-sweep: count each row with the column "
-                         "engine and the brute-force oracle and assert "
-                         "equality")
+                    help="incidence-sweep: assert each row's count equal to "
+                         "the brute-force oracle's")
     ap.add_argument("--function", default=None, help="sobolev-check function")
     ap.add_argument("--width", default=None, help="sobolev-check bump width")
     ap.add_argument("--h", dest="h", default=None, help="grid resolution")
     args = ap.parse_args(argv)
+    where = ""  # a refusal of the run names its experiment
     try:
-        return run(load_config(args.experiment, args.config, args.out,
-                               args.seed, args.verify,
-                               extra={"function": args.function,
-                                      "width": args.width, "h": args.h}))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        cfg = load_config(args.experiment, args.config, args.out, args.seed,
+                          extra={"function": args.function,
+                                 "width": args.width, "h": args.h,
+                                 "verify": "yes" if args.verify else None})
+        where = f"{cfg.experiment}: "
+        return run(cfg)
+    except BadInput as exc:
+        print(f"config error: {where}{exc}", file=sys.stderr)
         return 2
 
 

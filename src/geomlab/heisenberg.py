@@ -26,7 +26,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .planar import LineFamily, PointSet, Scale, validate_separation
+from .planar import (LineFamily, PointSet, Scale, _check_unit_square,
+                     validate_separation)
 from .rng import Stream
 
 # Q0 in the group is the cube [-1, 1]^3
@@ -126,10 +127,7 @@ def reduce_to_incidences(P_x: Sequence[VerticalPlanePoint],
         if w.plane != Plane.W_Y:
             raise ValueError("P_y must contain W_y points")
     lines = LineFamily([(w.u, w.t) for w in P_x], epsilon=s.delta)
-    bad = np.flatnonzero((np.abs(lines.params) > 1.0).any(axis=1))
-    if bad.size:
-        raise ValueError(f"plane point {tuple(lines.params[bad[0]].tolist())} "
-                         f"outside the unit square")
+    _check_unit_square(lines.params, "plane point")
     points = PointSet([(w.u, w.t) for w in P_y], delta=s.delta)
     for obj, name in ((points, "P_y"), (lines, "P_x")):
         rep = validate_separation(obj)

@@ -491,21 +491,20 @@ def count_bucketed(P: PointSet, L: LineFamily, s: Scale,
     goes through the slope columns of _Columns.  Raises ValueError for
     coordinates or a radius that are not finite or exceed 2**255 in
     magnitude, whatever the size."""
-    _check_magnitude(P, L, s)
+    _check_magnitude("count_bucketed", s.radius, P.coords, L.params)
     cut = _EXHAUSTIVE_WITH_PAIRS if with_pairs else _EXHAUSTIVE_PAIRS
     if len(P) * len(L) <= cut:
         return _count_exhaustive(P, L, s, with_pairs)
     return _count_columns(P, L, s, with_pairs)
 
 
-def _check_magnitude(P: PointSet, L: LineFamily, s: Scale) -> None:
-    """Raise ValueError unless the coordinates and radius of a nonempty
-    instance are finite and at most _MAX_MAGNITUDE in magnitude."""
-    if len(P) and len(L) and not all(
-            np.all(np.abs(v) <= _MAX_MAGNITUDE)
-            for v in (P.coords, L.params, s.radius)):
-        raise ValueError("count_bucketed needs finite coordinates and "
-                         "radius of magnitude at most 2**255")
+def _check_magnitude(caller: str, radius: float, *coords: np.ndarray) -> None:
+    """Raise ValueError unless the radius and coordinates of an instance
+    with no empty array are finite and at most _MAX_MAGNITUDE in magnitude."""
+    if all(c.size for c in coords) and not all(
+            np.all(np.abs(v) <= _MAX_MAGNITUDE) for v in (*coords, radius)):
+        raise ValueError(f"{caller} needs finite coordinates and radius of "
+                         f"magnitude at most 2**255")
 
 
 def _count_columns(P: PointSet, L: LineFamily, s: Scale,
@@ -562,7 +561,7 @@ def count_incidences(P: PointSet, L: LineFamily, s: Scale,
     AssertionError when they differ."""
     if not verify:
         return count_bucketed(P, L, s, with_pairs=with_pairs)
-    _check_magnitude(P, L, s)
+    _check_magnitude("count_incidences", s.radius, P.coords, L.params)
     rep = _count_columns(P, L, s, with_pairs=True)
     if not rep.same_as(count_naive(P, L, s, with_pairs=True)):
         raise AssertionError("column and naive engines disagree")
@@ -800,9 +799,7 @@ def grid_richness(L: LineFamily, s: Scale) -> RichnessField:
                              used)
     delta, radius = s.delta, used * s.delta
     la, lb = L.params[:, 0], L.params[:, 1]
-    if not all(np.all(np.abs(v) <= _MAX_MAGNITUDE) for v in (la, lb, radius)):
-        raise ValueError("grid_richness needs finite line parameters and "
-                         "radius of magnitude at most 2**255")
+    _check_magnitude("grid_richness", radius, L.params)
     # n <= isqrt(cap) iff n^2 <= cap; the test also refuses 2 / delta = inf
     if not 2.0 / delta < math.isqrt(RICHNESS_LATTICE_CAP):
         raise GridTooLarge(f"the rich-point lattice at delta={delta:g} would "

@@ -124,14 +124,19 @@ def incident(x, y, a, b, thr, out=None, work=None):
     return np.less_equal(vert, thr, out=out)
 
 
+def _check_unit_square(coords: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first row of coords not in [-1, 1]^2."""
+    bad = np.flatnonzero(~(np.abs(coords) <= 1.0).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{what} {tuple(coords[bad[0]].tolist())} outside "
+                         f"the unit square")
+
+
 def dual_lines(P: PointSet) -> LineFamily:
     """The dual lines {Y = -x X + y} of the points (x, y) of P, as epsilon =
     P.delta apart as the points are.  Raises ValueError for a point outside
     the unit square, whose dual line leaves the parameter square."""
-    bad = np.flatnonzero(~(np.abs(P.coords) <= 1.0).all(axis=1))
-    if bad.size:
-        raise ValueError(f"point {tuple(P.coords[bad[0]].tolist())} outside "
-                         f"the unit square has no dual line here")
+    _check_unit_square(P.coords, "point")
     return LineFamily(np.column_stack([-P.coords[:, 0], P.coords[:, 1]]),
                       P.delta)
 

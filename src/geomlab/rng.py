@@ -49,6 +49,10 @@ def mix64(z):
     return z[()]
 
 
+# _output is mix64 again in Python ints: it makes the single outputs of
+# substream seeds and of rank_keys' round keys, 0.7 us a call against 8.3 us
+# for mix64 on one uint64 (2-core Xeon, numpy 2.4), and gen_random makes
+# ten such calls an instance.
 def _output(seed: int, i: int) -> int:
     """output[i] of the stream of seed, in Python ints (no numpy scalars)."""
     z = (seed + (i + 1) * int(GOLDEN)) & _MASK

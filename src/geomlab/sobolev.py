@@ -335,6 +335,13 @@ def bump(widths=(0.75, 0.75, 0.5), center=(0.0, 0.0, 0.0), amplitude=1.0):
     return fn
 
 
+def sized_bump(width: float):
+    """The bump of half widths (width, width, 2 width / 3), and the half
+    extents of its sampling box, 0.05 past its support on each axis."""
+    widths = (width, width, 2 * width / 3)
+    return bump(widths), tuple(w + 0.05 for w in widths)
+
+
 def sheared_fn(fn):
     """The image of fn under the shear (x, y, t) -> (x, y, t + x y / 2):
     fn composed with the inverse shear, whose t is that of proj_x."""
@@ -368,7 +375,7 @@ def smoothed_box(half=(0.5, 0.5, 0.25), edge: float = 0.25):
 # grid at a time.
 FUNCTION_ZOO: Dict[str, Tuple[Callable[..., np.ndarray],
                               Tuple[float, float, float]]] = {
-    "bump": (bump((0.75, 0.75, 0.5)), (0.8, 0.8, 0.55)),
+    "bump": sized_bump(0.75),
     "narrow_bump": (bump((0.4, 0.4, 0.3)), (0.45, 0.45, 0.35)),
     "aniso_bump": (bump((0.8, 0.45, 0.35)), (0.85, 0.5, 0.4)),
     "sheared_bump": (sheared_fn(bump((0.6, 0.6, 0.35))), (0.65, 0.65, 0.6)),

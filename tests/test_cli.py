@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from geomlab import incidence
 from geomlab.acceptance import SWEEP_FAMILIES
-from geomlab.cli import (_SWEEP_KEYS, ConfigError, load_config, main,
+from geomlab.cli import (EXPERIMENTS, _SWEEP_KEYS, load_config, main,
                          parse_number)
+from geomlab.planar import BadInput
 
 
 def test_number_parsing():
@@ -28,13 +29,12 @@ def test_number_parsing():
 
 
 def test_defaults_and_overrides(tmp_path):
-    cfg = load_config("incidence-sweep", None, str(tmp_path), seed=7,
-                      verify=False)
+    cfg = load_config("incidence-sweep", None, str(tmp_path), seed=7)
     assert cfg.seed == 7
     assert cfg.floats("deltas")[0] == 2.0 ** -6
     ini = tmp_path / "cfg.ini"
     ini.write_text("[incidence-sweep]\ndeltas = 2^-5 2^-6\nseed = 99\n")
-    cfg2 = load_config("incidence-sweep", str(ini), str(tmp_path), None, False)
+    cfg2 = load_config("incidence-sweep", str(ini), str(tmp_path), None)
     assert cfg2.floats("deltas") == [2.0 ** -5, 2.0 ** -6]
     assert cfg2.seed == 99
 
@@ -68,8 +68,8 @@ def test_tiny_bump_width_prints_one_line(tmp_path):
 
 
 def test_unknown_experiment_rejected(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config("nonsense", None, str(tmp_path), None, False)
+    with pytest.raises(BadInput):
+        load_config("nonsense", None, str(tmp_path), None)
 
 
 def test_empty_sweep_list_exits_2(tmp_path):
@@ -80,22 +80,39 @@ def test_empty_sweep_list_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_incidence_sweep_verify_runs_the_column_path_on_every_row(
-        tmp_path, monkeypatch):
-    # every default tube row lies below count_bucketed's cut, where only
-    # verify reaches the column path
+def _sweep_column_calls(monkeypatch, argv):
+    """The (n, m, with_pairs) of each column-path call of the run argv."""
     columns, calls = incidence._count_columns, []
 
     def spy(P, L, s, with_pairs=False):
         calls.append((len(P), len(L), with_pairs))
         return columns(P, L, s, with_pairs)
     monkeypatch.setattr(incidence, "_count_columns", spy)
+    assert main(argv) == 0
+    return calls
+
+
+def test_incidence_sweep_verify_runs_the_column_path_on_every_row(
+        tmp_path, monkeypatch):
+    # every default tube row lies below count_bucketed's cut, where only
+    # verify reaches the column path
     out = tmp_path / "out"
-    assert main(["incidence-sweep", "--verify", "--out", str(out)]) == 0
+    calls = _sweep_column_calls(monkeypatch, ["incidence-sweep", "--verify",
+                                              "--out", str(out)])
     lines = (out / "incidence-sweep.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[5:]]
     assert len(rows) == 7
     assert calls == [(int(r[1]), int(r[2]), True) for r in rows]
+
+
+def test_incidence_sweep_verify_key_of_a_config_file(tmp_path, monkeypatch):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[incidence-sweep]\ndeltas = 2^-6 2^-7\nverify = yes\n")
+    argv = ["incidence-sweep", "--config", str(ini), "--out"]
+    calls = _sweep_column_calls(monkeypatch, argv + [str(tmp_path / "a")])
+    assert [with_pairs for _, _, with_pairs in calls] == [True, True]
+    ini.write_text("[incidence-sweep]\ndeltas = 2^-6 2^-7\nverify = no\n")
+    assert _sweep_column_calls(monkeypatch, argv + [str(tmp_path / "b")]) == []
 
 
 def test_fractions_parse():
@@ -301,13 +318,13 @@ _TUBE_RANGE = ("'deltas': every value must be a finite number >= 7.62939e-06 "
     # asked numpy for 7.45 GiB at 1e-18 and 16 GiB at 2^-62
     # (_ArrayMemoryError, exit 1), and 2^-40 ran for more than 20 s
     pytest.param("incidence-sweep", "deltas = 1e-18\n",
-                 "incidence-sweep at delta=1e-18: the tube would hold more "
+                 "incidence-sweep: at delta=1e-18: the tube would hold more "
                  "than 1048576 points", id="incidence-sweep-tube-1e-18"),
     pytest.param("incidence-sweep", "deltas = 2^-62\n",
                  "the tube would hold more than 1048576 points",
                  id="incidence-sweep-tube-2^-62"),
     pytest.param("incidence-sweep", "family = tube\ndeltas = 2^-6 2^-40\n",
-                 "incidence-sweep at delta=9.09495e-13: the tube would hold "
+                 "incidence-sweep: at delta=9.09495e-13: the tube would hold "
                  "more than 1048576 points", id="incidence-sweep-tube-2^-40"),
     # found while choosing that test's tokens: the zoo's t half widths
     # underflowed to 0 and Box raised ValueError (exit 1)
@@ -357,6 +374,27 @@ def test_unknown_options_exit_2(tmp_path, capsys, argv, body, needle):
         "--config", str(ini), "--out", str(tmp_path / "out")])
     assert needle in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment",
+                         [e for e in EXPERIMENTS if e != "incidence-sweep"])
+def test_verify_flag_off_incidence_sweep_exits_2(tmp_path, capsys,
+                                                  experiment):
+    # verify is incidence-sweep's key; the others exited 0 ignoring it
+    err = _exits_2_with_one_line(capsys, [
+        experiment, "--verify", "--out", str(tmp_path / "out")])
+    assert err == f"config error: {experiment}: unknown option 'verify'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["true", "1", "YES", ""])
+def test_verify_key_takes_yes_or_no(tmp_path, capsys, value):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[incidence-sweep]\ndeltas = 2^-6\nverify = {value}\n")
+    err = _exits_2_with_one_line(capsys, [
+        "incidence-sweep", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert err == (f"config error: incidence-sweep: option 'verify' must be "
+                   f"one of yes, no; got {value!r}\n")
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

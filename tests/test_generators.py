@@ -17,7 +17,7 @@ from geomlab.incidence import count_naive, max_concurrency
 from geomlab.planar import (BadInput, GridTooLarge, LineFamily, Point2,
                             Scale, validate_separation)
 from geomlab.rng import Stream, mix64, rank_keys, substream_seed
-from oracles import _rank_keys_reference, traced_peak
+from oracles import _MASK64, _mix64_int, _rank_keys_reference, traced_peak
 
 
 def test_grid_packing_counts():
@@ -203,6 +203,19 @@ def test_rank_keys_uniform_over_quadrants_and_parities():
         for i in (0, 1):
             for j in (0, 1):
                 assert abs(np.sum((a == i) & (b == j)) - 25_000) <= 500
+
+
+def test_substream_seed_matches_the_int_reference():
+    # substream_seed(seed, tag) is output[tag] of seed's stream, salted;
+    # the tags and seeds include both ends of uint64 and tags beyond it
+    seeds = [0, 1, 2 ** 63, 2 ** 64 - 1] + Stream(2024).u64(16).tolist()
+    tags = [0, 1, 2, 5, 12, 777, 2 ** 32, 2 ** 64 - 2, 2 ** 64 - 1,
+            2 ** 64, 2 ** 100 + 3] + Stream(99).u64(8).tolist()
+    for seed in seeds:
+        for tag in tags:
+            z = (seed + (tag + 1) * 0x9E3779B97F4A7C15) & _MASK64
+            assert substream_seed(seed, tag) == (_mix64_int(z)
+                                                 ^ 0xD1B54A32D192ED03)
 
 
 def test_mix64_keeps_its_input_and_scalar_type():

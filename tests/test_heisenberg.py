@@ -136,6 +136,10 @@ def test_project_fiber_to_line():
                         ).tolist() == [[0, 0], [0.5, 0.25]]
     with pytest.raises(ValueError, match=r"\(1.5, 0.0\) outside the unit"):
         _fiber_lines(VerticalPlanePoint(Plane.W_X, 1.5, 0.0))
+    # a NaN coordinate lies outside too: it used to pass this check and
+    # reach validate_separation's non-finite refusal
+    with pytest.raises(ValueError, match=r"\(0.5, nan\) outside the unit"):
+        _fiber_lines(VerticalPlanePoint(Plane.W_X, 0.5, math.nan))
 
 
 def test_fiber_projects_onto_the_line():

@@ -73,8 +73,9 @@ def test_duality_examples():
     assert L.epsilon == 0.25
     M = dual_points(LineFamily([(0, 0), (0.7, -0.2)], epsilon=0.5))
     assert M.coords.tolist() == [[0, 0], [0.7, -0.2]] and M.delta == 0.5
-    with pytest.raises(ValueError, match="outside the unit square"):
-        dual_lines(PointSet([(0, 0), (1.5, 0)], delta=0.25))
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError, match="outside the unit square"):
+            dual_lines(PointSet([(0, 0), (bad, 0)], delta=0.25))
 
 
 @given(coord, coord)
